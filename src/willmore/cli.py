@@ -11,7 +11,7 @@ Subcommands:
 
 Numeric flags accept exact rational syntax "p/q" where meaningful, and
 lambda accepts "1", "i", "a+bi" with rational parts, or "cis:p/q" for
-exp(i pi p/q).  Vertex evaluation parallelizes across WILLMORE_THREADS.
+exp(i pi p/q).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 
@@ -87,14 +86,6 @@ def _parse_complex(s: str) -> complex:
             body += "1"
         return complex(0.0, float(Fraction(body)))
     return complex(float(Fraction(s)), 0.0)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("WILLMORE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _grid_points(kind: str, n: int, radius: float):
@@ -183,13 +174,7 @@ def _write_mesh_csv(path, pair, pts):
             + ["y%d" % k for k in range(1, d)]
             + ["yhat%d" % k for k in range(1, d)]
             + ["yz_sq", "yhatz_sq", "singular"])
-    work = lambda z: _evaluate_vertex(pair, metric_y, metric_yhat, z)
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, pts))
-    else:
-        rows = [work(z) for z in pts]
+    rows = [_evaluate_vertex(pair, metric_y, metric_yhat, z) for z in pts]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for z, (Y, Yhat, y, yhat, my, myh, flag) in zip(pts, rows):

@@ -2,7 +2,7 @@
 
 Every failure mode that callers are expected to catch has its own class here;
 generic ValueError/TypeError are reserved for programming errors (bad shapes,
-mixed backends).
+mixed exact and float loops).
 """
 
 
@@ -36,10 +36,6 @@ class ExactPathRequired(WillmoreError):
 
 class FirstCoordinateVanishes(WillmoreError):
     """Projection to the sphere divided by a vanishing first coordinate."""
-
-
-class QNotInK(WillmoreError):
-    """A conjugation matrix failed the stabilizer-subgroup membership test."""
 
 
 class PotentialFormatError(WillmoreError):

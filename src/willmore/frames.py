@@ -17,7 +17,7 @@ from functools import cached_property
 from . import matrices as mx
 from .loops import LoopMatrix
 from .potentials import NilpotentPotential
-from .scalars import BP_ZERO, GR_I, BiPoly, RationalFn
+from .scalars import BP_ZERO, GR_I, RationalFn
 
 
 class HolomorphicFrame:
@@ -36,9 +36,6 @@ class HolomorphicFrame:
     def fsharp(self):
         return mx.sharp(self.f)
 
-    def fchecksharp(self):
-        return mx.sharp(self.fcheck)
-
     @cached_property
     def axis_derivatives(self):
         """((f_x, g_x), (f_y, g_y)): exact derivatives along Re z and Im z.
@@ -54,10 +51,11 @@ class HolomorphicFrame:
 
         return tuple((mx.mat_map(self.f, d), mx.mat_map(self.g, d)) for d in (d_x, d_y))
 
-    def H_loop(self, backend: str = "exact") -> LoopMatrix:
-        """The integrated frame as a Laurent loop with powers {0, -1, -2}."""
-        if backend != "exact":
-            raise ValueError("H_loop is exact; bind with .to_float(z) as needed")
+    def H_loop(self) -> LoopMatrix:
+        """The integrated frame as an exact loop with powers {0, -1, -2}.
+
+        Bind it at a sample with .to_float(z).
+        """
         m = self.m
         d = 2 * m + 2
         zmm = mx.zeros(m, m, BP_ZERO)
@@ -77,8 +75,7 @@ class HolomorphicFrame:
             -1: mx.mat_map(p1, RationalFn.coerce),
             -2: mx.mat_map(p2, RationalFn.coerce),
         }
-        H = LoopMatrix(d, d, coeffs, "exact") + LoopMatrix.identity(d, "exact")
-        return H
+        return LoopMatrix(d, d, coeffs) + LoopMatrix.identity(d)
 
 
 def integrate_frame(nil: NilpotentPotential) -> HolomorphicFrame:

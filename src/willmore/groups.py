@@ -21,9 +21,20 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
+import numpy as np
+
 from . import matrices as mx
-from .loops import LaurentScalar, LoopMatrix, backend_one, backend_zero, coerce_scalar
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
+from .loops import LoopMatrix
+from .scalars import (
+    GR_I,
+    GR_ONE,
+    GR_ZERO,
+    RF_I,
+    RF_ONE,
+    RF_ZERO,
+    GaussianRational,
+    RationalFn,
+)
 
 _HALF = GaussianRational(Fraction(1, 2))
 
@@ -144,97 +155,78 @@ class GroupContext:
             ]
         )
 
-        self._backend_cache = {}
+        self._arrays = {}
+
+    # The two sides of the isometry: iso_P(A) = iso_left A iso_right.
+
+    @functools.cached_property
+    def iso_left(self):
+        return mx.mat_scale(mx.mat_mul(self.P1_t, self.Mbar_t), _HALF)
+
+    @functools.cached_property
+    def iso_right(self):
+        return mx.mat_mul(self.M, self.P1)
 
     # -- constant access ---------------------------------------------------
 
-    def plain(self, name: str, backend: str):
-        """A stored constant converted to the given scalar backend."""
-        key = (name, backend)
-        cached = self._backend_cache.get(key)
-        if cached is None:
-            mat = getattr(self, name)
-            cached = mx.freeze(
-                tuple(
-                    tuple(coerce_scalar(x, backend) for x in row) for row in mat
-                )
-            )
-            self._backend_cache[key] = cached
-        return cached
+    def plain(self, name: str) -> np.ndarray:
+        """A stored constant as an object array of RationalFn (cached)."""
+        return self._array(name, True)
 
-    def loop(self, name: str, backend: str, power: int = 0) -> LoopMatrix:
-        mat = self.plain(name, backend)
-        r, c = mx.shape(mat)
-        return LoopMatrix(r, c, {power: mat}, backend)
-
-    def np(self, name: str):
+    def np(self, name: str) -> np.ndarray:
         """The constant as a complex numpy array (cached)."""
-        import numpy as np
+        return self._array(name, False)
 
-        key = (name, "numpy")
-        cached = self._backend_cache.get(key)
+    def _array(self, name, exact):
+        cached = self._arrays.get((name, exact))
         if cached is None:
-            mat = getattr(self, name)
+            convert = RationalFn.coerce if exact else GaussianRational.to_complex
             cached = np.array(
-                [[x.to_complex() for x in row] for row in mat], dtype=complex
+                [[convert(x) for x in row] for row in getattr(self, name)],
+                dtype=object if exact else complex,
             )
             cached.setflags(write=False)
-            self._backend_cache[key] = cached
+            self._arrays[(name, exact)] = cached
         return cached
+
+    def loop(self, name: str, power: int = 0) -> LoopMatrix:
+        """A stored constant as an exact loop at one power."""
+        return LoopMatrix.from_constant(self.plain(name), power)
+
+    def _like(self, name: str, F: LoopMatrix) -> LoopMatrix:
+        """A stored constant as a power-0 loop of the same kind as F."""
+        if F.exact is False:
+            return LoopMatrix.from_constant(self.np(name))
+        return self.loop(name)
 
     # -- the isometry -------------------------------------------------------
-
-    def _iso_sides(self, backend):
-        key = ("_iso", backend)
-        cached = self._backend_cache.get(key)
-        if cached is None:
-            half = coerce_scalar(_HALF, backend)
-            left = mx.mat_scale(
-                mx.mat_mul(self.plain("P1_t", backend), self.plain("Mbar_t", backend)),
-                half,
-            )
-            right = mx.mat_mul(self.plain("M", backend), self.plain("P1", backend))
-            cached = (left, right)
-            self._backend_cache[key] = cached
-        return cached
 
     def iso_P(self, A: LoopMatrix) -> LoopMatrix:
         """Push a matrix in the paired basis into the block-graded model."""
         if (A.rows, A.cols) != (self.dim, self.dim):
             raise ValueError("iso_P expects a %dx%d matrix" % (self.dim, self.dim))
-        left, right = self._iso_sides(A.backend)
-        return LoopMatrix(
-            A.rows, A.cols,
-            {k: mx.mat_mul(mx.mat_mul(left, mat), right) for k, mat in A.coeffs.items()},
-            A.backend,
-        )
+        return self._like("iso_left", A) @ A @ self._like("iso_right", A)
 
     def iso_P_inv(self, B: LoopMatrix) -> LoopMatrix:
         if (B.rows, B.cols) != (self.dim, self.dim):
             raise ValueError("iso_P_inv expects a %dx%d matrix" % (self.dim, self.dim))
-        left, right = self._iso_sides(B.backend)
         # Inverse conjugation: swap the two sides.
-        return LoopMatrix(
-            B.rows, B.cols,
-            {k: mx.mat_mul(mx.mat_mul(right, mat), left) for k, mat in B.coeffs.items()},
-            B.backend,
-        )
+        return self._like("iso_right", B) @ B @ self._like("iso_left", B)
 
     def iso_P_inv_np(self, B):
         """iso_P_inv on a plain numpy matrix (no loop powers)."""
-        left = 0.5 * (self.np("P1_t") @ self.np("Mbar_t"))
-        right = self.np("M") @ self.np("P1")
-        return right @ B @ left
+        return self.np("iso_right") @ B @ self.np("iso_left")
 
     def iso_P_indexwise(self, A: LoopMatrix) -> LoopMatrix:
         """Entry-by-entry recombination oracle for iso_P."""
         if (A.rows, A.cols) != (self.dim, self.dim):
             raise ValueError("iso_P_indexwise expects %dx%d" % (self.dim, self.dim))
         m = self.m
-        backend = A.backend
-        one = backend_one(backend)
-        ii = coerce_scalar(GR_I, backend)
-        half = coerce_scalar(_HALF, backend)
+        if A.exact is False:
+            one, ii, half = 1 + 0j, 1j, 0.5 + 0j
+        else:
+            one, ii, half = RF_ONE, RF_I, RationalFn.const(_HALF)
+        mone, nii = -one, -ii
 
         def a(j, k):
             # 1-indexed accessor into A.
@@ -249,8 +241,6 @@ class GroupContext:
             return acc.scale(half)
 
         rows = []
-        mone = -one if backend == "float" else coerce_scalar(-1, backend)
-        nii = -ii if backend == "float" else coerce_scalar(-GR_I, backend)
         for j in range(1, m + 1):
             row = []
             for k in range(1, m + 1):
@@ -378,43 +368,43 @@ class GroupContext:
                 )
             rows.append(row)
 
-        return loop_from_entries(rows, backend)
+        return loop_from_entries(rows)
 
     # -- conjugations and membership -----------------------------------------
 
     def tau(self, F: LoopMatrix) -> LoopMatrix:
         """Reality involution: S0 bar(F) S0."""
-        S0 = self.loop("S0", F.backend)
+        S0 = self._like("S0", F)
         return S0 @ F.bar() @ S0
 
     def tau_inv_of(self, F: LoopMatrix) -> LoopMatrix:
         """tau(F)^-1 computed without inverting: Jhat bar(F)^t Jhat."""
-        Jh = self.loop("Jhat", F.backend)
+        Jh = self._like("Jhat", F)
         return Jh @ F.bar().transpose() @ Jh
 
     def check_membership(self, F: LoopMatrix, which: str, z=None,
                          lams=(1.0, 1j), tol: float = 1e-10) -> dict:
         """Report (never raise) how well F satisfies a membership relation."""
-        backend = F.backend
         if which == "SO(1,2m+1,C)":
-            G = self.loop("minkowski", backend)
+            G = self._like("minkowski", F)
             residual = F.transpose() @ G @ F - G
         elif which == "G(2m+2,C)":
-            J = self.loop("J", backend)
+            J = self._like("J", F)
             residual = F.transpose() @ J @ F - J
         elif which == "real-form-via-tau":
             residual = self.tau(F) - F
         elif which == "K-fixed-via-D0":
-            D0 = self.loop("D0", backend)
+            D0 = self._like("D0", F)
             residual = D0 @ F @ D0 - F
         elif which == "twisted-via-D0":
-            D0 = self.loop("D0", backend)
+            D0 = self._like("D0", F)
             residual = F.negate_lambda() - D0 @ F @ D0
         else:
             raise ValueError("unknown membership relation %r" % which)
 
-        report = {"which": which, "backend": backend}
-        if backend == "exact":
+        exact = F.exact is not False
+        report = {"which": which, "backend": "exact" if exact else "float"}
+        if exact:
             ok = residual.is_zero()
             report["exact"] = True
             report["max_residual"] = 0.0 if ok else _probe_exact(residual, z)
@@ -446,19 +436,19 @@ def _probe_exact(residual: LoopMatrix, z) -> float:
     return worst
 
 
-def loop_from_entries(entries, backend) -> LoopMatrix:
+def loop_from_entries(entries) -> LoopMatrix:
     """Assemble a LoopMatrix from a 2D grid of LaurentScalar entries."""
     rows = len(entries)
     cols = len(entries[0])
     powers = set()
+    exact = None
     for row in entries:
         for e in row:
             powers.update(e.coeffs)
-    zero = backend_zero(backend)
+            exact = e.exact if exact is None else exact
+    zero = 0j if exact is False else RF_ZERO
     coeffs = {}
     for k in powers:
-        coeffs[k] = tuple(
-            tuple(entries[i][j].coeffs.get(k, zero) for j in range(cols))
-            for i in range(rows)
-        )
-    return LoopMatrix(rows, cols, coeffs, backend)
+        coeffs[k] = [[entries[i][j].coeffs.get(k, zero) for j in range(cols)]
+                     for i in range(rows)]
+    return LoopMatrix(rows, cols, coeffs)

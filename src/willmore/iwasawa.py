@@ -21,9 +21,12 @@ pairing exactly and the Hermitian condition l1bar^t l1 = a as a theorem
 (checked, not assumed).
 
 l1 and l4 live outside the rational-function field (square roots), so the
-exact backend carries the witness only; the full extended frame is a float
-object per sample.  When q == I2 identically the frame's middle two columns
-are rational and are assembled exactly; they are all the surface extraction
+exact witness is global but the full extended frame exists only per sample:
+a LoopMatrix of complex arrays, assembled from a float witness that also
+keeps f(z) and g(z) for the lifts and for L_z.  Assembly checks the frame
+against the holomorphic side, F L tau(W)^-1 = H, by BLAS products of loop
+coefficients.  When q == I2 identically the frame's middle two columns are
+rational and are assembled exactly; they are all the surface extraction
 needs.
 """
 
@@ -34,13 +37,13 @@ import numpy as np
 from . import matrices as mx
 from .errors import ResidualTooLarge, SingularLocus
 from .frames import HolomorphicFrame
-from .loops import LoopMatrix
+from .groups import get_context
+from .loops import LoopMatrix, unipotent_inverse
 from .scalars import (
     BP_ZERO,
     BiPoly,
     GR_ONE,
     GR_ZERO,
-    GaussianRational,
     RF_ONE,
     RF_ZERO,
     RationalFn,
@@ -61,7 +64,7 @@ class IwasawaWitness:
 
     def __init__(self, backend, m, rho, rho_inv, det_rho, u, usharp, v, q, a,
                  l0=None, l1=None, l4=None, q_is_identity=None, z=None,
-                 residuals=None):
+                 residuals=None, fv=None, gv=None):
         self.backend = backend
         self.m = m
         self.rho = rho
@@ -78,6 +81,9 @@ class IwasawaWitness:
         self.q_is_identity = q_is_identity
         self.z = z
         self.residuals = residuals or {}
+        # Float witnesses keep f(z) and g(z) for the frame, lifts and L_z.
+        self.fv = fv
+        self.gv = gv
 
 
 class ExtendedFrame:
@@ -209,17 +215,33 @@ def _eval_mat(mat, z) -> np.ndarray:
     )
 
 
+def _jm_np(m) -> np.ndarray:
+    return np.eye(m)[::-1].astype(complex)
+
+
+_J2_NP = np.array([[0, 1], [1, 0]], dtype=complex)
+_J2_NP.setflags(write=False)
+
+
+def gram_float(fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
+    """Equation 1F at one sample: rho = I + Jm fbar J2 f^t Jm + gbar^t g."""
+    m = fv.shape[0]
+    Jm = _jm_np(m)
+    return (np.eye(m, dtype=complex) + Jm @ fv.conj() @ _J2_NP @ fv.T @ Jm
+            + gv.conj().T @ gv)
+
+
 def solve_iwasawa_float(hf: HolomorphicFrame, z, tol: float = _STRUCT_TOL) -> IwasawaWitness:
     """Per-sample numeric witness including the triangular factors."""
     m = hf.m
     z = complex(z)
-    Jm = np.eye(m)[::-1].astype(complex)
-    J2 = np.array([[0, 1], [1, 0]], dtype=complex)
+    Jm = _jm_np(m)
+    J2 = _J2_NP
     fv = _eval_mat(hf.f, z)
     gv = _eval_mat(hf.g, z)
     fsh = np_sharp(fv)
 
-    rho = np.eye(m, dtype=complex) + Jm @ fv.conj() @ J2 @ fv.T @ Jm + gv.conj().T @ gv
+    rho = gram_float(fv, gv)
     scale = max(1.0, float(abs(rho).max()))
     eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     if eigs.min() <= 1e-12 * scale:
@@ -281,7 +303,7 @@ def solve_iwasawa_float(hf: HolomorphicFrame, z, tol: float = _STRUCT_TOL) -> Iw
         "float", m, rho, rho_inv, det_rho, u, usharp, v, q, a,
         l0=l0, l1=l1, l4=l4,
         q_is_identity=bool(offdiag <= tol and abs(c - 1.0) <= tol),
-        z=z, residuals=residuals,
+        z=z, residuals=residuals, fv=fv, gv=gv,
     )
 
 
@@ -293,21 +315,34 @@ def assemble_frame(hf: HolomorphicFrame, witness: IwasawaWitness,
     return _assemble_exact_middle(hf, witness)
 
 
+def middle_columns_float(w: IwasawaWitness):
+    """The frame's middle two columns at a float witness, by loop power.
+
+    Returns (top, mid, bot): rows 1..m at loop^-1, rows m+1, m+2 at loop^0
+    and the last m rows at loop^1.
+    """
+    Jm = _jm_np(w.m)
+    cu = w.u.conj()
+    l0inv = np.linalg.inv(w.l0)
+    top = (w.fv + w.gv @ Jm @ cu) @ l0inv
+    mid = (np.eye(2) - np_sharp(w.fv) @ Jm @ cu) @ l0inv
+    bot = (Jm @ cu) @ l0inv
+    return top, mid, bot
+
+
 def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness, check: bool) -> ExtendedFrame:
     m = hf.m
     d = 2 * m + 2
     z = w.z
-    Jm = np.eye(m)[::-1].astype(complex)
-    J2 = np.array([[0, 1], [1, 0]], dtype=complex)
-    fv = _eval_mat(hf.f, z)
-    gv = _eval_mat(hf.g, z)
+    Jm = _jm_np(m)
+    fv, gv = w.fv, w.gv
     fsh = np_sharp(fv)
     cu_sharp = w.usharp.conj()
     cu = w.u.conj()
     cv = w.v.conj()
-    l0inv = np.linalg.inv(w.l0)
     l1inv = np.linalg.inv(w.l1)
     l4inv = np.linalg.inv(w.l4)
+    top, mid, bot = middle_columns_float(w)
 
     blocks = {}
 
@@ -316,44 +351,44 @@ def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness, check: bool) -> Ext
         blk[r0:r0 + mat.shape[0], c0:c0 + mat.shape[1]] = mat
 
     put(0, 0, 0, (np.eye(m) - fv @ cu_sharp @ Jm + gv @ Jm @ cv @ Jm) @ l1inv)
-    put(-1, 0, m, (fv + gv @ Jm @ cu) @ l0inv)
+    put(-1, 0, m, top)
     put(-2, 0, m + 2, gv @ l4inv)
     put(1, m, 0, -(cu_sharp @ Jm + fsh @ Jm @ cv @ Jm) @ l1inv)
-    put(0, m, m, (np.eye(2) - fsh @ Jm @ cu) @ l0inv)
+    put(0, m, m, mid)
     put(-1, m, m + 2, -fsh @ l4inv)
     put(2, m + 2, 0, Jm @ cv @ Jm @ l1inv)
-    put(1, m + 2, m, Jm @ cu @ l0inv)
+    put(1, m + 2, m, bot)
     put(0, m + 2, m + 2, l4inv)
 
-    F = LoopMatrix(d, d, {k: tuple(map(tuple, b)) for k, b in blocks.items()}, "float")
-
-    factor_residual = None
-    if check:
-        from .groups import get_context
-        from .loops import unipotent_inverse
-
-        ctx = get_context(m)
-        L_loop = LoopMatrix.from_constant(_block_diag(w.l1, w.l0, w.l4), "float")
-        # W = I + loop^-1 (u at (1,2), -u# at (2,3)) + loop^-2 (v at (1,3)).
-        wp1 = np.zeros((d, d), dtype=complex)
-        wp1[0:m, m:m + 2] = w.u
-        wp1[m:m + 2, m + 2:] = -w.usharp
-        wp2 = np.zeros((d, d), dtype=complex)
-        wp2[0:m, m + 2:] = w.v
-        W_loop = LoopMatrix.identity(d, "float") + LoopMatrix(
-            d, d, {-1: tuple(map(tuple, wp1)), -2: tuple(map(tuple, wp2))}, "float"
-        )
-        tauW = ctx.tau(W_loop)
-        tauWinv = unipotent_inverse(tauW)
-        H_float = hf.H_loop().to_float(z)
-        factor_residual = (F @ L_loop @ tauWinv - H_float).max_abs()
-        if factor_residual > 1e-6:
-            raise ResidualTooLarge(
-                "frame does not refactor the holomorphic side: %.3e" % factor_residual
-            )
-
+    F = LoopMatrix(d, d, blocks)
+    factor_residual = check_refactor(hf, w, F) if check else None
     return ExtendedFrame("float", m, w, F=F, z=z, factor_residual=factor_residual,
                          hf=hf)
+
+
+def check_refactor(hf: HolomorphicFrame, w: IwasawaWitness, F: LoopMatrix) -> float:
+    """Largest entry of F L tau(W)^-1 - H at the float witness's sample.
+
+    Raises ResidualTooLarge above 1e-6, where F, L = diag(l1, l0, l4) and W
+    fail to factor the holomorphic frame H.
+    """
+    m = w.m
+    d = 2 * m + 2
+    L_loop = LoopMatrix.from_constant(_block_diag(w.l1, w.l0, w.l4))
+    # W = I + loop^-1 (u at (1,2), -u# at (2,3)) + loop^-2 (v at (1,3)).
+    wp1 = np.zeros((d, d), dtype=complex)
+    wp1[0:m, m:m + 2] = w.u
+    wp1[m:m + 2, m + 2:] = -w.usharp
+    wp2 = np.zeros((d, d), dtype=complex)
+    wp2[0:m, m + 2:] = w.v
+    W_loop = LoopMatrix(d, d, {0: np.eye(d), -1: wp1, -2: wp2})
+    tauWinv = unipotent_inverse(get_context(m).tau(W_loop))
+    residual = (F @ L_loop @ tauWinv - hf.H_loop().to_float(w.z)).max_abs()
+    if residual > 1e-6:
+        raise ResidualTooLarge(
+            "frame does not refactor the holomorphic side: %.3e" % residual
+        )
+    return residual
 
 
 def _assemble_exact_middle(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedFrame:
@@ -380,24 +415,12 @@ def _assemble_exact_middle(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedF
     )
     bot = mx.mat_mul(Jm, ubar)
 
-    zero = RF_ZERO
-    rows_m1 = [[zero] * 2 for _ in range(d)]
-    rows_0 = [[zero] * 2 for _ in range(d)]
-    rows_p1 = [[zero] * 2 for _ in range(d)]
-    for i in range(m):
-        rows_m1[i][0] = top[i][0]
-        rows_m1[i][1] = top[i][1]
-    for i in range(2):
-        rows_0[m + i][0] = mid[i][0]
-        rows_0[m + i][1] = mid[i][1]
-    for i in range(m):
-        rows_p1[m + 2 + i][0] = bot[i][0]
-        rows_p1[m + 2 + i][1] = bot[i][1]
-    middle = LoopMatrix(
-        d, 2,
-        {-1: mx.freeze(rows_m1), 0: mx.freeze(rows_0), 1: mx.freeze(rows_p1)},
-        "exact",
-    )
+    coeffs = {}
+    for power, r0, block in ((-1, 0, top), (0, m, mid), (1, m + 2, bot)):
+        col = np.full((d, 2), RF_ZERO, dtype=object)
+        col[r0:r0 + len(block)] = block
+        coeffs[power] = col
+    middle = LoopMatrix(d, 2, coeffs)
     return ExtendedFrame("exact", m, w, middle=middle, hf=hf)
 
 
@@ -423,12 +446,10 @@ def gauge_z_derivative(hf: HolomorphicFrame, w: IwasawaWitness) -> np.ndarray:
     with its diagonal halved (Murray, arXiv:1602.07527), and ds = dc / 2s.
     L_z = (L_x - i L_y) / 2, because d/dz does not commute with ^H.
     """
-    m = hf.m
     z = w.z
-    Jm = np.eye(m)[::-1].astype(complex)
-    J2 = np.array([[0, 1], [1, 0]], dtype=complex)
-    fv = _eval_mat(hf.f, z)
-    gv = _eval_mat(hf.g, z)
+    Jm = _jm_np(hf.m)
+    J2 = _J2_NP
+    fv, gv = w.fv, w.gv
     rho, us = w.rho, w.usharp
     s = w.l0[0, 0]
     Lc = w.l4.conj().T
@@ -464,7 +485,7 @@ def maurer_cartan(hf: HolomorphicFrame, z):
     """
     m = hf.m
     d = 2 * m + 2
-    Jm = np.eye(m)[::-1].astype(complex)
+    Jm = _jm_np(m)
 
     w = solve_iwasawa_float(hf, z)
     L = _block_diag(w.l1, w.l0, w.l4)

@@ -1,123 +1,81 @@
 """Laurent-polynomial loops with matrix coefficients.
 
 A LoopMatrix is a finite Laurent polynomial in the loop parameter, stored
-power-major: {power: coefficient matrix}.  Coefficient matrices are tuples of
-tuples over one of two scalar backends:
+power-major: {power: coefficient matrix}.  Every coefficient is a numpy
+array of one of two kinds:
 
-* 'exact': RationalFn entries (functions of z, zbar);
-* 'float': complex entries (the loop bound at one sample point).
+* exact: dtype=object, RationalFn entries (functions of z, zbar);
+* float: complex, the loop bound at one sample point.
+
+Both kinds share one implementation: numpy applies the same operators to
+RationalFn objects entry by entry, and to complex arrays through BLAS.
+Mixing the kinds in one operation raises ValueError.
 
 The conjugation bar() implements the loop-group reality operator on
 coefficients: conjugate each entry, negate each power.  At a physical sample
-(zbar = conj z) this agrees with the functional conjugate, which is why the
-float backend supports it entrywise.
+(zbar = conj z) this agrees with the functional conjugate, which is why a
+float loop supports it entrywise.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import numpy as np
 
 from . import matrices as mx
 from .errors import LambdaZero
 from .scalars import GR_ONE, GaussianRational, RationalFn, RF_ZERO, RF_ONE
 
-_FLOAT_TYPES = (complex, float, int)
+
+def _is_exact(x) -> bool:
+    return isinstance(x, RationalFn)
 
 
-def backend_zero(backend):
-    return RF_ZERO if backend == "exact" else 0j
-
-
-def backend_one(backend):
-    return RF_ONE if backend == "exact" else (1 + 0j)
-
-
-def coerce_scalar(x, backend):
-    if backend == "exact":
-        if isinstance(x, RationalFn):
-            return x
-        return RationalFn.coerce(x)
-    if isinstance(x, _FLOAT_TYPES):
-        return complex(x)
-    if isinstance(x, GaussianRational):
-        return x.to_complex()
-    raise TypeError("cannot coerce %r into float backend" % (x,))
+def _same_kind(a, b, what):
+    if a is not None and b is not None and a != b:
+        raise ValueError("mixed exact and float %s" % what)
 
 
 class LaurentScalar:
-    """Finite Laurent polynomial with scalar coefficients."""
+    """Finite Laurent polynomial with RationalFn or complex coefficients."""
 
-    __slots__ = ("coeffs", "backend")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, backend):
-        clean = {}
-        for k, v in coeffs.items():
-            v = coerce_scalar(v, backend)
-            if not mx.sc_is_zero(v):
-                clean[int(k)] = v
+    def __init__(self, coeffs):
+        clean = {int(k): v for k, v in coeffs.items() if not mx.sc_is_zero(v)}
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "backend", backend)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentScalar is immutable")
 
     @classmethod
-    def const(cls, value, backend):
-        return cls({0: value}, backend)
+    def const(cls, value):
+        return cls({0: value})
 
-    def _check(self, other):
-        if self.backend != other.backend:
-            raise ValueError("mixed LaurentScalar backends")
+    @property
+    def exact(self):
+        """True for RationalFn coefficients, False for complex, None if zero."""
+        for v in self.coeffs.values():
+            return _is_exact(v)
+        return None
 
     def __add__(self, other):
-        self._check(other)
+        _same_kind(self.exact, other.exact, "LaurentScalar")
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, backend_zero(self.backend)) + v
-        return LaurentScalar(out, self.backend)
+            out[k] = out[k] + v if k in out else v
+        return LaurentScalar(out)
 
     def __neg__(self):
-        return LaurentScalar({k: -v for k, v in self.coeffs.items()}, self.backend)
+        return LaurentScalar({k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        self._check(other)
-        out = {}
-        zero = backend_zero(self.backend)
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                out[k] = out.get(k, zero) + v1 * v2
-        return LaurentScalar(out, self.backend)
-
     def scale(self, s):
-        s = coerce_scalar(s, self.backend)
-        return LaurentScalar({k: v * s for k, v in self.coeffs.items()}, self.backend)
+        return LaurentScalar({k: v * s for k, v in self.coeffs.items()})
 
     def shift(self, dk: int):
-        return LaurentScalar({k + dk: v for k, v in self.coeffs.items()}, self.backend)
-
-    def bar(self):
-        return LaurentScalar(
-            {-k: v.conjugate() for k, v in self.coeffs.items()}, self.backend
-        )
-
-    def d_dz(self):
-        if self.backend != "exact":
-            raise ValueError("d_dz requires the exact backend")
-        return LaurentScalar({k: v.d_dz() for k, v in self.coeffs.items()}, "exact")
-
-    def d_dzbar(self):
-        if self.backend != "exact":
-            raise ValueError("d_dzbar requires the exact backend")
-        return LaurentScalar({k: v.d_dzbar() for k, v in self.coeffs.items()}, "exact")
-
-    def window(self):
-        if not self.coeffs:
-            return (0, 0)
-        return (min(self.coeffs), max(self.coeffs))
+        return LaurentScalar({k + dk: v for k, v in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -132,30 +90,26 @@ class LaurentScalar:
 
     def at_lambda(self, lam):
         """Collapse the loop parameter to an exact unit value; stays exact."""
-        if self.backend == "exact":
-            lam = GaussianRational.coerce(lam)
-            acc = RF_ZERO
-            for k, v in self.coeffs.items():
-                if k >= 0:
-                    p = _gr_pow(lam, k)
-                else:
-                    p = GR_ONE / _gr_pow(lam, -k)
-                acc = acc + v * RationalFn.const(p)
-            return acc
-        acc = 0j
-        lam = complex(lam)
+        if self.exact is False:
+            raise ValueError("at_lambda needs exact coefficients; use evaluate")
+        lam = GaussianRational.coerce(lam)
+        acc = RF_ZERO
         for k, v in self.coeffs.items():
-            acc += v * lam**k
+            if k >= 0:
+                p = _gr_pow(lam, k)
+            else:
+                p = GR_ONE / _gr_pow(lam, -k)
+            acc = acc + v * RationalFn.const(p)
         return acc
 
     def evaluate(self, z, lam) -> complex:
-        """Numeric value; z is ignored on the float backend."""
+        """Numeric value; z is ignored for complex coefficients."""
         lam = complex(lam)
         if lam == 0 and any(k < 0 for k in self.coeffs):
             raise LambdaZero("negative loop powers evaluated at lambda = 0")
         acc = 0j
         for k, v in self.coeffs.items():
-            base = v.evaluate(z) if self.backend == "exact" else v
+            base = v.evaluate(z) if _is_exact(v) else v
             acc += base * lam**k
         return acc
 
@@ -175,72 +129,107 @@ def _gr_pow(base: GaussianRational, n: int) -> GaussianRational:
     return acc
 
 
+def _coefficient(mat) -> np.ndarray:
+    """A read-only array: object if its entries are RationalFn, else complex.
+
+    Read-only arrays of either dtype are immutable already and are shared,
+    not copied.
+    """
+    if isinstance(mat, np.ndarray):
+        if mat.dtype in (object, complex) and not mat.flags.writeable:
+            return mat
+        if mat.dtype != object:
+            arr = mat.astype(complex)
+            arr.setflags(write=False)
+            return arr
+    arr = np.array(mat, dtype=object)
+    if arr.size and not _is_exact(arr.flat[0]):
+        arr = arr.astype(complex)
+    arr.setflags(write=False)
+    return arr
+
+
+def _nonzero(arr) -> bool:
+    if arr.dtype == object:
+        return not all(x.is_zero() for x in arr.flat)
+    return bool(arr.any())
+
+
+def _map(arr, fn) -> np.ndarray:
+    return np.array([fn(x) for x in arr.flat], dtype=object).reshape(arr.shape)
+
+
+def _bind(arr, z) -> np.ndarray:
+    """Exact entries evaluated at z: computed exactly, rounded once."""
+    if arr.dtype != object:
+        return arr
+    return np.array([x.evaluate(z) for x in arr.flat], dtype=complex).reshape(arr.shape)
+
+
 class LoopMatrix:
     """Matrix-valued finite Laurent polynomial, power-major storage."""
 
-    __slots__ = ("rows", "cols", "coeffs", "backend")
+    __slots__ = ("rows", "cols", "coeffs", "exact")
 
-    def __init__(self, rows, cols, coeffs, backend):
+    def __init__(self, rows, cols, coeffs):
         clean = {}
+        exact = None
         for k, mat in coeffs.items():
-            mat = mx.freeze(mat)
-            if mx.shape(mat) != (rows, cols):
+            mat = _coefficient(mat)
+            if mat.shape != (rows, cols):
                 raise ValueError(
                     "coefficient at power %d has shape %s, expected %dx%d"
-                    % (k, mx.shape(mat), rows, cols)
+                    % (k, mat.shape, rows, cols)
                 )
-            if not mx.mat_is_zero(mat):
+            kind = mat.dtype == object
+            _same_kind(exact, kind, "LoopMatrix coefficients")
+            exact = kind
+            if _nonzero(mat):
                 clean[int(k)] = mat
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "backend", backend)
+        # True (RationalFn), False (complex), or None for a loop built from
+        # no coefficients at all, which combines with either kind.
+        object.__setattr__(self, "exact", exact)
 
     def __setattr__(self, name, value):
         raise AttributeError("LoopMatrix is immutable")
 
     @classmethod
-    def from_constant(cls, mat, backend, power=0):
-        mat = mx.freeze(
-            tuple(tuple(coerce_scalar(x, backend) for x in row) for row in mat)
-        )
-        r, c = mx.shape(mat)
-        return cls(r, c, {power: mat}, backend)
+    def from_constant(cls, mat, power=0):
+        arr = _coefficient(mat)
+        r, c = arr.shape
+        return cls(r, c, {power: arr})
 
     @classmethod
-    def identity(cls, n, backend):
-        one = backend_one(backend)
-        zero = backend_zero(backend)
-        return cls(n, n, {0: mx.identity(n, one, zero)}, backend)
+    def identity(cls, n):
+        """The exact identity; a float one is from_constant(np.eye(n))."""
+        eye = np.full((n, n), RF_ZERO, dtype=object)
+        np.fill_diagonal(eye, RF_ONE)
+        return cls(n, n, {0: eye})
 
-    @classmethod
-    def zero(cls, rows, cols, backend):
-        return cls(rows, cols, {}, backend)
-
-    def _check(self, other):
-        if self.backend != other.backend:
-            raise ValueError("mixed LoopMatrix backends")
+    def _with(self, coeffs, rows=None, cols=None):
+        return LoopMatrix(self.rows if rows is None else rows,
+                          self.cols if cols is None else cols, coeffs)
 
     def __add__(self, other):
-        self._check(other)
+        _same_kind(self.exact, other.exact, "LoopMatrix operands")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("LoopMatrix shape mismatch in add")
         out = dict(self.coeffs)
         for k, mat in other.coeffs.items():
-            out[k] = mx.mat_add(out[k], mat) if k in out else mat
-        return LoopMatrix(self.rows, self.cols, out, self.backend)
+            out[k] = out[k] + mat if k in out else mat
+        return self._with(out)
 
     def __neg__(self):
-        return LoopMatrix(
-            self.rows, self.cols,
-            {k: mx.mat_neg(m) for k, m in self.coeffs.items()}, self.backend,
-        )
+        return self._with({k: -m for k, m in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __matmul__(self, other):
-        self._check(other)
+        _same_kind(self.exact, other.exact, "LoopMatrix operands")
         if self.cols != other.rows:
             raise ValueError(
                 "LoopMatrix matmul mismatch: %dx%d @ %dx%d"
@@ -250,83 +239,43 @@ class LoopMatrix:
         for k1, m1 in self.coeffs.items():
             for k2, m2 in other.coeffs.items():
                 k = k1 + k2
-                prod = mx.mat_mul(m1, m2)
-                out[k] = mx.mat_add(out[k], prod) if k in out else prod
-        return LoopMatrix(self.rows, other.cols, out, self.backend)
-
-    def scale(self, s):
-        s = coerce_scalar(s, self.backend)
-        return LoopMatrix(
-            self.rows, self.cols,
-            {k: mx.mat_scale(m, s) for k, m in self.coeffs.items()}, self.backend,
-        )
+                prod = m1 @ m2
+                out[k] = out[k] + prod if k in out else prod
+        return self._with(out, cols=other.cols)
 
     def shift_power(self, dk: int):
-        return LoopMatrix(
-            self.rows, self.cols,
-            {k + dk: m for k, m in self.coeffs.items()}, self.backend,
-        )
+        return self._with({k + dk: m for k, m in self.coeffs.items()})
 
     def transpose(self):
-        return LoopMatrix(
-            self.cols, self.rows,
-            {k: mx.mat_transpose(m) for k, m in self.coeffs.items()}, self.backend,
-        )
+        return self._with({k: m.T for k, m in self.coeffs.items()},
+                          rows=self.cols, cols=self.rows)
 
     def bar(self):
         """Loop reality operator: conjugate entries, negate powers."""
-        return LoopMatrix(
-            self.rows, self.cols,
-            {-k: mx.mat_conj(m) for k, m in self.coeffs.items()}, self.backend,
-        )
-
-    def conj_transpose(self):
-        return self.bar().transpose()
+        return self._with({-k: np.conjugate(m) for k, m in self.coeffs.items()})
 
     def negate_lambda(self):
         """Substitute lambda -> -lambda: odd powers flip sign."""
-        out = {}
-        for k, m in self.coeffs.items():
-            out[k] = mx.mat_neg(m) if k % 2 else m
-        return LoopMatrix(self.rows, self.cols, out, self.backend)
+        return self._with({k: -m if k % 2 else m for k, m in self.coeffs.items()})
 
     def entry(self, i: int, j: int) -> LaurentScalar:
-        return LaurentScalar(
-            {k: m[i][j] for k, m in self.coeffs.items()}, self.backend
-        )
-
-    def power(self, k: int):
-        zero = backend_zero(self.backend)
-        return self.coeffs.get(k, mx.zeros(self.rows, self.cols, zero))
+        return LaurentScalar({k: m[i, j] for k, m in self.coeffs.items()})
 
     def window(self):
         if not self.coeffs:
             return (0, 0)
         return (min(self.coeffs), max(self.coeffs))
 
+    def _exact_map(self, fn, what):
+        if self.exact is False:
+            raise ValueError("%s needs exact coefficients" % what)
+        return self._with({k: _map(m, fn) for k, m in self.coeffs.items()})
+
     def d_dz(self):
-        if self.backend != "exact":
-            raise ValueError("d_dz requires the exact backend")
-        return LoopMatrix(
-            self.rows, self.cols,
-            {k: mx.mat_map(m, lambda x: x.d_dz()) for k, m in self.coeffs.items()},
-            "exact",
-        )
+        return self._exact_map(lambda x: x.d_dz(), "d_dz")
 
     def d_dzbar(self):
-        if self.backend != "exact":
-            raise ValueError("d_dzbar requires the exact backend")
-        return LoopMatrix(
-            self.rows, self.cols,
-            {k: mx.mat_map(m, lambda x: x.d_dzbar()) for k, m in self.coeffs.items()},
-            "exact",
-        )
-
-    def map_entries(self, fn):
-        return LoopMatrix(
-            self.rows, self.cols,
-            {k: mx.mat_map(m, fn) for k, m in self.coeffs.items()}, self.backend,
-        )
+        return self._exact_map(lambda x: x.d_dzbar(), "d_dzbar")
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -350,60 +299,32 @@ class LoopMatrix:
 
     def evaluate(self, z, lam):
         """Numeric coefficient matrix at (z, lambda) as a numpy array."""
-        import numpy as np
-
         lam = complex(lam)
         if lam == 0 and any(k < 0 for k in self.coeffs):
             raise LambdaZero("negative loop powers evaluated at lambda = 0")
         out = np.zeros((self.rows, self.cols), dtype=complex)
         for k, m in self.coeffs.items():
-            if self.backend == "exact":
-                vals = np.array(
-                    [[x.evaluate(z) for x in row] for row in m], dtype=complex
-                )
-            else:
-                vals = np.array(m, dtype=complex)
-            out += vals * lam**k
+            out += _bind(m, z) * lam**k
         return out
 
     def to_float(self, z=None):
         """Bind exact entries at a sample; loop parameter stays formal."""
-        if self.backend == "float":
+        if self.exact is not True:
             return self
-        return LoopMatrix(
-            self.rows, self.cols,
-            {
-                k: tuple(tuple(x.evaluate(z) for x in row) for row in m)
-                for k, m in self.coeffs.items()
-            },
-            "float",
-        )
+        return self._with({k: _bind(m, z) for k, m in self.coeffs.items()})
 
     def max_abs(self) -> float:
-        """Largest entry magnitude across powers (float backend)."""
-        if self.backend != "float":
-            raise ValueError("max_abs is a float-backend measure")
-        best = 0.0
-        for m in self.coeffs.values():
-            for row in m:
-                for x in row:
-                    a = abs(x)
-                    if a > best:
-                        best = a
-        return best
+        """Largest entry magnitude across powers (float loops)."""
+        if self.exact:
+            raise ValueError("max_abs is a float-loop measure")
+        return max((float(np.abs(m).max()) for m in self.coeffs.values()),
+                   default=0.0)
 
     def __repr__(self):
         return "LoopMatrix(%dx%d, powers=%s, %s)" % (
-            self.rows, self.cols, sorted(self.coeffs), self.backend,
+            self.rows, self.cols, sorted(self.coeffs),
+            {True: "exact", False: "float", None: "zero"}[self.exact],
         )
-
-
-def mat_mul(*factors):
-    """Convenience chain product of LoopMatrix factors."""
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = acc @ f
-    return acc
 
 
 def unipotent_inverse(U: LoopMatrix) -> LoopMatrix:
@@ -414,7 +335,10 @@ def unipotent_inverse(U: LoopMatrix) -> LoopMatrix:
     """
     if U.rows != U.cols:
         raise ValueError("unipotent_inverse needs a square loop matrix")
-    ident = LoopMatrix.identity(U.rows, U.backend)
+    if U.exact is False:
+        ident = LoopMatrix.from_constant(np.eye(U.rows, dtype=complex))
+    else:
+        ident = LoopMatrix.identity(U.rows)
     N = U - ident
     acc = ident
     term = ident

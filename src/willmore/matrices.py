@@ -1,10 +1,10 @@
-"""Dense matrix helpers over duck-typed scalars.
+"""Dense matrix helpers over exact duck-typed scalars.
 
-Matrices here are plain tuples of tuples.  The same routines serve three
-scalar rings: GaussianRational (constants), BiPoly/RationalFn (exact
-functions), and complex (per-sample floats).  A scalar must support
-+ - * (and / where inversion is requested), .conjugate(), and either
-.is_zero() or == 0.
+Matrices here are plain tuples of tuples over the exact rings:
+GaussianRational (constants) and BiPoly/RationalFn (functions of z, zbar).
+They build the group constants, the frame data and the exact Iwasawa
+witness; per-sample float work uses numpy arrays instead.  A scalar must
+support + - *, .conjugate(), and either .is_zero() or == 0.
 """
 
 from __future__ import annotations
@@ -168,63 +168,6 @@ def adjugate_small(A):
                 cof = -cof
             out[i][j] = cof
     return freeze(out)
-
-
-def gauss_inverse(A, one, zero):
-    """Field-scalar inverse by Gauss-Jordan with nonzero-pivot search."""
-    n, c = shape(A)
-    if n != c:
-        raise ValueError("inverse of a non-square matrix")
-    work = [list(row) + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(A)]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not sc_is_zero(work[r][col]):
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise ZeroDivisionError("singular matrix in gauss_inverse")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        piv = work[col][col]
-        work[col] = [x / piv for x in work[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if sc_is_zero(factor):
-                continue
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return freeze(row[n:] for row in work)
-
-
-def gauss_det(A, one):
-    """Field-scalar determinant as the product of elimination pivots."""
-    n, c = shape(A)
-    if n != c:
-        raise ValueError("determinant of a non-square matrix")
-    work = [list(row) for row in A]
-    det = one
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not sc_is_zero(work[r][col]):
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return one - one  # a zero of the right scalar type
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        piv = work[col][col]
-        det = det * piv
-        inv_row = [x / piv for x in work[col]]
-        for r in range(col + 1, n):
-            factor = work[r][col]
-            if sc_is_zero(factor):
-                continue
-            work[r] = [x - factor * y for x, y in zip(work[r], inv_row)]
-    return det
 
 
 def mat_map(A, fn):

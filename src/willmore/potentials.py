@@ -30,8 +30,7 @@ import json
 from fractions import Fraction
 
 from . import matrices as mx
-from .errors import PotentialFormatError, QNotInK, StepSizeTooCoarse
-from .groups import GroupContext
+from .errors import PotentialFormatError, StepSizeTooCoarse
 from .loops import LoopMatrix
 from .scalars import (
     BP_ZERO,
@@ -70,8 +69,8 @@ class NormalizedPotential:
             row2.extend([hhj, hhj * GR_I])
         return (tuple(row1), tuple(row2))
 
-    def eta_loop(self, backend: str = "exact") -> LoopMatrix:
-        """The potential matrix at loop power -1."""
+    def eta_loop(self) -> LoopMatrix:
+        """The potential matrix at loop power -1, exact."""
         m = self.m
         d = 2 * m + 2
         B = self.b1hat()
@@ -82,15 +81,7 @@ class NormalizedPotential:
             [mx.zeros(2, 2, BP_ZERO), B],
             [lower, mx.zeros(2 * m, 2 * m, BP_ZERO)],
         ])
-        if backend == "exact":
-            entries = mx.mat_map(mat, RationalFn.coerce)
-            return LoopMatrix(d, d, {-1: entries}, "exact")
-        raise ValueError("eta_loop is exact; bind with .to_float(z) as needed")
-
-    def isotropy_residual(self):
-        """B1hat B1hat^t, which vanishes identically for a valid pairing."""
-        B = self.b1hat()
-        return mx.mat_mul(B, mx.mat_transpose(B))
+        return LoopMatrix(d, d, {-1: mx.mat_map(mat, RationalFn.coerce)})
 
 
 class NilpotentPotential:
@@ -103,7 +94,8 @@ class NilpotentPotential:
         if (r, c) != (m, 2):
             raise ValueError("fcheck must be m x 2")
 
-    def full_loop(self, backend: str = "exact") -> LoopMatrix:
+    def full_loop(self) -> LoopMatrix:
+        """The nilpotent potential at loop power -1, exact."""
         m = self.m
         d = 2 * m + 2
         fc = self.fcheck
@@ -113,10 +105,7 @@ class NilpotentPotential:
             [mx.zeros(2, m, BP_ZERO), mx.zeros(2, 2, BP_ZERO), mx.mat_neg(fsharp)],
             [mx.zeros(m, m, BP_ZERO), mx.zeros(m, 2, BP_ZERO), mx.zeros(m, m, BP_ZERO)],
         ])
-        if backend == "exact":
-            entries = mx.mat_map(mat, RationalFn.coerce)
-            return LoopMatrix(d, d, {-1: entries}, "exact")
-        raise ValueError("full_loop is exact; bind with .to_float(z) as needed")
+        return LoopMatrix(d, d, {-1: mx.mat_map(mat, RationalFn.coerce)})
 
 
 def to_nilpotent(pot: NormalizedPotential) -> NilpotentPotential:
@@ -125,28 +114,6 @@ def to_nilpotent(pot: NormalizedPotential) -> NilpotentPotential:
     for hj, hhj in zip(pot.h, pot.hhat):
         fc.append(((hj - hhj) * GR_I, (hj + hhj) * (-GR_I)))
     return NilpotentPotential(pot.m, fc)
-
-
-def conjugate_potential(eta: LoopMatrix, Q, ctx: GroupContext) -> LoopMatrix:
-    """Q eta Q^-1 after checking Q lies in the potential-preserving subgroup."""
-    Qm = mx.freeze(
-        tuple(tuple(GaussianRational.coerce(x) for x in row) for row in Q)
-    )
-    d = ctx.dim
-    if mx.shape(Qm) != (d, d):
-        raise ValueError("Q must be %dx%d" % (d, d))
-    D = ctx.D
-    if not mx.mat_eq(mx.mat_mul(mx.mat_mul(D, Qm), D), Qm):
-        raise QNotInK("Q does not commute with the order-two symmetry")
-    G = ctx.minkowski
-    if not mx.mat_eq(mx.mat_mul(mx.mat_mul(mx.mat_transpose(Qm), G), Qm), G):
-        raise QNotInK("Q does not preserve the Minkowski form")
-    from .scalars import GR_ONE, GR_ZERO
-
-    Qinv = mx.gauss_inverse(Qm, GR_ONE, GR_ZERO)
-    left = LoopMatrix.from_constant(Qm, eta.backend)
-    right = LoopMatrix.from_constant(Qinv, eta.backend)
-    return left @ eta @ right
 
 
 def rank_and_classify(pot: NormalizedPotential):

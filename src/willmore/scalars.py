@@ -773,9 +773,6 @@ class RationalFn:
     def __hash__(self):
         raise TypeError("RationalFn is unhashable (equality is extensional)")
 
-    def is_polynomial(self) -> bool:
-        return self.den == BP_ONE
-
     def reduced(self) -> "RationalFn":
         """Cancel the polynomial gcd of numerator and denominator.
 

@@ -28,7 +28,14 @@ from .errors import (
     StepSizeTooCoarse,
 )
 from .frames import HolomorphicFrame
-from .iwasawa import ExtendedFrame, _eval_mat, np_sharp, solve_iwasawa_float
+from .iwasawa import (
+    ExtendedFrame,
+    IwasawaWitness,
+    _eval_mat,
+    gram_float,
+    middle_columns_float,
+    solve_iwasawa_float,
+)
 from .scalars import (
     BiPoly,
     GR_ONE,
@@ -134,23 +141,16 @@ def extract_pair(frame: ExtendedFrame, lam) -> SurfacePair:
     return SurfacePair("float", frame.m, lam, frame.hf)
 
 
-def lift_columns_float(hf: HolomorphicFrame, lam: complex, z):
+def lift_columns_float(w: IwasawaWitness, lam: complex):
     """Homogeneous lift vectors before realization, as complex arrays.
 
-    Returns (Ycol, Yhatcol) in R^{1,2m+1} coordinates including the overall
-    sqrt(2)/2 scale; phase and realization are the caller's business.
+    Reads the frame's middle columns at the float witness w's sample, then
+    binds the loop parameter to lam.  Returns (Ycol, Yhatcol) in
+    R^{1,2m+1} coordinates including the overall sqrt(2)/2 scale; phase
+    and realization are the caller's business.
     """
-    m = hf.m
-    w = solve_iwasawa_float(hf, z)
-    Jm = np.eye(m)[::-1].astype(complex)
-    fv = _eval_mat(hf.f, z)
-    gv = _eval_mat(hf.g, z)
-    fsh = np_sharp(fv)
-    cu = w.u.conj()
-    l0inv = np.linalg.inv(w.l0)
-    top = (fv + gv @ Jm @ cu) @ l0inv
-    mid = (np.eye(2) - fsh @ Jm @ cu) @ l0inv
-    bot = (Jm @ cu) @ l0inv
+    m = w.m
+    top, mid, bot = middle_columns_float(w)
     li = 1.0 / lam
     cols = np.concatenate([li * top, mid, lam * bot], axis=0)
     Ycol = -SQRT2_OVER_2 * np.array(_combine(list(cols[:, 1]), m, -1j))
@@ -160,7 +160,7 @@ def lift_columns_float(hf: HolomorphicFrame, lam: complex, z):
 
 def _float_lift_values(hf: HolomorphicFrame, lam: complex, z):
     """Evaluate both honest lifts at one sample (fresh factorization)."""
-    Y, Yhat = lift_columns_float(hf, lam, z)
+    Y, Yhat = lift_columns_float(solve_iwasawa_float(hf, z), lam)
     scale = max(1.0, float(abs(Y).max()), float(abs(Yhat).max()))
     drift = max(float(abs(Y.imag).max()), float(abs(Yhat.imag).max()))
     if drift > 1e-8 * scale:
@@ -366,12 +366,7 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
 
 
 def _gram_det_float(hf: HolomorphicFrame, z: complex) -> float:
-    m = hf.m
-    Jm = np.eye(m)[::-1]
-    J2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    fv = _eval_mat(hf.f, z)
-    gv = _eval_mat(hf.g, z)
-    rho = np.eye(m) + Jm @ fv.conj() @ J2 @ fv.T @ Jm + gv.conj().T @ gv
+    rho = gram_float(_eval_mat(hf.f, z), _eval_mat(hf.g, z))
     return float(np.linalg.det(rho).real)
 
 

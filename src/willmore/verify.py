@@ -221,10 +221,8 @@ def _rand_gr(rng) -> GaussianRational:
 
 
 def _rand_exact_loop(rng, d) -> LoopMatrix:
-    mat = tuple(
-        tuple(RationalFn.const(_rand_gr(rng)) for _ in range(d)) for _ in range(d)
-    )
-    return LoopMatrix(d, d, {0: mat}, "exact")
+    mat = [[RationalFn.const(_rand_gr(rng)) for _ in range(d)] for _ in range(d)]
+    return LoopMatrix(d, d, {0: mat})
 
 
 def run_suite(pot, plan=None) -> VerificationReport:
@@ -279,26 +277,21 @@ def run_suite(pot, plan=None) -> VerificationReport:
         fail("potential-isotropy", e)
 
     try:
-        emb = ctx.iso_P(norm.eta_loop("exact")) - nil.full_loop("exact")
+        emb = ctx.iso_P(norm.eta_loop()) - nil.full_loop()
         record("nilpotent-embed", 0.0 if emb.is_zero()
                else _probe_loop(emb, probe), 1)
     except Exception as e:
         fail("nilpotent-embed", e)
 
-    H = hf.H_loop("exact")
+    H = hf.H_loop()
     try:
-        Hz = LoopMatrix(
-            d, d,
-            {k: mx.mat_map(mat, lambda r: r.d_dz()) for k, mat in H.coeffs.items()},
-            "exact",
-        )
-        ode = Hz - H @ nil.full_loop("exact")
+        ode = H.d_dz() - H @ nil.full_loop()
         record("frame-ode", 0.0 if ode.is_zero() else _probe_loop(ode, probe), 1)
     except Exception as e:
         fail("frame-ode", e)
 
     try:
-        E = H - LoopMatrix.identity(d, "exact")
+        E = H - LoopMatrix.identity(d)
         cube = E @ E @ E
         record("frame-unipotent",
                0.0 if cube.is_zero() else _probe_loop(cube, probe), 1)
@@ -348,7 +341,7 @@ def run_suite(pot, plan=None) -> VerificationReport:
                 float(max(0, max(abs(window[0]), abs(window[-1])) - 2)),
             )
             for lam in lams:
-                Yc, Yhc = lift_columns_float(hf, lam, z)
+                Yc, Yhc = lift_columns_float(w, lam)
                 scale = max(1.0, float(np.abs(Yc).max()) ** 2,
                             float(np.abs(Yhc).max()) ** 2)
                 agg["lift-isotropic"] = max(

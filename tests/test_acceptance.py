@@ -79,7 +79,7 @@ def _float_sweep(example_id, hf):
     for lam in lambdas:
         ref = reference_lift_eval(example_id, lam)
         for z in pts:
-            Y, Yhat = lift_columns_float(hf, lam, z)
+            Y, Yhat = lift_columns_float(solve_iwasawa_float(hf, z), lam)
             Yr, Yhr = ref(z)
             worst = max(worst, _projective_distance(Y, Yr))
             worst = max(worst, _projective_distance(Yhat, Yhr))
@@ -280,7 +280,7 @@ def test_criterion_7_isometry_oracle():
                                      for _ in range(d)]
             if not coeffs:
                 coeffs[0] = [[rand_entry() for _ in range(d)] for _ in range(d)]
-            return LoopMatrix(d, d, coeffs, "exact")
+            return LoopMatrix(d, d, coeffs)
 
         total = 0
         for m in (2, 3, 4):

@@ -52,7 +52,7 @@ def test_frame_is_unipotent_and_based(pot):
     nil = to_nilpotent(pot)
     H = integrate_frame(nil).H_loop()
     d = 2 * pot.m + 2
-    N = H - LoopMatrix.identity(d, "exact")
+    N = H - LoopMatrix.identity(d)
     assert (N @ N @ N).is_zero()
     # H(0) = I: every nonconstant coefficient entry vanishes at the origin
     zero = GaussianRational(0)

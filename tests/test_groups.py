@@ -32,7 +32,7 @@ def _rand_loop(rng, d):
             [RationalFn(BiPoly.const(_rand_gr(rng))) for _ in range(d)]
             for _ in range(d)
         ]
-    return LoopMatrix(d, d, coeffs, "exact")
+    return LoopMatrix(d, d, coeffs)
 
 
 def test_context_constants_are_cached():
@@ -79,7 +79,7 @@ def test_iso_P_inverse_round_trip(m):
 def test_iso_P_shape_guard():
     ctx = get_context(2)
     with pytest.raises(ValueError):
-        ctx.iso_P(LoopMatrix.identity(3, "exact"))
+        ctx.iso_P(LoopMatrix.identity(3))
 
 
 def test_tau_is_involutive():
@@ -93,13 +93,13 @@ def test_tau_inv_of_agrees_with_inverse_on_the_group():
     # for F in the form-preserving group, Jhat bar(F)^t Jhat equals tau(F)^-1;
     # verify on the identity and on a diagonal exact element of the group
     ctx = get_context(2)
-    I = LoopMatrix.identity(ctx.dim, "exact")
+    I = LoopMatrix.identity(ctx.dim)
     assert (ctx.tau_inv_of(I) - I).is_zero()
 
 
 def test_membership_reports_identity():
     ctx = get_context(2)
-    I = LoopMatrix.identity(ctx.dim, "exact")
+    I = LoopMatrix.identity(ctx.dim)
     for which in ("G(2m+2,C)", "real-form-via-tau", "K-fixed-via-D0"):
         rep = ctx.check_membership(I, which)
         assert rep["passed"], rep
@@ -114,7 +114,7 @@ def test_membership_detects_violation():
     one = RationalFn(BiPoly.const(1))
     zero = RationalFn(BiPoly.zero())
     mat = [[two if i == j else zero for j in range(d)] for i in range(d)]
-    F = LoopMatrix(d, d, {0: mat}, "exact")
+    F = LoopMatrix(d, d, {0: mat})
     rep = ctx.check_membership(F, "G(2m+2,C)", z=0.3 + 0.1j)
     assert not rep["passed"]
     assert rep["max_residual"] > 1.0
@@ -132,11 +132,11 @@ def test_twisted_membership_grades_by_parity():
     off = [[zero] * d for _ in range(d)]
     off[0][m] = one
     off[m][0] = one
-    F = LoopMatrix(d, d, {0: diag, -1: off}, "exact")
+    F = LoopMatrix(d, d, {0: diag, -1: off})
     rep = ctx.check_membership(F, "twisted-via-D0")
     assert rep["passed"], rep
     # moving the same off-block to an even power breaks the twist
-    G = LoopMatrix(d, d, {0: diag, 2: off}, "exact")
+    G = LoopMatrix(d, d, {0: diag, 2: off})
     rep = ctx.check_membership(G, "twisted-via-D0", z=0.2)
     assert not rep["passed"]
 
@@ -158,10 +158,10 @@ def test_minkowski_transfer_under_iso_P_inv_np():
 def test_loop_from_entries_builds_expected_window():
     from willmore.loops import LaurentScalar
 
-    one = LaurentScalar.const(RationalFn(BiPoly.const(1)), "exact")
+    one = LaurentScalar.const(RationalFn(BiPoly.const(1)))
     lam = one.shift(1)
     lam_inv = one.shift(-1)
-    L = loop_from_entries([[one, lam], [lam_inv, one]], "exact")
+    L = loop_from_entries([[one, lam], [lam_inv, one]])
     assert L.window() == (-1, 1)
     assert L.rows == 2 and L.cols == 2
     assert abs(L.entry(0, 1).evaluate(0.0, 2.0) - 2.0) < 1e-15

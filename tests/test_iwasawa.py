@@ -12,6 +12,7 @@ from willmore.groups import get_context
 from willmore.iwasawa import (
     _block_diag,
     assemble_frame,
+    check_refactor,
     gauge_z_derivative,
     maurer_cartan,
     pullback_halfisotropy,
@@ -111,6 +112,33 @@ def test_assembled_frame_memberships(example_id):
             assert rep["passed"], (which, rep)
 
 
+def test_perturbed_float_frame_fails_its_checks(hf1):
+    # one coefficient entry moved by 1e-6: the middle row, first column at
+    # loop^0 couples the middle and outer blocks at an even power, so the
+    # twist breaks too; at z = 1, |l1| ~ 2.1 lifts the refactor residual
+    # to about 2e-6, clear of its 1e-6 bound
+    from willmore.errors import ResidualTooLarge
+    from willmore.loops import LoopMatrix
+
+    z = 1.0 + 0j
+    m = hf1.m
+    d = 2 * m + 2
+    ctx = get_context(m)
+    w = solve_iwasawa_float(hf1, z)
+    frame = assemble_frame(hf1, w)
+    assert check_refactor(hf1, w, frame.F) == frame.factor_residual < 1e-12
+    bump = np.zeros((d, d), dtype=complex)
+    bump[m, 0] = 1e-6
+    bad = frame.F + LoopMatrix.from_constant(bump)
+    with pytest.raises(ResidualTooLarge):
+        check_refactor(hf1, w, bad)
+    for which in ("G(2m+2,C)", "real-form-via-tau", "twisted-via-D0"):
+        assert ctx.check_membership(frame.F, which, z=z)["passed"], which
+        rep = ctx.check_membership(bad, which, z=z)
+        assert not rep["passed"], (which, rep)
+        assert rep["max_residual"] > 5e-7, (which, rep)
+
+
 def test_assembled_frame_window_is_bounded(hf1, hf2):
     # finite uniton bound: every assembled loop lives in powers [-2, 2]
     for hf in (hf1, hf2):
@@ -192,14 +220,14 @@ def test_gauge_is_continuous_across_the_principal_branch_cut():
     # jumps from +i to -i.  The future-pointing choice of s must not.
     hf = _near_cut_frame()
     w0 = solve_iwasawa_float(hf, Z_CUT)
-    Y0, Yh0 = lift_columns_float(hf, 1.0, Z_CUT)
+    Y0, Yh0 = lift_columns_float(w0, 1.0)
     assert abs(w0.q[0, 0] + 1) < 1e-3
     far = Z_CUT - 1e-4j
     assert w0.q[0, 0].imag > 0 > solve_iwasawa_float(hf, far).q[0, 0].imag
     for dz in (0, 1e-6, -1e-6, 1e-6j, -1e-6j, -1e-4j):
         z = Z_CUT + dz
         w = solve_iwasawa_float(hf, z)
-        Y, Yh = lift_columns_float(hf, 1.0, z)
+        Y, Yh = lift_columns_float(w, 1.0)
         assert Y[0].real > 0 and Yh[0].real > 0, (dz, Y[0], Yh[0])
         # O(h) motion; a sign flip would move l0 by 2 and the lift by 2|Y|.
         bound = 100 * abs(dz) + 1e-12

@@ -1,10 +1,11 @@
-"""Laurent-polynomial matrix algebra over both coefficient backends."""
+"""Laurent-polynomial matrix algebra on exact (RationalFn) and complex arrays."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from willmore.loops import LoopMatrix
+import willmore.matrices as mx
+from willmore.loops import LoopMatrix, unipotent_inverse
 from willmore.scalars import BiPoly, GaussianRational, RationalFn
 
 gaussians = st.builds(
@@ -24,15 +25,15 @@ def loop_matrices(draw, n=2, max_power=2):
             for _ in range(n)
         ]
         coeffs[power] = mat
-    return LoopMatrix(n, n, coeffs, "exact")
+    return LoopMatrix(n, n, coeffs)
 
 
 @given(loop_matrices(), loop_matrices(), loop_matrices())
 @settings(deadline=None, max_examples=30)
 def test_loop_ring_axioms(A, B, C):
-    assert ((A + B) + C).coeffs == (A + (B + C)).coeffs
-    assert ((A @ B) @ C).coeffs == (A @ (B @ C)).coeffs
-    assert (A @ (B + C)).coeffs == ((A @ B) + (A @ C)).coeffs
+    assert (A + B) + C == A + (B + C)
+    assert (A @ B) @ C == A @ (B @ C)
+    assert A @ (B + C) == (A @ B) + (A @ C)
 
 
 @given(loop_matrices(), loop_matrices())
@@ -54,8 +55,29 @@ def _eval_np(L, z, lam):
     return out
 
 
+def test_exact_matmul_matches_tuple_reference():
+    # numpy's object matmul sums the products in mx.mat_mul's order, so the
+    # two agree on the RationalFn representations, not only on their values
+    rng = np.random.default_rng(11)
+    z, zb = BiPoly.var_z(), BiPoly.var_zbar()
+    pool = [BiPoly.const(GaussianRational(1, 2)), z, zb, z * zb + 1, z * z - zb]
+
+    def rand_rf():
+        num = pool[rng.integers(len(pool))] * GaussianRational(int(rng.integers(-3, 4)), 1)
+        return RationalFn(num, pool[rng.integers(len(pool))])
+
+    a = [[rand_rf() for _ in range(3)] for _ in range(2)]
+    b = [[rand_rf() for _ in range(2)] for _ in range(3)]
+    got = (LoopMatrix(2, 3, {0: a}) @ LoopMatrix(3, 2, {0: b})).coeffs[0]
+    want = mx.mat_mul(mx.freeze(a), mx.freeze(b))
+    for i in range(2):
+        for j in range(2):
+            assert got[i, j].num.terms == want[i][j].num.terms
+            assert got[i, j].den.terms == want[i][j].den.terms
+
+
 def test_identity_and_shift_power():
-    I = LoopMatrix.identity(3, "exact")
+    I = LoopMatrix.identity(3)
     assert I.window() == (0, 0)
     S = I.shift_power(-2)
     assert S.window() == (-2, -2)
@@ -69,7 +91,7 @@ def test_window_tracks_support():
     z = RationalFn(BiPoly.var_z())
     one = RationalFn(BiPoly.const(1))
     zero = RationalFn(BiPoly.zero())
-    A = LoopMatrix(1, 1, {-1: [[z]], 2: [[one]], 5: [[zero]]}, "exact")
+    A = LoopMatrix(1, 1, {-1: [[z]], 2: [[one]], 5: [[zero]]})
     # all-zero coefficient blocks are dropped at construction
     assert A.window() == (-1, 2)
     assert set(A.coeffs) == {-1, 2}
@@ -78,7 +100,7 @@ def test_window_tracks_support():
 def test_bar_and_negate_lambda_on_scalars():
     # bar: lambda -> 1/conj(lambda) composed with entrywise conjugation
     z = RationalFn(BiPoly.var_z())
-    A = LoopMatrix(1, 1, {1: [[z]]}, "exact")
+    A = LoopMatrix(1, 1, {1: [[z]]})
     B = A.bar()
     lam = np.exp(1.1j)
     s = 0.4 + 0.1j
@@ -91,7 +113,7 @@ def test_bar_and_negate_lambda_on_scalars():
 def test_loop_derivatives_are_entrywise():
     z = RationalFn(BiPoly.var_z())
     zb = RationalFn(BiPoly.var_zbar())
-    A = LoopMatrix(1, 1, {0: [[z * z * zb]]}, "exact")
+    A = LoopMatrix(1, 1, {0: [[z * z * zb]]})
     dz = A.d_dz().entry(0, 0)
     dzb = A.d_dzbar().entry(0, 0)
     s = 0.2 + 0.5j
@@ -100,22 +122,72 @@ def test_loop_derivatives_are_entrywise():
 
 
 def test_float_backend_round_trip():
-    A = LoopMatrix.from_constant([[1.0, 2.0], [0.0, 1.0]], "float", power=-1)
-    assert A.backend == "float"
+    A = LoopMatrix.from_constant(np.array([[1.0, 2.0], [0.0, 1.0]]), power=-1)
+    assert A.exact is False
+    assert A.coeffs[-1].dtype == complex
     lam = np.exp(0.25j)
     v = _eval_np(A, 0.0, lam)
     assert np.allclose(v, np.array([[1, 2], [0, 1]]) / lam, atol=1e-14)
+    assert np.array_equal(A.evaluate(0.0, lam), v)
+
+
+def _random_float_loop(rng, n=3, powers=(-2, -1, 0, 1)):
+    return LoopMatrix(n, n, {
+        k: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for k in powers
+    })
+
+
+def test_float_loop_operations_match_their_values():
+    rng = np.random.default_rng(5)
+    A = _random_float_loop(rng)
+    B = _random_float_loop(rng, powers=(0, 2))
+    z = 0.3 + 0.1j
+    for lam in (1.0, np.exp(0.7j), -0.4 + 0.2j):
+        a, b = A.evaluate(z, lam), B.evaluate(z, lam)
+        assert np.allclose((A @ B).evaluate(z, lam), a @ b, atol=1e-12)
+        assert np.allclose((A - B).evaluate(z, lam), a - b, atol=1e-14)
+        assert np.allclose(A.transpose().evaluate(z, lam), a.T, atol=1e-14)
+        assert np.allclose(A.negate_lambda().evaluate(z, lam),
+                           A.evaluate(z, -lam), atol=1e-14)
+        assert np.allclose(A.bar().evaluate(z, lam),
+                           np.conj(A.evaluate(z, 1 / np.conj(lam))), atol=1e-12)
+
+
+def test_float_unipotent_inverse():
+    rng = np.random.default_rng(6)
+    N = np.triu(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), 1)
+    U = LoopMatrix(4, 4, {0: np.eye(4), -1: N, 1: N @ N})
+    Uinv = unipotent_inverse(U)
+    assert Uinv.exact is False
+    ident = LoopMatrix.from_constant(np.eye(4))
+    assert (U @ Uinv - ident).max_abs() < 1e-12
+
+
+def test_to_float_binds_exact_entries():
+    z = RationalFn(BiPoly.var_z())
+    zb = RationalFn(BiPoly.var_zbar())
+    A = LoopMatrix(2, 2, {-1: [[z, zb], [z * zb, RationalFn(BiPoly.const(1))]],
+                          1: [[zb, z], [z, z]]})
+    s, lam = 0.2 - 0.7j, np.exp(0.4j)
+    F = A.to_float(s)
+    assert F.exact is False and A.exact is True
+    assert sorted(F.coeffs) == [-1, 1]
+    assert np.array_equal(F.evaluate(None, lam), A.evaluate(s, lam))
+    assert np.allclose(F.coeffs[-1], [[s, np.conj(s)], [abs(s) ** 2, 1]], atol=1e-15)
 
 
 def test_mixed_backend_rejected():
-    A = LoopMatrix.identity(2, "exact")
-    B = LoopMatrix.identity(2, "float")
+    A = LoopMatrix.identity(2)
+    B = LoopMatrix.from_constant(np.eye(2))
+    for op in (lambda: A @ B, lambda: A + B, lambda: B - A):
+        with pytest.raises(ValueError):
+            op()
     with pytest.raises(ValueError):
-        A @ B
+        LoopMatrix(2, 2, {0: A.coeffs[0], 1: np.eye(2)})
 
 
 def test_shape_mismatch_rejected():
-    A = LoopMatrix.zero(2, 3, "float")
-    B = LoopMatrix.zero(2, 3, "float")
+    A = LoopMatrix.from_constant(np.ones((2, 3)))
+    B = LoopMatrix.from_constant(np.ones((2, 3)))
     with pytest.raises(ValueError):
         A @ B

@@ -156,7 +156,7 @@ def test_degeneracy_scan_is_rotation_invariant(hf2):
 def test_float_lift_matches_reference_eval(hf1):
     ref = reference_lift_eval(1, 1.0)
     for z in (0.2 + 0.3j, -0.4 + 0.5j):
-        Y, Yhat = lift_columns_float(hf1, 1.0, z)
+        Y, Yhat = lift_columns_float(solve_iwasawa_float(hf1, z), 1.0)
         Yr, Yhr = ref(z)
         for got, want in ((Y, Yr), (Yhat, Yhr)):
             a = np.asarray(got) / np.linalg.norm(got)
@@ -170,7 +170,7 @@ def test_lambda_reality_of_unit_circle_members(hf2):
     # and its conjugate span the same line
     lam = np.exp(0.37j)
     for z in (0.25 + 0.15j, -0.3 - 0.45j):
-        Y, Yhat = lift_columns_float(hf2, lam, z)
+        Y, Yhat = lift_columns_float(solve_iwasawa_float(hf2, z), lam)
         for col in (Y, Yhat):
             c = np.conj(col)
             minors = np.abs(np.outer(c, col) - np.outer(col, c)).max()
