@@ -21,13 +21,15 @@ pairing exactly and the Hermitian condition l1bar^t l1 = a as a theorem
 (checked, not assumed).
 
 l1 and l4 live outside the rational-function field (square roots), so the
-exact witness is global but the full extended frame exists only per sample:
-a LoopMatrix of complex arrays, assembled from a float witness that also
-keeps f(z) and g(z) for the lifts and for L_z.  Assembly checks the frame
-against the holomorphic side, F L tau(W)^-1 = H, by BLAS products of loop
-coefficients.  When q == I2 identically the frame's middle two columns are
-rational and are assembled exactly; they are all the surface extraction
-needs.
+exact witness is global but the float witness is numeric.  It is solved
+over a stack of samples at once, every block carrying a leading sample
+axis, and keeps f(z) and g(z) for the lifts and for L_z; a sample that
+fails a check drops out of the stack with its error recorded.  The full
+extended frame is built at one sample: a LoopMatrix of complex arrays,
+checked against the holomorphic side, F L tau(W)^-1 = H, by BLAS products
+of loop coefficients.  When q == I2 identically the frame's middle two
+columns are rational and are assembled exactly; they are all the surface
+extraction needs.
 """
 
 from __future__ import annotations
@@ -53,18 +55,30 @@ _STRUCT_TOL = 1e-8
 
 
 def np_sharp(X: np.ndarray) -> np.ndarray:
-    p, q = X.shape
+    """X# of a matrix, or of each matrix in a stack (last two axes)."""
+    p, q = X.shape[-2:]
     if p != 2 and q != 2:
         raise ValueError("sharp requires a 2-row or 2-column matrix")
-    return X[::-1, ::-1].T
+    return X[..., ::-1, ::-1].swapaxes(-1, -2)
+
+
+def _ct(X: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return X.conj().swapaxes(-1, -2)
 
 
 class IwasawaWitness:
-    """Gram data of the factorization, exact (global) or float (per sample)."""
+    """Gram data of the factorization, exact (global) or float (numeric).
+
+    A float witness solved at one sample holds matrices and float residuals.
+    One solved over an array of N samples holds stacks over the samples that
+    passed every check: index gives their positions in the input and errors
+    the error each of the N samples failed with (None where it passed).
+    """
 
     def __init__(self, backend, m, rho, rho_inv, det_rho, u, usharp, v, q, a,
                  l0=None, l1=None, l4=None, q_is_identity=None, z=None,
-                 residuals=None, fv=None, gv=None):
+                 residuals=None, fv=None, gv=None, index=None, errors=None):
         self.backend = backend
         self.m = m
         self.rho = rho
@@ -84,6 +98,8 @@ class IwasawaWitness:
         # Float witnesses keep f(z) and g(z) for the frame, lifts and L_z.
         self.fv = fv
         self.gv = gv
+        self.index = index
+        self.errors = errors
 
 
 class ExtendedFrame:
@@ -110,17 +126,6 @@ def _jm(m):
 
 def _j2():
     return ((GR_ZERO, GR_ONE), (GR_ONE, GR_ZERO))
-
-
-def solve_iwasawa(hf: HolomorphicFrame, z=None, backend: str = "exact",
-                  tol: float = _STRUCT_TOL) -> IwasawaWitness:
-    if backend == "exact":
-        return solve_iwasawa_exact(hf)
-    if backend == "float":
-        if z is None:
-            raise ValueError("float backend needs a sample point z")
-        return solve_iwasawa_float(hf, z, tol=tol)
-    raise ValueError("backend must be 'exact' or 'float'")
 
 
 def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
@@ -208,11 +213,17 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
 
 
 def _eval_mat(mat, z) -> np.ndarray:
-    return np.array(
+    """A polynomial matrix at z: (rows, cols), or (N, rows, cols) over N samples.
+
+    Stacks are C-contiguous, so each sample's matrix has the strides of the
+    one-sample matrix and every product of it rounds the same way.
+    """
+    vals = np.array(
         [[p.evaluate_float(z) if isinstance(p, BiPoly) else p.evaluate(z)
           for p in row] for row in mat],
         dtype=complex,
     )
+    return vals if vals.ndim == 2 else np.ascontiguousarray(np.moveaxis(vals, -1, 0))
 
 
 def _jm_np(m) -> np.ndarray:
@@ -224,86 +235,152 @@ _J2_NP.setflags(write=False)
 
 
 def gram_float(fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
-    """Equation 1F at one sample: rho = I + Jm fbar J2 f^t Jm + gbar^t g."""
-    m = fv.shape[0]
+    """Equation 1F at each sample: rho = I + Jm fbar J2 f^t Jm + gbar^t g."""
+    m = fv.shape[-2]
     Jm = _jm_np(m)
-    return (np.eye(m, dtype=complex) + Jm @ fv.conj() @ _J2_NP @ fv.T @ Jm
-            + gv.conj().T @ gv)
+    return (np.eye(m, dtype=complex) + Jm @ fv.conj() @ _J2_NP @ fv.swapaxes(-1, -2) @ Jm
+            + _ct(gv) @ gv)
+
+
+def _cholesky_stack(rho: np.ndarray):
+    """Lower Cholesky factors of a stack, and the mask of matrices that have none.
+
+    A failed matrix is replaced by the identity, so that one failure cannot
+    fail the whole stack.
+    """
+    try:
+        return np.linalg.cholesky(rho), np.zeros(len(rho), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty_like(rho)
+    failed = np.zeros(len(rho), dtype=bool)
+    for k, mat in enumerate(rho):
+        try:
+            out[k] = np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            out[k] = np.eye(mat.shape[-1])
+            failed[k] = True
+    return out, failed
 
 
 def solve_iwasawa_float(hf: HolomorphicFrame, z, tol: float = _STRUCT_TOL) -> IwasawaWitness:
-    """Per-sample numeric witness including the triangular factors."""
+    """Numeric witness including the triangular factors, at one sample or a stack.
+
+    At a scalar z the witness holds matrices, and a failed check raises.  Over
+    a 1-D array of z every check runs on the whole stack and a failed sample
+    only drops out (see IwasawaWitness): the checks run in the order
+    positivity of rho, unit diagonal q, Cholesky, 1B, a-factor, and a sample
+    keeps the error of the first one it fails, the error the scalar call
+    raises.  Each sample's values equal the scalar call's bit for bit.
+    """
+    if np.ndim(z) == 0:
+        w = _solve_float_stack(hf, np.array([complex(z)]), tol)
+        if w.errors[0] is not None:
+            raise w.errors[0]
+        return IwasawaWitness(
+            "float", w.m, w.rho[0], w.rho_inv[0], float(w.det_rho[0]), w.u[0],
+            w.usharp[0], w.v[0], w.q[0], w.a[0], l0=w.l0[0], l1=w.l1[0], l4=w.l4[0],
+            q_is_identity=bool(w.q_is_identity[0]), z=complex(w.z[0]),
+            residuals={k: float(r[0]) for k, r in w.residuals.items()},
+            fv=w.fv[0], gv=w.gv[0],
+        )
+    z = np.asarray(z, dtype=complex)
+    if z.ndim != 1:
+        raise ValueError("sample points must be a scalar or a 1-D array")
+    return _solve_float_stack(hf, z, tol)
+
+
+def _solve_float_stack(hf: HolomorphicFrame, z: np.ndarray, tol: float) -> IwasawaWitness:
     m = hf.m
-    z = complex(z)
+    n = len(z)
     Jm = _jm_np(m)
     J2 = _J2_NP
+    eye_m = np.eye(m, dtype=complex)
+    errors = [None] * n
+    failed = np.zeros(n, dtype=bool)
+
+    def check(bad, error):
+        """Give each sample newly flagged in bad the error error(k)."""
+        for k in np.flatnonzero(bad & ~failed):
+            errors[k] = error(k)
+        failed[:] |= bad
+
     fv = _eval_mat(hf.f, z)
     gv = _eval_mat(hf.g, z)
     fsh = np_sharp(fv)
 
     rho = gram_float(fv, gv)
-    scale = max(1.0, float(abs(rho).max()))
-    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if eigs.min() <= 1e-12 * scale:
-        raise SingularLocus(
-            "gram matrix lost positivity at z=%r (min eig %.3e)" % (z, eigs.min())
-        )
-    rho_inv = np.linalg.inv(rho)
-    det_rho = float(np.linalg.det(rho).real)
+    scale = np.maximum(1.0, np.abs(rho).max(axis=(-2, -1)))
+    eig_min = np.linalg.eigvalsh((rho + _ct(rho)) / 2).min(axis=-1)
+    check(eig_min <= 1e-12 * scale, lambda k: SingularLocus(
+        "gram matrix lost positivity at z=%r (min eig %.3e)" % (complex(z[k]), eig_min[k])))
+    # Samples without a positive Gram matrix get the identity in its place,
+    # so that the stacked LAPACK calls below cannot fail on their account.
+    rho_safe = np.where(failed[:, None, None], eye_m, rho)
+    rho_inv = np.linalg.inv(rho_safe)
 
-    usharp = (fsh - J2 @ fv.conj().T @ gv) @ rho_inv
+    # Shared left factors are computed once; products still associate from
+    # the left, as in the one-sample formulas, so the bits do not change.
+    j2fh = J2 @ _ct(fv)
+    usharp = (fsh - j2fh @ gv) @ rho_inv
     u = np_sharp(usharp)
-    q = np.eye(2, dtype=complex) + J2 @ fv.conj().T @ fv \
-        - usharp @ rho @ usharp.conj().T @ J2
+    q = np.eye(2, dtype=complex) + j2fh @ fv - usharp @ rho @ _ct(usharp) @ J2
     v = gv @ rho_inv
-    a = np.eye(m, dtype=complex) - u @ q @ J2 @ u.conj().T - v @ rho @ v.conj().T
+    uq = u @ q
+    vrho = v @ rho
+    a = eye_m - uq @ J2 @ _ct(u) - vrho @ _ct(v)
 
     residuals = {}
-    residuals["1B"] = float(
-        abs(u @ q - v @ rho @ usharp.conj().T @ J2 - fv).max()
-    )
-    qscale = max(1.0, float(abs(q).max()))
-    offdiag = max(abs(q[0, 1]), abs(q[1, 0]))
-    c = q[0, 0]
-    residuals["q-offdiag"] = float(offdiag)
-    residuals["q-unit"] = float(abs(abs(c) - 1.0))
-    residuals["q-conj-pair"] = float(abs(q[1, 1] - c.conjugate()))
-    if offdiag > tol * qscale or abs(abs(c) - 1.0) > tol:
-        raise SingularLocus(
-            "block q is not a unit diagonal at z=%r (offdiag %.3e, |c|-1 %.3e)"
-            % (z, offdiag, abs(abs(c) - 1.0))
-        )
+    residuals["1B"] = np.abs(uq - vrho @ _ct(usharp) @ J2 - fv).max(axis=(-2, -1))
+    qscale = np.maximum(1.0, np.abs(q).max(axis=(-2, -1)))
+    # Moduli of single entries use hypot, as abs() of a complex scalar does;
+    # numpy's array abs can differ from it in the last bit.
+    offdiag = np.maximum(np.hypot(q[:, 0, 1].real, q[:, 0, 1].imag),
+                         np.hypot(q[:, 1, 0].real, q[:, 1, 0].imag))
+    c = q[:, 0, 0]
+    c_unit = np.abs(np.hypot(c.real, c.imag) - 1.0)
+    pair = q[:, 1, 1] - c.conjugate()
+    residuals["q-offdiag"] = offdiag
+    residuals["q-unit"] = c_unit
+    residuals["q-conj-pair"] = np.hypot(pair.real, pair.imag)
+    check((offdiag > tol * qscale) | (c_unit > tol), lambda k: SingularLocus(
+        "block q is not a unit diagonal at z=%r (offdiag %.3e, |c|-1 %.3e)"
+        % (complex(z[k]), offdiag[k], c_unit[k])))
     # Either root of c gives a factorization; pick the one whose lift is
     # future-pointing.  Y0 = (sqrt(2)/2) s (M[1,1] - M[0,1]) with
     # M = I - f# Jm ubar, which is lambda-free and nonzero wherever the null
     # lift is, so this choice is continuous (the principal root is not).
     s = np.sqrt(c)
-    t = fsh @ u[::-1, 1].conj()
-    if (s * (1.0 + t[0] - t[1])).real < 0:
-        s = -s
-    l0 = np.diag([s, 1.0 / s])
+    t = (fsh @ u[:, ::-1, 1].conj()[:, :, None])[:, :, 0]
+    y0 = 1.0 + t[:, 0] - t[:, 1]
+    s = np.where(s.real * y0.real - s.imag * y0.imag < 0, -s, s)
+    l0 = np.zeros((n, 2, 2), dtype=complex)
+    l0[:, 0, 0] = s
+    l0[:, 1, 1] = 1.0 / s
 
-    try:
-        Lc = np.linalg.cholesky(rho)
-    except np.linalg.LinAlgError:
-        raise SingularLocus("cholesky failed at z=%r" % (z,))
-    l4 = Lc.conj().T
-    l1 = Jm @ np.linalg.inv(l4.T) @ Jm
-    residuals["a-factor"] = float(abs(l1.conj().T @ l1 - a).max())
-    residuals["rho-factor"] = float(abs(l4.conj().T @ l4 - rho).max())
-    residuals["1B-scaled"] = residuals["1B"] / max(1.0, float(abs(fv).max()))
-    if residuals["1B"] > 1e-6 * max(1.0, float(abs(fv).max())):
-        raise ResidualTooLarge("closure equation 1B residual %.3e" % residuals["1B"])
-    if residuals["a-factor"] > 1e-6 * max(1.0, float(abs(a).max())):
-        raise ResidualTooLarge(
-            "triangular factor mismatch %.3e against block a" % residuals["a-factor"]
-        )
+    Lc, no_cholesky = _cholesky_stack(rho_safe)
+    check(no_cholesky, lambda k: SingularLocus("cholesky failed at z=%r" % (complex(z[k]),)))
+    l4 = _ct(Lc)
+    l1 = Jm @ np.linalg.inv(l4.swapaxes(-1, -2)) @ Jm
+    residuals["a-factor"] = np.abs(_ct(l1) @ l1 - a).max(axis=(-2, -1))
+    residuals["rho-factor"] = np.abs(_ct(l4) @ l4 - rho).max(axis=(-2, -1))
+    fscale = np.maximum(1.0, np.abs(fv).max(axis=(-2, -1)))
+    residuals["1B-scaled"] = residuals["1B"] / fscale
+    check(residuals["1B"] > 1e-6 * fscale, lambda k: ResidualTooLarge(
+        "closure equation 1B residual %.3e" % residuals["1B"][k]))
+    check(residuals["a-factor"] > 1e-6 * np.maximum(1.0, np.abs(a).max(axis=(-2, -1))),
+          lambda k: ResidualTooLarge(
+              "triangular factor mismatch %.3e against block a" % residuals["a-factor"][k]))
 
+    q_is_identity = (offdiag <= tol) & (np.hypot(c.real - 1.0, c.imag) <= tol)
+    ok = ~failed
+    usharp = usharp[ok]
     return IwasawaWitness(
-        "float", m, rho, rho_inv, det_rho, u, usharp, v, q, a,
-        l0=l0, l1=l1, l4=l4,
-        q_is_identity=bool(offdiag <= tol and abs(c - 1.0) <= tol),
-        z=z, residuals=residuals, fv=fv, gv=gv,
+        "float", m, rho[ok], rho_inv[ok], np.linalg.det(rho[ok]).real, np_sharp(usharp),
+        usharp, v[ok], q[ok], a[ok], l0=l0[ok], l1=l1[ok], l4=_ct(Lc[ok]),
+        q_is_identity=q_is_identity[ok], z=z[ok],
+        residuals={k: r[ok] for k, r in residuals.items()}, fv=fv[ok], gv=gv[ok],
+        index=np.flatnonzero(ok), errors=errors,
     )
 
 
@@ -319,7 +396,8 @@ def middle_columns_float(w: IwasawaWitness):
     """The frame's middle two columns at a float witness, by loop power.
 
     Returns (top, mid, bot): rows 1..m at loop^-1, rows m+1, m+2 at loop^0
-    and the last m rows at loop^1.
+    and the last m rows at loop^1, stacked over the samples of a stacked
+    witness.
     """
     Jm = _jm_np(w.m)
     cu = w.u.conj()

@@ -3,7 +3,7 @@
 Matrices here are plain tuples of tuples over the exact rings:
 GaussianRational (constants) and BiPoly/RationalFn (functions of z, zbar).
 They build the group constants, the frame data and the exact Iwasawa
-witness; per-sample float work uses numpy arrays instead.  A scalar must
+witness; float work uses numpy arrays, stacked over samples, instead.  A scalar must
 support + - *, .conjugate(), and either .is_zero() or == 0.
 """
 

@@ -21,10 +21,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DenominatorVanishes
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _cmul(x, y):
+    """CPython's complex product on (re, im) pairs of floats or float arrays."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
 def _frac(x) -> Fraction:
@@ -189,7 +196,7 @@ GR_HALF = GaussianRational(Fraction(1, 2))
 class BiPoly:
     """Polynomial in (z, zbar) over GaussianRational, as a sparse term dict."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_float_terms")
 
     def __init__(self, terms=None):
         # terms: {(i, j): GaussianRational}, zeros dropped, keys owned by self.
@@ -390,22 +397,44 @@ class BiPoly:
         """Bind zbar = conj(z), compute exactly, round once."""
         return self.evaluate_exact(GaussianRational.coerce(z)).to_complex()
 
-    def evaluate_float(self, z: complex) -> complex:
-        """Plain floating Horner-style evaluation (grid hot loop)."""
-        z = complex(z)
-        zb = z.conjugate()
-        zp = {0: 1 + 0j}
-        bp = {0: 1 + 0j}
-        total = 0j
-        for (a, b), c in self.terms.items():
-            while a not in zp:
-                k = max(zp)
-                zp[k + 1] = zp[k] * z
-            while b not in bp:
-                k = max(bp)
-                bp[k + 1] = bp[k] * zb
-            total += c.to_complex() * zp[a] * bp[b]
-        return total
+    def evaluate_float(self, z):
+        """Floating evaluation at a scalar z (a complex) or a 1-D array of z.
+
+        The coefficients are converted to floats once and cached.  Every
+        product is formed as CPython forms a complex product,
+        (ar br - ai bi, ar bi + ai br), from separate float operations, in
+        term order with powers by repeated multiplication, so an array
+        evaluation equals the scalar one bit for bit at every sample (numpy's
+        complex multiply rounds differently).
+        """
+        try:
+            terms = self._float_terms
+        except AttributeError:
+            # (a, b, re c, im c) per term in dict order; the slot stays unset
+            # on the many polynomials that are never evaluated in floats.
+            terms = tuple((a, b, float(c.re), float(c.im))
+                          for (a, b), c in self.terms.items())
+            object.__setattr__(self, "_float_terms", terms)
+        scalar = np.ndim(z) == 0
+        z = complex(z) if scalar else np.asarray(z, dtype=complex)
+        zr, zi = z.real, z.imag
+        zp = [(1.0, 0.0)]
+        bp = [(1.0, 0.0)]
+        tr = ti = 0.0
+        for a, b, cr, ci in terms:
+            while len(zp) <= a:
+                zp.append(_cmul(zp[-1], (zr, zi)))
+            while len(bp) <= b:
+                bp.append(_cmul(bp[-1], (zr, -zi)))
+            xr, xi = _cmul(_cmul((cr, ci), zp[a]), bp[b])
+            tr = tr + xr
+            ti = ti + xi
+        if scalar:
+            return complex(tr, ti)
+        out = np.empty(z.shape, dtype=complex)
+        out.real = tr
+        out.imag = ti
+        return out
 
     def leading_coefficient(self) -> GaussianRational:
         if not self.terms:

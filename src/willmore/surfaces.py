@@ -42,6 +42,7 @@ from .scalars import (
     GaussianRational,
     RF_I,
     RationalFn,
+    _cmul,
 )
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
@@ -54,7 +55,7 @@ def _rf_float(rf: RationalFn, z: complex, floor: float = 1e-12) -> complex:
     return rf.num.evaluate_float(z) / dv
 
 
-def _combine(col, m, minus_i):
+def _combine(col, m, times_minus_i):
     """Recombine one frame column into R^{1,2m+1} coordinates.
 
     col has 2m+2 entries; the result starts with the timelike pair from the
@@ -64,9 +65,16 @@ def _combine(col, m, minus_i):
     for j in range(1, m + 1):
         a = col[j - 1]
         b = col[2 * m + 2 - j]
-        comps.append(minus_i * (a - b))
+        comps.append(times_minus_i(a - b))
         comps.append(a + b)
     return comps
+
+
+def _times_minus_i_float(x):
+    """-1j * x for complex arrays, rounded as a complex scalar product rounds."""
+    out = np.empty(np.shape(x), dtype=complex)
+    out.real, out.imag = _cmul((-0.0, -1.0), (x.real, x.imag))
+    return out
 
 
 def mink_pair_rf(xs, ys) -> RationalFn:
@@ -86,7 +94,8 @@ class SurfacePair:
 
     backend "exact": Y and Yhat are tuples of rational functions (stored
     scale: true lift = (sqrt(2)/2) * stored, pairings carry factor 1/2).
-    backend "float": lifts are evaluated per sample from fresh factorizations.
+    backend "float": lifts are evaluated from one stacked factorization of
+    the requested samples.
     """
 
     __slots__ = ("backend", "m", "lam", "hf", "Y", "Yhat")
@@ -103,12 +112,17 @@ class SurfacePair:
         """Homogeneous lift values at z.
 
         Float backend: real vectors of the honest frame (factor included),
-        future-pointing.
+        future-pointing.  A 1-D array of z gives (Y, Yhat, errors): rows per
+        sample, NaN where the sample failed, and errors[k] the error sample k
+        failed with (None where it passed); a scalar z gives (Y, Yhat) and
+        raises the error instead.
         Exact backend: complex vectors in the rational gauge; each differs
         from the honest lift by a sample-dependent unit scalar (for both
         shipped examples +1 inside the singular circle, -1 outside it).
         """
         if self.backend == "float":
+            if np.ndim(z) == 0:
+                return _one_sample(_float_lift_values(self.hf, self.lam, [z]))
             return _float_lift_values(self.hf, self.lam, z)
         s = SQRT2_OVER_2
         yv = np.array([_rf_float(c, z) for c in self.Y]) * s
@@ -129,11 +143,15 @@ def extract_pair(frame: ExtendedFrame, lam) -> SurfacePair:
         col0 = [mid[i][0] for i in range(2 * m + 2)]
         col1 = [mid[i][1] for i in range(2 * m + 2)]
         minus_i = RationalFn.const(GaussianRational(0, -1))
+
+        def times_minus_i(x):
+            return minus_i * x
+
         # Reducing here collapses the unreduced factorization denominators
         # (degrees in the tens) to the true ones, so every downstream pairing,
         # metric, and derivative works on small operands.
-        Y = tuple((-c).reduced() for c in _combine(col1, m, minus_i))
-        Yhat = tuple(c.reduced() for c in _combine(col0, m, minus_i))
+        Y = tuple((-c).reduced() for c in _combine(col1, m, times_minus_i))
+        Yhat = tuple(c.reduced() for c in _combine(col0, m, times_minus_i))
         return SurfacePair("exact", m, lam, frame.hf, Y=Y, Yhat=Yhat)
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-12:
@@ -144,28 +162,59 @@ def extract_pair(frame: ExtendedFrame, lam) -> SurfacePair:
 def lift_columns_float(w: IwasawaWitness, lam: complex):
     """Homogeneous lift vectors before realization, as complex arrays.
 
-    Reads the frame's middle columns at the float witness w's sample, then
+    Reads the frame's middle columns at the float witness w's samples, then
     binds the loop parameter to lam.  Returns (Ycol, Yhatcol) in
-    R^{1,2m+1} coordinates including the overall sqrt(2)/2 scale; phase
-    and realization are the caller's business.
+    R^{1,2m+1} coordinates including the overall sqrt(2)/2 scale, one row
+    per sample of a stacked witness; phase and realization are the caller's
+    business.
     """
     m = w.m
     top, mid, bot = middle_columns_float(w)
     li = 1.0 / lam
-    cols = np.concatenate([li * top, mid, lam * bot], axis=0)
-    Ycol = -SQRT2_OVER_2 * np.array(_combine(list(cols[:, 1]), m, -1j))
-    Yhatcol = SQRT2_OVER_2 * np.array(_combine(list(cols[:, 0]), m, -1j))
-    return Ycol, Yhatcol
+    cols = np.concatenate([li * top, mid, lam * bot], axis=-2)
+
+    def combine(col):
+        rows = list(np.moveaxis(col, -1, 0))
+        return np.stack(_combine(rows, m, _times_minus_i_float), axis=-1)
+
+    return -SQRT2_OVER_2 * combine(cols[..., 1]), SQRT2_OVER_2 * combine(cols[..., 0])
 
 
 def _float_lift_values(hf: HolomorphicFrame, lam: complex, z):
-    """Evaluate both honest lifts at one sample (fresh factorization)."""
-    Y, Yhat = lift_columns_float(solve_iwasawa_float(hf, z), lam)
-    scale = max(1.0, float(abs(Y).max()), float(abs(Yhat).max()))
-    drift = max(float(abs(Y.imag).max()), float(abs(Yhat.imag).max()))
-    if drift > 1e-8 * scale:
-        raise ResidualTooLarge("lift has imaginary drift %.3e at z=%r" % (drift, z))
-    return Y.real, Yhat.real
+    """Both honest lifts over a 1-D array of samples, as SurfacePair.values."""
+    z = np.asarray(z, dtype=complex)
+    w = solve_iwasawa_float(hf, z)
+    errors = list(w.errors)
+    Y, Yhat = lift_columns_float(w, lam)
+    scale = np.maximum(1.0, np.maximum(np.abs(Y).max(axis=-1), np.abs(Yhat).max(axis=-1)))
+    drift = np.maximum(np.abs(Y.imag).max(axis=-1), np.abs(Yhat.imag).max(axis=-1))
+    for k in np.flatnonzero(drift > 1e-8 * scale):
+        errors[w.index[k]] = ResidualTooLarge(
+            "lift has imaginary drift %.3e at z=%r" % (drift[k], complex(w.z[k])))
+    return _scatter(Y.real, w.index, errors), _scatter(Yhat.real, w.index, errors), errors
+
+
+def _scatter(rows, index, errors):
+    """One row per sample: rows at positions index, NaN where errors are set."""
+    out = np.full((len(errors),) + rows.shape[1:], np.nan)
+    ok = np.array([errors[k] is None for k in index], dtype=bool)
+    out[index[ok]] = rows[ok]
+    return out
+
+
+def _one_sample(result):
+    """The values of a one-sample stacked result, or the error it failed with."""
+    *values, errors = result
+    if errors[0] is not None:
+        raise errors[0]
+    return values[0][0] if len(values) == 1 else tuple(v[0] for v in values)
+
+
+def raise_first(errors):
+    """Raise the first error of a stacked result, if any sample failed."""
+    for err in errors:
+        if err is not None:
+            raise err
 
 
 def _pick(pair: SurfacePair, which: str):
@@ -180,7 +229,8 @@ def project_to_sphere(pair: SurfacePair, which: str = "Y"):
     """First-coordinate projection of a lift to the unit sphere S^{2m}.
 
     Exact pairs return a tuple of 2m+1 rational functions; float pairs
-    return an evaluator z -> real unit vector.
+    return an evaluator z -> real unit vector, which over a 1-D array of z
+    returns (vectors, errors) as SurfacePair.values does.
     """
     if pair.backend == "exact":
         comps = _pick(pair, which)
@@ -191,20 +241,54 @@ def project_to_sphere(pair: SurfacePair, which: str = "Y"):
     idx = 0 if which in ("Y", "y") else 1
 
     def at(z):
-        vals = pair.values(z)[idx]
-        if abs(vals[0]) < 1e-12 * max(1.0, float(abs(vals).max())):
-            raise FirstCoordinateVanishes("first lift coordinate vanishes at z=%r" % (z,))
-        return vals[1:] / vals[0]
+        if np.ndim(z) == 0:
+            return _one_sample(at([z]))
+        z = np.asarray(z, dtype=complex)
+        values = pair.values(z)
+        return _project(values[idx], values[2], z)
 
     return at
 
 
-def induced_metric(pair: SurfacePair, which: str = "Y", h: float = 1e-4):
+def _project(vals, errors, z):
+    """Rows vals[k, 1:] / vals[k, 0], with a vanishing first coordinate an error."""
+    errors = list(errors)
+    head = np.abs(vals[:, 0])
+    bad = head < 1e-12 * np.maximum(1.0, np.abs(vals).max(axis=-1))
+    for k in np.flatnonzero(bad):
+        if errors[k] is None:
+            errors[k] = FirstCoordinateVanishes(
+                "first lift coordinate vanishes at z=%r" % (complex(z[k]),))
+    ok = np.array([e is None for e in errors], dtype=bool)
+    out = np.full((len(vals), vals.shape[1] - 1), np.nan)
+    out[ok] = vals[ok, 1:] / vals[ok, :1]
+    return out, errors
+
+
+METRIC_STEP = 1e-4
+
+
+def metric_stencil(z, step: float = METRIC_STEP) -> np.ndarray:
+    """The 8 points around each z at which the float conformal factor samples
+    the lift, shape (8, N) for N points: z +- h/2, z +- i h/2, then z +- h,
+    z +- i h, with h = step."""
+    z = np.asarray(z, dtype=complex)
+    pts = []
+    for s in (step / 2, step):
+        pts += [z + s, z - s, z + 1j * s, z - 1j * s]
+    return np.stack(pts)
+
+
+def induced_metric(pair: SurfacePair, which: str = "Y", h: float = METRIC_STEP):
     """Conformal factor |y_z|^2 of the projected surface.
 
     Exact pairs return it as a rational function (formal derivatives); float
-    pairs return an evaluator using Richardson-extrapolated central
-    differences.
+    pairs return an evaluator metric(z, step=h, lifts=None) using
+    Richardson-extrapolated central differences on the metric_stencil
+    points.  Over a 1-D array of z it returns (factors, errors), a point
+    failing with the first error of its stencil in stencil order; lifts,
+    if given, is pair.values at metric_stencil(z, step).ravel(), so that a
+    caller can share one stacked evaluation between both lifts.
     """
     if pair.backend == "exact":
         y = project_to_sphere(pair, which)
@@ -214,15 +298,35 @@ def induced_metric(pair: SurfacePair, which: str = "Y", h: float = 1e-4):
             acc = term if acc is None else acc + term
         return acc
 
-    at = project_to_sphere(pair, which)
+    idx = 0 if which in ("Y", "y") else 1
 
-    def metric(z, step: float = h):
-        def dz(s):
-            yx = (at(z + s) - at(z - s)) / (2 * s)
-            yy = (at(z + 1j * s) - at(z - 1j * s)) / (2 * s)
+    def metric(z, step: float = h, lifts=None):
+        if np.ndim(z) == 0:
+            return _one_sample(metric([z], step, lifts))
+        z = np.asarray(z, dtype=complex)
+        n = len(z)
+        pts = metric_stencil(z, step).ravel()
+        if lifts is None:
+            lifts = pair.values(pts)
+        if len(lifts[2]) != len(pts):
+            raise ValueError("lifts must hold the %d metric stencil samples" % len(pts))
+        y, stencil_errors = _project(lifts[idx], lifts[2], pts)
+        y = y.reshape(8, n, y.shape[-1])
+        errors = [next((stencil_errors[k * n + i] for k in range(8)
+                        if stencil_errors[k * n + i] is not None), None)
+                  for i in range(n)]
+
+        def dz(p, s):
+            yx = (p[0] - p[1]) / (2 * s)
+            yy = (p[2] - p[3]) / (2 * s)
             return (yx - 1j * yy) / 2
-        d = (4.0 * dz(step / 2) - dz(step)) / 3.0
-        return float(np.sum(d * d.conj()).real)
+
+        d = (4.0 * dz(y[:4], step / 2) - dz(y[4:], step)) / 3.0
+        # One np.sum per point: its pairwise summation order over a row is
+        # part of the result's bits, and an axis sum does not keep it.
+        out = np.array([np.sum(r).real for r in d * d.conj()])
+        out[[e is not None for e in errors]] = np.nan
+        return out, errors
 
     return metric
 
@@ -263,14 +367,10 @@ def _fd_z_derivative(values, order: int, h: float):
     return acc / (2 * h) ** order if order else acc
 
 
-def _fd_derivatives(evaluate, z, max_order: int, h: float):
-    """All z-derivatives of a vector map up to max_order at one sample."""
+def _fd_offsets(max_order: int):
+    """Grid offsets (a, b) of the stencil for z-derivatives up to max_order."""
     span = 3 if max_order >= 3 else 2
-    values = {}
-    for a in range(-span, span + 1):
-        for b in range(-span, span + 1):
-            values[(a, b)] = evaluate(z + (a + 1j * b) * h)
-    return [_fd_z_derivative(values, j, h) for j in range(max_order + 1)]
+    return [(a, b) for a in range(-span, span + 1) for b in range(-span, span + 1)]
 
 
 def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
@@ -312,15 +412,23 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
     if not samples:
         raise ValueError("float isotropy check needs sample points")
 
+    offsets = _fd_offsets(max_order)
+
     def run(step):
         """Worst pairing per (j, l), each scaled by its own derivative norms.
 
         The per-pair scale measures achieved cancellation, which keeps the
-        check meaningful where high derivatives dwarf the lift itself.
+        check meaningful where high derivatives dwarf the lift itself.  The
+        stencils of all samples are evaluated in one stacked call.
         """
+        pts = [z + (a + 1j * b) * step for z in samples for a, b in offsets]
+        lifts = pair.values(np.array(pts))
+        raise_first(lifts[2])
+        grid = lifts[idx].reshape(len(samples), len(offsets), -1)
         out = {}
-        for z in samples:
-            derivs = _fd_derivatives(lambda zz: pair.values(zz)[idx], z, max_order, step)
+        for vals in grid:
+            values = dict(zip(offsets, vals))
+            derivs = [_fd_z_derivative(values, j, step) for j in range(max_order + 1)]
             norms = [max(1.0, float(np.linalg.norm(v))) for v in derivs]
             for j in range(1, max_order + 1):
                 for l in range(j, max_order + 1):
@@ -365,9 +473,10 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
 # -- degeneracy locus -------------------------------------------------------------
 
 
-def _gram_det_float(hf: HolomorphicFrame, z: complex) -> float:
-    rho = gram_float(_eval_mat(hf.f, z), _eval_mat(hf.g, z))
-    return float(np.linalg.det(rho).real)
+def _gram_det_float(hf: HolomorphicFrame, z):
+    """det rho at a scalar z (a float) or over a 1-D array of z (an array)."""
+    det = np.linalg.det(gram_float(_eval_mat(hf.f, z), _eval_mat(hf.g, z))).real
+    return float(det) if np.ndim(z) == 0 else det
 
 
 def degeneracy_scan(source, theta: float = 0.0, r_range=(1e-3, 2.5),
@@ -394,7 +503,7 @@ def degeneracy_scan(source, theta: float = 0.0, r_range=(1e-3, 2.5),
         return (sigma(r + fd) - sigma(max(r - fd, 0.0))) / (2 * fd)
 
     rs = np.linspace(r0, r1, grid_n)
-    sig = np.array([sigma(r) for r in rs])
+    sig = _gram_det_float(hf, np.array([r * direction for r in rs]))
     scale = max(1.0, float(sig.max()))
     found = []
     for i in range(grid_n - 1):

@@ -45,6 +45,7 @@ from .surfaces import (
     isotropy_check,
     lift_columns_float,
     project_to_sphere,
+    raise_first,
 )
 
 DEFAULT_PLAN = {
@@ -465,9 +466,12 @@ def run_suite(pot, plan=None) -> VerificationReport:
         for lam in lams:
             pair = extract_pair(fr0, lam)
             proj = project_to_sphere(pair, "Y")
-            for z in fd_samples:
-                yx = (proj(z + h) - proj(z - h)) / (2 * h)
-                yy = (proj(z + 1j * h) - proj(z - 1j * h)) / (2 * h)
+            pts = [p for z in fd_samples for p in (z + h, z - h, z + 1j * h, z - 1j * h)]
+            y, errors = proj(np.array(pts, dtype=complex))
+            raise_first(errors)
+            for yp, ym, yip, yim in y.reshape(len(fd_samples), 4, y.shape[-1]):
+                yx = (yp - ym) / (2 * h)
+                yy = (yip - yim) / (2 * h)
                 yz = (yx - 1j * yy) / 2
                 res = max(res, abs(complex(np.dot(yz, yz))) /
                           max(1.0, float(np.dot(yz.real, yz.real))))

@@ -159,3 +159,56 @@ def test_singular_vertices_flagged_not_fatal(tmp_path):
     rep = json.load(open(out / "comparison.json"))
     assert rep["skipped_vertices"] >= len(flagged)
     assert rep["max_projective_distance"] < 1e-9
+
+
+@pytest.mark.parametrize("offset,stencil_only", [(0.0, 0), (2.8e-4, 3)])
+def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, offset, stencil_only):
+    """A polar grid whose fourth ring lies on the example-1 degeneracy circle,
+    or just off it where some vertices fail only through a metric stencil
+    sample; 26 vertices, not a multiple of the block size.  Each vertex's flag
+    is the one that evaluating it and its stencil one sample at a time gives."""
+    from collections import Counter
+
+    from willmore.cli import _BLOCK, _grid_points
+    from willmore.errors import WillmoreError
+    from willmore.frames import integrate_frame
+    from willmore.iwasawa import assemble_frame, solve_iwasawa_float
+    from willmore.potentials import to_nilpotent
+    from willmore.surfaces import extract_pair, induced_metric, reference_singular_radius
+
+    radius = repr(1.25 * reference_singular_radius(1) * (1 + offset))
+    out = tmp_path / "straddle"
+    assert _run("example", "--id", "1", "--grid-n", "5", "--radius", radius,
+                "--out", str(out)) == 0
+    rows = list(csv.DictReader(open(out / "mesh.csv")))
+    pts = _grid_points("polar", 5, float(radius))
+    assert len(rows) == len(pts) == 26 and len(pts) % _BLOCK
+
+    hf = integrate_frame(to_nilpotent(builtin_potential(1)))
+    pair = extract_pair(assemble_frame(hf, solve_iwasawa_float(hf, 0.1)), 1.0)
+    metric_y = induced_metric(pair, "Y")
+    metric_yhat = induced_metric(pair, "Yhat")
+    reasons = Counter()
+    flagged_by_stencil = 0
+    for z, row in zip(pts, rows):
+        try:
+            Y, _ = pair.values(z)
+        except WillmoreError as e:
+            reasons[type(e).__name__] += 1
+            assert row["singular"] == "1", z
+            continue
+        try:
+            my = metric_y(z)
+            metric_yhat(z)
+        except WillmoreError as e:
+            reasons[type(e).__name__] += 1
+            flagged_by_stencil += 1
+            assert row["singular"] == "1", z
+            continue
+        assert row["singular"] == "0", z
+        assert [row["Y%d" % k] for k in range(8)] == [repr(float(v)) for v in Y]
+        assert row["yz_sq"] == repr(float(my))
+    assert sum(reasons.values()) >= 4 and flagged_by_stencil == stencil_only
+    summary = ", ".join("%s %d" % kv for kv in sorted(reasons.items()))
+    assert "(26 vertices, %d singular: %s)" % (sum(reasons.values()), summary) \
+        in capsys.readouterr().out

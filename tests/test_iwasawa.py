@@ -9,20 +9,23 @@ import pytest
 import willmore.matrices as mx
 from willmore.frames import integrate_frame
 from willmore.groups import get_context
+from willmore.errors import ResidualTooLarge, SingularLocus, WillmoreError
 from willmore.iwasawa import (
     _block_diag,
+    _cholesky_stack,
+    _eval_mat,
     assemble_frame,
     check_refactor,
     gauge_z_derivative,
+    gram_float,
     maurer_cartan,
     pullback_halfisotropy,
-    solve_iwasawa,
     solve_iwasawa_exact,
     solve_iwasawa_float,
 )
 from willmore.potentials import NormalizedPotential, builtin_potential, to_nilpotent
 from willmore.scalars import BiPoly, GaussianRational, RationalFn
-from willmore.surfaces import lift_columns_float
+from willmore.surfaces import extract_pair, lift_columns_float, reference_singular_radius
 
 
 def _r2_poly(coeffs):
@@ -83,21 +86,102 @@ def test_float_witness_residuals(example_id):
             assert w.residuals[key] < 1e-10, (key, z, w.residuals[key])
 
 
-def test_dispatch_validates_arguments(hf2):
-    with pytest.raises(ValueError):
-        solve_iwasawa(hf2, backend="float")
-    with pytest.raises(ValueError):
-        solve_iwasawa(hf2, backend="symbolic")
-    assert solve_iwasawa(hf2).backend == "exact"
-    assert solve_iwasawa(hf2, z=0.1 + 0.1j, backend="float").backend == "float"
-
-
 def test_singular_locus_raises(hf2):
     from willmore.errors import SingularLocus
 
     # the degeneracy circle of the second example is |z| = sqrt(2)
     with pytest.raises(SingularLocus):
         solve_iwasawa_float(hf2, complex(2 ** 0.5, 0.0))
+
+
+def _same_bits(a, b) -> bool:
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def near_locus_stack():
+    """Samples within 1e-3 of the example-1 degeneracy circle, with four
+    samples far from it interleaved."""
+    r = reference_singular_radius(1)
+    d = np.concatenate([-np.logspace(-10, -3, 30), np.logspace(-10, -3, 30)])
+    near = r * (1 + d) * np.exp(0.3j)
+    far = np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.9j, 1.4 - 0.2j])
+    return np.insert(near, [0, 15, 37, 60], far)
+
+
+def _check_against_one_sample_calls(hf, zs, w):
+    """Each sample of the stacked witness w equals, bit for bit, the witness
+    solve_iwasawa_float gives it alone, or carries the error that call raises.
+    Returns the (class, message head) of each error seen."""
+    assert len(w.errors) == len(zs)
+    failed = set()
+    for k, z in enumerate(zs):
+        try:
+            one = solve_iwasawa_float(hf, complex(z))
+        except WillmoreError as e:
+            assert type(w.errors[k]) is type(e) and str(w.errors[k]) == str(e)
+            failed.add((type(e), str(e).split(" at ")[0].split(" residual")[0]))
+            continue
+        assert w.errors[k] is None
+        j = int(np.flatnonzero(w.index == k)[0])
+        for name in ("rho", "rho_inv", "u", "usharp", "v", "q", "a", "l0", "l1", "l4",
+                     "fv", "gv"):
+            assert _same_bits(getattr(w, name)[j], getattr(one, name)), (z, name)
+        assert _same_bits(w.det_rho[j], one.det_rho)
+        assert bool(w.q_is_identity[j]) is one.q_is_identity
+        for key, value in one.residuals.items():
+            assert _same_bits(w.residuals[key][j], value), (z, key)
+    return failed
+
+
+def test_stacked_witness_isolates_failed_samples(hf1):
+    zs = near_locus_stack()
+    w = solve_iwasawa_float(hf1, zs)
+    failed = _check_against_one_sample_calls(hf1, zs, w)
+    assert len(w.index) >= 4
+    # positivity, the unit-diagonal q and the 1B closure each reject some
+    assert failed == {(SingularLocus, "gram matrix lost positivity"),
+                      (SingularLocus, "block q is not a unit diagonal"),
+                      (ResidualTooLarge, "closure equation 1B")}
+
+
+def test_exactly_singular_gram_matrix_fails_only_its_sample(hf2):
+    # On example 2's degeneracy circle |z| = sqrt(2) the float Gram matrix is
+    # exactly singular, so LAPACK rejects it and would fail a whole stack.
+    root2 = 2 ** 0.5
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(gram_float(_eval_mat(hf2.f, root2), _eval_mat(hf2.g, root2)))
+    zs = np.array([0.3 + 0.2j, root2, -0.5j, root2 * 1j])
+    w = solve_iwasawa_float(hf2, zs)
+    assert [type(e) for e in w.errors] == [type(None), SingularLocus, type(None), SingularLocus]
+    _check_against_one_sample_calls(hf2, zs, w)
+
+
+def test_stacked_lift_values_isolate_failed_samples(hf1):
+    zs = near_locus_stack()
+    pair = extract_pair(assemble_frame(hf1, solve_iwasawa_float(hf1, 0.1)), np.exp(0.4j))
+    Y, Yhat, errors = pair.values(zs)
+    assert Y.shape == Yhat.shape == (len(zs), 8)
+    for k, z in enumerate(zs):
+        try:
+            one = pair.values(complex(z))
+        except WillmoreError as e:
+            assert type(errors[k]) is type(e) and str(errors[k]) == str(e)
+            assert np.isnan(Y[k]).all() and np.isnan(Yhat[k]).all()
+            continue
+        assert errors[k] is None
+        assert _same_bits(Y[k], one[0]) and _same_bits(Yhat[k], one[1])
+    assert sum(e is None for e in errors) >= 4
+
+
+def test_cholesky_stack_isolates_a_failed_matrix():
+    good = np.array([[2.0, 1j], [-1j, 3.0]])
+    bad = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
+    L, failed = _cholesky_stack(np.array([good, bad, good * 2]))
+    assert failed.tolist() == [False, True, False]
+    assert _same_bits(L[0], np.linalg.cholesky(good))
+    assert _same_bits(L[2], np.linalg.cholesky(good * 2))
 
 
 @pytest.mark.parametrize("example_id", [1, 2])

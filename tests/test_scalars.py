@@ -3,6 +3,7 @@ rational functions, and the gcd reduction behind RationalFn.reduced()."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -143,6 +144,41 @@ def test_bipoly_exact_evaluation_matches_float():
     s = 0.25 + 0.5j
     exact = p.evaluate_exact(GaussianRational(Fraction(1, 4), Fraction(1, 2)))
     assert abs(exact.to_complex() - p.evaluate_float(s)) < 1e-15
+
+
+def _evaluate_python_complex(p, z):
+    """Reference float evaluation: term by term in Python complex arithmetic."""
+    zb = z.conjugate()
+    zp = {0: 1 + 0j}
+    bp = {0: 1 + 0j}
+    total = 0j
+    for (a, b), c in p.terms.items():
+        while a not in zp:
+            k = max(zp)
+            zp[k + 1] = zp[k] * z
+        while b not in bp:
+            k = max(bp)
+            bp[k + 1] = bp[k] * zb
+        total += c.to_complex() * zp[a] * bp[b]
+    return total
+
+
+sample_floats = st.floats(min_value=-8, max_value=8, allow_nan=False) | st.sampled_from(
+    [0.0, -0.0])
+
+
+@given(bipolys(max_terms=6, max_deg=4),
+       st.lists(st.builds(complex, sample_floats, sample_floats), min_size=1, max_size=12))
+@settings(deadline=None)
+def test_bipoly_array_evaluation_is_bitwise_the_python_complex_loop(p, zs):
+    got = p.evaluate_float(np.array(zs))
+    want = np.array([_evaluate_python_complex(p, z) for z in zs], dtype=complex)
+    assert got.dtype == complex and got.shape == (len(zs),)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for z, w in zip(zs, want):
+        one = p.evaluate_float(z)
+        assert type(one) is complex
+        assert np.array([one]).view(np.uint64).tolist() == np.array([w]).view(np.uint64).tolist()
 
 
 def test_bipoly_degrees_and_leading_coefficient():
