@@ -116,9 +116,10 @@ class SurfacePair:
         sample, NaN where the sample failed, and errors[k] the error sample k
         failed with (None where it passed); a scalar z gives (Y, Yhat) and
         raises the error instead.
-        Exact backend: complex vectors in the rational gauge; each differs
-        from the honest lift by a sample-dependent unit scalar (for both
-        shipped examples +1 inside the singular circle, -1 outside it).
+        Exact backend, scalar z only: complex vectors in the rational gauge;
+        each differs from the honest lift by a sample-dependent unit scalar
+        (for both shipped examples +1 inside the singular circle, -1
+        outside it).
         """
         if self.backend == "float":
             if np.ndim(z) == 0:
@@ -322,9 +323,7 @@ def induced_metric(pair: SurfacePair, which: str = "Y", h: float = METRIC_STEP):
             return (yx - 1j * yy) / 2
 
         d = (4.0 * dz(y[:4], step / 2) - dz(y[4:], step)) / 3.0
-        # One np.sum per point: its pairwise summation order over a row is
-        # part of the result's bits, and an axis sum does not keep it.
-        out = np.array([np.sum(r).real for r in d * d.conj()])
+        out = np.sum(d * d.conj(), axis=-1).real
         out[[e is not None for e in errors]] = np.nan
         return out, errors
 

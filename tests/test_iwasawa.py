@@ -1,6 +1,7 @@
 """Closed-form loop factorization: exact witnesses, float witnesses, the
 assembled frames, and the connection coefficients they induce."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -100,7 +101,7 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
-def near_locus_stack():
+def _near_locus_stack():
     """Samples within 1e-3 of the example-1 degeneracy circle, with four
     samples far from it interleaved."""
     r = reference_singular_radius(1)
@@ -108,6 +109,80 @@ def near_locus_stack():
     near = r * (1 + d) * np.exp(0.3j)
     far = np.array([0.3 + 0.2j, -0.5 + 0.1j, 0.9j, 1.4 - 0.2j])
     return np.insert(near, [0, 15, 37, 60], far)
+
+
+def _one_sample_reference(hf, z, lam):
+    """The float witness and lift columns at one sample, computed the way the
+    per-sample code did before stacking: 2-D numpy products and
+    Python-complex scalar arithmetic."""
+    m = hf.m
+    z = complex(z)
+    Jm = np.eye(m)[::-1].astype(complex)
+    J2 = np.array([[0, 1], [1, 0]], dtype=complex)
+
+    def sharp(X):
+        return X[::-1, ::-1].T
+
+    fv = np.array([[p.evaluate_float(z) for p in row] for row in hf.f], dtype=complex)
+    gv = np.array([[p.evaluate_float(z) for p in row] for row in hf.g], dtype=complex)
+    fsh = sharp(fv)
+    rho = np.eye(m, dtype=complex) + Jm @ fv.conj() @ J2 @ fv.T @ Jm + gv.conj().T @ gv
+    rho_inv = np.linalg.inv(rho)
+    usharp = (fsh - J2 @ fv.conj().T @ gv) @ rho_inv
+    u = sharp(usharp)
+    q = np.eye(2, dtype=complex) + J2 @ fv.conj().T @ fv - usharp @ rho @ usharp.conj().T @ J2
+    v = gv @ rho_inv
+    a = np.eye(m, dtype=complex) - u @ q @ J2 @ u.conj().T - v @ rho @ v.conj().T
+    s = np.sqrt(q[0, 0])
+    t = fsh @ u[::-1, 1].conj()
+    if (s * (1.0 + t[0] - t[1])).real < 0:
+        s = -s
+    l0 = np.diag([s, 1.0 / s])
+    l4 = np.linalg.cholesky(rho).conj().T
+    l1 = Jm @ np.linalg.inv(l4.T) @ Jm
+    cu = u.conj()
+    l0inv = np.linalg.inv(l0)
+    top = (fv + gv @ Jm @ cu) @ l0inv
+    mid = (np.eye(2) - fsh @ Jm @ cu) @ l0inv
+    bot = (Jm @ cu) @ l0inv
+    cols = np.concatenate([(1.0 / lam) * top, mid, lam * bot], axis=0)
+
+    def combine(col):
+        comps = [col[m] - col[m + 1], col[m] + col[m + 1]]
+        for j in range(1, m + 1):
+            comps += [-1j * (col[j - 1] - col[2 * m + 2 - j]), col[j - 1] + col[2 * m + 2 - j]]
+        return np.array(comps)
+
+    c = q[0, 0]
+    residuals = {
+        "1B": float(abs(u @ q - v @ rho @ usharp.conj().T @ J2 - fv).max()),
+        "q-offdiag": float(max(abs(q[0, 1]), abs(q[1, 0]))),
+        "q-unit": float(abs(abs(c) - 1.0)),
+        "q-conj-pair": float(abs(q[1, 1] - c.conjugate())),
+        "a-factor": float(abs(l1.conj().T @ l1 - a).max()),
+        "rho-factor": float(abs(l4.conj().T @ l4 - rho).max()),
+    }
+    witness = {"rho": rho, "rho_inv": rho_inv, "u": u, "usharp": usharp, "v": v, "q": q,
+               "a": a, "l0": l0, "l1": l1, "l4": l4, "fv": fv, "gv": gv}
+    scale = math.sqrt(2.0) / 2.0
+    return witness, residuals, (-scale * combine(cols[:, 1]), scale * combine(cols[:, 0]))
+
+
+@pytest.mark.parametrize("example_id", [1, 2])
+def test_stacked_float_path_is_bitwise_the_one_sample_code(example_id):
+    hf = integrate_frame(to_nilpotent(builtin_potential(example_id)))
+    zs = np.array([0j, 0.3 + 0.2j, -0.45 + 0.61j, complex(-0.0, 0.7), 0.05 - 0.9j, 1.3 + 0.4j])
+    lam = np.exp(0.37j)
+    w = solve_iwasawa_float(hf, zs)
+    assert w.index.tolist() == list(range(len(zs)))
+    Y, Yhat = lift_columns_float(w, lam)
+    for k, z in enumerate(zs):
+        witness, residuals, (Yr, Yhr) = _one_sample_reference(hf, z, lam)
+        for name, want in witness.items():
+            assert _same_bits(getattr(w, name)[k], want), (z, name)
+        for key, want in residuals.items():
+            assert _same_bits(w.residuals[key][k], want), (z, key)
+        assert _same_bits(Y[k], Yr) and _same_bits(Yhat[k], Yhr), z
 
 
 def _check_against_one_sample_calls(hf, zs, w):
@@ -136,7 +211,7 @@ def _check_against_one_sample_calls(hf, zs, w):
 
 
 def test_stacked_witness_isolates_failed_samples(hf1):
-    zs = near_locus_stack()
+    zs = _near_locus_stack()
     w = solve_iwasawa_float(hf1, zs)
     failed = _check_against_one_sample_calls(hf1, zs, w)
     assert len(w.index) >= 4
@@ -159,7 +234,7 @@ def test_exactly_singular_gram_matrix_fails_only_its_sample(hf2):
 
 
 def test_stacked_lift_values_isolate_failed_samples(hf1):
-    zs = near_locus_stack()
+    zs = _near_locus_stack()
     pair = extract_pair(assemble_frame(hf1, solve_iwasawa_float(hf1, 0.1)), np.exp(0.4j))
     Y, Yhat, errors = pair.values(zs)
     assert Y.shape == Yhat.shape == (len(zs), 8)
