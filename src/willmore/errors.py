@@ -11,7 +11,7 @@ class WillmoreError(Exception):
 
 
 class DenominatorVanishes(WillmoreError):
-    """Exact evaluation hit a denominator below the configured floor."""
+    """Exact evaluation hit a denominator below scalars.DENOMINATOR_FLOOR."""
 
 
 class LambdaZero(WillmoreError):

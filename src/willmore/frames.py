@@ -8,14 +8,16 @@ steps, the frame ODE dH = H (loop^-1 P(eta)) dz closes after two quadratures:
 
 with f = int_0^z fcheck dz and g = -int_0^z f fcheck# dz.  Both integrals are
 term-wise exact on polynomial potentials, H(0) = I, and (H - I)^3 = 0.
+fcheck, f and g are read-only object arrays of BiPoly.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from . import matrices as mx
-from .loops import LoopMatrix
+import numpy as np
+
+from .loops import LoopMatrix, exact_map, exact_matrix, exact_zeros, sharp
 from .potentials import NilpotentPotential
 from .scalars import BP_ZERO, GR_I, RationalFn
 
@@ -25,16 +27,16 @@ class HolomorphicFrame:
 
     def __init__(self, m: int, fcheck, f, g):
         self.m = m
-        self.fcheck = mx.freeze(fcheck)
-        self.f = mx.freeze(f)
-        self.g = mx.freeze(g)
-        if mx.shape(self.f) != (m, 2):
+        self.fcheck = exact_matrix(fcheck)
+        self.f = exact_matrix(f)
+        self.g = exact_matrix(g)
+        if self.f.shape != (m, 2):
             raise ValueError("f must be m x 2")
-        if mx.shape(self.g) != (m, m):
+        if self.g.shape != (m, m):
             raise ValueError("g must be m x m")
 
     def fsharp(self):
-        return mx.sharp(self.f)
+        return sharp(self.f)
 
     @cached_property
     def axis_derivatives(self):
@@ -49,7 +51,7 @@ class HolomorphicFrame:
         def d_y(p):
             return (p.d_dz() - p.d_dzbar()) * GR_I
 
-        return tuple((mx.mat_map(self.f, d), mx.mat_map(self.g, d)) for d in (d_x, d_y))
+        return tuple((exact_map(self.f, d), exact_map(self.g, d)) for d in (d_x, d_y))
 
     def H_loop(self) -> LoopMatrix:
         """The integrated frame as an exact loop with powers {0, -1, -2}.
@@ -58,29 +60,21 @@ class HolomorphicFrame:
         """
         m = self.m
         d = 2 * m + 2
-        zmm = mx.zeros(m, m, BP_ZERO)
-        zm2 = mx.zeros(m, 2, BP_ZERO)
-        z2m = mx.zeros(2, m, BP_ZERO)
-        p1 = mx.block_matrix([
-            [zmm, self.f, zmm],
-            [z2m, mx.zeros(2, 2, BP_ZERO), mx.mat_neg(self.fsharp())],
-            [zmm, zm2, zmm],
-        ])
-        p2 = mx.block_matrix([
-            [zmm, zm2, self.g],
-            [z2m, mx.zeros(2, 2, BP_ZERO), z2m],
-            [zmm, zm2, zmm],
-        ])
+        zmm = exact_zeros(m, m, BP_ZERO)
+        zm2 = exact_zeros(m, 2, BP_ZERO)
+        z2m = exact_zeros(2, m, BP_ZERO)
+        z22 = exact_zeros(2, 2, BP_ZERO)
+        p1 = np.block([[zmm, self.f, zmm], [z2m, z22, -self.fsharp()], [zmm, zm2, zmm]])
+        p2 = np.block([[zmm, zm2, self.g], [z2m, z22, z2m], [zmm, zm2, zmm]])
         coeffs = {
-            -1: mx.mat_map(p1, RationalFn.coerce),
-            -2: mx.mat_map(p2, RationalFn.coerce),
+            -1: exact_map(p1, RationalFn.coerce),
+            -2: exact_map(p2, RationalFn.coerce),
         }
         return LoopMatrix(d, d, coeffs) + LoopMatrix.identity(d)
 
 
 def integrate_frame(nil: NilpotentPotential) -> HolomorphicFrame:
     """Both quadratures, term-wise exact."""
-    f = mx.mat_map(nil.fcheck, lambda p: p.integrate_z())
-    prod = mx.mat_mul(f, mx.sharp(nil.fcheck))
-    g = mx.mat_map(prod, lambda p: -p.integrate_z())
+    f = exact_map(nil.fcheck, lambda p: p.integrate_z())
+    g = exact_map(f @ sharp(nil.fcheck), lambda p: -p.integrate_z())
     return HolomorphicFrame(nil.m, nil.fcheck, f, g)

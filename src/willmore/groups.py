@@ -23,45 +23,51 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import matrices as mx
-from .loops import LoopMatrix
+from .loops import (
+    LoopMatrix,
+    exact_equal,
+    exact_identity,
+    exact_map,
+    exact_matrix,
+    exact_zeros,
+)
 from .scalars import (
     GR_I,
     GR_ONE,
     GR_ZERO,
     RF_I,
     RF_ONE,
-    RF_ZERO,
     GaussianRational,
     RationalFn,
 )
 
 _HALF = GaussianRational(Fraction(1, 2))
+_MEMBERSHIP_TOL = 1e-10
 
 
 def _gr_mat(rows):
-    return mx.freeze(
-        tuple(tuple(GaussianRational.coerce(x) for x in row) for row in rows)
-    )
+    return exact_matrix([[GaussianRational.coerce(x) for x in row] for row in rows])
+
+
+def _gr_identity(n):
+    return exact_identity(n, GR_ONE, GR_ZERO)
 
 
 class GroupContext:
-    """Constants and conjugations for one ambient dimension."""
+    """Constants and conjugations for one ambient dimension.
+
+    Every constant is a read-only object array of GaussianRational.
+    """
 
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("m must be a positive integer")
         self.m = m
-        self.n = 2 * m - 2
         self.dim = 2 * m + 2
         d = self.dim
 
         self.minkowski = _gr_mat(
             [[(-1 if i == 0 else 1) if i == j else 0 for j in range(d)] for i in range(d)]
-        )
-        self.I11 = _gr_mat([[-1, 0], [0, 1]])
-        self.D = _gr_mat(
-            [[(-1 if i < 2 else 1) if i == j else 0 for j in range(d)] for i in range(d)]
         )
         self.J = _gr_mat(
             [[1 if i + j == d - 1 else 0 for j in range(d)] for i in range(d)]
@@ -71,89 +77,53 @@ class GroupContext:
         )
         self.J2 = _gr_mat([[0, 1], [1, 0]])
 
-        M = [[GR_ZERO] * d for _ in range(d)]
-        M[0][0] = GR_ONE
-        M[0][d - 1] = -GR_ONE
-        M[1][0] = GR_ONE
-        M[1][d - 1] = GR_ONE
+        M = exact_zeros(d, d, GR_ZERO)
+        M[0, 0] = GR_ONE
+        M[0, d - 1] = -GR_ONE
+        M[1, 0] = GR_ONE
+        M[1, d - 1] = GR_ONE
         for j in range(1, m + 1):
-            M[2 * j][j] = -GR_I
-            M[2 * j][d - 1 - j] = GR_I
-            M[2 * j + 1][j] = GR_ONE
-            M[2 * j + 1][d - 1 - j] = GR_ONE
-        self.M = mx.freeze(M)
-        self.Mbar_t = mx.mat_transpose(mx.mat_conj(self.M))
+            M[2 * j, j] = -GR_I
+            M[2 * j, d - 1 - j] = GR_I
+            M[2 * j + 1, j] = GR_ONE
+            M[2 * j + 1, d - 1 - j] = GR_ONE
+        self.M = exact_matrix(M)
+        Mbar = np.conjugate(self.M)
+        self.Mbar_t = Mbar.T
 
-        P1 = [[GR_ZERO] * d for _ in range(d)]
-        P1[0][m] = GR_ONE
+        P1 = exact_zeros(d, d, GR_ZERO)
+        P1[0, m] = GR_ONE
         for i in range(1, m + 1):
-            P1[i][i - 1] = GR_ONE
+            P1[i, i - 1] = GR_ONE
         for i in range(1, m + 1):
-            P1[m + i][m + 1 + i] = GR_ONE
-        P1[d - 1][m + 1] = GR_ONE
-        self.P1 = mx.freeze(P1)
-        self.P1_t = mx.mat_transpose(self.P1)
+            P1[m + i, m + 1 + i] = GR_ONE
+        P1[d - 1, m + 1] = GR_ONE
+        self.P1 = exact_matrix(P1)
+        self.P1_t = self.P1.T
 
         # M Mbar^t = 2I and P1 is a permutation; both are construction invariants.
-        two_I = mx.mat_scale(mx.identity(d, GR_ONE, GR_ZERO), GaussianRational(2))
-        if not mx.mat_eq(mx.mat_mul(self.M, self.Mbar_t), two_I):
+        ident = _gr_identity(d)
+        if not exact_equal(self.M @ self.Mbar_t, ident * GaussianRational(2)):
             raise AssertionError("basis matrix fails M Mbar^t = 2I")
-        if not mx.mat_eq(
-            mx.mat_mul(self.P1_t, self.P1), mx.identity(d, GR_ONE, GR_ZERO)
-        ):
+        if not exact_equal(self.P1_t @ self.P1, ident):
             raise AssertionError("P1 is not orthogonal")
 
         # S0 = (1/2) P1^t Mbar^t Mbar P1, the reality conjugation; it must
         # come out as the block antidiagonal ((0,0,Jm),(0,I2,0),(Jm,0,0)).
-        Mbar = mx.mat_conj(self.M)
-        s0 = mx.mat_scale(
-            mx.mat_mul(mx.mat_mul(self.P1_t, self.Mbar_t), mx.mat_mul(Mbar, self.P1)),
-            _HALF,
-        )
-        self.S0 = s0
-        zm = mx.zeros(m, m, GR_ZERO)
-        zm2 = mx.zeros(m, 2, GR_ZERO)
-        z2m = mx.zeros(2, m, GR_ZERO)
-        expected = mx.block_matrix(
-            [
-                [zm, zm2, self.Jm],
-                [z2m, mx.identity(2, GR_ONE, GR_ZERO), z2m],
-                [self.Jm, zm2, zm],
-            ]
-        )
-        if not mx.mat_eq(self.S0, expected):
+        self.S0 = exact_matrix((self.P1_t @ self.Mbar_t) @ (Mbar @ self.P1) * _HALF)
+        zm = exact_zeros(m, m, GR_ZERO)
+        zm2 = exact_zeros(m, 2, GR_ZERO)
+        z2m = exact_zeros(2, m, GR_ZERO)
+        I2 = _gr_identity(2)
+        Im = _gr_identity(m)
+        expected = np.block([[zm, zm2, self.Jm], [z2m, I2, z2m], [self.Jm, zm2, zm]])
+        if not exact_equal(self.S0, expected):
             raise AssertionError("S0 does not match its block antidiagonal form")
-        ident = mx.identity(d, GR_ONE, GR_ZERO)
-        if not mx.mat_eq(mx.mat_mul(self.S0, self.S0), ident):
+        if not exact_equal(self.S0 @ self.S0, ident):
             raise AssertionError("S0 is not involutive")
 
-        self.Jhat = mx.block_matrix(
-            [
-                [mx.identity(m, GR_ONE, GR_ZERO), zm2, zm],
-                [z2m, self.J2, z2m],
-                [zm, zm2, mx.identity(m, GR_ONE, GR_ZERO)],
-            ]
-        )
-        self.D0 = mx.block_matrix(
-            [
-                [mx.identity(m, GR_ONE, GR_ZERO), zm2, zm],
-                [z2m, mx.mat_neg(mx.identity(2, GR_ONE, GR_ZERO)), z2m],
-                [zm, zm2, mx.identity(m, GR_ONE, GR_ZERO)],
-            ]
-        )
-
-        # De-interleaving permutation diag(I2, Q2): Q2 maps paired columns
-        # (b, ib) layout onto the stacked (b; bhat) layout.
-        Q2 = [[GR_ZERO] * (2 * m) for _ in range(2 * m)]
-        for j in range(m):
-            Q2[j][2 * j] = GR_ONE
-            Q2[m + j][2 * j + 1] = GR_ONE
-        self.Q_perm = mx.block_matrix(
-            [
-                [mx.identity(2, GR_ONE, GR_ZERO), mx.zeros(2, 2 * m, GR_ZERO)],
-                [mx.zeros(2 * m, 2, GR_ZERO), mx.freeze(Q2)],
-            ]
-        )
+        self.Jhat = exact_matrix(np.block([[Im, zm2, zm], [z2m, self.J2, z2m], [zm, zm2, Im]]))
+        self.D0 = exact_matrix(np.block([[Im, zm2, zm], [z2m, -I2, z2m], [zm, zm2, Im]]))
 
         self._arrays = {}
 
@@ -161,11 +131,11 @@ class GroupContext:
 
     @functools.cached_property
     def iso_left(self):
-        return mx.mat_scale(mx.mat_mul(self.P1_t, self.Mbar_t), _HALF)
+        return exact_matrix(self.P1_t @ self.Mbar_t * _HALF)
 
     @functools.cached_property
     def iso_right(self):
-        return mx.mat_mul(self.M, self.P1)
+        return exact_matrix(self.M @ self.P1)
 
     # -- constant access ---------------------------------------------------
 
@@ -180,12 +150,13 @@ class GroupContext:
     def _array(self, name, exact):
         cached = self._arrays.get((name, exact))
         if cached is None:
-            convert = RationalFn.coerce if exact else GaussianRational.to_complex
-            cached = np.array(
-                [[convert(x) for x in row] for row in getattr(self, name)],
-                dtype=object if exact else complex,
-            )
-            cached.setflags(write=False)
+            const = getattr(self, name)
+            if exact:
+                cached = exact_map(const, RationalFn.coerce)
+            else:
+                cached = np.array([x.to_complex() for x in const.flat],
+                                  dtype=complex).reshape(const.shape)
+                cached.setflags(write=False)
             self._arrays[(name, exact)] = cached
         return cached
 
@@ -218,27 +189,32 @@ class GroupContext:
         return self.np("iso_right") @ B @ self.np("iso_left")
 
     def iso_P_indexwise(self, A: LoopMatrix) -> LoopMatrix:
-        """Entry-by-entry recombination oracle for iso_P."""
-        if (A.rows, A.cols) != (self.dim, self.dim):
-            raise ValueError("iso_P_indexwise expects %dx%d" % (self.dim, self.dim))
+        """Entry-by-entry recombination oracle for iso_P, on an exact loop.
+
+        Each entry of the result is a closed-form combination of four
+        entries of A, applied to all loop powers at once.
+        """
+        if (A.rows, A.cols) != (self.dim, self.dim) or A.exact is False:
+            raise ValueError("iso_P_indexwise expects an exact %dx%d loop"
+                             % (self.dim, self.dim))
         m = self.m
-        if A.exact is False:
-            one, ii, half = 1 + 0j, 1j, 0.5 + 0j
-        else:
-            one, ii, half = RF_ONE, RF_I, RationalFn.const(_HALF)
+        one, ii, half = RF_ONE, RF_I, RationalFn.const(_HALF)
         mone, nii = -one, -ii
+        powers = list(A.coeffs)
+        stack = np.array([A.coeffs[k] for k in powers], dtype=object).reshape(
+            len(powers), self.dim, self.dim)
 
         def a(j, k):
-            # 1-indexed accessor into A.
-            return A.entry(j - 1, k - 1)
+            # 1-indexed accessor into A: the entry at every power.
+            return stack[:, j - 1, k - 1]
 
         def lc(*pairs):
-            # Linear combination sum(c * s) scaled by 1/2.
+            # Linear combination sum(s * c) scaled by 1/2.
             acc = None
             for c, s in pairs:
-                t = s.scale(c)
+                t = s * c
                 acc = t if acc is None else acc + t
-            return acc.scale(half)
+            return acc * half
 
         rows = []
         for j in range(1, m + 1):
@@ -368,7 +344,8 @@ class GroupContext:
                 )
             rows.append(row)
 
-        return loop_from_entries(rows)
+        entries = np.moveaxis(np.array(rows, dtype=object), -1, 0)
+        return LoopMatrix(self.dim, self.dim, dict(zip(powers, entries)))
 
     # -- conjugations and membership -----------------------------------------
 
@@ -383,7 +360,7 @@ class GroupContext:
         return Jh @ F.bar().transpose() @ Jh
 
     def check_membership(self, F: LoopMatrix, which: str, z=None,
-                         lams=(1.0, 1j), tol: float = 1e-10) -> dict:
+                         lams=(1.0, 1j)) -> dict:
         """Report (never raise) how well F satisfies a membership relation."""
         if which == "SO(1,2m+1,C)":
             G = self._like("minkowski", F)
@@ -408,7 +385,7 @@ class GroupContext:
             ok = residual.is_zero()
             report["exact"] = True
             report["max_residual"] = 0.0 if ok else _probe_exact(residual, z)
-            report["passed"] = ok or report["max_residual"] <= tol
+            report["passed"] = ok or report["max_residual"] <= _MEMBERSHIP_TOL
         else:
             worst = 0.0
             for lam in lams:
@@ -416,7 +393,7 @@ class GroupContext:
                 worst = max(worst, float(abs(val).max()) if val.size else 0.0)
             report["exact"] = False
             report["max_residual"] = worst
-            report["passed"] = worst <= tol
+            report["passed"] = worst <= _MEMBERSHIP_TOL
         return report
 
 
@@ -434,21 +411,3 @@ def _probe_exact(residual: LoopMatrix, z) -> float:
         val = residual.evaluate(probe, lam)
         worst = max(worst, float(abs(val).max()) if val.size else 0.0)
     return worst
-
-
-def loop_from_entries(entries) -> LoopMatrix:
-    """Assemble a LoopMatrix from a 2D grid of LaurentScalar entries."""
-    rows = len(entries)
-    cols = len(entries[0])
-    powers = set()
-    exact = None
-    for row in entries:
-        for e in row:
-            powers.update(e.coeffs)
-            exact = e.exact if exact is None else exact
-    zero = 0j if exact is False else RF_ZERO
-    coeffs = {}
-    for k in powers:
-        coeffs[k] = [[entries[i][j].coeffs.get(k, zero) for j in range(cols)]
-                     for i in range(rows)]
-    return LoopMatrix(rows, cols, coeffs)

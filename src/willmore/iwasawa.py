@@ -36,30 +36,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import matrices as mx
 from .errors import ResidualTooLarge, SingularLocus
 from .frames import HolomorphicFrame
 from .groups import get_context
-from .loops import LoopMatrix, unipotent_inverse
-from .scalars import (
-    BP_ZERO,
-    BiPoly,
-    GR_ONE,
-    GR_ZERO,
-    RF_ONE,
-    RF_ZERO,
-    RationalFn,
+from .loops import (
+    LoopMatrix,
+    exact_equal,
+    exact_identity,
+    exact_map,
+    exact_matrix,
+    exact_zeros,
+    sharp,
+    unipotent_inverse,
 )
+from .scalars import BP_ZERO, BiPoly, RF_ONE, RF_ZERO, RationalFn
 
 _STRUCT_TOL = 1e-8
-
-
-def np_sharp(X: np.ndarray) -> np.ndarray:
-    """X# of a matrix, or of each matrix in a stack (last two axes)."""
-    p, q = X.shape[-2:]
-    if p != 2 and q != 2:
-        raise ValueError("sharp requires a 2-row or 2-column matrix")
-    return X[..., ::-1, ::-1].swapaxes(-1, -2)
 
 
 def _ct(X: np.ndarray) -> np.ndarray:
@@ -70,6 +62,7 @@ def _ct(X: np.ndarray) -> np.ndarray:
 class IwasawaWitness:
     """Gram data of the factorization, exact (global) or float (numeric).
 
+    An exact witness holds read-only object arrays of RationalFn.
     A float witness solved at one sample holds matrices and float residuals.
     One solved over an array of N samples holds stacks over the samples that
     passed every check: index gives their positions in the input and errors
@@ -117,98 +110,102 @@ class ExtendedFrame:
         self.hf = hf
 
 
-def _jm(m):
-    return tuple(
-        tuple(GR_ONE if i + j == m - 1 else GR_ZERO for j in range(m))
-        for i in range(m)
-    )
+def _det_small(A):
+    """Determinant by cofactor expansion, intended for n <= 4 ring scalars."""
+    n, c = A.shape
+    if n != c:
+        raise ValueError("determinant of a non-square matrix")
+    if n == 1:
+        return A[0, 0]
+    if n == 2:
+        return A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    acc = None
+    for j in range(n):
+        if A[0, j].is_zero():
+            continue
+        term = A[0, j] * _det_small(np.delete(A[1:], j, axis=1))
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return A[0, 0] * 0  # a zero of the right scalar type
+    return acc
 
 
-def _j2():
-    return ((GR_ZERO, GR_ONE), (GR_ONE, GR_ZERO))
+def _adjugate_small(A):
+    """Adjugate via cofactors: A @ adj(A) = det(A) * I.  Ring scalars, 2 <= n <= 4."""
+    n, c = A.shape
+    if n != c or n < 2:
+        raise ValueError("adjugate of a non-square or 1x1 matrix")
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            cof = _det_small(np.delete(np.delete(A, j, axis=0), i, axis=1))
+            out[i, j] = -cof if (i + j) % 2 else cof
+    return out
 
 
 def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
-    """Global rational-function witness (no square roots taken)."""
+    """Global rational-function witness (no square roots taken).
+
+    Every block is a read-only object array of RationalFn; products keep the
+    association written here, which fixes each entry's num/den form.
+    """
     m = hf.m
-    Jm = _jm(m)
-    J2 = _j2()
+    ctx = get_context(m)
+    Jm, J2 = ctx.Jm, ctx.J2
     f = hf.f
     g = hf.g
-    fbar = mx.mat_conj(f)
-    gbar = mx.mat_conj(g)
-    fsharp = mx.sharp(f)
+    fbar = np.conjugate(f)
+    gbar = np.conjugate(g)
+
+    def rf(mat):
+        return exact_map(mat, RationalFn.coerce)
 
     # 1F
-    gram = mx.mat_mul(mx.mat_mul(Jm, fbar), mx.mat_mul(J2, mx.mat_mul(mx.mat_transpose(f), Jm)))
-    rho_poly = mx.mat_add(
-        mx.identity(m, BiPoly.const(1), BP_ZERO),
-        mx.mat_add(gram, mx.mat_mul(mx.mat_transpose(gbar), g)),
-    )
+    gram = (Jm @ fbar) @ (J2 @ (f.T @ Jm))
+    rho_poly = exact_identity(m, BiPoly.const(1), BP_ZERO) + (gram + gbar.T @ g)
     if m == 1:
-        det = rho_poly[0][0]
-        adj = ((BiPoly.const(1),),)
+        det = rho_poly[0, 0]
+        adj = exact_matrix([[BiPoly.const(1)]])
     else:
-        det = mx.det_small(rho_poly)
-        adj = mx.adjugate_small(rho_poly)
+        det = _det_small(rho_poly)
+        adj = _adjugate_small(rho_poly)
     det_rf = RationalFn(det)
-    rho_inv = mx.mat_map(adj, lambda p: RationalFn(p, det))
-    rho = mx.mat_map(rho_poly, RationalFn.coerce)
+    rho_inv = exact_map(adj, lambda p: RationalFn(p, det))
+    rho = rf(rho_poly)
 
     # 1E
-    num_us = mx.mat_sub(
-        mx.mat_map(fsharp, RationalFn.coerce),
-        mx.mat_map(
-            mx.mat_mul(mx.mat_mul(J2, mx.mat_transpose(fbar)), g), RationalFn.coerce
-        ),
-    )
-    usharp = mx.mat_mul(num_us, rho_inv)
-    u = mx.sharp(usharp)
+    usharp = exact_matrix((rf(sharp(f)) - rf((J2 @ fbar.T) @ g)) @ rho_inv)
+    u = sharp(usharp)
 
     # 1C
-    usharp_bar_t = mx.mat_transpose(mx.mat_conj(usharp))
-    q = mx.mat_sub(
-        mx.mat_add(
-            mx.identity(2, RF_ONE, RF_ZERO),
-            mx.mat_map(
-                mx.mat_mul(mx.mat_mul(J2, mx.mat_transpose(fbar)), f),
-                RationalFn.coerce,
-            ),
-        ),
-        mx.mat_mul(mx.mat_mul(usharp, rho), mx.mat_mul(usharp_bar_t, mx.mat_map(J2, RationalFn.coerce))),
-    )
+    usharp_bar_t = np.conjugate(usharp).T
+    J2rf = rf(J2)
+    q = exact_matrix(
+        (exact_identity(2, RF_ONE, RF_ZERO) + rf((J2 @ fbar.T) @ f))
+        - (usharp @ rho) @ (usharp_bar_t @ J2rf))
 
     # 1D
-    v = mx.mat_mul(mx.mat_map(g, RationalFn.coerce), rho_inv)
+    v = exact_matrix(rf(g) @ rho_inv)
 
     # 1A
-    ubar_t = mx.mat_transpose(mx.mat_conj(u))
-    vbar_t = mx.mat_transpose(mx.mat_conj(v))
-    J2rf = mx.mat_map(J2, RationalFn.coerce)
-    a = mx.mat_sub(
-        mx.mat_sub(
-            mx.identity(m, RF_ONE, RF_ZERO),
-            mx.mat_mul(mx.mat_mul(u, q), mx.mat_mul(J2rf, ubar_t)),
-        ),
-        mx.mat_mul(mx.mat_mul(v, rho), vbar_t),
-    )
+    ubar_t = np.conjugate(u).T
+    vbar_t = np.conjugate(v).T
+    a = exact_matrix(
+        (exact_identity(m, RF_ONE, RF_ZERO) - (u @ q) @ (J2rf @ ubar_t))
+        - (v @ rho) @ vbar_t)
 
     # 1B residual must vanish identically.
-    resid = mx.mat_sub(
-        mx.mat_sub(
-            mx.mat_mul(u, q),
-            mx.mat_mul(mx.mat_mul(v, rho), mx.mat_mul(usharp_bar_t, J2rf)),
-        ),
-        mx.mat_map(f, RationalFn.coerce),
-    )
-    if not mx.mat_is_zero(resid):
+    resid = ((u @ q) - (v @ rho) @ (usharp_bar_t @ J2rf)) - rf(f)
+    if not all(x.is_zero() for x in resid.flat):
         raise ResidualTooLarge("closure equation 1B fails as a rational identity")
 
-    q_is_identity = mx.mat_eq(q, mx.identity(2, RF_ONE, RF_ZERO))
-    l0 = mx.identity(2, RF_ONE, RF_ZERO) if q_is_identity else None
+    ident2 = exact_identity(2, RF_ONE, RF_ZERO)
+    q_is_identity = exact_equal(q, ident2)
     return IwasawaWitness(
         "exact", m, rho, rho_inv, det_rf, u, usharp, v, q, a,
-        l0=l0, q_is_identity=q_is_identity,
+        l0=ident2 if q_is_identity else None, q_is_identity=q_is_identity,
     )
 
 
@@ -263,7 +260,7 @@ def _cholesky_stack(rho: np.ndarray):
     return out, failed
 
 
-def solve_iwasawa_float(hf: HolomorphicFrame, z, tol: float = _STRUCT_TOL) -> IwasawaWitness:
+def solve_iwasawa_float(hf: HolomorphicFrame, z) -> IwasawaWitness:
     """Numeric witness including the triangular factors, at one sample or a stack.
 
     At a scalar z the witness holds matrices, and a failed check raises.  Over
@@ -274,7 +271,7 @@ def solve_iwasawa_float(hf: HolomorphicFrame, z, tol: float = _STRUCT_TOL) -> Iw
     raises.  Each sample's values equal the scalar call's bit for bit.
     """
     if np.ndim(z) == 0:
-        w = _solve_float_stack(hf, np.array([complex(z)]), tol)
+        w = _solve_float_stack(hf, np.array([complex(z)]))
         if w.errors[0] is not None:
             raise w.errors[0]
         return IwasawaWitness(
@@ -287,11 +284,12 @@ def solve_iwasawa_float(hf: HolomorphicFrame, z, tol: float = _STRUCT_TOL) -> Iw
     z = np.asarray(z, dtype=complex)
     if z.ndim != 1:
         raise ValueError("sample points must be a scalar or a 1-D array")
-    return _solve_float_stack(hf, z, tol)
+    return _solve_float_stack(hf, z)
 
 
-def _solve_float_stack(hf: HolomorphicFrame, z: np.ndarray, tol: float) -> IwasawaWitness:
+def _solve_float_stack(hf: HolomorphicFrame, z: np.ndarray) -> IwasawaWitness:
     m = hf.m
+    tol = _STRUCT_TOL
     n = len(z)
     Jm = _jm_np(m)
     J2 = _J2_NP
@@ -307,7 +305,7 @@ def _solve_float_stack(hf: HolomorphicFrame, z: np.ndarray, tol: float) -> Iwasa
 
     fv = _eval_mat(hf.f, z)
     gv = _eval_mat(hf.g, z)
-    fsh = np_sharp(fv)
+    fsh = sharp(fv)
 
     rho = gram_float(fv, gv)
     scale = np.maximum(1.0, np.abs(rho).max(axis=(-2, -1)))
@@ -323,7 +321,7 @@ def _solve_float_stack(hf: HolomorphicFrame, z: np.ndarray, tol: float) -> Iwasa
     # the left, as in the one-sample formulas, so the bits do not change.
     j2fh = J2 @ _ct(fv)
     usharp = (fsh - j2fh @ gv) @ rho_inv
-    u = np_sharp(usharp)
+    u = sharp(usharp)
     q = np.eye(2, dtype=complex) + j2fh @ fv - usharp @ rho @ _ct(usharp) @ J2
     v = gv @ rho_inv
     uq = u @ q
@@ -376,7 +374,7 @@ def _solve_float_stack(hf: HolomorphicFrame, z: np.ndarray, tol: float) -> Iwasa
     ok = ~failed
     usharp = usharp[ok]
     return IwasawaWitness(
-        "float", m, rho[ok], rho_inv[ok], np.linalg.det(rho[ok]).real, np_sharp(usharp),
+        "float", m, rho[ok], rho_inv[ok], np.linalg.det(rho[ok]).real, sharp(usharp),
         usharp, v[ok], q[ok], a[ok], l0=l0[ok], l1=l1[ok], l4=_ct(Lc[ok]),
         q_is_identity=q_is_identity[ok], z=z[ok],
         residuals={k: r[ok] for k, r in residuals.items()}, fv=fv[ok], gv=gv[ok],
@@ -403,7 +401,7 @@ def middle_columns_float(w: IwasawaWitness):
     cu = w.u.conj()
     l0inv = np.linalg.inv(w.l0)
     top = (w.fv + w.gv @ Jm @ cu) @ l0inv
-    mid = (np.eye(2) - np_sharp(w.fv) @ Jm @ cu) @ l0inv
+    mid = (np.eye(2) - sharp(w.fv) @ Jm @ cu) @ l0inv
     bot = (Jm @ cu) @ l0inv
     return top, mid, bot
 
@@ -414,7 +412,7 @@ def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness, check: bool) -> Ext
     z = w.z
     Jm = _jm_np(m)
     fv, gv = w.fv, w.gv
-    fsh = np_sharp(fv)
+    fsh = sharp(fv)
     cu_sharp = w.usharp.conj()
     cu = w.u.conj()
     cv = w.v.conj()
@@ -481,21 +479,18 @@ def _assemble_exact_middle(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedF
     """
     m = hf.m
     d = 2 * m + 2
-    Jm = mx.mat_map(_jm(m), RationalFn.coerce)
-    f = mx.mat_map(hf.f, RationalFn.coerce)
-    g = mx.mat_map(hf.g, RationalFn.coerce)
-    fsharp = mx.mat_map(mx.sharp(hf.f), RationalFn.coerce)
-    ubar = mx.mat_conj(w.u)
-    top = mx.mat_add(f, mx.mat_mul(mx.mat_mul(g, Jm), ubar))
-    mid = mx.mat_sub(
-        mx.identity(2, RF_ONE, RF_ZERO),
-        mx.mat_mul(mx.mat_mul(fsharp, Jm), ubar),
-    )
-    bot = mx.mat_mul(Jm, ubar)
+    Jm = get_context(m).plain("Jm")
+    f = exact_map(hf.f, RationalFn.coerce)
+    g = exact_map(hf.g, RationalFn.coerce)
+    fsharp = exact_map(sharp(hf.f), RationalFn.coerce)
+    ubar = np.conjugate(w.u)
+    top = f + (g @ Jm) @ ubar
+    mid = exact_identity(2, RF_ONE, RF_ZERO) - (fsharp @ Jm) @ ubar
+    bot = Jm @ ubar
 
     coeffs = {}
     for power, r0, block in ((-1, 0, top), (0, m, mid), (1, m + 2, bot)):
-        col = np.full((d, 2), RF_ZERO, dtype=object)
+        col = exact_zeros(d, 2, RF_ZERO)
         col[r0:r0 + len(block)] = block
         coeffs[power] = col
     middle = LoopMatrix(d, 2, coeffs)
@@ -539,7 +534,7 @@ def gauge_z_derivative(hf: HolomorphicFrame, w: IwasawaWitness) -> np.ndarray:
         gd = _eval_mat(gpoly, z)
         half = Jm @ fd.conj() @ J2 @ fv.T @ Jm + gd.conj().T @ gv
         drho = half + half.conj().T
-        dus = (np_sharp(fd) - J2 @ fd.conj().T @ gv - J2 @ fv.conj().T @ gd
+        dus = (sharp(fd) - J2 @ fd.conj().T @ gv - J2 @ fv.conj().T @ gd
                - us @ drho) @ w.rho_inv
         # dq = J2 d(fbar^t f) - d(u# rho u#^H) J2; only c = q[0,0] is needed.
         half_f = fd.conj().T @ fv
@@ -571,7 +566,7 @@ def maurer_cartan(hf: HolomorphicFrame, z):
     fcv = _eval_mat(hf.fcheck, z)
     N = np.zeros((d, d), dtype=complex)
     N[0:m, m:m + 2] = fcv
-    N[m:m + 2, m + 2:] = -np_sharp(fcv)
+    N[m:m + 2, m + 2:] = -sharp(fcv)
     alpha1p = L @ N @ Linv
 
     tauW1 = np.zeros((d, d), dtype=complex)

@@ -1,4 +1,11 @@
-"""Laurent-polynomial loops with matrix coefficients.
+"""Exact plain matrices, and Laurent-polynomial loops with matrix coefficients.
+
+Every matrix is a numpy array.  An exact plain matrix (a potential, a
+frame block, a witness block, a group constant) is a read-only array of
+dtype=object over one exact ring: GaussianRational, BiPoly or RationalFn.
+numpy applies +, -, * and @ to such entries one by one, and object @ sums
+each entry's products left to right, so an exact product keeps the
+association written in the source.
 
 A LoopMatrix is a finite Laurent polynomial in the loop parameter, stored
 power-major: {power: coefficient matrix}.  Every coefficient is a numpy
@@ -21,9 +28,51 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import matrices as mx
 from .errors import LambdaZero
 from .scalars import GR_ONE, GaussianRational, RationalFn, RF_ZERO, RF_ONE
+
+
+def exact_matrix(rows) -> np.ndarray:
+    """A read-only object array of exact scalars, from nested rows or an array."""
+    arr = np.array(rows, dtype=object)
+    arr.setflags(write=False)
+    return arr
+
+
+def exact_map(arr, fn) -> np.ndarray:
+    """fn applied to every entry of an exact matrix, as a read-only array."""
+    return exact_matrix([fn(x) for x in arr.flat]).reshape(arr.shape)
+
+
+def exact_zeros(rows: int, cols: int, zero) -> np.ndarray:
+    """A rows x cols object array filled with the ring's zero."""
+    return np.full((rows, cols), zero, dtype=object)
+
+
+def exact_identity(n: int, one, zero) -> np.ndarray:
+    """The n x n identity over the ring of one and zero, read-only."""
+    eye = exact_zeros(n, n, zero)
+    np.fill_diagonal(eye, one)
+    eye.setflags(write=False)
+    return eye
+
+
+def exact_equal(A: np.ndarray, B: np.ndarray) -> bool:
+    """Whether two exact matrices have one shape and equal entries."""
+    return A.shape == B.shape and all(x.is_zero() for x in (A - B).flat)
+
+
+def sharp(X: np.ndarray) -> np.ndarray:
+    """Anti-transpose X#[i, j] = X[p-1-j, q-1-i] of a p x q matrix, or of each
+    matrix in a stack (last two axes).
+
+    Only defined with 2 rows or 2 columns (the off-diagonal blocks of the
+    nilpotent frames); other shapes are a usage error.
+    """
+    p, q = X.shape[-2:]
+    if p != 2 and q != 2:
+        raise ValueError("sharp requires a 2-row or 2-column matrix, got %dx%d" % (p, q))
+    return X[..., ::-1, ::-1].swapaxes(-1, -2)
 
 
 def _is_exact(x) -> bool:
@@ -33,93 +82,6 @@ def _is_exact(x) -> bool:
 def _same_kind(a, b, what):
     if a is not None and b is not None and a != b:
         raise ValueError("mixed exact and float %s" % what)
-
-
-class LaurentScalar:
-    """Finite Laurent polynomial with RationalFn or complex coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        clean = {int(k): v for k, v in coeffs.items() if not mx.sc_is_zero(v)}
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentScalar is immutable")
-
-    @classmethod
-    def const(cls, value):
-        return cls({0: value})
-
-    @property
-    def exact(self):
-        """True for RationalFn coefficients, False for complex, None if zero."""
-        for v in self.coeffs.values():
-            return _is_exact(v)
-        return None
-
-    def __add__(self, other):
-        _same_kind(self.exact, other.exact, "LaurentScalar")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return LaurentScalar(out)
-
-    def __neg__(self):
-        return LaurentScalar({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        return LaurentScalar({k: v * s for k, v in self.coeffs.items()})
-
-    def shift(self, dk: int):
-        return LaurentScalar({k + dk: v for k, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("LaurentScalar is unhashable")
-
-    def at_lambda(self, lam):
-        """Collapse the loop parameter to an exact unit value; stays exact."""
-        if self.exact is False:
-            raise ValueError("at_lambda needs exact coefficients; use evaluate")
-        lam = GaussianRational.coerce(lam)
-        acc = RF_ZERO
-        for k, v in self.coeffs.items():
-            if k >= 0:
-                p = _gr_pow(lam, k)
-            else:
-                p = GR_ONE / _gr_pow(lam, -k)
-            acc = acc + v * RationalFn.const(p)
-        return acc
-
-    def evaluate(self, z, lam) -> complex:
-        """Numeric value; z is ignored for complex coefficients."""
-        lam = complex(lam)
-        if lam == 0 and any(k < 0 for k in self.coeffs):
-            raise LambdaZero("negative loop powers evaluated at lambda = 0")
-        acc = 0j
-        for k, v in self.coeffs.items():
-            base = v.evaluate(z) if _is_exact(v) else v
-            acc += base * lam**k
-        return acc
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for k in sorted(self.coeffs):
-            bits.append("[t^%d] %r" % (k, self.coeffs[k]))
-        return " + ".join(bits)
 
 
 def _gr_pow(base: GaussianRational, n: int) -> GaussianRational:
@@ -153,10 +115,6 @@ def _nonzero(arr) -> bool:
     if arr.dtype == object:
         return not all(x.is_zero() for x in arr.flat)
     return bool(arr.any())
-
-
-def _map(arr, fn) -> np.ndarray:
-    return np.array([fn(x) for x in arr.flat], dtype=object).reshape(arr.shape)
 
 
 def _bind(arr, z) -> np.ndarray:
@@ -205,9 +163,7 @@ class LoopMatrix:
     @classmethod
     def identity(cls, n):
         """The exact identity; a float one is from_constant(np.eye(n))."""
-        eye = np.full((n, n), RF_ZERO, dtype=object)
-        np.fill_diagonal(eye, RF_ONE)
-        return cls(n, n, {0: eye})
+        return cls(n, n, {0: exact_identity(n, RF_ONE, RF_ZERO)})
 
     def _with(self, coeffs, rows=None, cols=None):
         return LoopMatrix(self.rows if rows is None else rows,
@@ -258,9 +214,6 @@ class LoopMatrix:
         """Substitute lambda -> -lambda: odd powers flip sign."""
         return self._with({k: -m if k % 2 else m for k, m in self.coeffs.items()})
 
-    def entry(self, i: int, j: int) -> LaurentScalar:
-        return LaurentScalar({k: m[i, j] for k, m in self.coeffs.items()})
-
     def window(self):
         if not self.coeffs:
             return (0, 0)
@@ -269,7 +222,7 @@ class LoopMatrix:
     def _exact_map(self, fn, what):
         if self.exact is False:
             raise ValueError("%s needs exact coefficients" % what)
-        return self._with({k: _map(m, fn) for k, m in self.coeffs.items()})
+        return self._with({k: exact_map(m, fn) for k, m in self.coeffs.items()})
 
     def d_dz(self):
         return self._exact_map(lambda x: x.d_dz(), "d_dz")
@@ -288,14 +241,18 @@ class LoopMatrix:
     def __hash__(self):
         raise TypeError("LoopMatrix is unhashable")
 
-    def at_lambda(self, lam):
-        """Collapse the loop parameter exactly; returns a plain matrix."""
-        return mx.freeze(
-            tuple(
-                tuple(self.entry(i, j).at_lambda(lam) for j in range(self.cols))
-                for i in range(self.rows)
-            )
-        )
+    def at_lambda(self, lam) -> np.ndarray:
+        """Collapse the loop parameter to an exact unit value: a read-only
+        object array, the sum of each power's coefficient times lam^k."""
+        if self.exact is False:
+            raise ValueError("at_lambda needs exact coefficients; use evaluate")
+        lam = GaussianRational.coerce(lam)
+        acc = exact_zeros(self.rows, self.cols, RF_ZERO)
+        for k, m in self.coeffs.items():
+            p = _gr_pow(lam, k) if k >= 0 else GR_ONE / _gr_pow(lam, -k)
+            acc = acc + m * RationalFn.const(p)
+        acc.setflags(write=False)
+        return acc
 
     def evaluate(self, z, lam):
         """Numeric coefficient matrix at (z, lambda) as a numpy array."""

@@ -29,9 +29,10 @@ import hashlib
 import json
 from fractions import Fraction
 
-from . import matrices as mx
+import numpy as np
+
 from .errors import PotentialFormatError, StepSizeTooCoarse
-from .loops import LoopMatrix
+from .loops import LoopMatrix, exact_equal, exact_map, exact_matrix, exact_zeros, sharp
 from .scalars import (
     BP_ZERO,
     BiPoly,
@@ -62,26 +63,25 @@ class NormalizedPotential:
             _require_z_only(p, "hhat[%d]" % j)
 
     def b1hat(self):
-        """The interleaved 2 x 2m block as a plain BiPoly matrix."""
+        """The interleaved 2 x 2m block as a read-only BiPoly array."""
         row1, row2 = [], []
         for hj, hhj in zip(self.h, self.hhat):
             row1.extend([hj, hj * GR_I])
             row2.extend([hhj, hhj * GR_I])
-        return (tuple(row1), tuple(row2))
+        return exact_matrix([row1, row2])
 
     def eta_loop(self) -> LoopMatrix:
         """The potential matrix at loop power -1, exact."""
         m = self.m
         d = 2 * m + 2
         B = self.b1hat()
-        I11 = ((GaussianRational(-1), GaussianRational(0)),
-               (GaussianRational(0), GaussianRational(1)))
-        lower = mx.mat_neg(mx.mat_mul(mx.mat_transpose(B), I11))
-        mat = mx.block_matrix([
-            [mx.zeros(2, 2, BP_ZERO), B],
-            [lower, mx.zeros(2 * m, 2 * m, BP_ZERO)],
+        I11 = exact_matrix([[GaussianRational(-1), GaussianRational(0)],
+                            [GaussianRational(0), GaussianRational(1)]])
+        mat = np.block([
+            [exact_zeros(2, 2, BP_ZERO), B],
+            [-(B.T @ I11), exact_zeros(2 * m, 2 * m, BP_ZERO)],
         ])
-        return LoopMatrix(d, d, {-1: mx.mat_map(mat, RationalFn.coerce)})
+        return LoopMatrix(d, d, {-1: exact_map(mat, RationalFn.coerce)})
 
 
 class NilpotentPotential:
@@ -89,23 +89,21 @@ class NilpotentPotential:
 
     def __init__(self, m: int, fcheck):
         self.m = m
-        self.fcheck = mx.freeze(fcheck)
-        r, c = mx.shape(self.fcheck)
-        if (r, c) != (m, 2):
+        self.fcheck = exact_matrix(fcheck)
+        if self.fcheck.shape != (m, 2):
             raise ValueError("fcheck must be m x 2")
 
     def full_loop(self) -> LoopMatrix:
         """The nilpotent potential at loop power -1, exact."""
         m = self.m
         d = 2 * m + 2
-        fc = self.fcheck
-        fsharp = mx.sharp(fc)
-        mat = mx.block_matrix([
-            [mx.zeros(m, m, BP_ZERO), fc, mx.zeros(m, m, BP_ZERO)],
-            [mx.zeros(2, m, BP_ZERO), mx.zeros(2, 2, BP_ZERO), mx.mat_neg(fsharp)],
-            [mx.zeros(m, m, BP_ZERO), mx.zeros(m, 2, BP_ZERO), mx.zeros(m, m, BP_ZERO)],
+        zmm = exact_zeros(m, m, BP_ZERO)
+        mat = np.block([
+            [zmm, self.fcheck, zmm],
+            [exact_zeros(2, m, BP_ZERO), exact_zeros(2, 2, BP_ZERO), -sharp(self.fcheck)],
+            [zmm, exact_zeros(m, 2, BP_ZERO), zmm],
         ])
-        return LoopMatrix(d, d, {-1: mx.mat_map(mat, RationalFn.coerce)})
+        return LoopMatrix(d, d, {-1: exact_map(mat, RationalFn.coerce)})
 
 
 def to_nilpotent(pot: NormalizedPotential) -> NilpotentPotential:
@@ -291,7 +289,8 @@ class PotentialDocument:
         self.m = m
         self.h = tuple(h)
         self.hhat = tuple(hhat)
-        self.b1hat_override = b1hat_override
+        self.b1hat_override = (None if b1hat_override is None
+                               else exact_matrix(b1hat_override))
         self.source = source if source is not None else self.to_dict()
 
     def b1hat(self):
@@ -303,7 +302,7 @@ class PotentialDocument:
         if self.b1hat_override is None:
             return True
         want = NormalizedPotential(self.m, self.h, self.hhat).b1hat()
-        return mx.mat_eq(self.b1hat_override, want)
+        return exact_equal(self.b1hat_override, want)
 
     def normalized(self) -> NormalizedPotential:
         if not self.pairing_consistent():
@@ -356,13 +355,9 @@ def parse_potential(data) -> PotentialDocument:
                 raise PotentialFormatError(
                     "'b1hat' row %d must list %d polynomials" % (i, 2 * m)
                 )
-            parsed.append(
-                tuple(
-                    _parse_poly(e, "b1hat[%d][%d]" % (i, j))
-                    for j, e in enumerate(row)
-                )
-            )
-        override = tuple(parsed)
+            parsed.append([_parse_poly(e, "b1hat[%d][%d]" % (i, j))
+                           for j, e in enumerate(row)])
+        override = parsed
     return PotentialDocument(m, h, hhat, override, source=data)
 
 

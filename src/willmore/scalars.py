@@ -27,6 +27,8 @@ from .errors import DenominatorVanishes
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# A rational function is not evaluated where its denominator is smaller.
+DENOMINATOR_FLOOR = 1e-12
 
 
 def _cmul(x, y):
@@ -819,20 +821,20 @@ class RationalFn:
             _bipoly_div_exact(self.num, g), _bipoly_div_exact(self.den, g)
         )
 
-    def evaluate_at(self, z, zbar, floor: float = 1e-12) -> GaussianRational:
+    def evaluate_at(self, z, zbar) -> GaussianRational:
         dv = self.den.evaluate_at(z, zbar)
-        if dv.is_zero() or abs(dv) < floor:
+        if dv.is_zero() or abs(dv) < DENOMINATOR_FLOOR:
             raise DenominatorVanishes(
-                "denominator %.3e below floor %.1e" % (abs(dv), floor)
+                "denominator %.3e below floor %.1e" % (abs(dv), DENOMINATOR_FLOOR)
             )
         return self.num.evaluate_at(z, zbar) / dv
 
-    def evaluate_exact(self, z, floor: float = 1e-12) -> GaussianRational:
+    def evaluate_exact(self, z) -> GaussianRational:
         z = GaussianRational.coerce(z)
-        return self.evaluate_at(z, z.conjugate(), floor)
+        return self.evaluate_at(z, z.conjugate())
 
-    def evaluate(self, z: complex, floor: float = 1e-12) -> complex:
-        return self.evaluate_exact(GaussianRational.coerce(z), floor).to_complex()
+    def evaluate(self, z: complex) -> complex:
+        return self.evaluate_exact(GaussianRational.coerce(z)).to_complex()
 
     def __repr__(self):
         if self.den == BP_ONE:

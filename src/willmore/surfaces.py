@@ -37,6 +37,7 @@ from .iwasawa import (
     solve_iwasawa_float,
 )
 from .scalars import (
+    DENOMINATOR_FLOOR,
     BiPoly,
     GR_ONE,
     GaussianRational,
@@ -48,9 +49,9 @@ from .scalars import (
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
 
 
-def _rf_float(rf: RationalFn, z: complex, floor: float = 1e-12) -> complex:
+def _rf_float(rf: RationalFn, z: complex) -> complex:
     dv = rf.den.evaluate_float(z)
-    if abs(dv) < floor:
+    if abs(dv) < DENOMINATOR_FLOOR:
         raise SingularLocus("rational component denominator %.3e at z=%r" % (abs(dv), z))
     return rf.num.evaluate_float(z) / dv
 
@@ -141,8 +142,7 @@ def extract_pair(frame: ExtendedFrame, lam) -> SurfacePair:
             raise ValueError("exact family parameter must satisfy |lambda| = 1")
         mid = frame.middle.at_lambda(lam)
         m = frame.m
-        col0 = [mid[i][0] for i in range(2 * m + 2)]
-        col1 = [mid[i][1] for i in range(2 * m + 2)]
+        col0, col1 = mid[:, 0], mid[:, 1]
         minus_i = RationalFn.const(GaussianRational(0, -1))
 
         def times_minus_i(x):
@@ -269,26 +269,26 @@ def _project(vals, errors, z):
 METRIC_STEP = 1e-4
 
 
-def metric_stencil(z, step: float = METRIC_STEP) -> np.ndarray:
+def metric_stencil(z) -> np.ndarray:
     """The 8 points around each z at which the float conformal factor samples
     the lift, shape (8, N) for N points: z +- h/2, z +- i h/2, then z +- h,
-    z +- i h, with h = step."""
+    z +- i h, with h = METRIC_STEP."""
     z = np.asarray(z, dtype=complex)
     pts = []
-    for s in (step / 2, step):
+    for s in (METRIC_STEP / 2, METRIC_STEP):
         pts += [z + s, z - s, z + 1j * s, z - 1j * s]
     return np.stack(pts)
 
 
-def induced_metric(pair: SurfacePair, which: str = "Y", h: float = METRIC_STEP):
+def induced_metric(pair: SurfacePair, which: str = "Y"):
     """Conformal factor |y_z|^2 of the projected surface.
 
     Exact pairs return it as a rational function (formal derivatives); float
-    pairs return an evaluator metric(z, step=h, lifts=None) using
+    pairs return an evaluator metric(z, lifts=None) using
     Richardson-extrapolated central differences on the metric_stencil
     points.  Over a 1-D array of z it returns (factors, errors), a point
     failing with the first error of its stencil in stencil order; lifts,
-    if given, is pair.values at metric_stencil(z, step).ravel(), so that a
+    if given, is pair.values at metric_stencil(z).ravel(), so that a
     caller can share one stacked evaluation between both lifts.
     """
     if pair.backend == "exact":
@@ -301,12 +301,12 @@ def induced_metric(pair: SurfacePair, which: str = "Y", h: float = METRIC_STEP):
 
     idx = 0 if which in ("Y", "y") else 1
 
-    def metric(z, step: float = h, lifts=None):
+    def metric(z, lifts=None):
         if np.ndim(z) == 0:
-            return _one_sample(metric([z], step, lifts))
+            return _one_sample(metric([z], lifts))
         z = np.asarray(z, dtype=complex)
         n = len(z)
-        pts = metric_stencil(z, step).ravel()
+        pts = metric_stencil(z).ravel()
         if lifts is None:
             lifts = pair.values(pts)
         if len(lifts[2]) != len(pts):
@@ -322,7 +322,7 @@ def induced_metric(pair: SurfacePair, which: str = "Y", h: float = METRIC_STEP):
             yy = (p[2] - p[3]) / (2 * s)
             return (yx - 1j * yy) / 2
 
-        d = (4.0 * dz(y[:4], step / 2) - dz(y[4:], step)) / 3.0
+        d = (4.0 * dz(y[:4], METRIC_STEP / 2) - dz(y[4:], METRIC_STEP)) / 3.0
         out = np.sum(d * d.conj(), axis=-1).real
         out[[e is not None for e in errors]] = np.nan
         return out, errors
@@ -372,8 +372,11 @@ def _fd_offsets(max_order: int):
     return [(a, b) for a in range(-span, span + 1) for b in range(-span, span + 1)]
 
 
+ISOTROPY_STEP = 2e-3
+
+
 def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
-                   samples=(), h: float = 2e-3, tol: float = None) -> dict:
+                   samples=()) -> dict:
     """Pairings of z-derivative pairs of a lift, up to max_order.
 
     All of them must vanish: the z-derivative flag of the lift is isotropic,
@@ -436,8 +439,8 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
                     out[key] = max(out.get(key, 0.0), float(val))
         return out
 
-    if tol is None:
-        tol = 1e-6 * (1.0 + 1e-13 / h ** max_order)
+    h = ISOTROPY_STEP
+    tol = 1e-6 * (1.0 + 1e-13 / h ** max_order)
 
     # Truncation can dominate near poles of the lift; refine until the
     # residual stops improving or passes.
@@ -478,8 +481,10 @@ def _gram_det_float(hf: HolomorphicFrame, z):
     return float(det) if np.ndim(z) == 0 else det
 
 
-def degeneracy_scan(source, theta: float = 0.0, r_range=(1e-3, 2.5),
-                    grid_n: int = 512) -> list:
+SCAN_GRID_N = 512
+
+
+def degeneracy_scan(source, theta: float = 0.0, r_range=(1e-3, 2.5)) -> list:
     """Radii along the ray arg z = theta where the factorization degenerates.
 
     The Gram determinant is a nonnegative function vanishing quadratically on
@@ -501,11 +506,11 @@ def degeneracy_scan(source, theta: float = 0.0, r_range=(1e-3, 2.5),
     def dsigma(r):
         return (sigma(r + fd) - sigma(max(r - fd, 0.0))) / (2 * fd)
 
-    rs = np.linspace(r0, r1, grid_n)
+    rs = np.linspace(r0, r1, SCAN_GRID_N)
     sig = _gram_det_float(hf, np.array([r * direction for r in rs]))
     scale = max(1.0, float(sig.max()))
     found = []
-    for i in range(grid_n - 1):
+    for i in range(SCAN_GRID_N - 1):
         if min(sig[i], sig[i + 1]) > 1e-2 * scale:
             continue
         a, b = float(rs[i]), float(rs[i + 1])

@@ -20,9 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import matrices as mx
 from .frames import integrate_frame
-from .groups import get_context
+from .groups import _probe_exact, get_context
 from .iwasawa import (
     assemble_frame,
     maurer_cartan,
@@ -44,6 +43,7 @@ from .surfaces import (
     extract_pair,
     isotropy_check,
     lift_columns_float,
+    mink_pair_np,
     project_to_sphere,
     raise_first,
 )
@@ -202,10 +202,6 @@ def _proj_minor(v, w) -> float:
     return worst / (s * s)
 
 
-def _mink_np(x, y) -> complex:
-    return -x[0] * y[0] + np.dot(x[1:], y[1:])
-
-
 def _probe_bipoly(mat, z) -> float:
     worst = 0.0
     for row in mat:
@@ -269,7 +265,7 @@ def run_suite(pot, plan=None) -> VerificationReport:
     # -- exact structural checks --------------------------------------------
 
     try:
-        iso = mx.mat_mul(b1, mx.mat_transpose(b1))
+        iso = b1 @ b1.T
         if all(p.is_zero() for row in iso for p in row):
             record("potential-isotropy", 0.0, 1)
         else:
@@ -280,14 +276,14 @@ def run_suite(pot, plan=None) -> VerificationReport:
     try:
         emb = ctx.iso_P(norm.eta_loop()) - nil.full_loop()
         record("nilpotent-embed", 0.0 if emb.is_zero()
-               else _probe_loop(emb, probe), 1)
+               else _probe_exact(emb, probe), 1)
     except Exception as e:
         fail("nilpotent-embed", e)
 
     H = hf.H_loop()
     try:
         ode = H.d_dz() - H @ nil.full_loop()
-        record("frame-ode", 0.0 if ode.is_zero() else _probe_loop(ode, probe), 1)
+        record("frame-ode", 0.0 if ode.is_zero() else _probe_exact(ode, probe), 1)
     except Exception as e:
         fail("frame-ode", e)
 
@@ -295,7 +291,7 @@ def run_suite(pot, plan=None) -> VerificationReport:
         E = H - LoopMatrix.identity(d)
         cube = E @ E @ E
         record("frame-unipotent",
-               0.0 if cube.is_zero() else _probe_loop(cube, probe), 1)
+               0.0 if cube.is_zero() else _probe_exact(cube, probe), 1)
     except Exception as e:
         fail("frame-unipotent", e)
 
@@ -347,11 +343,11 @@ def run_suite(pot, plan=None) -> VerificationReport:
                             float(np.abs(Yhc).max()) ** 2)
                 agg["lift-isotropic"] = max(
                     agg["lift-isotropic"],
-                    abs(_mink_np(Yc, Yc)) / scale,
-                    abs(_mink_np(Yhc, Yhc)) / scale,
+                    abs(mink_pair_np(Yc, Yc)) / scale,
+                    abs(mink_pair_np(Yhc, Yhc)) / scale,
                 )
                 agg["lift-pairing"] = max(
-                    agg["lift-pairing"], abs(_mink_np(Yc, Yhc) + 1.0))
+                    agg["lift-pairing"], abs(mink_pair_np(Yc, Yhc) + 1.0))
                 agg["lambda-reality"] = max(
                     agg["lambda-reality"],
                     _proj_minor(np.conj(Yc), Yc),
@@ -501,13 +497,13 @@ def run_suite(pot, plan=None) -> VerificationReport:
             A = _rand_exact_loop(rng, d)
             diff = ctx.iso_P(A) - ctx.iso_P_indexwise(A)
             if not diff.is_zero():
-                worst = max(worst, _probe_loop(diff, probe))
+                worst = max(worst, _probe_exact(diff, probe))
             if pending is None:
                 pending = A
             else:
                 hom = ctx.iso_P(pending @ A) - ctx.iso_P(pending) @ ctx.iso_P(A)
                 if not hom.is_zero():
-                    worst = max(worst, _probe_loop(hom, probe))
+                    worst = max(worst, _probe_exact(hom, probe))
                 pending = None
         record("iso-oracle", worst, cfg["oracle_matrices"])
     except Exception as e:
@@ -540,11 +536,3 @@ def run_suite(pot, plan=None) -> VerificationReport:
         checks=checks,
         timing_ms=int(1000 * (time.monotonic() - t0)),
     )
-
-
-def _probe_loop(loop: LoopMatrix, z) -> float:
-    worst = 0.0
-    for lam in (1.0, 1j):
-        val = loop.evaluate(z, lam)
-        worst = max(worst, float(np.abs(val).max()) if val.size else 0.0)
-    return worst

@@ -15,11 +15,10 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-import willmore.matrices as mx
 from willmore.frames import integrate_frame
 from willmore.groups import get_context
 from willmore.iwasawa import assemble_frame, solve_iwasawa_exact, solve_iwasawa_float
-from willmore.loops import LoopMatrix
+from willmore.loops import LoopMatrix, exact_equal, exact_identity
 from willmore.potentials import (
     NormalizedPotential,
     builtin_potential,
@@ -103,8 +102,8 @@ def _check_exact_intermediates(example_id, hf, expected):
             assert w.usharp[i][j] == RationalFn(p, sigma), (
                 example_id, "usharp", i, j)
     assert w.q_is_identity
-    ident = mx.identity(2, RationalFn(BiPoly.const(1)), RationalFn(BiPoly.zero()))
-    assert mx.mat_eq(w.q, ident)
+    ident = exact_identity(2, RationalFn(BiPoly.const(1)), RationalFn(BiPoly.zero()))
+    assert exact_equal(w.q, ident)
     assert w.det_rho == RationalFn(sigma * sigma)
 
 

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-import willmore.matrices as mx
 from willmore.frames import integrate_frame
-from willmore.loops import LoopMatrix
+from willmore.loops import LoopMatrix, sharp
 from willmore.potentials import NormalizedPotential, builtin_potential, to_nilpotent
 from willmore.scalars import BiPoly, GaussianRational
 
@@ -78,7 +77,7 @@ def test_quadratures_recover_known_example():
     for i in range(hf.m):
         for j in range(2):
             assert (hf.f[i][j] - z * nil.fcheck[i][j]).is_zero()
-    prod = mx.mat_mul(nil.fcheck, mx.sharp(nil.fcheck))
+    prod = nil.fcheck @ sharp(nil.fcheck)
     for i in range(hf.m):
         for j in range(hf.m):
             want = (z * z * prod[i][j]).scale(Fraction(-1, 2))

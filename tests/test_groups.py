@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from willmore.groups import get_context, loop_from_entries
+from willmore.groups import get_context
 from willmore.loops import LoopMatrix
 from willmore.scalars import BiPoly, GaussianRational, RationalFn
 
@@ -153,15 +153,3 @@ def test_minkowski_transfer_under_iso_P_inv_np():
     B = np.eye(d)
     F = ctx.iso_P_inv_np(B)
     assert np.allclose(F.T @ G @ F, G, atol=1e-12)
-
-
-def test_loop_from_entries_builds_expected_window():
-    from willmore.loops import LaurentScalar
-
-    one = LaurentScalar.const(RationalFn(BiPoly.const(1)))
-    lam = one.shift(1)
-    lam_inv = one.shift(-1)
-    L = loop_from_entries([[one, lam], [lam_inv, one]])
-    assert L.window() == (-1, 1)
-    assert L.rows == 2 and L.cols == 2
-    assert abs(L.entry(0, 1).evaluate(0.0, 2.0) - 2.0) < 1e-15

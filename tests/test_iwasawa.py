@@ -1,13 +1,13 @@
 """Closed-form loop factorization: exact witnesses, float witnesses, the
 assembled frames, and the connection coefficients they induce."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-import willmore.matrices as mx
 from willmore.frames import integrate_frame
 from willmore.groups import get_context
 from willmore.errors import ResidualTooLarge, SingularLocus, WillmoreError
@@ -24,9 +24,15 @@ from willmore.iwasawa import (
     solve_iwasawa_exact,
     solve_iwasawa_float,
 )
+from willmore.loops import exact_equal, exact_identity
 from willmore.potentials import NormalizedPotential, builtin_potential, to_nilpotent
 from willmore.scalars import BiPoly, GaussianRational, RationalFn
-from willmore.surfaces import extract_pair, lift_columns_float, reference_singular_radius
+from willmore.surfaces import (
+    extract_pair,
+    induced_metric,
+    lift_columns_float,
+    reference_singular_radius,
+)
 
 
 def _r2_poly(coeffs):
@@ -45,8 +51,34 @@ def test_exact_witness_q_is_identity(frame1, frame2):
         w = frame.witness
         assert w.backend == "exact"
         assert w.q_is_identity
-        ident = mx.identity(2, RationalFn(BiPoly.const(1)), RationalFn(BiPoly.zero()))
-        assert mx.mat_eq(w.q, ident)
+        ident = exact_identity(2, RationalFn(BiPoly.const(1)), RationalFn(BiPoly.zero()))
+        assert exact_equal(w.q, ident)
+
+
+def _sorted_text(x):
+    """Text of an exact matrix or RationalFn: each num/den term dict, sorted."""
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return "[" + ",".join(_sorted_text(e) for e in x) + "]"
+    return "(%s)/(%s)" % (_sorted_terms(x.num), _sorted_terms(x.den))
+
+
+def _sorted_terms(p):
+    return "+".join("%d,%d:%s,%s" % (a, b, c.re, c.im) for (a, b), c in sorted(p.terms.items()))
+
+
+def test_exact_intermediates_keep_their_representation(frame1, frame2, pair1):
+    # the num/den form of each entry follows from the association of every
+    # exact product; pinned are rho, u# and det rho of both examples and both
+    # example-1 metrics at lambda = 1, as the tuple-matrix code computed them
+    digest = hashlib.sha256()
+    for frame in (frame1, frame2):
+        w = frame.witness
+        for part in (w.rho, w.usharp, w.det_rho):
+            digest.update(_sorted_text(part).encode())
+    for which in ("Y", "Yhat"):
+        digest.update(_sorted_text(induced_metric(pair1, which)).encode())
+    assert digest.hexdigest() == (
+        "2ad8b3fcbc56bb7faf3f4696fa7819d67460fe494949abb38254f100f3129d24")
 
 
 def test_exact_determinant_is_a_perfect_square(hf1, hf2):

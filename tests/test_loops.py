@@ -1,10 +1,11 @@
 """Laurent-polynomial matrix algebra on exact (RationalFn) and complex arrays."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import willmore.matrices as mx
 from willmore.loops import LoopMatrix, unipotent_inverse
 from willmore.scalars import BiPoly, GaussianRational, RationalFn
 
@@ -47,17 +48,38 @@ def test_loop_evaluation_respects_product(A, B):
     assert np.allclose(va @ vb, vab, atol=1e-12)
 
 
+def _entry(L, i, j, z, lam):
+    """Entry (i, j) of a loop at (z, lam), read from its coefficients; z is
+    ignored by a float loop."""
+    return sum((m[i, j].evaluate(z) if L.exact else m[i, j]) * lam ** k
+               for k, m in L.coeffs.items())
+
+
 def _eval_np(L, z, lam):
     out = np.zeros((L.rows, L.cols), dtype=complex)
     for i in range(L.rows):
         for j in range(L.cols):
-            out[i, j] = L.entry(i, j).evaluate(z, lam)
+            out[i, j] = _entry(L, i, j, z, lam)
     return out
 
 
+def _tuple_matmul(A, B):
+    """The tuple-of-tuples product: each entry a0*b0, then + ak*bk in order."""
+    out = []
+    for row in A:
+        orow = []
+        for col in zip(*B):
+            acc = row[0] * col[0]
+            for a, b in zip(row[1:], col[1:]):
+                acc = acc + a * b
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
 def test_exact_matmul_matches_tuple_reference():
-    # numpy's object matmul sums the products in mx.mat_mul's order, so the
-    # two agree on the RationalFn representations, not only on their values
+    # numpy's object matmul sums the products in the tuple loop's order, so
+    # the two agree on the RationalFn representations, not only on their values
     rng = np.random.default_rng(11)
     z, zb = BiPoly.var_z(), BiPoly.var_zbar()
     pool = [BiPoly.const(GaussianRational(1, 2)), z, zb, z * zb + 1, z * z - zb]
@@ -69,11 +91,34 @@ def test_exact_matmul_matches_tuple_reference():
     a = [[rand_rf() for _ in range(3)] for _ in range(2)]
     b = [[rand_rf() for _ in range(2)] for _ in range(3)]
     got = (LoopMatrix(2, 3, {0: a}) @ LoopMatrix(3, 2, {0: b})).coeffs[0]
-    want = mx.mat_mul(mx.freeze(a), mx.freeze(b))
+    want = _tuple_matmul(a, b)
     for i in range(2):
         for j in range(2):
             assert got[i, j].num.terms == want[i][j].num.terms
             assert got[i, j].den.terms == want[i][j].den.terms
+
+
+def test_at_lambda_then_z_is_evaluate():
+    # collapsing the loop parameter exactly, then binding z, gives the value
+    # evaluate computes at (z, lambda)
+    rng = np.random.default_rng(12)
+    z, zb = BiPoly.var_z(), BiPoly.var_zbar()
+    pool = [BiPoly.const(GaussianRational(1, 2)), z, zb, z * zb + 1, z * z - zb]
+
+    def rand_rf():
+        num = pool[rng.integers(len(pool))] * GaussianRational(
+            int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+        return RationalFn(num, pool[rng.integers(3, len(pool))])
+
+    L = LoopMatrix(3, 3, {k: [[rand_rf() for _ in range(3)] for _ in range(3)]
+                          for k in range(-2, 3)})
+    s = 0.3 - 0.45j
+    for lam in (GaussianRational(1), GaussianRational(0, 1),
+                GaussianRational(Fraction(3, 5), Fraction(4, 5))):
+        collapsed = L.at_lambda(lam)
+        assert collapsed.dtype == object and not collapsed.flags.writeable
+        got = np.array([[x.evaluate(s) for x in row] for row in collapsed])
+        assert np.allclose(got, L.evaluate(s, lam.to_complex()), atol=1e-12)
 
 
 def test_identity_and_shift_power():
@@ -114,11 +159,9 @@ def test_loop_derivatives_are_entrywise():
     z = RationalFn(BiPoly.var_z())
     zb = RationalFn(BiPoly.var_zbar())
     A = LoopMatrix(1, 1, {0: [[z * z * zb]]})
-    dz = A.d_dz().entry(0, 0)
-    dzb = A.d_dzbar().entry(0, 0)
     s = 0.2 + 0.5j
-    assert abs(dz.evaluate(s, 1.0) - 2 * s * np.conj(s)) < 1e-14
-    assert abs(dzb.evaluate(s, 1.0) - s * s) < 1e-14
+    assert abs(_entry(A.d_dz(), 0, 0, s, 1.0) - 2 * s * np.conj(s)) < 1e-14
+    assert abs(_entry(A.d_dzbar(), 0, 0, s, 1.0) - s * s) < 1e-14
 
 
 def test_float_backend_round_trip():

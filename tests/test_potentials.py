@@ -137,12 +137,10 @@ def test_nilpotent_embedding_is_cube_zero():
 def test_pairing_isotropy_of_b1hat():
     # the defining constraint of a normalized potential: the 2 x 2m
     # coefficient satisfies b1 b1^t = 0 exactly
-    import willmore.matrices as mx
-
     for example_id in (1, 2):
         pot = builtin_potential(example_id)
         b1 = pot.b1hat()
-        prod = mx.mat_mul(b1, mx.mat_transpose(b1))
+        prod = b1 @ b1.T
         assert all(e.is_zero() for row in prod for e in row)
 
 
