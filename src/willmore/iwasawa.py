@@ -12,6 +12,20 @@ with 1B kept as a residual:
     1A: a = I - u q J2 ubar^t - v rho vbar^t
     1B: u q - v rho u#bar^t J2 = f        (residual)
 
+The exact witness solves 1F and 1E in rational functions, which fixes the
+num/den form of rho, rho^-1, det rho and u#.  The rest runs on polynomial
+numerators over denominators known in advance, det = det rho and
+D2 = det conj(det), so no gcd is needed:
+
+    u# = U / det,   U = (f# - J2 fbar^t g) adj(rho)
+    v  = V / det,   V = g adj(rho)
+    q  = Q / D2,    Q = D2 (I + J2 fbar^t f) - U rho Ubar^t J2
+    a  = A / D2^2,  A = D2^2 I - U# Q J2 U#bar^t - D2 V rho Vbar^t
+
+with U# = sharp(U) the numerator of u.  1B cleared of det D2 reads
+U# Q - det V rho Ubar^t J2 - det D2 f = 0, a polynomial identity, and
+q == I2 reads Q == D2 I2.
+
 The diagonal Gram factor W0 = diag(a, q, rho) splits as tau(L)^-1 L with
 L = diag(l1, l0, l4): l4 is the upper Cholesky factor of rho,
 l0 = diag(s, 1/s) with s the square root of the unit c = q[0,0] that makes
@@ -49,7 +63,7 @@ from .loops import (
     sharp,
     unipotent_inverse,
 )
-from .scalars import BP_ZERO, BiPoly, RF_ONE, RF_ZERO, RationalFn
+from .scalars import BP_ONE, BP_ZERO, BiPoly, RF_ONE, RF_ZERO, RationalFn
 
 _STRUCT_TOL = 1e-8
 
@@ -146,10 +160,13 @@ def _adjugate_small(A):
 
 
 def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
-    """Global rational-function witness (no square roots taken).
+    """Global rational-function witness: no square root taken, no gcd called.
 
-    Every block is a read-only object array of RationalFn; products keep the
-    association written here, which fixes each entry's num/den form.
+    rho, rho^-1, det rho, u# and u are read-only object arrays of RationalFn
+    whose products keep the association written here, which fixes each
+    entry's num/den form.  The other blocks are solved on polynomial
+    numerators over known denominators (see the module docstring) and
+    returned as RationalFn over those denominators.
     """
     m = hf.m
     ctx = get_context(m)
@@ -164,10 +181,10 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
 
     # 1F
     gram = (Jm @ fbar) @ (J2 @ (f.T @ Jm))
-    rho_poly = exact_identity(m, BiPoly.const(1), BP_ZERO) + (gram + gbar.T @ g)
+    rho_poly = exact_identity(m, BP_ONE, BP_ZERO) + (gram + gbar.T @ g)
     if m == 1:
         det = rho_poly[0, 0]
-        adj = exact_matrix([[BiPoly.const(1)]])
+        adj = exact_matrix([[BP_ONE]])
     else:
         det = _det_small(rho_poly)
         adj = _adjugate_small(rho_poly)
@@ -176,35 +193,42 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
     rho = rf(rho_poly)
 
     # 1E
-    usharp = exact_matrix((rf(sharp(f)) - rf((J2 @ fbar.T) @ g)) @ rho_inv)
+    j2fh = J2 @ fbar.T
+    usharp = exact_matrix((rf(sharp(f)) - rf(j2fh @ g)) @ rho_inv)
     u = sharp(usharp)
 
+    # Numerators: u# = U / det and v = V / det; q over D2 = det conj(det).
+    U = (sharp(f) - j2fh @ g) @ adj
+    V = g @ adj
+    U_sharp = sharp(U)
+    D2 = det * det.conjugate()
+
+    def times(mat, p):
+        return exact_map(mat, lambda x: x * p)
+
     # 1C
-    usharp_bar_t = np.conjugate(usharp).T
-    J2rf = rf(J2)
-    q = exact_matrix(
-        (exact_identity(2, RF_ONE, RF_ZERO) + rf((J2 @ fbar.T) @ f))
-        - (usharp @ rho) @ (usharp_bar_t @ J2rf))
+    Ubar_t_J2 = np.conjugate(U).T @ J2
+    Q = times(exact_identity(2, BP_ONE, BP_ZERO) + j2fh @ f, D2) - (U @ rho_poly) @ Ubar_t_J2
 
-    # 1D
-    v = exact_matrix(rf(g) @ rho_inv)
-
-    # 1A
-    ubar_t = np.conjugate(u).T
-    vbar_t = np.conjugate(v).T
-    a = exact_matrix(
-        (exact_identity(m, RF_ONE, RF_ZERO) - (u @ q) @ (J2rf @ ubar_t))
-        - (v @ rho) @ vbar_t)
-
-    # 1B residual must vanish identically.
-    resid = ((u @ q) - (v @ rho) @ (usharp_bar_t @ J2rf)) - rf(f)
+    # 1B, cleared of det D2, must vanish identically.
+    UQ = U_sharp @ Q
+    Vrho = V @ rho_poly
+    resid = (UQ - times(Vrho @ Ubar_t_J2, det)) - times(f, det * D2)
     if not all(x.is_zero() for x in resid.flat):
         raise ResidualTooLarge("closure equation 1B fails as a rational identity")
 
+    # 1A over D2^2
+    D4 = D2 * D2
+    A = (exact_identity(m, D4, BP_ZERO) - UQ @ (J2 @ np.conjugate(U_sharp).T)
+         - times(Vrho @ np.conjugate(V).T, D2))
+
+    def over(mat, den):
+        return exact_map(mat, lambda p: RationalFn(p, den))
+
+    q_is_identity = exact_equal(Q, exact_identity(2, D2, BP_ZERO))
     ident2 = exact_identity(2, RF_ONE, RF_ZERO)
-    q_is_identity = exact_equal(q, ident2)
     return IwasawaWitness(
-        "exact", m, rho, rho_inv, det_rf, u, usharp, v, q, a,
+        "exact", m, rho, rho_inv, det_rf, u, usharp, over(V, det), over(Q, D2), over(A, D4),
         l0=ident2 if q_is_identity else None, q_is_identity=q_is_identity,
     )
 
@@ -459,7 +483,14 @@ def check_refactor(hf: HolomorphicFrame, w: IwasawaWitness, F: LoopMatrix) -> fl
     wp2[0:m, m + 2:] = w.v
     W_loop = LoopMatrix(d, d, {0: np.eye(d), -1: wp1, -2: wp2})
     tauWinv = unipotent_inverse(get_context(m).tau(W_loop))
-    residual = (F @ L_loop @ tauWinv - hf.H_loop().to_float(w.z)).max_abs()
+    # H = I + loop^-1 (f at (1,2), -f# at (2,3)) + loop^-2 (g at (1,3)).
+    hp1 = np.zeros((d, d), dtype=complex)
+    hp1[0:m, m:m + 2] = w.fv
+    hp1[m:m + 2, m + 2:] = -sharp(w.fv)
+    hp2 = np.zeros((d, d), dtype=complex)
+    hp2[0:m, m + 2:] = w.gv
+    H = LoopMatrix(d, d, {0: np.eye(d), -1: hp1, -2: hp2})
+    residual = (F @ L_loop @ tauWinv - H).max_abs()
     if residual > 1e-6:
         raise ResidualTooLarge(
             "frame does not refactor the holomorphic side: %.3e" % residual

@@ -9,8 +9,10 @@ Three layers, all built on stdlib Fractions:
   conjugates the coefficients; zbar only becomes conj(z) at evaluation time.
 * RationalFn: quotient of two BiPoly, kept unreduced apart from cheap
   monomial and content strips.  Equality is decided by cross-multiplication,
-  never by computing a gcd normal form; reduced() cancels the num/den gcd on
-  demand for entries that feed long product chains.
+  never by computing a gcd normal form.  reduced() cancels the num/den gcd
+  on demand; its one caller is the exact lift extraction.  Where the
+  denominator is known in advance (the exact witness, the exact isotropy
+  check) the pipeline works on BiPoly numerators over it instead.
 
 Numeric evaluation computes exactly (the sample point is converted to exact
 rationals) and rounds to complex once at the end.
@@ -808,9 +810,9 @@ class RationalFn:
         """Cancel the polynomial gcd of numerator and denominator.
 
         Construction keeps quotients unreduced because most intermediates are
-        used once; call this at boundaries where an entry feeds many further
-        products (stored frame columns, derivatives, pairings), where the
-        degree drop pays for the gcd many times over.
+        used once.  The exact lift extraction calls this once per component,
+        where the factorization's denominators (degrees in the tens) collapse
+        to the true one that the metrics and branch limits are built on.
         """
         if self.den == BP_ONE or self.num.is_zero():
             return self

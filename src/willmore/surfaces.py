@@ -37,6 +37,7 @@ from .iwasawa import (
     solve_iwasawa_float,
 )
 from .scalars import (
+    BP_ONE,
     DENOMINATOR_FLOOR,
     BiPoly,
     GR_ONE,
@@ -372,6 +373,15 @@ def _fd_offsets(max_order: int):
     return [(a, b) for a in range(-span, span + 1) for b in range(-span, span + 1)]
 
 
+def _cofactor_times(num: BiPoly, den: BiPoly, dens) -> BiPoly:
+    """num times every denominator in dens other than den: the numerator of
+    num / den over the product of dens."""
+    for other in dens:
+        if other != den:
+            num = num * other
+    return num
+
+
 ISOTROPY_STEP = 2e-3
 
 
@@ -381,6 +391,13 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
 
     All of them must vanish: the z-derivative flag of the lift is isotropic,
     a property insensitive to the stored gauge and scale.
+
+    Exact pairs put the components over their common denominator D, the
+    product of their distinct denominators, and differentiate by the
+    quotient rule, so each pairing is a polynomial over a power of D and no
+    gcd is taken.  A pairing that is the zero polynomial reports 0; any
+    other reports its largest modulus at the samples, or inf without them.
+    Float pairs use finite differences at the samples.
     """
     m = pair.m
     if max_order is None:
@@ -393,18 +410,33 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
     }
 
     if pair.backend == "exact":
+        # Over the common denominator D the lift is P / D, and by the quotient
+        # rule d^j/dz^j (P / D) = Q_j / D^(j+1) with
+        # Q_(j+1) = dQ_j D - (j+1) Q_j dD, so <d^j Y, d^l Y> vanishes exactly
+        # when the polynomial <Q_j, Q_l> does.
         comps = _pick(pair, which)
-        derivs = [list(comps)]
-        for _ in range(max_order):
-            derivs.append([c.d_dz().reduced() for c in derivs[-1]])
+        dens = []
+        for c in comps:
+            if c.den != BP_ONE and c.den not in dens:
+                dens.append(c.den)
+        D = BP_ONE
+        for den in dens:
+            D = D * den
+        derivs = [[_cofactor_times(c.num, c.den, dens) for c in comps]]
+        dD = D.d_dz()
+        for j in range(max_order):
+            derivs.append([q.d_dz() * D - q * dD * (j + 1) for q in derivs[-1]])
         worst = 0.0
         for j in range(1, max_order + 1):
             for l in range(j, max_order + 1):
                 p = mink_pair_rf(derivs[j], derivs[l])
                 if p.is_zero():
                     res = 0.0
+                elif samples:
+                    p = RationalFn(p, D ** (j + l + 2))
+                    res = max(abs(_rf_float(p, z)) for z in samples)
                 else:
-                    res = max(abs(_rf_float(p, z)) for z in samples) if samples else float("inf")
+                    res = float("inf")
                 report["pairs"]["(%d,%d)" % (j, l)] = res
                 worst = max(worst, res)
         report["max_residual"] = worst

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from willmore.frames import integrate_frame
+from willmore.frames import HolomorphicFrame, integrate_frame
 from willmore.groups import get_context
 from willmore.errors import ResidualTooLarge, SingularLocus, WillmoreError
 from willmore.iwasawa import (
@@ -24,7 +24,7 @@ from willmore.iwasawa import (
     solve_iwasawa_exact,
     solve_iwasawa_float,
 )
-from willmore.loops import exact_equal, exact_identity
+from willmore.loops import exact_equal, exact_identity, exact_map, exact_matrix
 from willmore.potentials import NormalizedPotential, builtin_potential, to_nilpotent
 from willmore.scalars import BiPoly, GaussianRational, RationalFn
 from willmore.surfaces import (
@@ -91,6 +91,48 @@ def test_exact_determinant_is_a_perfect_square(hf1, hf2):
     w2 = solve_iwasawa_exact(hf2)
     sigma2 = _r2_poly([1, 0, Fraction(-1, 4)])
     assert w2.det_rho == RationalFn(sigma2 * sigma2)
+
+
+def _rational_chain(hf, w):
+    """q, v and a as products of RationalFn, as the exact witness formed them
+    before it solved 1C, 1D and 1A over known denominators: the reference for
+    those blocks, from the witness's rho, rho^-1, u# and u."""
+    J2 = get_context(hf.m).J2
+
+    def rf(mat):
+        return exact_map(mat, RationalFn.coerce)
+
+    one, zero = RationalFn(BiPoly.const(1)), RationalFn(BiPoly.zero())
+    J2rf = rf(J2)
+    usharp_bar_t = np.conjugate(w.usharp).T
+    q = ((exact_identity(2, one, zero) + rf((J2 @ np.conjugate(hf.f).T) @ hf.f))
+         - (w.usharp @ w.rho) @ (usharp_bar_t @ J2rf))
+    v = rf(hf.g) @ w.rho_inv
+    a = ((exact_identity(hf.m, one, zero) - (w.u @ q) @ (J2rf @ np.conjugate(w.u).T))
+         - (v @ w.rho) @ np.conjugate(v).T)
+    return q, v, a
+
+
+def test_exact_witness_blocks_equal_the_rational_chain(hf1, hf2, frame1, frame2):
+    for hf, frame in ((hf1, frame1), (hf2, frame2)):
+        w = frame.witness
+        q, v, a = _rational_chain(hf, w)
+        for name, want in (("q", q), ("v", v), ("a", a)):
+            got = getattr(w, name)
+            assert got.shape == want.shape, name
+            for (i, j), x in np.ndenumerate(got):
+                assert x == want[i, j], (hf.m, name, i, j)
+        ident = exact_identity(2, RationalFn(BiPoly.const(1)), RationalFn(BiPoly.zero()))
+        assert w.q_is_identity is exact_equal(q, ident) is True
+
+
+def test_exact_closure_rejects_a_broken_frame(hf1):
+    # g[0,0] + z breaks the quadrature g = -int f fcheck#, so 1B cannot hold
+    g = np.array(hf1.g)
+    g[0, 0] = g[0, 0] + BiPoly.var_z()
+    broken = HolomorphicFrame(hf1.m, hf1.fcheck, hf1.f, exact_matrix(g))
+    with pytest.raises(ResidualTooLarge):
+        solve_iwasawa_exact(broken)
 
 
 @pytest.mark.parametrize("example_id", [1, 2])

@@ -13,6 +13,8 @@ from willmore.iwasawa import assemble_frame, solve_iwasawa_exact, solve_iwasawa_
 from willmore.potentials import builtin_potential, to_nilpotent
 from willmore.scalars import BiPoly, RationalFn
 from willmore.surfaces import (
+    SurfacePair,
+    _rf_float,
     branch_analysis,
     degeneracy_scan,
     extract_pair,
@@ -61,6 +63,23 @@ def test_exact_total_isotropy(which_pair, request):
         rep = isotropy_check(pair, which)
         assert rep["max_residual"] == 0.0, rep
         assert rep["max_order"] == pair.m
+
+
+def test_exact_isotropy_reports_a_nonzero_pairing(pair1):
+    # z added to one component breaks <Y_z, Y_z> = 0; the residual is the
+    # pairing's value at the samples, as d_dz on the unreduced components
+    # gives it
+    Y = list(pair1.Y)
+    Y[2] = Y[2] + RationalFn(BiPoly.var_z())
+    bent = SurfacePair("exact", pair1.m, pair1.lam, pair1.hf, Y=tuple(Y), Yhat=pair1.Yhat)
+    samples = (0.3 + 0.2j, -0.5 + 0.4j, 0.7j)
+    dY = [c.d_dz() for c in Y]
+    want = max(abs(_rf_float(mink_pair_rf(dY, dY), z)) for z in samples)
+    got = isotropy_check(bent, "Y", max_order=1, samples=samples)
+    assert got["max_residual"] > 0
+    assert abs(got["pairs"]["(1,1)"] - want) <= 1e-9 * want
+    assert got["max_residual"] == got["pairs"]["(1,1)"]
+    assert isotropy_check(bent, "Y", max_order=1)["max_residual"] == float("inf")
 
 
 def test_projective_match_with_closed_form_exact(pair1, pair2):
