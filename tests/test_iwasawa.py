@@ -123,7 +123,7 @@ def test_exact_witness_blocks_equal_the_rational_chain(hf1, hf2, frame1, frame2)
             for (i, j), x in np.ndenumerate(got):
                 assert x == want[i, j], (hf.m, name, i, j)
         ident = exact_identity(2, RationalFn(BiPoly.const(1)), RationalFn(BiPoly.zero()))
-        assert w.q_is_identity is exact_equal(q, ident) is True
+        assert w.q_is_identity and exact_equal(q, ident)
 
 
 def test_exact_closure_rejects_a_broken_frame(hf1):
