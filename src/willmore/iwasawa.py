@@ -466,30 +466,24 @@ def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness, check: bool) -> Ext
                          hf=hf)
 
 
-def _graded_loop(m: int, x, x_sharp, y) -> LoopMatrix:
-    """I + loop^-1 (x at (1,2), -x_sharp at (2,3)) + loop^-2 (y at (1,3)),
-    complex blocks at one sample: the shape of H and of W."""
-    d = 2 * m + 2
-    p1 = np.zeros((d, d), dtype=complex)
-    p1[0:m, m:m + 2] = x
-    p1[m:m + 2, m + 2:] = -x_sharp
-    p2 = np.zeros((d, d), dtype=complex)
-    p2[0:m, m + 2:] = y
-    return LoopMatrix(d, d, {0: np.eye(d), -1: p1, -2: p2})
-
-
 def check_refactor(hf: HolomorphicFrame, w: IwasawaWitness, F: LoopMatrix) -> float:
     """Largest entry of F L tau(W)^-1 - H at the float witness's sample.
 
     Raises ResidualTooLarge above 1e-6, where F, L = diag(l1, l0, l4) and W
-    fail to factor the holomorphic frame H of hf, which is built from the
-    values f(z) and g(z) that the witness keeps.
+    fail to factor the holomorphic frame H.
     """
     m = w.m
+    d = 2 * m + 2
     L_loop = LoopMatrix.from_constant(_block_diag(w.l1, w.l0, w.l4))
-    tauWinv = unipotent_inverse(get_context(m).tau(_graded_loop(m, w.u, w.usharp, w.v)))
-    H = _graded_loop(m, w.fv, sharp(w.fv), w.gv)
-    residual = (F @ L_loop @ tauWinv - H).max_abs()
+    # W = I + loop^-1 (u at (1,2), -u# at (2,3)) + loop^-2 (v at (1,3)).
+    wp1 = np.zeros((d, d), dtype=complex)
+    wp1[0:m, m:m + 2] = w.u
+    wp1[m:m + 2, m + 2:] = -w.usharp
+    wp2 = np.zeros((d, d), dtype=complex)
+    wp2[0:m, m + 2:] = w.v
+    W_loop = LoopMatrix(d, d, {0: np.eye(d), -1: wp1, -2: wp2})
+    tauWinv = unipotent_inverse(get_context(m).tau(W_loop))
+    residual = (F @ L_loop @ tauWinv - hf.H_loop().to_float(w.z)).max_abs()
     if residual > 1e-6:
         raise ResidualTooLarge(
             "frame does not refactor the holomorphic side: %.3e" % residual
