@@ -118,10 +118,14 @@ def _nonzero(arr) -> bool:
 
 
 def _bind(arr, z) -> np.ndarray:
-    """Exact entries evaluated at z: computed exactly, rounded once."""
+    """Exact entries evaluated at z: computed exactly, rounded once.
+
+    Zero entries are left as 0j, which is what evaluating them returns.
+    """
     if arr.dtype != object:
         return arr
-    return np.array([x.evaluate(z) for x in arr.flat], dtype=complex).reshape(arr.shape)
+    return np.array([x.evaluate(z) if x else 0j for x in arr.flat],
+                    dtype=complex).reshape(arr.shape)
 
 
 class LoopMatrix:

@@ -1,8 +1,11 @@
 """Exact scalar arithmetic for the synthesis pipeline.
 
-Three layers, all built on stdlib Fractions:
+Three layers, all on Python integers:
 
-* GaussianRational: a + b*i with a, b rational.  Closed under + - * /.
+* GaussianRational: (a + b*i)/d stored as three ints with d > 0 and
+  gcd(a, b, d) = 1, so each value has exactly one representation.  Closed
+  under + - * /; every operation normalizes once with one integer gcd.
+  Parts leave the triple as Fractions (re, im, content, abs_squared).
 * BiPoly: polynomial in two formally independent variables z, zbar with
   GaussianRational coefficients, stored as a dict mapping exponent pairs
   (i, j) to nonzero coefficients.  Conjugation swaps the variables and
@@ -22,13 +25,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
 from .errors import DenominatorVanishes
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 # A rational function is not evaluated where its denominator is smaller.
 DENOMINATOR_FLOOR = 1e-12
 
@@ -38,58 +40,89 @@ def _cmul(x, y):
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _frac(x) -> Fraction:
-    # Fraction(float) is exact (binary expansion), Fraction(str) parses "p/q".
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
+def _ratio(x):
+    """(numerator, denominator > 0) in lowest terms of an exact real input.
+
+    A float converts exactly (its binary expansion); a str parses as "p/q".
+    """
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     if isinstance(x, float):
-        return Fraction(x)
-    raise TypeError("cannot coerce %r to Fraction" % (x,))
+        return x.as_integer_ratio()
+    if isinstance(x, str):
+        x = Fraction(x)
+        return x.numerator, x.denominator
+    raise TypeError("cannot coerce %r to a rational" % (x,))
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    # gcd on Q: gcd of numerators over lcm of denominators, always >= 0.
-    if a < 0:
-        a = -a
-    if b < 0:
-        b = -b
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    num = math.gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d from a triple already in lowest terms with d > 0."""
+    x = _new(GaussianRational)
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
+
+
+def _gr(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d for any d > 0, brought to lowest terms."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    # _raw inlined: this runs once per arithmetic operation.
+    x = _new(GaussianRational)
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
 
 
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number (a + b*i)/d over the integers, in lowest terms.
 
-    __slots__ = ("re", "im")
+    The triple is canonical (d > 0, gcd(a, b, d) = 1), so == compares
+    integers.  re and im are the real and imaginary parts as Fractions.
+    Values are immutable: the triple's slots are private and set only when
+    the value is made.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        # Over d = lcm(p, q) of two denominators in lowest terms no prime
+        # divides all of a, b and d, so the triple is canonical.
+        n1, p = _ratio(re)
+        n2, q = _ratio(im)
+        d = lcm(p, q)
+        self._a, self._b, self._d = n1 * (d // p), n2 * (d // q), d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @classmethod
     def from_complex(cls, z: complex) -> "GaussianRational":
-        return cls(Fraction(float(z.real)), Fraction(float(z.imag)))
+        return cls(float(z.real), float(z.imag))
 
     @classmethod
     def coerce(cls, x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
         if isinstance(x, (int, Fraction)):
-            return cls(x, 0)
+            return _raw(x.numerator, 0, x.denominator)
         if isinstance(x, complex):
             return cls.from_complex(x)
         if isinstance(x, float):
-            return cls(Fraction(x), 0)
+            return cls(x)
         raise TypeError("cannot coerce %r to GaussianRational" % (x,))
 
     @classmethod
@@ -100,18 +133,28 @@ class GaussianRational:
             return None
 
     def __add__(self, other):
-        other = GaussianRational._try(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if not isinstance(other, GaussianRational):
+            other = GaussianRational._try(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _gr(self._a + other._a, self._b + other._b, d1)
+        return _gr(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1,
+                   d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational._try(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if not isinstance(other, GaussianRational):
+            other = GaussianRational._try(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _gr(self._a - other._a, self._b - other._b, d1)
+        return _gr(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1,
+                   d1 * d2)
 
     def __rsub__(self, other):
         other = GaussianRational._try(other)
@@ -120,27 +163,28 @@ class GaussianRational:
         return other - self
 
     def __mul__(self, other):
-        other = GaussianRational._try(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not isinstance(other, GaussianRational):
+            other = GaussianRational._try(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _gr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational._try(other)
-        if other is None:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
+        if not isinstance(other, GaussianRational):
+            other = GaussianRational._try(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # (a1 + b1 i)/d1 / ((a2 + b2 i)/d2) = (a1 + b1 i)(a2 - b2 i) d2 / (d1 n)
+        d2 = other._d
+        return _gr((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                   self._d * n)
 
     def __rtruediv__(self, other):
         other = GaussianRational._try(other)
@@ -149,46 +193,50 @@ class GaussianRational:
         return other / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if not isinstance(other, GaussianRational):
+            try:
+                other = GaussianRational.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def abs_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def __abs__(self) -> float:
         return math.sqrt(float(self.abs_squared()))
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # Integer true division rounds correctly, as float(Fraction) does.
+        return complex(self._a / self._d, self._b / self._d)
 
     def content(self) -> Fraction:
-        return _frac_gcd(self.re, self.im)
+        """gcd of the parts over Q: gcd(a, b)/d, already in lowest terms."""
+        return Fraction(gcd(self._a, self._b), self._d)
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return "%s*i" % self.im
-        sign = "+" if self.im > 0 else "-"
-        return "(%s%s%s*i)" % (self.re, sign, abs(self.im))
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return "%s*i" % im
+        sign = "+" if im > 0 else "-"
+        return "(%s%s%s*i)" % (re, sign, abs(im))
 
 
 GR_ZERO = GaussianRational(0)
@@ -359,19 +407,35 @@ class BiPoly:
     def shift(self, dz: int, db: int) -> "BiPoly":
         return BiPoly({(a + dz, b + db): c for (a, b), c in self.terms.items()})
 
-    def content(self) -> Fraction:
-        c = _ZERO
-        for coeff in self.terms.values():
-            c = _frac_gcd(c, coeff.content())
-            if c == 1:
-                break
-        return c
+    def _content(self):
+        """(n, d): the fold of gcd(a, b) and lcm(d) over the coefficients in
+        term order, stopped at the first running value of exactly 1.
 
-    def scale(self, f: Fraction) -> "BiPoly":
-        if f == 1:
+        The stop makes this a content only up to that point (1 + 4/9*z^3*w^3
+        stops at 1, not 1/9); RationalFn's content strip, and so the text of
+        every exact intermediate, follows it.
+        """
+        n, m = 0, 1
+        for c in self.terms.values():
+            n = gcd(n, c._a, c._b)
+            m = lcm(m, c._d)
+            if n == 1 and m == 1:
+                break
+        return n, m
+
+    def content(self) -> Fraction:
+        return Fraction(*self._content())
+
+    def scale(self, f) -> "BiPoly":
+        """Every coefficient times the rational f (an int or a Fraction)."""
+        return self._scale(f.numerator, f.denominator)
+
+    def _scale(self, p: int, q: int) -> "BiPoly":
+        # Every coefficient times p/q, with q > 0.
+        if p == q:
             return self
-        g = GaussianRational(f)
-        return BiPoly({k: c * g for k, c in self.terms.items()})
+        return BiPoly({k: _gr(c._a * p, c._b * p, c._d * q)
+                       for k, c in self.terms.items()})
 
     def evaluate_at(self, z, zbar) -> GaussianRational:
         """Exact value with z and zbar bound independently."""
@@ -416,7 +480,7 @@ class BiPoly:
         except AttributeError:
             # (a, b, re c, im c) per term in dict order; the slot stays unset
             # on the many polynomials that are never evaluated in floats.
-            terms = tuple((a, b, float(c.re), float(c.im))
+            terms = tuple((a, b, c._a / c._d, c._b / c._d)
                           for (a, b), c in self.terms.items())
             object.__setattr__(self, "_float_terms", terms)
         scalar = np.ndim(z) == 0
@@ -675,15 +739,17 @@ class RationalFn:
             if sz or sb:
                 num = num.shift(-sz, -sb)
                 den = den.shift(-sz, -sb)
-            c = _frac_gcd(num.content(), den.content())
-            if c != 1 and c != 0:
-                inv = 1 / c
-                num = num.scale(inv)
-                den = den.scale(inv)
+            # Divide both by the gcd n/m of their contents (both nonzero).
+            n1, m1 = num._content()
+            n2, m2 = den._content()
+            n, m = gcd(n1, n2), lcm(m1, m2)
+            if n != m:
+                num = num._scale(m, n)
+                den = den._scale(m, n)
             lead = den.leading_coefficient()
-            if lead.im == 0 and lead.re < 0:
-                num = num * GaussianRational(-1)
-                den = den * GaussianRational(-1)
+            if lead._b == 0 and lead._a < 0:
+                num = -num
+                den = -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

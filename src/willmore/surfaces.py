@@ -94,8 +94,9 @@ def mink_pair_np(x: np.ndarray, y: np.ndarray):
 class SurfacePair:
     """Adjoint pair of homogeneous light-cone lifts at one family parameter.
 
-    backend "exact": Y and Yhat are tuples of rational functions (stored
-    scale: true lift = (sqrt(2)/2) * stored, pairings carry factor 1/2).
+    backend "exact": Y and Yhat are tuples of 2m+2 RationalFn in R^{1,2m+1}
+    coordinates, each reduced by its num/den gcd (stored scale: true lift =
+    (sqrt(2)/2) * stored, pairings carry factor 1/2).
     backend "float": lifts are evaluated from one stacked factorization of
     the requested samples.
     """
@@ -134,7 +135,12 @@ class SurfacePair:
 
 
 def extract_pair(frame: ExtendedFrame, lam) -> SurfacePair:
-    """Read the adjoint pair off the frame's two middle columns."""
+    """Read the adjoint pair off the frame's two middle columns.
+
+    An exact frame needs an exact unit lambda and gives a pair that holds its
+    lifts as tuples of 2m+2 reduced RationalFn; a float frame gives a pair
+    that evaluates its lifts from a fresh factorization at each sample.
+    """
     if frame.hf is None:
         raise ValueError("frame carries no integrated-frame provenance")
     if frame.backend == "exact":

@@ -495,13 +495,15 @@ def run_suite(pot, plan=None) -> VerificationReport:
         pending = None
         for _ in range(cfg["oracle_matrices"]):
             A = _rand_exact_loop(rng, d)
-            diff = ctx.iso_P(A) - ctx.iso_P_indexwise(A)
+            PA = ctx.iso_P(A)
+            diff = PA - ctx.iso_P_indexwise(A)
             if not diff.is_zero():
                 worst = max(worst, _probe_exact(diff, probe))
             if pending is None:
-                pending = A
+                pending = A, PA
             else:
-                hom = ctx.iso_P(pending @ A) - ctx.iso_P(pending) @ ctx.iso_P(A)
+                B, PB = pending
+                hom = ctx.iso_P(B @ A) - PB @ PA
                 if not hom.is_zero():
                     worst = max(worst, _probe_exact(hom, probe))
                 pending = None

@@ -234,3 +234,18 @@ def test_shape_mismatch_rejected():
     B = LoopMatrix.from_constant(np.ones((2, 3)))
     with pytest.raises(ValueError):
         A @ B
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_to_float_is_the_entrywise_evaluation(example, request):
+    # Bitwise, signed zeros included: to_float leaves zero entries as 0j
+    # without evaluating them.
+    H = request.getfixturevalue("hf%d" % example).H_loop()
+    for z in (0.3 - 0.2j, -0.45 + 0.1j, 0.05j):
+        F = H.to_float(z)
+        assert sorted(F.coeffs) == sorted(H.coeffs)
+        for k, exact in H.coeffs.items():
+            want = np.array([x.evaluate(z) for x in exact.flat],
+                            dtype=complex).reshape(exact.shape)
+            assert F.coeffs[k].dtype == complex
+            assert np.array_equal(F.coeffs[k].view(np.uint64), want.view(np.uint64))

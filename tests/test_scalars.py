@@ -1,6 +1,7 @@
 """Exact arithmetic kernel: Gaussian rationals, bivariate polynomials,
 rational functions, and the gcd reduction behind RationalFn.reduced()."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +87,120 @@ def test_gr_coercion_and_literals():
 def test_gr_complex_round_trip(a):
     z = a.to_complex()
     assert abs(z - complex(float(a.re), float(a.im))) == 0
+
+
+# -- the integer kernel against a Fraction-pair reference ---------------------
+#
+# Each GaussianRational is a canonical triple (a + b*i)/d.  The reference is
+# plain (re, im) Fraction-pair arithmetic on the drawn parts.
+
+
+def _ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+
+def _ref_gcd(a, b):
+    # gcd on Q: gcd of numerators over lcm of denominators, always >= 0.
+    a, b = abs(a), abs(b)
+    if a == 0:
+        return b
+    if b == 0:
+        return a
+    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    return Fraction(math.gcd(a.numerator, b.numerator), den)
+
+
+def _ref_repr(x):
+    re, im = x
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return "%s*i" % im
+    return "(%s%s%s*i)" % (re, "+" if im > 0 else "-", abs(im))
+
+
+def _assert_is(x, want):
+    """x is the canonical triple of the Fraction pair want."""
+    assert x._d > 0 and math.gcd(x._a, x._b, x._d) == 1
+    assert (Fraction(x._a, x._d), Fraction(x._b, x._d)) == want
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert (x.re, x.im) == want
+
+
+wide_fractions = st.fractions(max_denominator=10**6) | st.integers(-10**20, 10**20) | fractions
+fraction_pairs = st.tuples(wide_fractions.map(Fraction), wide_fractions.map(Fraction))
+wide_gaussians = st.builds(GaussianRational, wide_fractions, wide_fractions)
+
+
+@given(fraction_pairs, fraction_pairs)
+@settings(deadline=None, max_examples=300)
+def test_gr_kernel_matches_fraction_pair_reference(rx, ry):
+    x, y = GaussianRational(*rx), GaussianRational(*ry)
+    _assert_is(x, rx)
+    _assert_is(x + y, (rx[0] + ry[0], rx[1] + ry[1]))
+    _assert_is(x - y, (rx[0] - ry[0], rx[1] - ry[1]))
+    _assert_is(x * y, _ref_mul(rx, ry))
+    _assert_is(-x, (-rx[0], -rx[1]))
+    _assert_is(x.conjugate(), (rx[0], -rx[1]))
+    if ry != (0, 0):
+        _assert_is(x / y, _ref_div(rx, ry))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    assert (x == y) == (rx == ry)
+    assert hash(x) == hash(rx)
+    assert x.content() == _ref_gcd(*rx)
+    assert type(x.content()) is Fraction
+    assert x.abs_squared() == rx[0] ** 2 + rx[1] ** 2
+    assert repr(x) == _ref_repr(rx)
+    got, want = x.to_complex(), complex(float(rx[0]), float(rx[1]))
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    assert x.is_zero() == (rx == (0, 0))
+
+
+@given(wide_fractions, st.integers(-3, 3))
+@settings(deadline=None)
+def test_gr_kernel_mixed_operands(q, k):
+    x = GaussianRational(q, k)
+    rq = Fraction(q)
+    _assert_is(x + q, (rq + rq, Fraction(k)))
+    _assert_is(k - x, (k - rq, Fraction(-k)))
+    _assert_is(x * k, (rq * k, Fraction(k * k)))
+    _assert_is(GaussianRational.coerce(q), (rq, Fraction(0)))
+    if float(rq) == rq:
+        assert x == complex(float(rq), k)
+
+
+def _old_bipoly_content(p):
+    """Reference: the content fold over Fraction pairs, early stop included."""
+    c = Fraction(0)
+    for coeff in p.terms.values():
+        c = _ref_gcd(c, _ref_gcd(coeff.re, coeff.im))
+        if c == 1:
+            break
+    return c
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), wide_gaussians),
+                max_size=6))
+@settings(deadline=None)
+def test_bipoly_content_is_the_early_stopping_fold(entries):
+    p = BiPoly({(a, b): c for a, b, c in entries})
+    assert p.content() == _old_bipoly_content(p)
+
+
+def test_bipoly_content_stops_at_one():
+    # The fold meets 1 at the constant term and stops there: the value is 1,
+    # not the true content 1/9, and rho's num/den text keeps this form.
+    p = BiPoly({(0, 0): 1, (3, 3): Fraction(4, 9)})
+    assert p.content() == 1
+    assert repr(RationalFn(p)) == "1 + 4/9*z^3*w^3"
+    assert BiPoly({(3, 3): Fraction(4, 9), (0, 0): 1}).content() == Fraction(1, 9)
 
 
 # -- bivariate polynomials ---------------------------------------------------
