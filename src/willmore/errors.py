@@ -31,7 +31,7 @@ class StepSizeTooCoarse(WillmoreError):
 
 
 class ExactPathRequired(WillmoreError):
-    """The requested analysis only exists on the exact backend."""
+    """The requested analysis needs exact lifts (a pair built from an exact frame)."""
 
 
 class FirstCoordinateVanishes(WillmoreError):

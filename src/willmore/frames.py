@@ -54,10 +54,18 @@ class HolomorphicFrame:
         return tuple((exact_map(self.f, d), exact_map(self.g, d)) for d in (d_x, d_y))
 
     def H_loop(self) -> LoopMatrix:
-        """The integrated frame as an exact loop with powers {0, -1, -2}.
+        """The integrated frame as an exact loop with powers {0, -1, -2},
+        built once per frame.  Bind it at a sample with .to_float(z).
 
-        Bind it at a sample with .to_float(z).
+        Its entries are polynomials but stay RationalFn: check_refactor binds
+        H exactly at every sample, and that binding is the verify path's one
+        use of RationalFn.evaluate, which the benchmark's tracer
+        (perfbench/tracer.py) times as a span of its own.
         """
+        return self._H
+
+    @cached_property
+    def _H(self) -> LoopMatrix:
         m = self.m
         d = 2 * m + 2
         zmm = exact_zeros(m, m, BP_ZERO)

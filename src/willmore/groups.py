@@ -14,34 +14,22 @@ the orthonormal change of basis pair into a single 1/2, so
 are inverse to each other without ever leaving the rational field.
 iso_P_indexwise re-derives the same map entry by entry from the closed-form
 recombination of row/column pairs and serves as an independent oracle.
+
+Every constant is stored once, as a GaussianRational array.  An exact loop
+is multiplied by that array itself, so its entries keep their ring: a
+constant loop stays GaussianRational, a polynomial one BiPoly.  A float
+loop uses the constant's complex copy from np().
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 import numpy as np
 
-from .loops import (
-    LoopMatrix,
-    exact_equal,
-    exact_identity,
-    exact_map,
-    exact_matrix,
-    exact_zeros,
-)
-from .scalars import (
-    GR_I,
-    GR_ONE,
-    GR_ZERO,
-    RF_I,
-    RF_ONE,
-    GaussianRational,
-    RationalFn,
-)
+from .loops import LoopMatrix, exact_equal, exact_identity, exact_matrix, exact_zeros
+from .scalars import GR_HALF, GR_I, GR_ONE, GR_ZERO, GaussianRational
 
-_HALF = GaussianRational(Fraction(1, 2))
 _MEMBERSHIP_TOL = 1e-10
 
 
@@ -56,7 +44,8 @@ def _gr_identity(n):
 class GroupContext:
     """Constants and conjugations for one ambient dimension.
 
-    Every constant is a read-only object array of GaussianRational.
+    Every constant is a read-only object array of GaussianRational; np(name)
+    is its complex copy for float loops.
     """
 
     def __init__(self, m: int):
@@ -110,7 +99,7 @@ class GroupContext:
 
         # S0 = (1/2) P1^t Mbar^t Mbar P1, the reality conjugation; it must
         # come out as the block antidiagonal ((0,0,Jm),(0,I2,0),(Jm,0,0)).
-        self.S0 = exact_matrix((self.P1_t @ self.Mbar_t) @ (Mbar @ self.P1) * _HALF)
+        self.S0 = exact_matrix((self.P1_t @ self.Mbar_t) @ (Mbar @ self.P1) * GR_HALF)
         zm = exact_zeros(m, m, GR_ZERO)
         zm2 = exact_zeros(m, 2, GR_ZERO)
         z2m = exact_zeros(2, m, GR_ZERO)
@@ -131,7 +120,7 @@ class GroupContext:
 
     @functools.cached_property
     def iso_left(self):
-        return exact_matrix(self.P1_t @ self.Mbar_t * _HALF)
+        return exact_matrix(self.P1_t @ self.Mbar_t * GR_HALF)
 
     @functools.cached_property
     def iso_right(self):
@@ -139,36 +128,23 @@ class GroupContext:
 
     # -- constant access ---------------------------------------------------
 
-    def plain(self, name: str) -> np.ndarray:
-        """A stored constant as an object array of RationalFn (cached)."""
-        return self._array(name, True)
-
     def np(self, name: str) -> np.ndarray:
-        """The constant as a complex numpy array (cached)."""
-        return self._array(name, False)
-
-    def _array(self, name, exact):
-        cached = self._arrays.get((name, exact))
+        """The constant as a read-only complex numpy array (cached)."""
+        cached = self._arrays.get(name)
         if cached is None:
             const = getattr(self, name)
-            if exact:
-                cached = exact_map(const, RationalFn.coerce)
-            else:
-                cached = np.array([x.to_complex() for x in const.flat],
-                                  dtype=complex).reshape(const.shape)
-                cached.setflags(write=False)
-            self._arrays[(name, exact)] = cached
+            cached = np.array([x.to_complex() for x in const.flat],
+                              dtype=complex).reshape(const.shape)
+            cached.setflags(write=False)
+            self._arrays[name] = cached
         return cached
 
-    def loop(self, name: str, power: int = 0) -> LoopMatrix:
-        """A stored constant as an exact loop at one power."""
-        return LoopMatrix.from_constant(self.plain(name), power)
-
     def _like(self, name: str, F: LoopMatrix) -> LoopMatrix:
-        """A stored constant as a power-0 loop of the same kind as F."""
-        if F.exact is False:
-            return LoopMatrix.from_constant(self.np(name))
-        return self.loop(name)
+        """A stored constant as a power-0 loop of F's kind: for an exact F the
+        GaussianRational array itself, so products keep the ring of F's
+        entries."""
+        return LoopMatrix.from_constant(self.np(name) if F.exact is False
+                                        else getattr(self, name))
 
     # -- the isometry -------------------------------------------------------
 
@@ -192,13 +168,15 @@ class GroupContext:
         """Entry-by-entry recombination oracle for iso_P, on an exact loop.
 
         Each entry of the result is a closed-form combination of four
-        entries of A, applied to all loop powers at once.
+        entries of A, applied to all loop powers at once, with the
+        GaussianRational weights 1, i and 1/2, so the result stays in the
+        ring of A's entries.  It shares no code with iso_left/iso_right.
         """
         if (A.rows, A.cols) != (self.dim, self.dim) or A.exact is False:
             raise ValueError("iso_P_indexwise expects an exact %dx%d loop"
                              % (self.dim, self.dim))
         m = self.m
-        one, ii, half = RF_ONE, RF_I, RationalFn.const(_HALF)
+        one, ii, half = GR_ONE, GR_I, GR_HALF
         mone, nii = -one, -ii
         powers = list(A.coeffs)
         stack = np.array([A.coeffs[k] for k in powers], dtype=object).reshape(
@@ -380,7 +358,7 @@ class GroupContext:
             raise ValueError("unknown membership relation %r" % which)
 
         exact = F.exact is not False
-        report = {"which": which, "backend": "exact" if exact else "float"}
+        report = {"which": which}
         if exact:
             ok = residual.is_zero()
             report["exact"] = True

@@ -76,17 +76,17 @@ def _ct(X: np.ndarray) -> np.ndarray:
 class IwasawaWitness:
     """Gram data of the factorization, exact (global) or float (numeric).
 
-    An exact witness holds read-only object arrays of RationalFn.
+    An exact witness holds read-only object arrays of RationalFn, so it is
+    the one whose rho.dtype is object.
     A float witness solved at one sample holds matrices and float residuals.
     One solved over an array of N samples holds stacks over the samples that
     passed every check: index gives their positions in the input and errors
     the error each of the N samples failed with (None where it passed).
     """
 
-    def __init__(self, backend, m, rho, rho_inv, det_rho, u, usharp, v, q, a,
+    def __init__(self, m, rho, rho_inv, det_rho, u, usharp, v, q, a,
                  l0=None, l1=None, l4=None, q_is_identity=None, z=None,
                  residuals=None, fv=None, gv=None, index=None, errors=None):
-        self.backend = backend
         self.m = m
         self.rho = rho
         self.rho_inv = rho_inv
@@ -110,11 +110,11 @@ class IwasawaWitness:
 
 
 class ExtendedFrame:
-    """Factorized frame: full float loop at a sample, or exact middle columns."""
+    """Factorized frame: full float loop F at a sample, or exact middle columns
+    (middle is set exactly on an exact frame)."""
 
-    def __init__(self, backend, m, witness, F=None, middle=None, z=None,
+    def __init__(self, m, witness, F=None, middle=None, z=None,
                  factor_residual=None, hf=None):
-        self.backend = backend
         self.m = m
         self.witness = witness
         self.F = F
@@ -228,7 +228,7 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
     q_is_identity = exact_equal(Q, exact_identity(2, D2, BP_ZERO))
     ident2 = exact_identity(2, RF_ONE, RF_ZERO)
     return IwasawaWitness(
-        "exact", m, rho, rho_inv, det_rf, u, usharp, over(V, det), over(Q, D2), over(A, D4),
+        m, rho, rho_inv, det_rf, u, usharp, over(V, det), over(Q, D2), over(A, D4),
         l0=ident2 if q_is_identity else None, q_is_identity=q_is_identity,
     )
 
@@ -247,19 +247,12 @@ def _eval_mat(mat, z) -> np.ndarray:
     return vals if vals.ndim == 2 else np.ascontiguousarray(np.moveaxis(vals, -1, 0))
 
 
-def _jm_np(m) -> np.ndarray:
-    return np.eye(m)[::-1].astype(complex)
-
-
-_J2_NP = np.array([[0, 1], [1, 0]], dtype=complex)
-_J2_NP.setflags(write=False)
-
-
 def gram_float(fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
     """Equation 1F at each sample: rho = I + Jm fbar J2 f^t Jm + gbar^t g."""
     m = fv.shape[-2]
-    Jm = _jm_np(m)
-    return (np.eye(m, dtype=complex) + Jm @ fv.conj() @ _J2_NP @ fv.swapaxes(-1, -2) @ Jm
+    ctx = get_context(m)
+    Jm = ctx.np("Jm")
+    return (np.eye(m, dtype=complex) + Jm @ fv.conj() @ ctx.np("J2") @ fv.swapaxes(-1, -2) @ Jm
             + _ct(gv) @ gv)
 
 
@@ -299,7 +292,7 @@ def solve_iwasawa_float(hf: HolomorphicFrame, z) -> IwasawaWitness:
         if w.errors[0] is not None:
             raise w.errors[0]
         return IwasawaWitness(
-            "float", w.m, w.rho[0], w.rho_inv[0], float(w.det_rho[0]), w.u[0],
+            w.m, w.rho[0], w.rho_inv[0], float(w.det_rho[0]), w.u[0],
             w.usharp[0], w.v[0], w.q[0], w.a[0], l0=w.l0[0], l1=w.l1[0], l4=w.l4[0],
             q_is_identity=bool(w.q_is_identity[0]), z=complex(w.z[0]),
             residuals={k: float(r[0]) for k, r in w.residuals.items()},
@@ -315,8 +308,8 @@ def _solve_float_stack(hf: HolomorphicFrame, z: np.ndarray) -> IwasawaWitness:
     m = hf.m
     tol = _STRUCT_TOL
     n = len(z)
-    Jm = _jm_np(m)
-    J2 = _J2_NP
+    ctx = get_context(m)
+    Jm, J2 = ctx.np("Jm"), ctx.np("J2")
     eye_m = np.eye(m, dtype=complex)
     errors = [None] * n
     failed = np.zeros(n, dtype=bool)
@@ -398,7 +391,7 @@ def _solve_float_stack(hf: HolomorphicFrame, z: np.ndarray) -> IwasawaWitness:
     ok = ~failed
     usharp = usharp[ok]
     return IwasawaWitness(
-        "float", m, rho[ok], rho_inv[ok], np.linalg.det(rho[ok]).real, sharp(usharp),
+        m, rho[ok], rho_inv[ok], np.linalg.det(rho[ok]).real, sharp(usharp),
         usharp, v[ok], q[ok], a[ok], l0=l0[ok], l1=l1[ok], l4=_ct(Lc[ok]),
         q_is_identity=q_is_identity[ok], z=z[ok],
         residuals={k: r[ok] for k, r in residuals.items()}, fv=fv[ok], gv=gv[ok],
@@ -409,9 +402,9 @@ def _solve_float_stack(hf: HolomorphicFrame, z: np.ndarray) -> IwasawaWitness:
 def assemble_frame(hf: HolomorphicFrame, witness: IwasawaWitness,
                    check: bool = True) -> ExtendedFrame:
     """Build the factorized frame from a witness."""
-    if witness.backend == "float":
-        return _assemble_float(hf, witness, check)
-    return _assemble_exact_middle(hf, witness)
+    if witness.rho.dtype == object:
+        return _assemble_exact_middle(hf, witness)
+    return _assemble_float(hf, witness, check)
 
 
 def middle_columns_float(w: IwasawaWitness):
@@ -421,7 +414,7 @@ def middle_columns_float(w: IwasawaWitness):
     and the last m rows at loop^1, stacked over the samples of a stacked
     witness.
     """
-    Jm = _jm_np(w.m)
+    Jm = get_context(w.m).np("Jm")
     cu = w.u.conj()
     l0inv = np.linalg.inv(w.l0)
     top = (w.fv + w.gv @ Jm @ cu) @ l0inv
@@ -434,7 +427,7 @@ def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness, check: bool) -> Ext
     m = hf.m
     d = 2 * m + 2
     z = w.z
-    Jm = _jm_np(m)
+    Jm = get_context(m).np("Jm")
     fv, gv = w.fv, w.gv
     fsh = sharp(fv)
     cu_sharp = w.usharp.conj()
@@ -462,7 +455,7 @@ def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness, check: bool) -> Ext
 
     F = LoopMatrix(d, d, blocks)
     factor_residual = check_refactor(hf, w, F) if check else None
-    return ExtendedFrame("float", m, w, F=F, z=z, factor_residual=factor_residual,
+    return ExtendedFrame(m, w, F=F, z=z, factor_residual=factor_residual,
                          hf=hf)
 
 
@@ -503,7 +496,10 @@ def _assemble_exact_middle(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedF
     """
     m = hf.m
     d = 2 * m + 2
-    Jm = get_context(m).plain("Jm")
+    Jm = get_context(m).Jm
+    # f, g and f# enter as RationalFn: left as BiPoly, their products with
+    # ubar keep the same values in another num/den form, which costs
+    # extract_pair's reduced() more gcd steps.
     f = exact_map(hf.f, RationalFn.coerce)
     g = exact_map(hf.g, RationalFn.coerce)
     fsharp = exact_map(sharp(hf.f), RationalFn.coerce)
@@ -518,7 +514,7 @@ def _assemble_exact_middle(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedF
         col[r0:r0 + len(block)] = block
         coeffs[power] = col
     middle = LoopMatrix(d, 2, coeffs)
-    return ExtendedFrame("exact", m, w, middle=middle, hf=hf)
+    return ExtendedFrame(m, w, middle=middle, hf=hf)
 
 
 # -- connection forms ----------------------------------------------------------
@@ -544,8 +540,8 @@ def gauge_z_derivative(hf: HolomorphicFrame, w: IwasawaWitness) -> np.ndarray:
     L_z = (L_x - i L_y) / 2, because d/dz does not commute with ^H.
     """
     z = w.z
-    Jm = _jm_np(hf.m)
-    J2 = _J2_NP
+    ctx = get_context(hf.m)
+    Jm, J2 = ctx.np("Jm"), ctx.np("J2")
     fv, gv = w.fv, w.gv
     rho, us = w.rho, w.usharp
     s = w.l0[0, 0]
@@ -582,7 +578,7 @@ def maurer_cartan(hf: HolomorphicFrame, z):
     """
     m = hf.m
     d = 2 * m + 2
-    Jm = _jm_np(m)
+    Jm = get_context(m).np("Jm")
 
     w = solve_iwasawa_float(hf, z)
     L = _block_diag(w.l1, w.l0, w.l4)

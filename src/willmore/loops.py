@@ -1,21 +1,25 @@
 """Exact plain matrices, and Laurent-polynomial loops with matrix coefficients.
 
-Every matrix is a numpy array.  An exact plain matrix (a potential, a
-frame block, a witness block, a group constant) is a read-only array of
-dtype=object over one exact ring: GaussianRational, BiPoly or RationalFn.
-numpy applies +, -, * and @ to such entries one by one, and object @ sums
-each entry's products left to right, so an exact product keeps the
-association written in the source.
+Every matrix is a numpy array.  An exact matrix (a potential, a frame
+block, a witness block, a group constant, an exact loop coefficient) is a
+read-only array of dtype=object whose entries are exact scalars:
+GaussianRational, BiPoly or RationalFn.  numpy applies +, -, * and @ to
+such entries one by one, and object @ sums each entry's products left to
+right, so an exact product keeps the association written in the source.
+The rings combine through Python's reflected operators: a GaussianRational
+times a BiPoly is a BiPoly, a BiPoly times a RationalFn a RationalFn.  So a
+constant or polynomial matrix stays in its own ring, and only a product
+with a RationalFn operand builds RationalFn entries.
 
 A LoopMatrix is a finite Laurent polynomial in the loop parameter, stored
 power-major: {power: coefficient matrix}.  Every coefficient is a numpy
 array of one of two kinds:
 
-* exact: dtype=object, RationalFn entries (functions of z, zbar);
+* exact: dtype=object, exact scalars (constants or functions of z, zbar);
 * float: complex, the loop bound at one sample point.
 
 Both kinds share one implementation: numpy applies the same operators to
-RationalFn objects entry by entry, and to complex arrays through BLAS.
+exact scalars entry by entry, and to complex arrays through BLAS.
 Mixing the kinds in one operation raises ValueError.
 
 The conjugation bar() implements the loop-group reality operator on
@@ -29,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LambdaZero
-from .scalars import GR_ONE, GaussianRational, RationalFn, RF_ZERO, RF_ONE
+from .scalars import GR_ONE, GR_ZERO, BiPoly, GaussianRational, RationalFn, RF_ZERO, RF_ONE
 
 
 def exact_matrix(rows) -> np.ndarray:
@@ -76,7 +80,7 @@ def sharp(X: np.ndarray) -> np.ndarray:
 
 
 def _is_exact(x) -> bool:
-    return isinstance(x, RationalFn)
+    return isinstance(x, (GaussianRational, BiPoly, RationalFn))
 
 
 def _same_kind(a, b, what):
@@ -92,7 +96,7 @@ def _gr_pow(base: GaussianRational, n: int) -> GaussianRational:
 
 
 def _coefficient(mat) -> np.ndarray:
-    """A read-only array: object if its entries are RationalFn, else complex.
+    """A read-only array: object if its entries are exact scalars, else complex.
 
     Read-only arrays of either dtype are immutable already and are shared,
     not copied.
@@ -151,7 +155,7 @@ class LoopMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "coeffs", clean)
-        # True (RationalFn), False (complex), or None for a loop built from
+        # True (exact scalars), False (complex), or None for a loop built from
         # no coefficients at all, which combines with either kind.
         object.__setattr__(self, "exact", exact)
 
@@ -251,10 +255,10 @@ class LoopMatrix:
         if self.exact is False:
             raise ValueError("at_lambda needs exact coefficients; use evaluate")
         lam = GaussianRational.coerce(lam)
-        acc = exact_zeros(self.rows, self.cols, RF_ZERO)
+        acc = exact_zeros(self.rows, self.cols, GR_ZERO)
         for k, m in self.coeffs.items():
             p = _gr_pow(lam, k) if k >= 0 else GR_ONE / _gr_pow(lam, -k)
-            acc = acc + m * RationalFn.const(p)
+            acc = acc + m * p
         acc.setflags(write=False)
         return acc
 

@@ -32,14 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PotentialFormatError, StepSizeTooCoarse
-from .loops import LoopMatrix, exact_equal, exact_map, exact_matrix, exact_zeros, sharp
-from .scalars import (
-    BP_ZERO,
-    BiPoly,
-    GR_I,
-    GaussianRational,
-    RationalFn,
-)
+from .loops import LoopMatrix, exact_equal, exact_matrix, exact_zeros, sharp
+from .scalars import BP_ZERO, BiPoly, GR_I, GaussianRational
 
 
 def _require_z_only(p: BiPoly, what: str):
@@ -71,7 +65,7 @@ class NormalizedPotential:
         return exact_matrix([row1, row2])
 
     def eta_loop(self) -> LoopMatrix:
-        """The potential matrix at loop power -1, exact."""
+        """The potential matrix at loop power -1, a BiPoly loop."""
         m = self.m
         d = 2 * m + 2
         B = self.b1hat()
@@ -81,7 +75,7 @@ class NormalizedPotential:
             [exact_zeros(2, 2, BP_ZERO), B],
             [-(B.T @ I11), exact_zeros(2 * m, 2 * m, BP_ZERO)],
         ])
-        return LoopMatrix(d, d, {-1: exact_map(mat, RationalFn.coerce)})
+        return LoopMatrix(d, d, {-1: mat})
 
 
 class NilpotentPotential:
@@ -94,7 +88,7 @@ class NilpotentPotential:
             raise ValueError("fcheck must be m x 2")
 
     def full_loop(self) -> LoopMatrix:
-        """The nilpotent potential at loop power -1, exact."""
+        """The nilpotent potential at loop power -1, a BiPoly loop."""
         m = self.m
         d = 2 * m + 2
         zmm = exact_zeros(m, m, BP_ZERO)
@@ -103,7 +97,7 @@ class NilpotentPotential:
             [exact_zeros(2, m, BP_ZERO), exact_zeros(2, 2, BP_ZERO), -sharp(self.fcheck)],
             [zmm, exact_zeros(m, 2, BP_ZERO), zmm],
         ])
-        return LoopMatrix(d, d, {-1: exact_map(mat, RationalFn.coerce)})
+        return LoopMatrix(d, d, {-1: mat})
 
 
 def to_nilpotent(pot: NormalizedPotential) -> NilpotentPotential:

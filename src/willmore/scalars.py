@@ -18,7 +18,8 @@ Three layers, all on Python integers:
   check) the pipeline works on BiPoly numerators over it instead.
 
 Numeric evaluation computes exactly (the sample point is converted to exact
-rationals) and rounds to complex once at the end.
+rationals) and rounds to complex once at the end.  All three evaluate(z),
+a GaussianRational to its own value, so an exact matrix may mix the rings.
 """
 
 from __future__ import annotations
@@ -127,10 +128,11 @@ class GaussianRational:
 
     @classmethod
     def _try(cls, x):
-        try:
+        # None for what coerce rejects, such as a BiPoly or RationalFn
+        # operand, without building coerce's error message (its repr).
+        if isinstance(x, (GaussianRational, int, Fraction, complex, float)):
             return cls.coerce(x)
-        except TypeError:
-            return None
+        return None
 
     def __add__(self, other):
         if not isinstance(other, GaussianRational):
@@ -206,9 +208,8 @@ class GaussianRational:
 
     def __eq__(self, other):
         if not isinstance(other, GaussianRational):
-            try:
-                other = GaussianRational.coerce(other)
-            except TypeError:
+            other = GaussianRational._try(other)
+            if other is None:
                 return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
 
@@ -224,6 +225,10 @@ class GaussianRational:
     def to_complex(self) -> complex:
         # Integer true division rounds correctly, as float(Fraction) does.
         return complex(self._a / self._d, self._b / self._d)
+
+    def evaluate(self, z) -> complex:
+        """The value at any z, as a constant BiPoly or RationalFn evaluates."""
+        return self.to_complex()
 
     def content(self) -> Fraction:
         """gcd of the parts over Q: gcd(a, b)/d, already in lowest terms."""

@@ -94,17 +94,16 @@ def mink_pair_np(x: np.ndarray, y: np.ndarray):
 class SurfacePair:
     """Adjoint pair of homogeneous light-cone lifts at one family parameter.
 
-    backend "exact": Y and Yhat are tuples of 2m+2 RationalFn in R^{1,2m+1}
-    coordinates, each reduced by its num/den gcd (stored scale: true lift =
-    (sqrt(2)/2) * stored, pairings carry factor 1/2).
-    backend "float": lifts are evaluated from one stacked factorization of
-    the requested samples.
+    Exact pair (Y is not None): Y and Yhat are tuples of 2m+2 RationalFn in
+    R^{1,2m+1} coordinates, each reduced by its num/den gcd (stored scale:
+    true lift = (sqrt(2)/2) * stored, pairings carry factor 1/2).
+    Float pair (Y is None): lifts are evaluated from one stacked
+    factorization of the requested samples.
     """
 
-    __slots__ = ("backend", "m", "lam", "hf", "Y", "Yhat")
+    __slots__ = ("m", "lam", "hf", "Y", "Yhat")
 
-    def __init__(self, backend, m, lam, hf, Y=None, Yhat=None):
-        self.backend = backend
+    def __init__(self, m, lam, hf, Y=None, Yhat=None):
         self.m = m
         self.lam = lam
         self.hf = hf
@@ -114,17 +113,17 @@ class SurfacePair:
     def values(self, z):
         """Homogeneous lift values at z.
 
-        Float backend: real vectors of the honest frame (factor included),
+        Float pair: real vectors of the honest frame (factor included),
         future-pointing.  A 1-D array of z gives (Y, Yhat, errors): rows per
         sample, NaN where the sample failed, and errors[k] the error sample k
         failed with (None where it passed); a scalar z gives (Y, Yhat) and
         raises the error instead.
-        Exact backend, scalar z only: complex vectors in the rational gauge;
+        Exact pair, scalar z only: complex vectors in the rational gauge;
         each differs from the honest lift by a sample-dependent unit scalar
         (for both shipped examples +1 inside the singular circle, -1
         outside it).
         """
-        if self.backend == "float":
+        if self.Y is None:
             if np.ndim(z) == 0:
                 return _one_sample(_float_lift_values(self.hf, self.lam, [z]))
             return _float_lift_values(self.hf, self.lam, z)
@@ -143,7 +142,7 @@ def extract_pair(frame: ExtendedFrame, lam) -> SurfacePair:
     """
     if frame.hf is None:
         raise ValueError("frame carries no integrated-frame provenance")
-    if frame.backend == "exact":
+    if frame.middle is not None:
         lam = GaussianRational.coerce(lam)
         if lam.abs_squared() != 1:
             raise ValueError("exact family parameter must satisfy |lambda| = 1")
@@ -160,11 +159,11 @@ def extract_pair(frame: ExtendedFrame, lam) -> SurfacePair:
         # metric, and derivative works on small operands.
         Y = tuple((-c).reduced() for c in _combine(col1, m, times_minus_i))
         Yhat = tuple(c.reduced() for c in _combine(col0, m, times_minus_i))
-        return SurfacePair("exact", m, lam, frame.hf, Y=Y, Yhat=Yhat)
+        return SurfacePair(m, lam, frame.hf, Y=Y, Yhat=Yhat)
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-12:
         raise ValueError("family parameter must lie on the unit circle")
-    return SurfacePair("float", frame.m, lam, frame.hf)
+    return SurfacePair(frame.m, lam, frame.hf)
 
 
 def lift_columns_float(w: IwasawaWitness, lam: complex):
@@ -240,7 +239,7 @@ def project_to_sphere(pair: SurfacePair, which: str = "Y"):
     return an evaluator z -> real unit vector, which over a 1-D array of z
     returns (vectors, errors) as SurfacePair.values does.
     """
-    if pair.backend == "exact":
+    if pair.Y is not None:
         comps = _pick(pair, which)
         if comps[0].is_zero():
             raise FirstCoordinateVanishes("lift has identically zero first coordinate")
@@ -298,7 +297,7 @@ def induced_metric(pair: SurfacePair, which: str = "Y"):
     if given, is pair.values at metric_stencil(z).ravel(), so that a
     caller can share one stacked evaluation between both lifts.
     """
-    if pair.backend == "exact":
+    if pair.Y is not None:
         y = project_to_sphere(pair, which)
         acc = None
         for c in y:
@@ -411,11 +410,10 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
     report = {
         "which": which,
         "max_order": max_order,
-        "backend": pair.backend,
         "pairs": {},
     }
 
-    if pair.backend == "exact":
+    if pair.Y is not None:
         # Over the common denominator D the lift is P / D, and by the quotient
         # rule d^j/dz^j (P / D) = Q_j / D^(j+1) with
         # Q_(j+1) = dQ_j D - (j+1) Q_j dD, so <d^j Y, d^l Y> vanishes exactly
@@ -625,7 +623,7 @@ def branch_analysis(pair: SurfacePair) -> dict:
     Zero limit marks a branch point of the projected surface there; a
     positive limit marks an immersed point.
     """
-    if pair.backend != "exact":
+    if pair.Y is None:
         raise ExactPathRequired("behavior at infinity needs the exact components")
     out = {}
     for which, tag in (("Y", "y"), ("Yhat", "yhat")):

@@ -35,7 +35,7 @@ from .potentials import (
     document_for,
     to_nilpotent,
 )
-from .scalars import GaussianRational, RationalFn
+from .scalars import GaussianRational
 from .surfaces import (
     _gram_det_float,
     _stencil_weights,
@@ -218,7 +218,7 @@ def _rand_gr(rng) -> GaussianRational:
 
 
 def _rand_exact_loop(rng, d) -> LoopMatrix:
-    mat = [[RationalFn.const(_rand_gr(rng)) for _ in range(d)] for _ in range(d)]
+    mat = [[_rand_gr(rng) for _ in range(d)] for _ in range(d)]
     return LoopMatrix(d, d, {0: mat})
 
 
@@ -463,8 +463,8 @@ def run_suite(pot, plan=None) -> VerificationReport:
             pair = extract_pair(fr0, lam)
             proj = project_to_sphere(pair, "Y")
             pts = [p for z in fd_samples for p in (z + h, z - h, z + 1j * h, z - 1j * h)]
-            y, errors = proj(np.array(pts, dtype=complex))
-            raise_first(errors)
+            y, sample_errors = proj(np.array(pts, dtype=complex))
+            raise_first(sample_errors)
             for yp, ym, yip, yim in y.reshape(len(fd_samples), 4, y.shape[-1]):
                 yx = (yp - ym) / (2 * h)
                 yy = (yip - yim) / (2 * h)

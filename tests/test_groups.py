@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from willmore.groups import get_context
-from willmore.loops import LoopMatrix
+from willmore.loops import LoopMatrix, exact_map
 from willmore.scalars import BiPoly, GaussianRational, RationalFn
 
 
@@ -33,6 +33,35 @@ def _rand_loop(rng, d):
             for _ in range(d)
         ]
     return LoopMatrix(d, d, coeffs)
+
+
+def _rings(L):
+    return {type(x) for m in L.coeffs.values() for x in m.flat}
+
+
+def test_iso_P_keeps_the_ring_of_its_input():
+    # A constant loop and a polynomial loop go through iso_P and the index
+    # oracle in their own rings, to the values their RationalFn copies give.
+    ctx = get_context(2)
+    rng = random.Random(5)
+    d = ctx.dim
+    z, zb = BiPoly.var_z(), BiPoly.var_zbar()
+    polys = [BiPoly.const(1), z, zb, z * zb + 1]
+    G = LoopMatrix(d, d, {k: [[_rand_gr(rng) for _ in range(d)] for _ in range(d)]
+                          for k in (-1, 0, 1)})
+    P = LoopMatrix(d, d, {k: [[rng.choice(polys) * _rand_gr(rng) for _ in range(d)]
+                              for _ in range(d)] for k in (-1, 0)})
+    for A, ring in ((G, GaussianRational), (P, BiPoly)):
+        Ar = LoopMatrix(d, d, {k: exact_map(m, RationalFn.coerce)
+                               for k, m in A.coeffs.items()})
+        for iso in (ctx.iso_P, ctx.iso_P_indexwise, ctx.iso_P_inv):
+            got, want = iso(A), iso(Ar)
+            assert _rings(got) == {ring}
+            assert got == want
+            for lam in (1.0, 1j):
+                a, b = got.evaluate(0.3 + 0.2j, lam), want.evaluate(0.3 + 0.2j, lam)
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert ctx.iso_P(A) == ctx.iso_P_indexwise(A)
 
 
 def test_context_constants_are_cached():

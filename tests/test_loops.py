@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from willmore.loops import LoopMatrix, unipotent_inverse
+from willmore.loops import LoopMatrix, exact_equal, exact_map, unipotent_inverse
 from willmore.scalars import BiPoly, GaussianRational, RationalFn
 
 gaussians = st.builds(
@@ -249,3 +249,61 @@ def test_to_float_is_the_entrywise_evaluation(example, request):
                             dtype=complex).reshape(exact.shape)
             assert F.coeffs[k].dtype == complex
             assert np.array_equal(F.coeffs[k].view(np.uint64), want.view(np.uint64))
+
+
+def _ring_loops(rng, d=3):
+    """A GaussianRational loop and a BiPoly loop, random over a few powers."""
+    z, zb = BiPoly.var_z(), BiPoly.var_zbar()
+    pool = [BiPoly.const(GaussianRational(1, 2)), z, zb, z * zb + 1, z * z - zb]
+
+    def gr():
+        return GaussianRational(Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))),
+                                Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))))
+
+    G = LoopMatrix(d, d, {k: [[gr() for _ in range(d)] for _ in range(d)]
+                          for k in (-1, 0, 2)})
+    P = LoopMatrix(d, d, {k: [[pool[rng.integers(len(pool))] * gr() for _ in range(d)]
+                              for _ in range(d)] for k in (-2, 0, 1)})
+    return G, P
+
+
+def _as_rational(L):
+    """The same loop with every entry a RationalFn."""
+    return LoopMatrix(L.rows, L.cols,
+                      {k: exact_map(m, RationalFn.coerce) for k, m in L.coeffs.items()})
+
+
+def _rings(L):
+    return {type(x) for m in L.coeffs.values() for x in m.flat}
+
+
+def test_exact_rings_agree_with_their_rationalfn_copies():
+    # Constant and polynomial loops keep their ring through every operation
+    # and give the values their RationalFn copies give, bit for bit once
+    # evaluated.
+    rng = np.random.default_rng(14)
+    G, P = _ring_loops(rng)
+    G2, P2 = _ring_loops(rng)
+    Gr, Pr = _as_rational(G), _as_rational(P)
+    assert [_rings(L) for L in (G, P, Gr)] == [{GaussianRational}, {BiPoly}, {RationalFn}]
+    for A, B in ((G, G2), (G, P2), (P, G2), (P, P2)):
+        Ar, Br = _as_rational(A), _as_rational(B)
+        assert _rings(A @ B) == ({BiPoly} if BiPoly in _rings(A) | _rings(B)
+                                 else {GaussianRational})
+        for op in (lambda x, y: x @ y, lambda x, y: x + y, lambda x, y: x - y):
+            got = op(A, B)
+            assert _rings(got) <= _rings(A) | _rings(B)
+            assert got == op(Ar, Br)
+            assert got == op(A, Br)
+    z = 0.3 - 0.45j
+    for L, Lr in ((G, Gr), (P, Pr)):
+        assert L.bar() == Lr.bar() and _rings(L.bar()) == _rings(L)
+        for lam in (GaussianRational(1), GaussianRational(0, 1),
+                    GaussianRational(Fraction(3, 5), Fraction(-4, 5))):
+            assert exact_equal(L.at_lambda(lam), Lr.at_lambda(lam))
+            got, want = L.evaluate(z, lam.to_complex()), Lr.evaluate(z, lam.to_complex())
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        F, Fr = L.to_float(z), Lr.to_float(z)
+        assert sorted(F.coeffs) == sorted(Fr.coeffs)
+        for k in F.coeffs:
+            assert np.array_equal(F.coeffs[k].view(np.uint64), Fr.coeffs[k].view(np.uint64))

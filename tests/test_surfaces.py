@@ -71,7 +71,7 @@ def test_exact_isotropy_reports_a_nonzero_pairing(pair1):
     # gives it
     Y = list(pair1.Y)
     Y[2] = Y[2] + RationalFn(BiPoly.var_z())
-    bent = SurfacePair("exact", pair1.m, pair1.lam, pair1.hf, Y=tuple(Y), Yhat=pair1.Yhat)
+    bent = SurfacePair(pair1.m, pair1.lam, pair1.hf, Y=tuple(Y), Yhat=pair1.Yhat)
     samples = (0.3 + 0.2j, -0.5 + 0.4j, 0.7j)
     dY = [c.d_dz() for c in Y]
     want = max(abs(_rf_float(mink_pair_rf(dY, dY), z)) for z in samples)

@@ -1,15 +1,19 @@
 """Invariant suite: catalog coverage, determinism, and failure isolation."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from willmore.groups import GroupContext
+from willmore.loops import LoopMatrix, exact_zeros
 from willmore.potentials import (
+    NilpotentPotential,
     PotentialDocument,
     builtin_potential,
     document_for,
 )
-from willmore.scalars import BiPoly
+from willmore.scalars import GR_ZERO, BiPoly, GaussianRational
 from willmore.verify import CHECK_NAMES, DEFAULT_PLAN, run_suite
 
 SMALL_PLAN = {"samples": 6, "fd_samples": 2, "seed": 3, "oracle_matrices": 4}
@@ -82,3 +86,43 @@ def test_fd_and_algebraic_tolerances_are_tagged(report2):
     for c in report2.checks:
         want = 1e-6 if c["kind"] == "finite-difference" else 1e-10
         assert c["tolerance"] == want, c["name"]
+
+
+def test_exact_checks_measure_a_broken_identity(monkeypatch):
+    # A third added to one entry of the index oracle, and a constant loop
+    # added to the nilpotent potential, must each be measured: the residual
+    # is the Gaussian-rational entry's value, not an error.
+    third = GaussianRational(Fraction(1, 3))
+
+    def constant_loop(d):
+        mat = exact_zeros(d, d, GR_ZERO)
+        mat[0, 1] = third
+        return LoopMatrix(d, d, {0: mat})
+
+    indexwise = GroupContext.iso_P_indexwise
+    full_loop = NilpotentPotential.full_loop
+    monkeypatch.setattr(GroupContext, "iso_P_indexwise",
+                        lambda self, A: indexwise(self, A) + constant_loop(A.rows))
+    monkeypatch.setattr(NilpotentPotential, "full_loop",
+                        lambda self: full_loop(self) + constant_loop(2 * self.m + 2))
+    rep = run_suite(builtin_potential(2), SMALL_PLAN)
+    checks = {c["name"]: c for c in rep.checks}
+    for name in ("iso-oracle", "nilpotent-embed"):
+        c = checks[name]
+        assert not c["passed"], c
+        assert "error" not in c, c
+        assert c["max_residual"] == pytest.approx(1 / 3, rel=1e-15), c
+
+
+def test_a_check_that_raises_is_reported(monkeypatch):
+    # A check that raises after the conformality check has run is reported
+    # with its error, not raised out of run_suite.
+    def broken(self, A):
+        raise ValueError("oracle unavailable")
+
+    monkeypatch.setattr(GroupContext, "iso_P_indexwise", broken)
+    rep = run_suite(builtin_potential(2), SMALL_PLAN)
+    failed = {c["name"]: c for c in rep.checks if not c["passed"]}
+    assert list(failed) == ["iso-oracle"]
+    assert failed["iso-oracle"]["error"] == "ValueError: oracle unavailable"
+    assert failed["iso-oracle"]["max_residual"] == float("inf")
