@@ -19,7 +19,9 @@ class LambdaZero(WillmoreError):
 
 
 class SingularLocus(WillmoreError):
-    """The Gram factorization lost positivity (degeneracy locus reached)."""
+    """The Gram factorization fails at a sample: its Gram matrix lost
+    positivity (degeneracy locus reached) or is not finite (overflow far
+    from the origin)."""
 
 
 class ResidualTooLarge(WillmoreError):

@@ -340,10 +340,7 @@ class GroupContext:
     def check_membership(self, F: LoopMatrix, which: str, z=None,
                          lams=(1.0, 1j)) -> dict:
         """Report (never raise) how well F satisfies a membership relation."""
-        if which == "SO(1,2m+1,C)":
-            G = self._like("minkowski", F)
-            residual = F.transpose() @ G @ F - G
-        elif which == "G(2m+2,C)":
+        if which == "G(2m+2,C)":
             J = self._like("J", F)
             residual = F.transpose() @ J @ F - J
         elif which == "real-form-via-tau":

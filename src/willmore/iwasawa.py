@@ -12,10 +12,10 @@ with 1B kept as a residual:
     1A: a = I - u q J2 ubar^t - v rho vbar^t
     1B: u q - v rho u#bar^t J2 = f        (residual)
 
-The exact witness solves 1F and 1E in rational functions, which fixes the
-num/den form of rho, rho^-1, det rho and u#.  The rest runs on polynomial
-numerators over denominators known in advance, det = det rho and
-D2 = det conj(det), so no gcd is needed:
+The exact witness solves 1F in polynomials: rho and det rho are polynomial,
+and rho^-1 = adj(rho) / det.  Every other block is a polynomial numerator
+over a denominator known in advance, det = det rho or D2 = det conj(det),
+so no gcd is needed:
 
     u# = U / det,   U = (f# - J2 fbar^t g) adj(rho)
     v  = V / det,   V = g adj(rho)
@@ -162,11 +162,10 @@ def _adjugate_small(A):
 def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
     """Global rational-function witness: no square root taken, no gcd called.
 
-    rho, rho^-1, det rho, u# and u are read-only object arrays of RationalFn
-    whose products keep the association written here, which fixes each
-    entry's num/den form.  The other blocks are solved on polynomial
-    numerators over known denominators (see the module docstring) and
-    returned as RationalFn over those denominators.
+    Every block is solved on polynomial numerators over known denominators
+    (see the module docstring) and returned as a read-only object array of
+    RationalFn over its denominator: rho over 1, rho^-1, u#, u and v over
+    det rho, q over D2 and a over D2^2.
     """
     m = hf.m
     ctx = get_context(m)
@@ -175,9 +174,6 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
     g = hf.g
     fbar = np.conjugate(f)
     gbar = np.conjugate(g)
-
-    def rf(mat):
-        return exact_map(mat, RationalFn.coerce)
 
     # 1F
     gram = (Jm @ fbar) @ (J2 @ (f.T @ Jm))
@@ -190,17 +186,16 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
         adj = _adjugate_small(rho_poly)
     det_rf = RationalFn(det)
     rho_inv = exact_map(adj, lambda p: RationalFn(p, det))
-    rho = rf(rho_poly)
+    rho = exact_map(rho_poly, RationalFn.coerce)
 
-    # 1E
+    # 1E and 1D on numerators: u# = U / det and v = V / det.
     j2fh = J2 @ fbar.T
-    usharp = exact_matrix((rf(sharp(f)) - rf(j2fh @ g)) @ rho_inv)
-    u = sharp(usharp)
-
-    # Numerators: u# = U / det and v = V / det; q over D2 = det conj(det).
     U = (sharp(f) - j2fh @ g) @ adj
     V = g @ adj
+    usharp = exact_map(U, lambda p: RationalFn(p, det))
+    u = sharp(usharp)
     U_sharp = sharp(U)
+    # q over D2 = det conj(det).
     D2 = det * det.conjugate()
 
     def times(mat, p):
@@ -325,12 +320,16 @@ def _solve_float_stack(hf: HolomorphicFrame, z: np.ndarray) -> IwasawaWitness:
     fsh = sharp(fv)
 
     rho = gram_float(fv, gv)
+    check(~np.isfinite(rho).all(axis=(-2, -1)), lambda k: SingularLocus(
+        "gram matrix is not finite at z=%r" % (complex(z[k]),)))
+    # Samples without a finite, then without a positive, Gram matrix get the
+    # identity in its place, so that no stacked LAPACK call fails on their
+    # account.
+    herm = np.where(failed[:, None, None], eye_m, (rho + _ct(rho)) / 2)
     scale = np.maximum(1.0, np.abs(rho).max(axis=(-2, -1)))
-    eig_min = np.linalg.eigvalsh((rho + _ct(rho)) / 2).min(axis=-1)
+    eig_min = np.linalg.eigvalsh(herm).min(axis=-1)
     check(eig_min <= 1e-12 * scale, lambda k: SingularLocus(
         "gram matrix lost positivity at z=%r (min eig %.3e)" % (complex(z[k]), eig_min[k])))
-    # Samples without a positive Gram matrix get the identity in its place,
-    # so that the stacked LAPACK calls below cannot fail on their account.
     rho_safe = np.where(failed[:, None, None], eye_m, rho)
     rho_inv = np.linalg.inv(rho_safe)
 
@@ -399,12 +398,11 @@ def _solve_float_stack(hf: HolomorphicFrame, z: np.ndarray) -> IwasawaWitness:
     )
 
 
-def assemble_frame(hf: HolomorphicFrame, witness: IwasawaWitness,
-                   check: bool = True) -> ExtendedFrame:
+def assemble_frame(hf: HolomorphicFrame, witness: IwasawaWitness) -> ExtendedFrame:
     """Build the factorized frame from a witness."""
     if witness.rho.dtype == object:
         return _assemble_exact_middle(hf, witness)
-    return _assemble_float(hf, witness, check)
+    return _assemble_float(hf, witness)
 
 
 def middle_columns_float(w: IwasawaWitness):
@@ -423,7 +421,7 @@ def middle_columns_float(w: IwasawaWitness):
     return top, mid, bot
 
 
-def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness, check: bool) -> ExtendedFrame:
+def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedFrame:
     m = hf.m
     d = 2 * m + 2
     z = w.z
@@ -454,8 +452,7 @@ def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness, check: bool) -> Ext
     put(0, m + 2, m + 2, l4inv)
 
     F = LoopMatrix(d, d, blocks)
-    factor_residual = check_refactor(hf, w, F) if check else None
-    return ExtendedFrame(m, w, F=F, z=z, factor_residual=factor_residual,
+    return ExtendedFrame(m, w, F=F, z=z, factor_residual=check_refactor(hf, w, F),
                          hf=hf)
 
 
@@ -497,15 +494,9 @@ def _assemble_exact_middle(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedF
     m = hf.m
     d = 2 * m + 2
     Jm = get_context(m).Jm
-    # f, g and f# enter as RationalFn: left as BiPoly, their products with
-    # ubar keep the same values in another num/den form, which costs
-    # extract_pair's reduced() more gcd steps.
-    f = exact_map(hf.f, RationalFn.coerce)
-    g = exact_map(hf.g, RationalFn.coerce)
-    fsharp = exact_map(sharp(hf.f), RationalFn.coerce)
     ubar = np.conjugate(w.u)
-    top = f + (g @ Jm) @ ubar
-    mid = exact_identity(2, RF_ONE, RF_ZERO) - (fsharp @ Jm) @ ubar
+    top = hf.f + (hf.g @ Jm) @ ubar
+    mid = exact_identity(2, RF_ONE, RF_ZERO) - (sharp(hf.f) @ Jm) @ ubar
     bot = Jm @ ubar
 
     coeffs = {}

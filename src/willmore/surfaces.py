@@ -520,7 +520,7 @@ def _gram_det_float(hf: HolomorphicFrame, z):
 SCAN_GRID_N = 512
 
 
-def degeneracy_scan(source, theta: float = 0.0, r_range=(1e-3, 2.5)) -> list:
+def degeneracy_scan(hf: HolomorphicFrame, theta: float = 0.0, r_range=(1e-3, 2.5)) -> list:
     """Radii along the ray arg z = theta where the factorization degenerates.
 
     The Gram determinant is a nonnegative function vanishing quadratically on
@@ -528,7 +528,6 @@ def degeneracy_scan(source, theta: float = 0.0, r_range=(1e-3, 2.5)) -> list:
     change is bisected to a bracket below 1e-10 and kept when the determinant
     is numerically zero at the located radius.
     """
-    hf = _as_hf(source)
     direction = complex(math.cos(theta), math.sin(theta))
     r0, r1 = float(r_range[0]), float(r_range[1])
     if r1 <= r0 or r0 < 0:
@@ -543,18 +542,20 @@ def degeneracy_scan(source, theta: float = 0.0, r_range=(1e-3, 2.5)) -> list:
         return (sigma(r + fd) - sigma(max(r - fd, 0.0))) / (2 * fd)
 
     rs = np.linspace(r0, r1, SCAN_GRID_N)
-    sig = _gram_det_float(hf, np.array([r * direction for r in rs]))
+    sig = sigma(rs)
+    # The radial derivative at every grid radius, as dsigma computes it.
+    dsig = (sigma(rs + fd) - sigma(np.maximum(rs - fd, 0.0))) / (2 * fd)
     scale = max(1.0, float(sig.max()))
     found = []
     for i in range(SCAN_GRID_N - 1):
         if min(sig[i], sig[i + 1]) > 1e-2 * scale:
             continue
-        a, b = float(rs[i]), float(rs[i + 1])
-        da, db = dsigma(a), dsigma(b)
+        da, db = dsig[i], dsig[i + 1]
         if da == 0.0 and db == 0.0:
             continue
         if not (da < 0.0 <= db):
             continue
+        a, b = float(rs[i]), float(rs[i + 1])
         while b - a > 1e-11:
             mdl = 0.5 * (a + b)
             if dsigma(mdl) < 0.0:
@@ -565,15 +566,6 @@ def degeneracy_scan(source, theta: float = 0.0, r_range=(1e-3, 2.5)) -> list:
         if sigma(root) <= 1e-8 * scale:
             found.append(root)
     return found
-
-
-def _as_hf(source) -> HolomorphicFrame:
-    if isinstance(source, HolomorphicFrame):
-        return source
-    hf = getattr(source, "hf", None)
-    if hf is None:
-        raise ValueError("source carries no integrated-frame provenance")
-    return hf
 
 
 # -- behavior at infinity ----------------------------------------------------------
@@ -618,22 +610,19 @@ def _diagonal_limit(rf: RationalFn) -> Fraction:
 
 
 def branch_analysis(pair: SurfacePair) -> dict:
-    """Limits of both conformal factors at z = infinity (coordinate 1/z).
+    """Limits of both conformal factors at z = infinity (coordinate w = 1/z).
 
-    Zero limit marks a branch point of the projected surface there; a
-    positive limit marks an immersed point.
+    The factor transforms as a metric: in the chart w it is
+    g(1/w) |dz/dw|^2 = g(1/w) / |w|^4, with g the induced metric in z.  Zero
+    limit marks a branch point of the projected surface there; a positive
+    limit marks an immersed point.
     """
     if pair.Y is None:
         raise ExactPathRequired("behavior at infinity needs the exact components")
     out = {}
     for which, tag in (("Y", "y"), ("Yhat", "yhat")):
-        y = project_to_sphere(pair, which)
-        inv = [_invert_coordinate(c) for c in y]
-        acc = None
-        for c in inv:
-            term = c.d_dz() * c.d_dzbar()
-            acc = term if acc is None else acc + term
-        lim = _diagonal_limit(acc)
+        g = _invert_coordinate(induced_metric(pair, which))
+        lim = _diagonal_limit(RationalFn(g.num, g.den.shift(2, 2)))
         out["%s_limit" % tag] = lim
         out["%s_is_branch_point" % tag] = lim == 0
     return out

@@ -161,6 +161,18 @@ def test_singular_vertices_flagged_not_fatal(tmp_path):
     assert rep["max_projective_distance"] < 1e-9
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_vertices_flagged_not_fatal(tmp_path, capsys):
+    # from |z| ~ 1e52 the example-1 Gram matrix is not finite: the ring
+    # vertices fail one by one, the centre does not
+    out = tmp_path / "far"
+    assert _run("example", "--id", "1", "--grid-n", "2", "--radius", "1e60",
+                "--out", str(out)) == 0
+    rows = list(csv.DictReader(open(out / "mesh.csv")))
+    assert [r["singular"] for r in rows] == ["0", "1", "1", "1", "1"]
+    assert "4 singular: SingularLocus 4" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("offset,stencil_only", [(0.0, 0), (2.8e-4, 3)])
 def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, offset, stencil_only):
     """A polar grid whose fourth ring lies on the example-1 degeneracy circle,

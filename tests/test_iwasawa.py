@@ -24,7 +24,7 @@ from willmore.iwasawa import (
     solve_iwasawa_exact,
     solve_iwasawa_float,
 )
-from willmore.loops import exact_equal, exact_identity, exact_map, exact_matrix
+from willmore.loops import exact_equal, exact_identity, exact_map, exact_matrix, sharp
 from willmore.potentials import NormalizedPotential, builtin_potential, to_nilpotent
 from willmore.scalars import BiPoly, GaussianRational, RationalFn
 from willmore.surfaces import (
@@ -66,19 +66,62 @@ def _sorted_terms(p):
     return "+".join("%d,%d:%s,%s" % (a, b, c.re, c.im) for (a, b), c in sorted(p.terms.items()))
 
 
-def test_exact_intermediates_keep_their_representation(frame1, frame2, pair1):
+def _chain_usharp(hf, w):
+    """u# as the exact witness formed it before it solved 1E on the numerator
+    over det rho: a product of RationalFn through rho^-1, whose num/den text
+    the first digest below pins."""
+    J2 = get_context(hf.m).J2
+
+    def rf(mat):
+        return exact_map(mat, RationalFn.coerce)
+
+    j2fh = J2 @ np.conjugate(hf.f).T
+    return exact_matrix((rf(sharp(hf.f)) - rf(j2fh @ hf.g)) @ w.rho_inv)
+
+
+def test_exact_intermediates_keep_their_representation(hf1, hf2, frame1, frame2, pair1):
     # the num/den form of each entry follows from the association of every
     # exact product; pinned are rho, u# and det rho of both examples and both
-    # example-1 metrics at lambda = 1, as the tuple-matrix code computed them
-    digest = hashlib.sha256()
+    # example-1 metrics at lambda = 1.  The first digest is the text the
+    # tuple-matrix code computed, with u# rebuilt by its rational chain; the
+    # witness's own u#, its numerator over det rho, must equal that u# and
+    # is pinned by the second digest.
+    old, new = hashlib.sha256(), hashlib.sha256()
+    for hf, frame in ((hf1, frame1), (hf2, frame2)):
+        w = frame.witness
+        chain = _chain_usharp(hf, w)
+        assert chain.shape == w.usharp.shape
+        for (i, j), x in np.ndenumerate(w.usharp):
+            assert x == chain[i, j], (hf.m, i, j)
+        for digest, usharp in ((old, chain), (new, w.usharp)):
+            for part in (w.rho, usharp, w.det_rho):
+                digest.update(_sorted_text(part).encode())
+    for which in ("Y", "Yhat"):
+        text = _sorted_text(induced_metric(pair1, which)).encode()
+        old.update(text)
+        new.update(text)
+    assert old.hexdigest() == (
+        "2ad8b3fcbc56bb7faf3f4696fa7819d67460fe494949abb38254f100f3129d24")
+    assert new.hexdigest() == (
+        "9a49af25cdb5b5f1bfe404b8a44647c9823a2d6ba525bef2ebd0ab0966d42ecb")
+
+
+def test_exact_witness_blocks_sit_over_their_known_denominators(frame1, frame2):
+    # u# and v over det = det rho, q over D2 = det conj(det) and a over D2^2,
+    # each up to a constant factor, which construction normalizes away
+    def over(x, den):
+        lead = x.den.leading_coefficient()
+        return x.is_zero() or x.den * den.leading_coefficient() == den * lead
+
     for frame in (frame1, frame2):
         w = frame.witness
-        for part in (w.rho, w.usharp, w.det_rho):
-            digest.update(_sorted_text(part).encode())
-    for which in ("Y", "Yhat"):
-        digest.update(_sorted_text(induced_metric(pair1, which)).encode())
-    assert digest.hexdigest() == (
-        "2ad8b3fcbc56bb7faf3f4696fa7819d67460fe494949abb38254f100f3129d24")
+        det = w.det_rho.num
+        assert w.det_rho.den == BiPoly.const(1)
+        D2 = det * det.conjugate()
+        for name, den in (("usharp", det), ("u", det), ("v", det), ("q", D2),
+                          ("a", D2 * D2)):
+            for (i, j), x in np.ndenumerate(getattr(w, name)):
+                assert over(x, den), (w.m, name, i, j, x.den.degrees())
 
 
 def test_exact_determinant_is_a_perfect_square(hf1, hf2):
@@ -324,6 +367,20 @@ def test_stacked_lift_values_isolate_failed_samples(hf1):
     assert sum(e is None for e in errors) >= 4
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_gram_matrix_fails_only_its_sample(hf1):
+    # From |z| ~ 1e52 the example-1 Gram matrix overflows, and LAPACK would
+    # fail a whole stack on its account.
+    zs = np.array([1e60, 0.3])
+    assert not np.isfinite(gram_float(_eval_mat(hf1.f, 1e60), _eval_mat(hf1.g, 1e60))).all()
+    w = solve_iwasawa_float(hf1, zs)
+    assert type(w.errors[0]) is SingularLocus and "not finite" in str(w.errors[0])
+    assert w.errors[1] is None and w.index.tolist() == [1]
+    with pytest.raises(SingularLocus):
+        solve_iwasawa_float(hf1, 1e60)
+    _check_against_one_sample_calls(hf1, zs, w)
+
+
 def test_cholesky_stack_isolates_a_failed_matrix():
     good = np.array([[2.0, 1j], [-1j, 3.0]])
     bad = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
@@ -414,7 +471,7 @@ def test_maurer_cartan_lambda_affinity(hf2):
     h = 1e-5
 
     def F_at(zz, lam):
-        fr = assemble_frame(hf2, solve_iwasawa_float(hf2, zz), check=False)
+        fr = assemble_frame(hf2, solve_iwasawa_float(hf2, zz))
         return fr.F.evaluate(zz, lam)
 
     for lam in (1.0, 1j):

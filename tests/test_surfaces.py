@@ -14,6 +14,7 @@ from willmore.potentials import builtin_potential, to_nilpotent
 from willmore.scalars import BiPoly, RationalFn
 from willmore.surfaces import (
     SurfacePair,
+    _gram_det_float,
     _rf_float,
     branch_analysis,
     degeneracy_scan,
@@ -166,6 +167,15 @@ def test_branch_limits_at_the_far_point(pair1):
     assert not rep["yhat_is_branch_point"]
 
 
+def test_branch_limits_of_example_2(frame2):
+    # both factors tend to 8 at infinity: g(1/w) falls off like |w|^4, so a
+    # chart factor |dz/dw|^2 taken as 1/|w|^2 would give 0 instead
+    for lam in (1, 1j):
+        rep = branch_analysis(extract_pair(frame2, lam))
+        assert rep["y_limit"] == rep["yhat_limit"] == Fraction(8), lam
+        assert not rep["y_is_branch_point"] and not rep["yhat_is_branch_point"]
+
+
 def test_branch_analysis_requires_exact_backend(hf2):
     frame = assemble_frame(hf2, solve_iwasawa_float(hf2, 0.1 + 0.1j))
     pair = extract_pair(frame, 1.0)
@@ -190,6 +200,17 @@ def test_singular_radius_example_1_vs_independent_rootfinder(hf1):
     )
     assert abs(radii[0] - oracle) < 1e-10
     assert abs(reference_singular_radius(1) - oracle) < 1e-10
+
+
+def test_stacked_gram_determinant_is_bitwise_the_scalar_one(hf1):
+    # degeneracy_scan takes the radial derivative on its grid from stacked
+    # determinants and bisects with scalar ones, so both must round alike
+    direction = complex(np.exp(0.9j))
+    rs = np.linspace(1e-3, 2.5, 200)
+    for r in (rs + 1e-6, np.maximum(rs - 1e-6, 0.0)):
+        stacked = _gram_det_float(hf1, r * direction)
+        scalar = np.array([_gram_det_float(hf1, float(x) * direction) for x in r])
+        assert np.array_equal(stacked.view(np.uint64), scalar.view(np.uint64))
 
 
 def test_degeneracy_scan_is_rotation_invariant(hf2):
