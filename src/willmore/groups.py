@@ -339,7 +339,9 @@ class GroupContext:
 
     def check_membership(self, F: LoopMatrix, which: str, z=None,
                          lams=(1.0, 1j)) -> dict:
-        """Report (never raise) how well F satisfies a membership relation."""
+        """Report (never raise) how well F satisfies a membership relation;
+        for a float F stacked over samples, max_residual is the largest over
+        the samples and lams."""
         if which == "G(2m+2,C)":
             J = self._like("J", F)
             residual = F.transpose() @ J @ F - J

@@ -39,11 +39,12 @@ exact witness is global but the float witness is numeric.  It is solved
 over a stack of samples at once, every block carrying a leading sample
 axis, and keeps f(z) and g(z) for the lifts and for L_z; a sample that
 fails a check drops out of the stack with its error recorded.  The full
-extended frame is built at one sample: a LoopMatrix of complex arrays,
-checked against the holomorphic side, F L tau(W)^-1 = H, by BLAS products
-of loop coefficients.  When q == I2 identically the frame's middle two
-columns are rational and are assembled exactly; they are all the surface
-extraction needs.
+extended frame is built at one sample or over the stack: a LoopMatrix of
+complex arrays, checked against the holomorphic side, F L tau(W)^-1 = H, by
+BLAS products of loop coefficients, matrix by matrix, so each sample of a
+stack holds the bits of the one-sample computation.  When q == I2
+identically the frame's middle two columns are rational and are assembled
+exactly; they are all the surface extraction needs.
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ from .loops import (
     sharp,
     unipotent_inverse,
 )
-from .scalars import BP_ONE, BP_ZERO, BiPoly, RF_ONE, RF_ZERO, RationalFn
+from .scalars import BP_ONE, BP_ZERO, BiPoly, RF_ONE, RF_ZERO, RationalFn, _cmul_np
 
 _STRUCT_TOL = 1e-8
+REFACTOR_TOL = 1e-6
 
 
 def _ct(X: np.ndarray) -> np.ndarray:
@@ -110,11 +112,17 @@ class IwasawaWitness:
 
 
 class ExtendedFrame:
-    """Factorized frame: full float loop F at a sample, or exact middle columns
-    (middle is set exactly on an exact frame)."""
+    """Factorized frame: full float loop F at a sample or over a stack of
+    samples, or exact middle columns (middle is set exactly on an exact frame).
+
+    A frame assembled from a stacked witness has one matrix per sample that
+    passed the witness's checks, one factor_residual per such sample, and
+    errors: for each input sample, the witness's error or the
+    ResidualTooLarge its refactor check failed with (None where it passed).
+    """
 
     def __init__(self, m, witness, F=None, middle=None, z=None,
-                 factor_residual=None, hf=None):
+                 factor_residual=None, hf=None, errors=None):
         self.m = m
         self.witness = witness
         self.F = F
@@ -122,6 +130,7 @@ class ExtendedFrame:
         self.z = z
         self.factor_residual = factor_residual
         self.hf = hf
+        self.errors = errors
 
 
 def _det_small(A):
@@ -317,21 +326,30 @@ def _solve_float_stack(hf: HolomorphicFrame, z: np.ndarray) -> IwasawaWitness:
 
     fv = _eval_mat(hf.f, z)
     gv = _eval_mat(hf.g, z)
-    fsh = sharp(fv)
 
-    rho = gram_float(fv, gv)
+    # Far from the origin the Gram product overflows; the check below fails
+    # those samples.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = gram_float(fv, gv)
     check(~np.isfinite(rho).all(axis=(-2, -1)), lambda k: SingularLocus(
         "gram matrix is not finite at z=%r" % (complex(z[k]),)))
-    # Samples without a finite, then without a positive, Gram matrix get the
-    # identity in its place, so that no stacked LAPACK call fails on their
-    # account.
-    herm = np.where(failed[:, None, None], eye_m, (rho + _ct(rho)) / 2)
+    # A sample without a finite, then without a positive, Gram matrix gets
+    # the identity in its place, and zero f and g, so that no stacked LAPACK
+    # call fails and no later product overflows on its account.
+    if failed.any():
+        rho = np.where(failed[:, None, None], eye_m, rho)
+    herm = (rho + _ct(rho)) / 2
     scale = np.maximum(1.0, np.abs(rho).max(axis=(-2, -1)))
     eig_min = np.linalg.eigvalsh(herm).min(axis=-1)
     check(eig_min <= 1e-12 * scale, lambda k: SingularLocus(
         "gram matrix lost positivity at z=%r (min eig %.3e)" % (complex(z[k]), eig_min[k])))
-    rho_safe = np.where(failed[:, None, None], eye_m, rho)
-    rho_inv = np.linalg.inv(rho_safe)
+    if failed.any():
+        spared = failed[:, None, None]
+        rho = np.where(spared, eye_m, rho)
+        fv = np.where(spared, 0.0, fv)
+        gv = np.where(spared, 0.0, gv)
+    fsh = sharp(fv)
+    rho_inv = np.linalg.inv(rho)
 
     # Shared left factors are computed once; products still associate from
     # the left, as in the one-sample formulas, so the bits do not change.
@@ -372,7 +390,7 @@ def _solve_float_stack(hf: HolomorphicFrame, z: np.ndarray) -> IwasawaWitness:
     l0[:, 0, 0] = s
     l0[:, 1, 1] = 1.0 / s
 
-    Lc, no_cholesky = _cholesky_stack(rho_safe)
+    Lc, no_cholesky = _cholesky_stack(rho)
     check(no_cholesky, lambda k: SingularLocus("cholesky failed at z=%r" % (complex(z[k]),)))
     l4 = _ct(Lc)
     l1 = Jm @ np.linalg.inv(l4.swapaxes(-1, -2)) @ Jm
@@ -424,12 +442,10 @@ def middle_columns_float(w: IwasawaWitness):
 def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedFrame:
     m = hf.m
     d = 2 * m + 2
-    z = w.z
     Jm = get_context(m).np("Jm")
     fv, gv = w.fv, w.gv
     fsh = sharp(fv)
     cu_sharp = w.usharp.conj()
-    cu = w.u.conj()
     cv = w.v.conj()
     l1inv = np.linalg.inv(w.l1)
     l4inv = np.linalg.inv(w.l4)
@@ -438,8 +454,8 @@ def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedFrame:
     blocks = {}
 
     def put(power, r0, c0, mat):
-        blk = blocks.setdefault(power, np.zeros((d, d), dtype=complex))
-        blk[r0:r0 + mat.shape[0], c0:c0 + mat.shape[1]] = mat
+        blk = blocks.setdefault(power, np.zeros(w.rho.shape[:-2] + (d, d), dtype=complex))
+        blk[..., r0:r0 + mat.shape[-2], c0:c0 + mat.shape[-1]] = mat
 
     put(0, 0, 0, (np.eye(m) - fv @ cu_sharp @ Jm + gv @ Jm @ cv @ Jm) @ l1inv)
     put(-1, 0, m, top)
@@ -452,32 +468,43 @@ def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedFrame:
     put(0, m + 2, m + 2, l4inv)
 
     F = LoopMatrix(d, d, blocks)
-    return ExtendedFrame(m, w, F=F, z=z, factor_residual=check_refactor(hf, w, F),
-                         hf=hf)
+    residual = check_refactor(hf, w, F)
+    errors = None
+    if w.errors is not None:
+        errors = list(w.errors)
+        for j in np.flatnonzero(residual > REFACTOR_TOL):
+            errors[w.index[j]] = _refactor_error(residual[j])
+    return ExtendedFrame(m, w, F=F, z=w.z, factor_residual=residual, hf=hf, errors=errors)
 
 
-def check_refactor(hf: HolomorphicFrame, w: IwasawaWitness, F: LoopMatrix) -> float:
-    """Largest entry of F L tau(W)^-1 - H at the float witness's sample.
+def _refactor_error(residual) -> ResidualTooLarge:
+    return ResidualTooLarge("frame does not refactor the holomorphic side: %.3e" % residual)
 
-    Raises ResidualTooLarge above 1e-6, where F, L = diag(l1, l0, l4) and W
-    fail to factor the holomorphic frame H.
+
+def check_refactor(hf: HolomorphicFrame, w: IwasawaWitness, F: LoopMatrix):
+    """Largest entry of F L tau(W)^-1 - H at the float witness's sample, or one
+    per sample of a stacked witness.
+
+    L = diag(l1, l0, l4), and H is bound exactly at each sample, so the check
+    does not lean on the witness's f and g.  At one sample a residual above
+    REFACTOR_TOL, where F, L and W fail to factor the holomorphic frame,
+    raises ResidualTooLarge; over a stack the residuals are returned as they
+    are, and _assemble_float records each failure as its sample's error.
     """
     m = w.m
     d = 2 * m + 2
     L_loop = LoopMatrix.from_constant(_block_diag(w.l1, w.l0, w.l4))
     # W = I + loop^-1 (u at (1,2), -u# at (2,3)) + loop^-2 (v at (1,3)).
-    wp1 = np.zeros((d, d), dtype=complex)
-    wp1[0:m, m:m + 2] = w.u
-    wp1[m:m + 2, m + 2:] = -w.usharp
-    wp2 = np.zeros((d, d), dtype=complex)
-    wp2[0:m, m + 2:] = w.v
+    wp1 = np.zeros(w.rho.shape[:-2] + (d, d), dtype=complex)
+    wp1[..., 0:m, m:m + 2] = w.u
+    wp1[..., m:m + 2, m + 2:] = -w.usharp
+    wp2 = np.zeros_like(wp1)
+    wp2[..., 0:m, m + 2:] = w.v
     W_loop = LoopMatrix(d, d, {0: np.eye(d), -1: wp1, -2: wp2})
     tauWinv = unipotent_inverse(get_context(m).tau(W_loop))
     residual = (F @ L_loop @ tauWinv - hf.H_loop().to_float(w.z)).max_abs()
-    if residual > 1e-6:
-        raise ResidualTooLarge(
-            "frame does not refactor the holomorphic side: %.3e" % residual
-        )
+    if np.ndim(residual) == 0 and residual > REFACTOR_TOL:
+        raise _refactor_error(residual)
     return residual
 
 
@@ -512,101 +539,124 @@ def _assemble_exact_middle(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedF
 
 
 def _block_diag(l1, l0, l4) -> np.ndarray:
-    """diag(l1, l0, l4), the shape of L and of its derivatives."""
-    m = l1.shape[0]
-    L = np.zeros((2 * m + 2, 2 * m + 2), dtype=complex)
-    L[0:m, 0:m] = l1
-    L[m:m + 2, m:m + 2] = l0
-    L[m + 2:, m + 2:] = l4
+    """diag(l1, l0, l4), the shape of L and of its derivatives, for matrices
+    or for each sample of stacks (last two axes)."""
+    m = l1.shape[-1]
+    L = np.zeros(l1.shape[:-2] + (2 * m + 2, 2 * m + 2), dtype=complex)
+    L[..., 0:m, 0:m] = l1
+    L[..., m:m + 2, m:m + 2] = l0
+    L[..., m + 2:, m + 2:] = l4
     return L
 
 
 def gauge_z_derivative(hf: HolomorphicFrame, w: IwasawaWitness) -> np.ndarray:
-    """Closed-form L_z at the float witness's sample, L = diag(l1, l0, l4).
+    """Closed-form L_z at the float witness's sample, or at each sample of a
+    stacked witness, L = diag(l1, l0, l4).
 
     Each real direction D in (x, y) differentiates the Gram data by the
     product rule from exact f_D and g_D.  The Cholesky factor Lc = l4^H
     moves by dLc = Lc Phi(Lc^-1 drho Lc^-H), Phi keeping the lower triangle
     with its diagonal halved (Murray, arXiv:1602.07527), and ds = dc / 2s.
     L_z = (L_x - i L_y) / 2, because d/dz does not commute with ^H.
+    Products of single entries are CPython's complex products, as they are
+    on the entries of one matrix.
     """
     z = w.z
     ctx = get_context(hf.m)
     Jm, J2 = ctx.np("Jm"), ctx.np("J2")
     fv, gv = w.fv, w.gv
     rho, us = w.rho, w.usharp
-    s = w.l0[0, 0]
-    Lc = w.l4.conj().T
+    s = w.l0[..., 0, 0]
+    ss = _cmul_np(s, s)
+    Lc = _ct(w.l4)
     Lc_inv = np.linalg.inv(Lc)
 
     dL = []
     for fpoly, gpoly in hf.axis_derivatives:
         fd = _eval_mat(fpoly, z)
         gd = _eval_mat(gpoly, z)
-        half = Jm @ fd.conj() @ J2 @ fv.T @ Jm + gd.conj().T @ gv
-        drho = half + half.conj().T
-        dus = (sharp(fd) - J2 @ fd.conj().T @ gv - J2 @ fv.conj().T @ gd
+        half = Jm @ fd.conj() @ J2 @ fv.swapaxes(-1, -2) @ Jm + _ct(gd) @ gv
+        drho = half + _ct(half)
+        dus = (sharp(fd) - J2 @ _ct(fd) @ gv - J2 @ _ct(fv) @ gd
                - us @ drho) @ w.rho_inv
         # dq = J2 d(fbar^t f) - d(u# rho u#^H) J2; only c = q[0,0] is needed.
-        half_f = fd.conj().T @ fv
-        half_u = dus @ rho @ us.conj().T
-        dc = ((half_f + half_f.conj().T)[1, 0]
-              - (half_u + half_u.conj().T + us @ drho @ us.conj().T)[0, 1])
+        half_f = _ct(fd) @ fv
+        half_u = dus @ rho @ _ct(us)
+        dc = ((half_f + _ct(half_f))[..., 1, 0]
+              - (half_u + _ct(half_u) + us @ drho @ _ct(us))[..., 0, 1])
         ds = dc / (2 * s)
-        P = Lc_inv @ drho @ Lc_inv.conj().T
-        dl4 = (Lc @ (np.tril(P) - np.diag(np.diag(P)) / 2)).conj().T
-        dl1 = -w.l1 @ Jm @ dl4.T @ Jm @ w.l1
-        dL.append(_block_diag(dl1, np.diag([ds, -ds / (s * s)]), dl4))
+        P = Lc_inv @ drho @ _ct(Lc_inv)
+        diag = np.where(np.eye(P.shape[-1], dtype=bool), P, 0)
+        dl4 = _ct(Lc @ (np.tril(P) - diag / 2))
+        dl1 = -w.l1 @ Jm @ dl4.swapaxes(-1, -2) @ Jm @ w.l1
+        dl0 = np.zeros(s.shape + (2, 2), dtype=complex)
+        dl0[..., 0, 0] = ds
+        dl0[..., 1, 1] = -ds / ss
+        dL.append(_block_diag(dl1, dl0, dl4))
     return (dL[0] - 1j * dL[1]) / 2
 
 
 def maurer_cartan(hf: HolomorphicFrame, z):
-    """Closed-form connection coefficients at a sample (float path).
+    """Closed-form connection coefficients (float path), at one sample or over
+    a 1-D array of samples.
 
     Returns (alpha1p, alpha0p): the loop^-1 coefficient L N L^-1 (N the
     nilpotent potential value) and the loop^0 coefficient
-    L [N, tauW1] L^-1 - L_z L^-1, with L_z from gauge_z_derivative.
+    L [N, tauW1] L^-1 - L_z L^-1, with L_z from gauge_z_derivative.  At a
+    scalar z they are matrices, and a sample that fails to factorize raises.
+    Over an array of z all samples are factorized in one stacked solve, and
+    the result is (alpha1p, alpha0p, errors): one matrix per sample, NaN where
+    the sample failed, errors as SurfacePair.values gives them.  Each
+    sample's matrices equal the scalar call's bit for bit.
     """
     m = hf.m
     d = 2 * m + 2
     Jm = get_context(m).np("Jm")
 
-    w = solve_iwasawa_float(hf, z)
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    w = solve_iwasawa_float(hf, zs)
     L = _block_diag(w.l1, w.l0, w.l4)
     Linv = np.linalg.inv(L)
-    fcv = _eval_mat(hf.fcheck, z)
-    N = np.zeros((d, d), dtype=complex)
-    N[0:m, m:m + 2] = fcv
-    N[m:m + 2, m + 2:] = -sharp(fcv)
+    fcv = _eval_mat(hf.fcheck, w.z)
+    N = np.zeros(L.shape, dtype=complex)
+    N[..., 0:m, m:m + 2] = fcv
+    N[..., m:m + 2, m + 2:] = -sharp(fcv)
     alpha1p = L @ N @ Linv
 
-    tauW1 = np.zeros((d, d), dtype=complex)
-    tauW1[m:m + 2, 0:m] = -w.usharp.conj() @ Jm
-    tauW1[m + 2:, m:m + 2] = Jm @ w.u.conj()
+    tauW1 = np.zeros(L.shape, dtype=complex)
+    tauW1[..., m:m + 2, 0:m] = -w.usharp.conj() @ Jm
+    tauW1[..., m + 2:, m:m + 2] = Jm @ w.u.conj()
     commutator = N @ tauW1 - tauW1 @ N
 
     alpha0p = L @ commutator @ Linv - gauge_z_derivative(hf, w) @ Linv
-    return alpha1p, alpha0p
+    out = np.full((2, len(zs), d, d), np.nan, dtype=complex)
+    out[:, w.index] = alpha1p, alpha0p
+    if np.ndim(z) == 0:
+        if w.errors[0] is not None:
+            raise w.errors[0]
+        return out[0, 0], out[1, 0]
+    return out[0], out[1], w.errors
 
 
 def pullback_halfisotropy(ctx, alpha1p: np.ndarray) -> dict:
     """Pull the loop^-1 coefficient back and test the isotropy bilinear.
 
     The pullback must land in the off-diagonal part with top-right block B1
-    satisfying B1 B1^t = 0; the report carries both residuals.
+    satisfying B1 B1^t = 0; the report carries both residuals, each the
+    largest over the samples of a stack.
     """
-    m = ctx.m
     d = ctx.dim
     pulled = ctx.iso_P_inv_np(alpha1p)
-    B1 = pulled[0:2, 2:d]
+    B1 = pulled[..., 0:2, 2:d]
+    B1t = B1.swapaxes(-1, -2)
     diag_contamination = max(
-        float(abs(pulled[0:2, 0:2]).max()),
-        float(abs(pulled[2:, 2:]).max()),
+        float(abs(pulled[..., 0:2, 0:2]).max()),
+        float(abs(pulled[..., 2:, 2:]).max()),
     )
-    iso = float(abs(B1 @ B1.T).max())
-    lower = pulled[2:, 0:2]
+    iso = float(abs(B1 @ B1t).max())
+    lower = pulled[..., 2:, 0:2]
     I11 = np.diag([-1.0, 1.0]).astype(complex)
-    pairing = float(abs(lower + B1.T @ I11).max())
+    pairing = float(abs(lower + B1t @ I11).max())
     return {
         "b1_isotropy": iso,
         "offblock_residual": diag_contamination,

@@ -16,11 +16,15 @@ power-major: {power: coefficient matrix}.  Every coefficient is a numpy
 array of one of two kinds:
 
 * exact: dtype=object, exact scalars (constants or functions of z, zbar);
-* float: complex, the loop bound at one sample point.
+* float: complex, the loop bound at one sample point or a stack of them,
+  of shape (rows, cols) or (N, rows, cols).
 
 Both kinds share one implementation: numpy applies the same operators to
-exact scalars entry by entry, and to complex arrays through BLAS.
-Mixing the kinds in one operation raises ValueError.
+exact scalars entry by entry, and to complex arrays through BLAS, matrix by
+matrix over a stack, so each sample of a stacked loop holds the values of
+the loop bound at that sample alone.  A constant (rows, cols) coefficient
+broadcasts against a stack.  Mixing the kinds in one operation raises
+ValueError.
 
 The conjugation bar() implements the loop-group reality operator on
 coefficients: conjugate each entry, negate each power.  At a physical sample
@@ -122,14 +126,16 @@ def _nonzero(arr) -> bool:
 
 
 def _bind(arr, z) -> np.ndarray:
-    """Exact entries evaluated at z: computed exactly, rounded once.
+    """Exact entries evaluated at z, or at each z of a 1-D array (a stack):
+    computed exactly, rounded once.
 
     Zero entries are left as 0j, which is what evaluating them returns.
     """
     if arr.dtype != object:
         return arr
-    return np.array([x.evaluate(z) if x else 0j for x in arr.flat],
-                    dtype=complex).reshape(arr.shape)
+    return np.array([[x.evaluate(zk) if x else 0j for x in arr.flat]
+                     for zk in np.ravel(z).tolist()],
+                    dtype=complex).reshape(np.shape(z) + arr.shape)
 
 
 class LoopMatrix:
@@ -142,12 +148,12 @@ class LoopMatrix:
         exact = None
         for k, mat in coeffs.items():
             mat = _coefficient(mat)
-            if mat.shape != (rows, cols):
+            kind = mat.dtype == object
+            if mat.shape[-2:] != (rows, cols) or mat.ndim > (2 if kind else 3):
                 raise ValueError(
                     "coefficient at power %d has shape %s, expected %dx%d"
                     % (k, mat.shape, rows, cols)
                 )
-            kind = mat.dtype == object
             _same_kind(exact, kind, "LoopMatrix coefficients")
             exact = kind
             if _nonzero(mat):
@@ -165,7 +171,7 @@ class LoopMatrix:
     @classmethod
     def from_constant(cls, mat, power=0):
         arr = _coefficient(mat)
-        r, c = arr.shape
+        r, c = arr.shape[-2:]
         return cls(r, c, {power: arr})
 
     @classmethod
@@ -211,7 +217,7 @@ class LoopMatrix:
         return self._with({k + dk: m for k, m in self.coeffs.items()})
 
     def transpose(self):
-        return self._with({k: m.T for k, m in self.coeffs.items()},
+        return self._with({k: m.swapaxes(-1, -2) for k, m in self.coeffs.items()},
                           rows=self.cols, cols=self.rows)
 
     def bar(self):
@@ -263,27 +269,38 @@ class LoopMatrix:
         return acc
 
     def evaluate(self, z, lam):
-        """Numeric coefficient matrix at (z, lambda) as a numpy array."""
+        """Numeric coefficient matrix at (z, lambda) as a numpy array.
+
+        An exact loop is bound at z, a scalar or a 1-D array of samples; a
+        stacked float loop (or an exact one bound at an array) gives one
+        matrix per sample, shape (N, rows, cols).
+        """
         lam = complex(lam)
         if lam == 0 and any(k < 0 for k in self.coeffs):
             raise LambdaZero("negative loop powers evaluated at lambda = 0")
-        out = np.zeros((self.rows, self.cols), dtype=complex)
-        for k, m in self.coeffs.items():
-            out += _bind(m, z) * lam**k
+        terms = [_bind(m, z) * lam**k for k, m in self.coeffs.items()]
+        out = np.zeros(np.broadcast_shapes((self.rows, self.cols), *(t.shape for t in terms)),
+                       dtype=complex)
+        for t in terms:
+            out += t
         return out
 
     def to_float(self, z=None):
-        """Bind exact entries at a sample; loop parameter stays formal."""
+        """Bind exact entries at a sample, or at each sample of a 1-D array of
+        z (a stacked float loop); the loop parameter stays formal."""
         if self.exact is not True:
             return self
         return self._with({k: _bind(m, z) for k, m in self.coeffs.items()})
 
-    def max_abs(self) -> float:
-        """Largest entry magnitude across powers (float loops)."""
+    def max_abs(self):
+        """Largest entry magnitude across powers (float loops): a float, or
+        one per sample of a stacked loop."""
         if self.exact:
             raise ValueError("max_abs is a float-loop measure")
-        return max((float(np.abs(m).max()) for m in self.coeffs.values()),
-                   default=0.0)
+        worst = 0.0
+        for m in self.coeffs.values():
+            worst = np.maximum(worst, np.abs(m).max(axis=(-2, -1)))
+        return float(worst) if np.ndim(worst) == 0 else worst
 
     def __repr__(self):
         return "LoopMatrix(%dx%d, powers=%s, %s)" % (

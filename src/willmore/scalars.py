@@ -41,6 +41,15 @@ def _cmul(x, y):
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
+def _cmul_np(x, y) -> np.ndarray:
+    """x * y on complex scalars or arrays, rounded as CPython's complex product
+    rounds; numpy's array product can differ from it in the last bit."""
+    re, im = _cmul((x.real, x.imag), (y.real, y.imag))
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def _ratio(x):
     """(numerator, denominator > 0) in lowest terms of an exact real input.
 
@@ -812,6 +821,11 @@ class RationalFn:
         return other - self
 
     def __mul__(self, other):
+        if isinstance(other, GaussianRational):
+            # A constant scales the numerator; no RationalFn is built for it.
+            if self.num.is_zero() or other.is_zero():
+                return RF_ZERO
+            return RationalFn(self.num * other, self.den)
         other = RationalFn._try(other)
         if other is None:
             return NotImplemented

@@ -44,7 +44,7 @@ from .scalars import (
     GaussianRational,
     RF_I,
     RationalFn,
-    _cmul,
+    _cmul_np,
 )
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
@@ -72,13 +72,6 @@ def _combine(col, m, times_minus_i):
     return comps
 
 
-def _times_minus_i_float(x):
-    """-1j * x for complex arrays, rounded as a complex scalar product rounds."""
-    out = np.empty(np.shape(x), dtype=complex)
-    out.real, out.imag = _cmul((-0.0, -1.0), (x.real, x.imag))
-    return out
-
-
 def mink_pair_rf(xs, ys) -> RationalFn:
     """Bilinear pairing of signature (1, 2m+1) on rational-function vectors."""
     acc = -(xs[0] * ys[0])
@@ -88,7 +81,14 @@ def mink_pair_rf(xs, ys) -> RationalFn:
 
 
 def mink_pair_np(x: np.ndarray, y: np.ndarray):
-    return -x[0] * y[0] + np.dot(x[1:], y[1:])
+    """Bilinear pairing of signature (1, 2m+1) of two complex vectors, or of
+    each row of two stacks (last axis).
+
+    The timelike term is CPython's complex product and the rest one BLAS dot
+    per row, so each row's value has the bits of the one-vector pairing.
+    """
+    dot = (x[..., None, 1:] @ y[..., 1:, None])[..., 0, 0]
+    return (_cmul_np(-x[..., 0], y[..., 0]) + dot)[()]
 
 
 class SurfacePair:
@@ -182,7 +182,7 @@ def lift_columns_float(w: IwasawaWitness, lam: complex):
 
     def combine(col):
         rows = list(np.moveaxis(col, -1, 0))
-        return np.stack(_combine(rows, m, _times_minus_i_float), axis=-1)
+        return np.stack(_combine(rows, m, lambda x: _cmul_np(-1j, x)), axis=-1)
 
     return -SQRT2_OVER_2 * combine(cols[..., 1]), SQRT2_OVER_2 * combine(cols[..., 0])
 

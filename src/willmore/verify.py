@@ -35,7 +35,7 @@ from .potentials import (
     document_for,
     to_nilpotent,
 )
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _cmul_np
 from .surfaces import (
     _gram_det_float,
     _stencil_weights,
@@ -92,6 +92,19 @@ CHECK_NAMES = (
 _FD_CHECKS = frozenset(
     ("mc-lambda-affinity", "mc-flatness", "conformality", "isotropy-order-m")
 )
+
+# Checks of the float factorization, by residual key, and of the frame
+# assembled from it.
+_IWASAWA_CHECKS = {
+    "iwasawa-1B": "1B", "iwasawa-q-offdiag": "q-offdiag",
+    "iwasawa-q-unit": "q-unit", "iwasawa-q-conj-pair": "q-conj-pair",
+    "iwasawa-a-factor": "a-factor", "iwasawa-rho-factor": "rho-factor",
+}
+_FRAME_CHECKS = ("frame-refactor", "membership-G-form", "membership-real-form",
+                 "membership-twisted", "minkowski-isometry", "uniton-window",
+                 "lift-isotropic", "lift-pairing", "projection-unit-norm",
+                 "lambda-reality")
+_MC_CHECKS = ("halfisotropy-pullback", "mc-flatness", "mc-lambda-affinity")
 
 
 class VerificationReport:
@@ -191,15 +204,74 @@ def _draw_samples(cfg, radii, hf):
     return pts, rejected
 
 
-def _proj_minor(v, w) -> float:
-    """Scaled largest 2x2 minor of [v; w]: zero iff projectively equal."""
-    s = max(float(np.abs(v).max()), float(np.abs(w).max()), 1.0)
+def _worst(*values) -> float:
+    """The largest of 0.0 and every entry of values, NaN entries skipped, as a
+    running max() over samples keeps it."""
+    return max([0.0] + [float(np.fmax.reduce(np.ravel(v), initial=0.0)) for v in values])
+
+
+def _entry_max(X: np.ndarray) -> np.ndarray:
+    """Largest entry modulus of each matrix of a stack."""
+    return np.abs(X).max(axis=(-2, -1))
+
+
+def _modulus(x: np.ndarray) -> np.ndarray:
+    """|x| entrywise by hypot, as abs() of a complex scalar computes it; numpy's
+    array abs can differ from it in the last bit."""
+    return np.hypot(x.real, x.imag)
+
+
+def _proj_minor(v, w) -> np.ndarray:
+    """Scaled largest 2x2 minor of [v; w] for each row of two stacks: zero iff
+    the rows are projectively equal."""
+    s = np.maximum(np.maximum(np.abs(v).max(axis=-1), np.abs(w).max(axis=-1)), 1.0)
+    i, j = np.triu_indices(v.shape[-1], 1)
+    minors = _cmul_np(v[:, i], w[:, j]) - _cmul_np(v[:, j], w[:, i])
+    return _modulus(minors).max(axis=-1, initial=0.0) / (s * s)
+
+
+def _row_norms(y: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex stack, summed as np.linalg.norm
+    sums one vector: a BLAS dot of the real parts plus one of the imaginary."""
+    def dot(x):
+        return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+    return np.sqrt(dot(y.real) + dot(y.imag))
+
+
+def _frame_checks(ctx, fr, lams) -> dict:
+    """The refactor, membership, isometry, window and lift checks of a float
+    frame stacked over samples, each the largest over the samples and lams."""
+    F, w = fr.F, fr.witness
+    out = {"frame-refactor": _worst(fr.factor_residual)}
+    for which, name in (("G(2m+2,C)", "membership-G-form"),
+                        ("real-form-via-tau", "membership-real-form"),
+                        ("twisted-via-D0", "membership-twisted")):
+        out[name] = ctx.check_membership(F, which, z=w.z, lams=lams)["max_residual"]
+    G = ctx.np("minkowski")
+    R = ctx.iso_P_inv(F)
     worst = 0.0
-    n = len(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            worst = max(worst, abs(v[i] * w[j] - v[j] * w[i]))
-    return worst / (s * s)
+    for lam in lams:
+        Rv = R.evaluate(w.z, lam)
+        worst = _worst(worst, np.abs(Rv.imag), np.abs(Rv.swapaxes(-1, -2) @ G @ Rv - G))
+    out["minkowski-isometry"] = worst
+    lo, hi = F.window()
+    out["uniton-window"] = float(max(0, max(abs(lo), abs(hi)) - 2))
+    isotropic = pairing = reality = unit = 0.0
+    for lam in lams:
+        Yc, Yhc = lift_columns_float(w, lam)
+        scale = np.array([max(1.0, a ** 2, b ** 2) for a, b in
+                          zip(np.abs(Yc).max(axis=-1).tolist(),
+                              np.abs(Yhc).max(axis=-1).tolist())])
+        isotropic = _worst(isotropic, _modulus(mink_pair_np(Yc, Yc)) / scale,
+                           _modulus(mink_pair_np(Yhc, Yhc)) / scale)
+        pairing = _worst(pairing, _modulus(mink_pair_np(Yc, Yhc) + 1.0))
+        reality = _worst(reality, _proj_minor(np.conj(Yc), Yc),
+                         _proj_minor(np.conj(Yhc), Yhc))
+        for v in (Yc, Yhc):
+            unit = _worst(unit, np.abs(_row_norms(v[:, 1:] / v[:, :1]) - 1.0))
+    out.update({"lift-isotropic": isotropic, "lift-pairing": pairing,
+                "lambda-reality": reality, "projection-unit-norm": unit})
+    return out
 
 
 def _probe_bipoly(mat, z) -> float:
@@ -222,8 +294,100 @@ def _rand_exact_loop(rng, d) -> LoopMatrix:
     return LoopMatrix(d, d, {0: mat})
 
 
+def _maurer_cartan_checks(hf, fd_samples, lams) -> dict:
+    """halfisotropy-pullback, mc-flatness and mc-lambda-affinity at the fd
+    samples: each check's residual, or the exception it failed with.
+
+    One maurer_cartan stack covers the flatness stencil around every sample,
+    the sample itself first, and the other two checks read that first point;
+    the affinity check's frames come from one more stacked solve.  A check
+    fails with its first error in sample order, a sample's connection
+    coefficients before its frames.
+    """
+    ctx = get_context(hf.m)
+    d = ctx.dim
+    n = len(fd_samples)
+    weights = _stencil_weights(1)
+    offsets = [0] + [k * axis for axis in (1, 1j) for k in weights]
+    width = len(offsets)
+    h_flat = 3e-5
+    try:
+        a1, a0, errors = maurer_cartan(hf, np.array(
+            [z + dz * h_flat if dz else z for z in fd_samples for dz in offsets],
+            dtype=complex))
+    except Exception as e:
+        return dict.fromkeys(_MC_CHECKS, e)
+    out = {}
+
+    try:
+        raise_first(errors[::width])
+        out["halfisotropy-pullback"] = _worst(*pullback_halfisotropy(ctx, a1[::width]).values())
+    except Exception as e:
+        out["halfisotropy-pullback"] = e
+
+    try:
+        raise_first(errors)
+        S0 = ctx.np("S0")
+        at = {dz: j for j, dz in enumerate(offsets)}
+        p1 = a1.reshape(n, width, d, d)
+        p0 = a0.reshape(n, width, d, d)
+        res = 0.0
+        for lam in lams:
+            # A and B are closed forms, so only the stencil's O(h^4)
+            # truncation and O(eps/h) rounding remain; near the locus they
+            # meet around h = 3e-5, at about 1e-10.
+            AB = (p1 / lam + p0, lam * (S0 @ p1.conj() @ S0) + S0 @ p0.conj() @ S0)
+
+            def deriv(axis, i):
+                return sum(c * AB[i][:, at[k * axis]] for k, c in weights.items()) / h_flat
+
+            A, B = AB[0][:, 0], AB[1][:, 0]
+            dzbar_A = (deriv(1, 0) + 1j * deriv(1j, 0)) / 2
+            dz_B = (deriv(1, 1) - 1j * deriv(1j, 1)) / 2
+            flat = dz_B - dzbar_A + A @ B - B @ A
+            scale = np.maximum(1.0, _entry_max(A) * _entry_max(B))
+            res = _worst(res, _entry_max(flat) / scale)
+        out["mc-flatness"] = res
+    except Exception as e:
+        out["mc-flatness"] = e
+
+    try:
+        h = 1e-5
+        steps = (h, -h, 1j * h, -1j * h, 0.0)
+        frames = assemble_frame(hf, solve_iwasawa_float(
+            hf, np.array([z + dz for z in fd_samples for dz in steps], dtype=complex)))
+        raise_first([e for i in range(n)
+                     for e in [errors[i * width]] + frames.errors[5 * i:5 * i + 5]])
+        rhs0, rhs1 = a0[::width], a1[::width]
+        res = 0.0
+        for lam in lams:
+            Fv = frames.F.evaluate(frames.z, lam).reshape(n, 5, d, d)
+            dxF = (Fv[:, 0] - Fv[:, 1]) / (2 * h)
+            dyF = (Fv[:, 2] - Fv[:, 3]) / (2 * h)
+            Fz = (dxF - 1j * dyF) / 2
+            lhs = np.linalg.inv(Fv[:, 4]) @ Fz
+            rhs = rhs1 / lam + rhs0
+            scale = np.maximum(1.0, _entry_max(rhs))
+            res = _worst(res, _entry_max(lhs - rhs) / scale)
+        out["mc-lambda-affinity"] = res
+    except Exception as e:
+        out["mc-lambda-affinity"] = e
+    return out
+
+
 def run_suite(pot, plan=None) -> VerificationReport:
-    """Execute the full catalog and return the structured report."""
+    """Execute the full catalog and return the structured report.
+
+    The float checks run on numpy stacks of samples: one factorization and
+    one frame for all samples, one stack of connection coefficients for the
+    fd samples and their flatness stencils, and one frame stack for
+    mc-lambda-affinity.  Each sample keeps the bits of the one-sample
+    computation and every residual is a maximum over samples, so the report
+    does not depend on how the samples are stacked.  When sample k is the
+    first to fail, the checks that need its frame fail with its error after
+    k samples, and the factorization residuals cover samples 0..k-1, and k
+    itself if it failed only its refactor check.
+    """
     t0 = time.monotonic()
     cfg = _normalize_plan(plan)
 
@@ -295,172 +459,65 @@ def run_suite(pot, plan=None) -> VerificationReport:
     except Exception as e:
         fail("frame-unipotent", e)
 
-    # -- per-sample float factorization and membership -----------------------
+    # -- float factorization and membership, over all samples at once ---------
 
-    iwasawa_keys = ("1B", "q-offdiag", "q-unit", "q-conj-pair",
-                    "a-factor", "rho-factor")
-    agg = {k: 0.0 for k in iwasawa_keys}
-    agg.update({
-        "frame-refactor": 0.0, "membership-G-form": 0.0,
-        "membership-real-form": 0.0, "membership-twisted": 0.0,
-        "minkowski-isometry": 0.0, "uniton-window": 0.0,
-        "lift-isotropic": 0.0, "lift-pairing": 0.0,
-        "projection-unit-norm": 0.0, "lambda-reality": 0.0,
-    })
+    agg = dict.fromkeys(tuple(_IWASAWA_CHECKS.values()) + _FRAME_CHECKS, 0.0)
     loop_error = None
-    G_np = ctx.np("minkowski")
-    n_eval = 0
-    try:
-        for z in samples:
-            w = solve_iwasawa_float(hf, z)
-            for k in iwasawa_keys:
-                agg[k] = max(agg[k], w.residuals[k])
+    n_eval = len(samples)
+    if samples:
+        try:
+            w = solve_iwasawa_float(hf, np.array(samples, dtype=complex))
             fr = assemble_frame(hf, w)
-            agg["frame-refactor"] = max(agg["frame-refactor"],
-                                        fr.factor_residual or 0.0)
-            F = fr.F
-            for which, name in (("G(2m+2,C)", "membership-G-form"),
-                                ("real-form-via-tau", "membership-real-form"),
-                                ("twisted-via-D0", "membership-twisted")):
-                rep = ctx.check_membership(F, which, z=z, lams=lams)
-                agg[name] = max(agg[name], rep["max_residual"])
-            R = ctx.iso_P_inv(F)
-            for lam in lams:
-                Rv = R.evaluate(z, lam)
-                agg["minkowski-isometry"] = max(
-                    agg["minkowski-isometry"],
-                    float(np.abs(Rv.imag).max()),
-                    float(np.abs(Rv.T @ G_np @ Rv - G_np).max()),
-                )
-            window = sorted(F.coeffs)
-            agg["uniton-window"] = max(
-                agg["uniton-window"],
-                float(max(0, max(abs(window[0]), abs(window[-1])) - 2)),
-            )
-            for lam in lams:
-                Yc, Yhc = lift_columns_float(w, lam)
-                scale = max(1.0, float(np.abs(Yc).max()) ** 2,
-                            float(np.abs(Yhc).max()) ** 2)
-                agg["lift-isotropic"] = max(
-                    agg["lift-isotropic"],
-                    abs(mink_pair_np(Yc, Yc)) / scale,
-                    abs(mink_pair_np(Yhc, Yhc)) / scale,
-                )
-                agg["lift-pairing"] = max(
-                    agg["lift-pairing"], abs(mink_pair_np(Yc, Yhc) + 1.0))
-                agg["lambda-reality"] = max(
-                    agg["lambda-reality"],
-                    _proj_minor(np.conj(Yc), Yc),
-                    _proj_minor(np.conj(Yhc), Yhc),
-                )
-                for v in (Yc, Yhc):
-                    y = v[1:] / v[0]
-                    agg["projection-unit-norm"] = max(
-                        agg["projection-unit-norm"],
-                        abs(float(np.linalg.norm(y)) - 1.0),
-                    )
-            n_eval += 1
-    except Exception as e:
-        loop_error = e
+            # The checks stop at the first sample that fails, in sample order;
+            # the factorization residuals include it only if it failed in
+            # assembly.
+            n_eval = next((k for k, e in enumerate(fr.errors) if e is not None), n_eval)
+            for key in _IWASAWA_CHECKS.values():
+                agg[key] = _worst(w.residuals[key][w.index <= n_eval])
+            if n_eval < len(samples):
+                loop_error = fr.errors[n_eval]
+            else:
+                agg.update(_frame_checks(ctx, fr, lams))
+        except Exception as e:
+            loop_error, n_eval = e, 0
 
-    per_sample = {
-        "iwasawa-1B": "1B", "iwasawa-q-offdiag": "q-offdiag",
-        "iwasawa-q-unit": "q-unit", "iwasawa-q-conj-pair": "q-conj-pair",
-        "iwasawa-a-factor": "a-factor", "iwasawa-rho-factor": "rho-factor",
-    }
-    for name, key in per_sample.items():
+    for name, key in _IWASAWA_CHECKS.items():
         if loop_error is not None and n_eval == 0:
             fail(name, loop_error)
         else:
             record(name, agg[key], n_eval)
-    for name in ("frame-refactor", "membership-G-form", "membership-real-form",
-                 "membership-twisted", "minkowski-isometry", "uniton-window",
-                 "lift-isotropic", "lift-pairing", "projection-unit-norm",
-                 "lambda-reality"):
+    for name in _FRAME_CHECKS:
         if loop_error is not None:
             fail(name, loop_error, n_eval)
         else:
             record(name, agg[name], n_eval)
 
-    # -- Maurer-Cartan coefficient structure -----------------------------------
+    # -- Maurer-Cartan structure, on one stack of connection coefficients -----
 
-    try:
-        res = 0.0
-        for z in fd_samples:
-            a1, _ = maurer_cartan(hf, z)
-            rep = pullback_halfisotropy(ctx, a1)
-            res = max(res, rep["b1_isotropy"], rep["offblock_residual"],
-                      rep["pairing_residual"])
-        record("halfisotropy-pullback", res, len(fd_samples))
-    except Exception as e:
-        fail("halfisotropy-pullback", e, 0)
-
-    # -- finite-difference structure checks -----------------------------------
-
-    try:
-        res = 0.0
-        S0 = ctx.np("S0")
-
-        weights = _stencil_weights(1)
-
-        def flatness_at(z, h):
-            offsets = [0] + [k * axis for axis in (1, 1j) for k in weights]
-            pieces = {dz: maurer_cartan(hf, z + dz * h) for dz in offsets}
-            worst = 0.0
-            for lam in lams:
-                AB = {dz: (p1 / lam + p0,
-                           lam * (S0 @ p1.conj() @ S0) + S0 @ p0.conj() @ S0)
-                      for dz, (p1, p0) in pieces.items()}
-
-                def d(axis, i):
-                    return sum(c * AB[k * axis][i] for k, c in weights.items()) / h
-
-                A, B = AB[0]
-                dzbar_A = (d(1, 0) + 1j * d(1j, 0)) / 2
-                dz_B = (d(1, 1) - 1j * d(1j, 1)) / 2
-                flat = dz_B - dzbar_A + A @ B - B @ A
-                scale = max(1.0, float(np.abs(A).max()) * float(np.abs(B).max()))
-                worst = max(worst, float(np.abs(flat).max()) / scale)
-            return worst
-
-        for z in fd_samples:
-            # A and B are closed forms, so only the stencil's O(h^4)
-            # truncation and O(eps/h) rounding remain; near the locus they
-            # meet around h = 3e-5, at about 1e-10.
-            res = max(res, flatness_at(z, 3e-5))
-        record("mc-flatness", res, len(fd_samples))
-    except Exception as e:
-        fail("mc-flatness", e, 0)
-
-    try:
-        res = 0.0
-        h = 1e-5
-        for z in fd_samples:
-            a1, a0 = maurer_cartan(hf, z)
-            frames = {}
-            for dz in (h, -h, 1j * h, -1j * h, 0.0):
-                frames[dz] = assemble_frame(hf, solve_iwasawa_float(hf, z + dz)).F
-            for lam in lams:
-                Fv = {dz: fr.evaluate(z, lam) for dz, fr in frames.items()}
-                dxF = (Fv[h] - Fv[-h]) / (2 * h)
-                dyF = (Fv[1j * h] - Fv[-1j * h]) / (2 * h)
-                Fz = (dxF - 1j * dyF) / 2
-                lhs = np.linalg.inv(Fv[0.0]) @ Fz
-                rhs = a1 / lam + a0
-                scale = max(1.0, float(np.abs(rhs).max()))
-                res = max(res, float(np.abs(lhs - rhs).max()) / scale)
-        record("mc-lambda-affinity", res, len(fd_samples))
-    except Exception as e:
-        fail("mc-lambda-affinity", e, 0)
+    mc = (_maurer_cartan_checks(hf, fd_samples, lams) if fd_samples
+          else dict.fromkeys(_MC_CHECKS, 0.0))
+    for name, value in mc.items():
+        if isinstance(value, Exception):
+            fail(name, value, 0)
+        else:
+            record(name, value, len(fd_samples))
 
     # -- surface geometry (finite differences on the honest lifts) ------------
 
+    # Both checks read the lifts of the frame at the probe sample.
+    probe_error = None
     try:
+        fr0 = assemble_frame(hf, solve_iwasawa_float(hf, probe))
+        pairs = [extract_pair(fr0, lam) for lam in lams]
+    except Exception as e:
+        probe_error = e
+
+    try:
+        if probe_error is not None:
+            raise probe_error
         res = 0.0
         h = 1e-4
-        fr0 = assemble_frame(hf, solve_iwasawa_float(hf, probe))
-        for lam in lams:
-            pair = extract_pair(fr0, lam)
+        for pair in pairs:
             proj = project_to_sphere(pair, "Y")
             pts = [p for z in fd_samples for p in (z + h, z - h, z + 1j * h, z - 1j * h)]
             y, sample_errors = proj(np.array(pts, dtype=complex))
@@ -476,10 +533,10 @@ def run_suite(pot, plan=None) -> VerificationReport:
         fail("conformality", e, 0)
 
     try:
+        if probe_error is not None:
+            raise probe_error
         res = 0.0
-        fr0 = assemble_frame(hf, solve_iwasawa_float(hf, probe))
-        for lam in lams:
-            pair = extract_pair(fr0, lam)
+        for pair in pairs:
             for which in ("Y", "Yhat"):
                 rep = isotropy_check(pair, which, samples=fd_samples)
                 res = max(res, rep["max_residual"])

@@ -1,7 +1,9 @@
 """Command-line behavior: file outputs, exit codes, and flag parsing."""
 
 import csv
+import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -224,3 +226,20 @@ def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, offset, 
     summary = ", ".join("%s %d" % kv for kv in sorted(reasons.items()))
     assert "(26 vertices, %d singular: %s)" % (sum(reasons.values()), summary) \
         in capsys.readouterr().out
+
+
+def test_far_out_vertices_fail_without_runtime_warnings(tmp_path):
+    # The Gram matrix overflows from |z| ~ 1e52; those vertices fail with
+    # SingularLocus and no arithmetic runs on their overflowed values.  The
+    # digests are the files as written before that arithmetic was skipped.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run("example", "--id", "1", "--grid-n", "2", "--radius", "1e60",
+                    "--out", str(tmp_path)) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("mesh.csv", "comparison.json")}
+    assert digests == {
+        "mesh.csv": "bbe6ad48677408c2ffdd98c1ffd9c3ce81b11a1c646b400e7ec65ac1a9a41734",
+        "comparison.json": "91302673779a52358dddc9d6dc3cc2eed3d02a5ca28bf623b8d25af996ec426c",
+    }

@@ -545,3 +545,135 @@ def test_closed_form_gauge_derivative_matches_central_difference(source, z):
     want = (axis(1) - 1j * axis(1j)) / 2
     got = gauge_z_derivative(hf, solve_iwasawa_float(hf, z))
     assert np.abs(got - want).max() < 1e-8 * max(1.0, np.abs(want).max())
+
+
+def _stack_with_locus_point(example_id):
+    """Five samples of an example; the one at index 2 lies on its degeneracy
+    circle and fails to factorize."""
+    r = reference_singular_radius(example_id)
+    return np.array([0.3 + 0.2j, -0.45 + 0.61j, r * np.exp(0.7j), 0.05 - 0.9j, 1.3 + 0.4j])
+
+
+@pytest.mark.parametrize("example_id", [1, 2])
+def test_stacked_connection_forms_are_bitwise_the_one_sample_calls(example_id):
+    hf = integrate_frame(to_nilpotent(builtin_potential(example_id)))
+    d = 2 * hf.m + 2
+    zs = _stack_with_locus_point(example_id)
+    a1, a0, errors = maurer_cartan(hf, zs)
+    assert a1.shape == a0.shape == (len(zs), d, d)
+    w = solve_iwasawa_float(hf, zs)
+    Lz = gauge_z_derivative(hf, w)
+    for k, z in enumerate(zs):
+        try:
+            one = maurer_cartan(hf, complex(z))
+        except WillmoreError as e:
+            assert type(errors[k]) is type(e) and str(errors[k]) == str(e)
+            assert np.isnan(a1[k]).all() and np.isnan(a0[k]).all()
+            continue
+        assert errors[k] is None
+        assert _same_bits(a1[k], one[0]) and _same_bits(a0[k], one[1]), z
+        j = int(np.flatnonzero(w.index == k)[0])
+        assert _same_bits(Lz[j], gauge_z_derivative(hf, solve_iwasawa_float(hf, complex(z)))), z
+    assert [e is not None for e in errors] == [False, False, True, False, False]
+
+
+def _one_sample_gauge_reference(hf, w):
+    """L_z at one sample, computed the way the one-sample code did before
+    stacking: 2-D numpy products and numpy complex scalars for s."""
+    ctx = get_context(hf.m)
+    Jm, J2 = ctx.np("Jm"), ctx.np("J2")
+    fv, gv, rho, us = w.fv, w.gv, w.rho, w.usharp
+    s = w.l0[0, 0]
+    Lc = w.l4.conj().T
+    Lc_inv = np.linalg.inv(Lc)
+    dL = []
+    for fpoly, gpoly in hf.axis_derivatives:
+        fd = _eval_mat(fpoly, w.z)
+        gd = _eval_mat(gpoly, w.z)
+        half = Jm @ fd.conj() @ J2 @ fv.T @ Jm + gd.conj().T @ gv
+        drho = half + half.conj().T
+        dus = (sharp(fd) - J2 @ fd.conj().T @ gv - J2 @ fv.conj().T @ gd
+               - us @ drho) @ w.rho_inv
+        half_f = fd.conj().T @ fv
+        half_u = dus @ rho @ us.conj().T
+        dc = ((half_f + half_f.conj().T)[1, 0]
+              - (half_u + half_u.conj().T + us @ drho @ us.conj().T)[0, 1])
+        ds = dc / (2 * s)
+        P = Lc_inv @ drho @ Lc_inv.conj().T
+        dl4 = (Lc @ (np.tril(P) - np.diag(np.diag(P)) / 2)).conj().T
+        dl1 = -w.l1 @ Jm @ dl4.T @ Jm @ w.l1
+        dL.append(_block_diag(dl1, np.diag([ds, -ds / (s * s)]), dl4))
+    return (dL[0] - 1j * dL[1]) / 2
+
+
+@pytest.mark.parametrize("source", ["example-1", "example-2", "near-cut"])
+def test_stacked_gauge_derivative_is_bitwise_the_one_sample_formulas(source):
+    # Both examples have q == I2, so s = +-1 there; near the cut s is a
+    # general unit, and numpy's array product s * s differs from the complex
+    # scalar product in the last bit at about 1 sample in 100.
+    if source == "near-cut":
+        hf = _near_cut_frame()
+        rng = np.random.default_rng(0)
+        zs = Z_CUT + 0.05 * (rng.normal(size=200) + 1j * rng.normal(size=200))
+    else:
+        hf = integrate_frame(to_nilpotent(builtin_potential(int(source[-1]))))
+        zs = np.array([0.3 + 0.2j, -0.45 + 0.61j, 0.05 - 0.9j, 1.3 + 0.4j, 0.7 - 0.1j, -0.2j])
+    w = solve_iwasawa_float(hf, zs)
+    assert len(w.index) == len(zs)
+    Lz = gauge_z_derivative(hf, w)
+    for k, z in enumerate(zs.tolist()):
+        want = _one_sample_gauge_reference(hf, solve_iwasawa_float(hf, z))
+        assert _same_bits(Lz[k], want), z
+
+
+@pytest.mark.parametrize("example_id", [1, 2])
+def test_stacked_frame_is_bitwise_the_one_sample_frame(example_id):
+    hf = integrate_frame(to_nilpotent(builtin_potential(example_id)))
+    zs = _stack_with_locus_point(example_id)
+    w = solve_iwasawa_float(hf, zs)
+    fr = assemble_frame(hf, w)
+    assert fr.errors == w.errors and len(fr.factor_residual) == len(w.index) == 4
+    assert _same_bits(check_refactor(hf, w, fr.F), fr.factor_residual)
+    for j, k in enumerate(w.index):
+        one = assemble_frame(hf, solve_iwasawa_float(hf, complex(zs[k])))
+        assert sorted(fr.F.coeffs) == sorted(one.F.coeffs)
+        for power, coeff in one.F.coeffs.items():
+            assert _same_bits(fr.F.coeffs[power][j], coeff), (k, power)
+        assert _same_bits(fr.factor_residual[j], one.factor_residual), k
+
+
+def test_stacked_refactor_check_returns_what_the_one_sample_check_raises(hf1):
+    # A bump like that of test_perturbed_float_frame_fails_its_checks, scaled
+    # by |l1|: about 2.1 times its size at z = 1, above the bound, and about
+    # its size near z = 0, below it.
+    from willmore.iwasawa import REFACTOR_TOL
+    from willmore.loops import LoopMatrix
+
+    m = hf1.m
+    bump = np.zeros((2 * m + 2, 2 * m + 2), dtype=complex)
+    bump[m, 0] = 8e-7
+    zs = np.array([1.0 + 0j, 0.1 + 0.05j])
+    w = solve_iwasawa_float(hf1, zs)
+    residual = check_refactor(hf1, w, assemble_frame(hf1, w).F + LoopMatrix.from_constant(bump))
+    assert residual[0] > REFACTOR_TOL >= residual[1]
+    for j, z in enumerate(zs):
+        one = solve_iwasawa_float(hf1, complex(z))
+        bad = assemble_frame(hf1, one).F + LoopMatrix.from_constant(bump)
+        if residual[j] > REFACTOR_TOL:
+            with pytest.raises(ResidualTooLarge, match="%.3e" % residual[j]):
+                check_refactor(hf1, one, bad)
+        else:
+            assert _same_bits(check_refactor(hf1, one, bad), residual[j])
+
+
+def test_stacked_frame_records_refactor_failures(hf1, monkeypatch):
+    import willmore.iwasawa
+
+    zs = np.array([0.3 + 0.2j, -0.4 + 0.1j])
+    monkeypatch.setattr(willmore.iwasawa, "REFACTOR_TOL", 0.0)
+    fr = assemble_frame(hf1, solve_iwasawa_float(hf1, zs))
+    for k, z in enumerate(zs):
+        with pytest.raises(ResidualTooLarge) as raised:
+            assemble_frame(hf1, solve_iwasawa_float(hf1, complex(z)))
+        assert type(fr.errors[k]) is ResidualTooLarge
+        assert str(fr.errors[k]) == str(raised.value)

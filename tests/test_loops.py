@@ -307,3 +307,39 @@ def test_exact_rings_agree_with_their_rationalfn_copies():
         assert sorted(F.coeffs) == sorted(Fr.coeffs)
         for k in F.coeffs:
             assert np.array_equal(F.coeffs[k].view(np.uint64), Fr.coeffs[k].view(np.uint64))
+
+
+def _same_bits(a, b) -> bool:
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_stacked_float_loop_ops_are_bitwise_the_one_sample_ops(example, request):
+    # Each sample of a stacked loop holds what the loop built at that sample
+    # alone holds: F is the float frame, H the exact holomorphic frame.
+    from willmore.iwasawa import assemble_frame, solve_iwasawa_float
+
+    hf = request.getfixturevalue("hf%d" % example)
+    zs = np.array([0.3 - 0.2j, -0.45 + 0.1j, 0.05j])
+    lam = np.exp(0.37j)
+    H = hf.H_loop()
+    F = assemble_frame(hf, solve_iwasawa_float(hf, zs)).F
+    Hs = H.to_float(zs)
+
+    def ops(F, Hf):
+        return {"matmul": F @ Hf, "transpose": F.transpose(), "bar": F.bar(),
+                "to_float": Hf}
+
+    stacked = ops(F, Hs)
+    Fv, Hv, worst = F.evaluate(zs, lam), H.evaluate(zs, lam), F.max_abs()
+    for k, z in enumerate(zs.tolist()):
+        F1 = assemble_frame(hf, solve_iwasawa_float(hf, z)).F
+        for name, loop in ops(F1, H.to_float(z)).items():
+            assert sorted(stacked[name].coeffs) == sorted(loop.coeffs), name
+            for power, coeff in loop.coeffs.items():
+                assert _same_bits(stacked[name].coeffs[power][k], coeff), (name, power)
+        assert _same_bits(Fv[k], F1.evaluate(z, lam))
+        assert _same_bits(Hv[k], H.evaluate(z, lam))
+        assert _same_bits(worst[k], F1.max_abs())

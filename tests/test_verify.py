@@ -1,10 +1,16 @@
 """Invariant suite: catalog coverage, determinism, and failure isolation."""
 
+import cmath
+import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import willmore.iwasawa
+import willmore.surfaces
+import willmore.verify
 from willmore.groups import GroupContext
 from willmore.loops import LoopMatrix, exact_zeros
 from willmore.potentials import (
@@ -14,7 +20,8 @@ from willmore.potentials import (
     document_for,
 )
 from willmore.scalars import GR_ZERO, BiPoly, GaussianRational
-from willmore.verify import CHECK_NAMES, DEFAULT_PLAN, run_suite
+from willmore.surfaces import mink_pair_np
+from willmore.verify import CHECK_NAMES, DEFAULT_PLAN, _proj_minor, run_suite
 
 SMALL_PLAN = {"samples": 6, "fd_samples": 2, "seed": 3, "oracle_matrices": 4}
 
@@ -126,3 +133,112 @@ def test_a_check_that_raises_is_reported(monkeypatch):
     assert list(failed) == ["iso-oracle"]
     assert failed["iso-oracle"]["error"] == "ValueError: oracle unavailable"
     assert failed["iso-oracle"]["max_residual"] == float("inf")
+
+
+def test_run_suite_factorizes_in_few_stacked_calls(monkeypatch):
+    # One solve per stack, not one per sample: example 1's default plan has
+    # 40 samples and 6 fd samples, each with a 9-point flatness stencil.
+    calls = {"solve": 0, "maurer_cartan": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    solve = counted(willmore.iwasawa.solve_iwasawa_float, "solve")
+    for module in (willmore.iwasawa, willmore.surfaces, willmore.verify):
+        monkeypatch.setattr(module, "solve_iwasawa_float", solve)
+    monkeypatch.setattr(willmore.verify, "maurer_cartan",
+                        counted(willmore.iwasawa.maurer_cartan, "maurer_cartan"))
+    assert run_suite(builtin_potential(1)).passed
+    assert calls["solve"] <= 16 and calls["maurer_cartan"] <= 3, calls
+
+
+# sha256 of the reports, without timing, as the one-sample-per-call loop of
+# run_suite wrote them.
+SINGULAR_SAMPLE_REPORTS = {
+    1: "c8e6c8265d594dbfc420f8f4b118824b9185be39a56e866cb0725d2ffd40a019",
+    2: "b27ff79965d5ea0e7b110fdc482a68dd3749ab3df2b6dd2db1f901699ad1409d",
+}
+
+
+@pytest.mark.parametrize("example", sorted(SINGULAR_SAMPLE_REPORTS))
+def test_a_sample_on_the_degeneracy_circle_stops_the_checks_at_its_index(example, monkeypatch):
+    # Sample 3, also an fd sample, fails to factorize: the checks that need
+    # the frame fail with its error after 3 samples, the factorization
+    # residuals keep samples 0-2, and the Maurer-Cartan checks fail too.
+    draw = willmore.verify._draw_samples
+
+    def with_locus_sample(cfg, radii, hf):
+        pts, rejected = draw(cfg, radii, hf)
+        pts[3] = radii[0] * cmath.exp(0.7j)
+        return pts, rejected
+
+    monkeypatch.setattr(willmore.verify, "_draw_samples", with_locus_sample)
+    rep = run_suite(builtin_potential(example))
+    checks = {c["name"]: c for c in rep.checks}
+    assert checks["frame-refactor"]["samples"] == 3
+    assert "lost positivity" in checks["frame-refactor"]["error"]
+    assert checks["iwasawa-1B"]["samples"] == 3 and "error" not in checks["iwasawa-1B"]
+    assert "error" in checks["halfisotropy-pullback"]
+    text = rep.to_json(include_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == SINGULAR_SAMPLE_REPORTS[example]
+
+
+def test_a_sample_failing_only_its_refactor_check_counts_in_the_factorization_residuals(
+        monkeypatch):
+    # Sample k passes its solve, so its 1B residual enters iwasawa-1B, and
+    # then fails its refactor check, which stops the frame checks at k.  k is
+    # the first sample whose 1B residual is a new maximum, so leaving it out
+    # would change the reported value.
+    drawn = []
+    draw = willmore.verify._draw_samples
+
+    def recording(cfg, radii, hf):
+        pts, rejected = draw(cfg, radii, hf)
+        drawn.extend(pts)
+        return pts, rejected
+
+    hf = willmore.verify.integrate_frame(
+        willmore.verify.to_nilpotent(builtin_potential(1)))
+    monkeypatch.setattr(willmore.verify, "_draw_samples", recording)
+    run_suite(builtin_potential(1), {"samples": 12, "fd_samples": 1, "oracle_matrices": 2})
+    res = willmore.iwasawa.solve_iwasawa_float(hf, np.array(drawn)).residuals["1B"]
+    k = next(j for j in range(1, len(res)) if res[j] > res[:j].max())
+
+    check = willmore.iwasawa.check_refactor
+
+    def failing_at_k(hf, w, F):
+        residual = check(hf, w, F)
+        if np.ndim(residual) == 1 and len(w.errors) == len(drawn):
+            residual = np.where(w.index == k, 1.0, residual)
+        return residual
+
+    monkeypatch.setattr(willmore.iwasawa, "check_refactor", failing_at_k)
+    drawn.clear()
+    rep = run_suite(builtin_potential(1), {"samples": 12, "fd_samples": 1, "oracle_matrices": 2})
+    checks = {c["name"]: c for c in rep.checks}
+    assert checks["frame-refactor"]["samples"] == k
+    assert checks["frame-refactor"]["error"] == (
+        "ResidualTooLarge: frame does not refactor the holomorphic side: 1.000e+00")
+    assert checks["iwasawa-1B"]["samples"] == k and "error" not in checks["iwasawa-1B"]
+    assert checks["iwasawa-1B"]["max_residual"] == float(res[:k + 1].max())
+
+
+def test_stacked_lift_pairings_round_as_the_one_row_loop():
+    # The lift checks take entry products and moduli of complex scalars row
+    # by row; the stacked forms must give each row those bits.
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(50, 8)) + 1j * rng.normal(size=(50, 8))
+    w = rng.normal(size=(50, 8)) + 1j * rng.normal(size=(50, 8))
+    minors = _proj_minor(v, w)
+    pairs = mink_pair_np(v, w)
+    for k in range(len(v)):
+        a, b = v[k].tolist(), w[k].tolist()
+        s = max(float(np.abs(v[k]).max()), float(np.abs(w[k]).max()), 1.0)
+        want = max(abs(a[i] * b[j] - a[j] * b[i])
+                   for i in range(8) for j in range(i + 1, 8)) / (s * s)
+        assert minors[k] == want, k
+        pair = -v[k][0] * w[k][0] + np.dot(v[k][1:], w[k][1:])
+        assert pairs[k] == pair and np.signbit(pairs[k].imag) == np.signbit(pair.imag), k
