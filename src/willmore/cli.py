@@ -33,9 +33,8 @@ import numpy as np
 
 from .errors import PotentialFormatError, WillmoreError
 from .frames import integrate_frame
-from .iwasawa import assemble_frame, solve_iwasawa_float
 from .potentials import load_potential, to_nilpotent
-from .surfaces import extract_pair, induced_metric, metric_stencil, reference_lift_eval
+from .surfaces import SurfacePair, induced_metric, metric_stencil, reference_lift_eval
 from .verify import run_suite
 
 
@@ -57,7 +56,7 @@ def _parse_lambda(text: str) -> complex:
     """Unit-circle family parameter: '1', 'i', 'a+bi', or 'cis:p/q'."""
     s = text.strip().replace(" ", "")
     if s.startswith("cis:"):
-        turns = Fraction(s[4:])
+        turns = _parse_rational(s[4:])
         lam = cmath.exp(1j * math.pi * float(turns))
     else:
         lam = _parse_complex(s)
@@ -80,16 +79,16 @@ def _parse_complex(s: str) -> complex:
         # and never the leading sign).
         for k in range(len(body) - 1, 0, -1):
             if body[k] in "+-" and body[k - 1] not in "+-/":
-                re = Fraction(body[:k])
+                re = _parse_rational(body[:k])
                 imtext = body[k:]
                 im = Fraction(1) if imtext in ("+",) else (
-                    Fraction(-1) if imtext == "-" else Fraction(imtext))
+                    Fraction(-1) if imtext == "-" else _parse_rational(imtext))
                 return complex(float(re), float(im))
         body = body or "1"
         if body in ("+", "-"):
             body += "1"
-        return complex(0.0, float(Fraction(body)))
-    return complex(float(Fraction(s)), 0.0)
+        return complex(0.0, float(_parse_rational(body)))
+    return complex(float(_parse_rational(s)), 0.0)
 
 
 def _grid_points(kind: str, n: int, radius: float):
@@ -136,19 +135,6 @@ def _cartesian_faces(n: int):
             faces.append((p, q, s))
             faces.append((p, s, r))
     return faces
-
-
-def _build_pair(doc, lam):
-    pot = doc.normalized()
-    hf = integrate_frame(to_nilpotent(pot))
-    last = None
-    for probe in (0.11 + 0.07j, 0.23 - 0.19j, -0.37 + 0.29j, 0.53 + 0.41j):
-        try:
-            frame = assemble_frame(hf, solve_iwasawa_float(hf, probe))
-            return extract_pair(frame, lam), hf
-        except WillmoreError as e:
-            last = e
-    raise last
 
 
 # Vertices per stacked evaluation: each block factorizes its vertices and
@@ -258,21 +244,21 @@ def _proj_distance(u, v) -> float:
 
 
 def _cmd_mesh_common(args, doc):
-    lam = args.lam
-    pair, hf = _build_pair(doc, lam)
+    hf = integrate_frame(to_nilpotent(doc.normalized()))
+    pair = SurfacePair(hf.m, args.lam, hf)
     pts = _grid_points(args.grid, args.grid_n, args.radius)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "mesh.csv")
     rows, reasons = _write_mesh_csv(csv_path, pair, pts)
     print("wrote %s (%d vertices, %s)" % (csv_path, len(pts), _singular_summary(reasons)))
-    return pair, hf, pts, rows, csv_path
+    return pair, pts, rows
 
 
 def cmd_example(args) -> int:
     src = resources.files("willmore").joinpath("data/example%d.json" % args.id)
     with resources.as_file(src) as path:
         doc = load_potential(str(path))
-    pair, hf, pts, rows, _ = _cmd_mesh_common(args, doc)
+    pair, pts, rows = _cmd_mesh_common(args, doc)
     ref = reference_lift_eval(args.id, args.lam)
     per_vertex = []
     worst = 0.0
@@ -310,7 +296,7 @@ def cmd_example(args) -> int:
 
 def cmd_synth(args) -> int:
     doc = load_potential(args.potential)
-    pair, hf, pts, rows, _ = _cmd_mesh_common(args, doc)
+    pair, pts, rows = _cmd_mesh_common(args, doc)
     if args.format == "obj":
         faces = (_polar_faces(args.grid_n) if args.grid == "polar"
                  else _cartesian_faces(args.grid_n))

@@ -64,7 +64,7 @@ from .loops import (
     sharp,
     unipotent_inverse,
 )
-from .scalars import BP_ONE, BP_ZERO, BiPoly, RF_ONE, RF_ZERO, RationalFn, _cmul_np
+from .scalars import BP_ONE, BP_ZERO, RF_ONE, RF_ZERO, RationalFn, _cmul_np
 
 _STRUCT_TOL = 1e-8
 REFACTOR_TOL = 1e-6
@@ -238,16 +238,12 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
 
 
 def _eval_mat(mat, z) -> np.ndarray:
-    """A polynomial matrix at z: (rows, cols), or (N, rows, cols) over N samples.
+    """A matrix of BiPoly at z: (rows, cols), or (N, rows, cols) over N samples.
 
     Stacks are C-contiguous, so each sample's matrix has the strides of the
     one-sample matrix and every product of it rounds the same way.
     """
-    vals = np.array(
-        [[p.evaluate_float(z) if isinstance(p, BiPoly) else p.evaluate(z)
-          for p in row] for row in mat],
-        dtype=complex,
-    )
+    vals = np.array([[p.evaluate_float(z) for p in row] for row in mat], dtype=complex)
     return vals if vals.ndim == 2 else np.ascontiguousarray(np.moveaxis(vals, -1, 0))
 
 

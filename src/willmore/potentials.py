@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -255,6 +256,8 @@ def _parse_rational(x, where: str) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise PotentialFormatError("non-finite number %r in %s" % (x, where))
         return Fraction(x)
     raise PotentialFormatError("expected rational string or number in %s" % where)
 

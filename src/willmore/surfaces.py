@@ -94,16 +94,22 @@ def mink_pair_np(x: np.ndarray, y: np.ndarray):
 class SurfacePair:
     """Adjoint pair of homogeneous light-cone lifts at one family parameter.
 
-    Exact pair (Y is not None): Y and Yhat are tuples of 2m+2 RationalFn in
-    R^{1,2m+1} coordinates, each reduced by its num/den gcd (stored scale:
-    true lift = (sqrt(2)/2) * stored, pairings carry factor 1/2).
-    Float pair (Y is None): lifts are evaluated from one stacked
-    factorization of the requested samples.
+    Exact pair (Y is not None), from extract_pair: Y and Yhat are tuples of
+    2m+2 RationalFn in R^{1,2m+1} coordinates, each reduced by its num/den
+    gcd (stored scale: true lift = (sqrt(2)/2) * stored, pairings carry
+    factor 1/2).
+    Float pair (Y is None), SurfacePair(hf.m, lam, hf) for lam on the unit
+    circle: its lifts are read off the middle columns of the frame that one
+    stacked factorization of hf gives at the requested samples.
     """
 
     __slots__ = ("m", "lam", "hf", "Y", "Yhat")
 
     def __init__(self, m, lam, hf, Y=None, Yhat=None):
+        if Y is None:
+            lam = complex(lam)
+            if abs(abs(lam) - 1.0) > 1e-12:
+                raise ValueError("family parameter must lie on the unit circle")
         self.m = m
         self.lam = lam
         self.hf = hf
@@ -111,59 +117,45 @@ class SurfacePair:
         self.Yhat = Yhat
 
     def values(self, z):
-        """Homogeneous lift values at z.
+        """Homogeneous lift values of a float pair at z.
 
-        Float pair: real vectors of the honest frame (factor included),
-        future-pointing.  A 1-D array of z gives (Y, Yhat, errors): rows per
-        sample, NaN where the sample failed, and errors[k] the error sample k
-        failed with (None where it passed); a scalar z gives (Y, Yhat) and
-        raises the error instead.
-        Exact pair, scalar z only: complex vectors in the rational gauge;
-        each differs from the honest lift by a sample-dependent unit scalar
-        (for both shipped examples +1 inside the singular circle, -1
-        outside it).
+        Real vectors of the honest frame (factor included), future-pointing.
+        A 1-D array of z gives (Y, Yhat, errors): rows per sample, NaN where
+        the sample failed, and errors[k] the error sample k failed with (None
+        where it passed); a scalar z gives (Y, Yhat) and raises the error
+        instead.
         """
-        if self.Y is None:
-            if np.ndim(z) == 0:
-                return _one_sample(_float_lift_values(self.hf, self.lam, [z]))
-            return _float_lift_values(self.hf, self.lam, z)
-        s = SQRT2_OVER_2
-        yv = np.array([_rf_float(c, z) for c in self.Y]) * s
-        hv = np.array([_rf_float(c, z) for c in self.Yhat]) * s
-        return yv, hv
+        if np.ndim(z) == 0:
+            return _one_sample(_float_lift_values(self.hf, self.lam, [z]))
+        return _float_lift_values(self.hf, self.lam, z)
 
 
 def extract_pair(frame: ExtendedFrame, lam) -> SurfacePair:
-    """Read the adjoint pair off the frame's two middle columns.
+    """Read the adjoint pair off an exact frame's two middle columns.
 
-    An exact frame needs an exact unit lambda and gives a pair that holds its
-    lifts as tuples of 2m+2 reduced RationalFn; a float frame gives a pair
-    that evaluates its lifts from a fresh factorization at each sample.
+    lam must be an exact unit; the pair holds its lifts as tuples of 2m+2
+    reduced RationalFn.  A float pair needs no frame: SurfacePair(hf.m, lam,
+    hf) factorizes hf at each sample it is evaluated at.
     """
-    if frame.hf is None:
-        raise ValueError("frame carries no integrated-frame provenance")
-    if frame.middle is not None:
-        lam = GaussianRational.coerce(lam)
-        if lam.abs_squared() != 1:
-            raise ValueError("exact family parameter must satisfy |lambda| = 1")
-        mid = frame.middle.at_lambda(lam)
-        m = frame.m
-        col0, col1 = mid[:, 0], mid[:, 1]
-        minus_i = RationalFn.const(GaussianRational(0, -1))
+    if frame.middle is None:
+        raise ExactPathRequired("extract_pair reads exact frames only")
+    lam = GaussianRational.coerce(lam)
+    if lam.abs_squared() != 1:
+        raise ValueError("exact family parameter must satisfy |lambda| = 1")
+    mid = frame.middle.at_lambda(lam)
+    m = frame.m
+    col0, col1 = mid[:, 0], mid[:, 1]
+    minus_i = RationalFn.const(GaussianRational(0, -1))
 
-        def times_minus_i(x):
-            return minus_i * x
+    def times_minus_i(x):
+        return minus_i * x
 
-        # Reducing here collapses the unreduced factorization denominators
-        # (degrees in the tens) to the true ones, so every downstream pairing,
-        # metric, and derivative works on small operands.
-        Y = tuple((-c).reduced() for c in _combine(col1, m, times_minus_i))
-        Yhat = tuple(c.reduced() for c in _combine(col0, m, times_minus_i))
-        return SurfacePair(m, lam, frame.hf, Y=Y, Yhat=Yhat)
-    lam = complex(lam)
-    if abs(abs(lam) - 1.0) > 1e-12:
-        raise ValueError("family parameter must lie on the unit circle")
-    return SurfacePair(frame.m, lam, frame.hf)
+    # Reducing here collapses the unreduced factorization denominators
+    # (degrees in the tens) to the true ones, so every downstream pairing,
+    # metric, and derivative works on small operands.
+    Y = tuple((-c).reduced() for c in _combine(col1, m, times_minus_i))
+    Yhat = tuple(c.reduced() for c in _combine(col0, m, times_minus_i))
+    return SurfacePair(m, lam, frame.hf, Y=Y, Yhat=Yhat)
 
 
 def lift_columns_float(w: IwasawaWitness, lam: complex):
@@ -539,12 +531,12 @@ def degeneracy_scan(hf: HolomorphicFrame, theta: float = 0.0, r_range=(1e-3, 2.5
     fd = 1e-6
 
     def dsigma(r):
-        return (sigma(r + fd) - sigma(max(r - fd, 0.0))) / (2 * fd)
+        """Central radial difference at a radius or at an array of radii."""
+        return (sigma(r + fd) - sigma(np.maximum(r - fd, 0.0))) / (2 * fd)
 
     rs = np.linspace(r0, r1, SCAN_GRID_N)
     sig = sigma(rs)
-    # The radial derivative at every grid radius, as dsigma computes it.
-    dsig = (sigma(rs + fd) - sigma(np.maximum(rs - fd, 0.0))) / (2 * fd)
+    dsig = dsigma(rs)
     scale = max(1.0, float(sig.max()))
     found = []
     for i in range(SCAN_GRID_N - 1):

@@ -37,10 +37,10 @@ from .potentials import (
 )
 from .scalars import GaussianRational, _cmul_np
 from .surfaces import (
+    SurfacePair,
     _gram_det_float,
     _stencil_weights,
     degeneracy_scan,
-    extract_pair,
     isotropy_check,
     lift_columns_float,
     mink_pair_np,
@@ -274,11 +274,45 @@ def _frame_checks(ctx, fr, lams) -> dict:
     return out
 
 
-def _probe_bipoly(mat, z) -> float:
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return e
+
+
+def _exact_size(residual: LoopMatrix, probe) -> float:
+    """0.0 for an exact loop that vanishes identically, else its size at probe."""
+    return 0.0 if residual.is_zero() else _probe_exact(residual, probe)
+
+
+def _potential_isotropy(b1, probe) -> float:
+    """Largest entry of B1hat B1hat^t at probe: 0.0 when it vanishes identically."""
+    return max([0.0] + [abs(p.evaluate(probe)) for p in (b1 @ b1.T).flat])
+
+
+def _frame_unipotent(H: LoopMatrix, probe) -> float:
+    E = H - LoopMatrix.identity(H.rows)
+    return _exact_size(E @ E @ E, probe)
+
+
+def _iso_oracle(ctx, cfg, probe) -> float:
+    """iso_P against its index-wise form, and its homomorphism property on
+    consecutive pairs, over random exact constant loops."""
+    rng = np.random.default_rng(cfg["seed"] + 1)
     worst = 0.0
-    for row in mat:
-        for p in row:
-            worst = max(worst, abs(p.evaluate(z)))
+    pending = None
+    for _ in range(cfg["oracle_matrices"]):
+        A = _rand_exact_loop(rng, ctx.dim)
+        PA = ctx.iso_P(A)
+        worst = max(worst, _exact_size(PA - ctx.iso_P_indexwise(A), probe))
+        if pending is None:
+            pending = A, PA
+        else:
+            B, PB = pending
+            worst = max(worst, _exact_size(ctx.iso_P(B @ A) - PB @ PA, probe))
+            pending = None
     return worst
 
 
@@ -375,18 +409,70 @@ def _maurer_cartan_checks(hf, fd_samples, lams) -> dict:
     return out
 
 
+def _sample_checks(ctx, hf, samples, lams):
+    """The iwasawa-* and frame checks over one stack of all samples: the
+    number of samples they cover, and each check's residual or the error it
+    failed with.
+
+    The checks stop at the first sample that fails, in sample order: the
+    frame checks fail with its error, and the factorization residuals
+    include it only if it failed in assembly, so they fail only when it is
+    sample 0.
+    """
+    w = solve_iwasawa_float(hf, np.array(samples, dtype=complex))
+    fr = assemble_frame(hf, w)
+    n_eval = next((k for k, e in enumerate(fr.errors) if e is not None), len(samples))
+    out = {name: _worst(w.residuals[key][w.index <= n_eval])
+           for name, key in _IWASAWA_CHECKS.items()}
+    if n_eval == len(samples):
+        out.update(_frame_checks(ctx, fr, lams))
+    else:
+        failed = _FRAME_CHECKS if n_eval else tuple(_IWASAWA_CHECKS) + _FRAME_CHECKS
+        out.update(dict.fromkeys(failed, fr.errors[n_eval]))
+    return n_eval, out
+
+
+def _conformality(pairs, fd_samples) -> float:
+    """|<y_z, y_z>| of the projected lift y, by central differences at each fd
+    sample, relative to max(1, |y_z|^2)."""
+    h = 1e-4
+    pts = np.array([p for z in fd_samples for p in (z + h, z - h, z + 1j * h, z - 1j * h)],
+                   dtype=complex)
+    res = 0.0
+    for pair in pairs:
+        y, sample_errors = project_to_sphere(pair, "Y")(pts)
+        raise_first(sample_errors)
+        for yp, ym, yip, yim in y.reshape(len(fd_samples), 4, y.shape[-1]):
+            yx = (yp - ym) / (2 * h)
+            yy = (yip - yim) / (2 * h)
+            yz = (yx - 1j * yy) / 2
+            res = max(res, abs(complex(np.dot(yz, yz))) /
+                      max(1.0, float(np.dot(yz.real, yz.real))))
+    return res
+
+
+def _isotropy_order_m(pairs, fd_samples) -> float:
+    """The worst isotropy_check residual of both lifts of every pair."""
+    return max([0.0] + [isotropy_check(pair, which, samples=fd_samples)["max_residual"]
+                        for pair in pairs for which in ("Y", "Yhat")])
+
+
 def run_suite(pot, plan=None) -> VerificationReport:
     """Execute the full catalog and return the structured report.
 
-    The float checks run on numpy stacks of samples: one factorization and
-    one frame for all samples, one stack of connection coefficients for the
-    fd samples and their flatness stencils, and one frame stack for
-    mc-lambda-affinity.  Each sample keeps the bits of the one-sample
-    computation and every residual is a maximum over samples, so the report
-    does not depend on how the samples are stacked.  When sample k is the
-    first to fail, the checks that need its frame fail with its error after
-    k samples, and the factorization residuals cover samples 0..k-1, and k
-    itself if it failed only its refactor check.
+    Each check, or each group of checks computed together, gives its
+    residual or the exception it failed with, and one loop turns those into
+    report entries.  The float checks run on numpy stacks of samples: one
+    factorization and one frame for all samples, one stack of connection
+    coefficients for the fd samples and their flatness stencils, and one
+    frame stack for mc-lambda-affinity.  Each sample keeps the bits of the
+    one-sample computation and every residual is a maximum over samples, so
+    the report does not depend on how the samples are stacked.  When sample
+    k is the first to fail, the checks that need its frame fail with its
+    error after k samples, and the factorization residuals cover samples
+    0..k-1, and k itself if it failed only its refactor check.  A float pair
+    evaluates its lifts at any sample, but conformality and
+    isotropy-order-m also fail with sample 0's error when it has one.
     """
     t0 = time.monotonic()
     cfg = _normalize_plan(plan)
@@ -403,10 +489,7 @@ def run_suite(pot, plan=None) -> VerificationReport:
         raise TypeError("run_suite wants a NormalizedPotential or PotentialDocument")
 
     m = norm.m
-    d = 2 * m + 2
     ctx = get_context(m)
-    tol_a = cfg["tol_algebraic"]
-    tol_f = cfg["tol_fd"]
     lams = cfg["lambdas"]
 
     nil = to_nilpotent(norm)
@@ -414,177 +497,63 @@ def run_suite(pot, plan=None) -> VerificationReport:
     radii = degeneracy_scan(hf, r_range=(1e-3, max(2.5, 1.5 * cfg["radius"])))
     samples, rejected = _draw_samples(cfg, radii, hf)
     fd_samples = samples[: cfg["fd_samples"]]
+    # An exact identity that does not hold is measured at sample 0.
     probe = samples[0] if samples else complex(1, 1) / 3
-
-    results = {}
-    errors = {}
-
-    def record(name, residual, count):
-        results[name] = (float(residual), count)
-
-    def fail(name, exc, count=0):
-        results[name] = (float("inf"), count)
-        errors[name] = "%s: %s" % (type(exc).__name__, exc)
-
-    # -- exact structural checks --------------------------------------------
-
-    try:
-        iso = b1 @ b1.T
-        if all(p.is_zero() for row in iso for p in row):
-            record("potential-isotropy", 0.0, 1)
-        else:
-            record("potential-isotropy", _probe_bipoly(iso, probe), 1)
-    except Exception as e:
-        fail("potential-isotropy", e)
-
-    try:
-        emb = ctx.iso_P(norm.eta_loop()) - nil.full_loop()
-        record("nilpotent-embed", 0.0 if emb.is_zero()
-               else _probe_exact(emb, probe), 1)
-    except Exception as e:
-        fail("nilpotent-embed", e)
-
     H = hf.H_loop()
-    try:
-        ode = H.d_dz() - H @ nil.full_loop()
-        record("frame-ode", 0.0 if ode.is_zero() else _probe_exact(ode, probe), 1)
-    except Exception as e:
-        fail("frame-ode", e)
 
-    try:
-        E = H - LoopMatrix.identity(d)
-        cube = E @ E @ E
-        record("frame-unipotent",
-               0.0 if cube.is_zero() else _probe_exact(cube, probe), 1)
-    except Exception as e:
-        fail("frame-unipotent", e)
+    # (name, residual or the exception it failed with, samples covered)
+    results = [
+        ("potential-isotropy", _attempt(_potential_isotropy, b1, probe), 1),
+        ("nilpotent-embed", _attempt(
+            lambda: _exact_size(ctx.iso_P(norm.eta_loop()) - nil.full_loop(), probe)), 1),
+        ("frame-ode", _attempt(
+            lambda: _exact_size(H.d_dz() - H @ nil.full_loop(), probe)), 1),
+        ("frame-unipotent", _attempt(_frame_unipotent, H, probe), 1),
+    ]
 
-    # -- float factorization and membership, over all samples at once ---------
-
-    agg = dict.fromkeys(tuple(_IWASAWA_CHECKS.values()) + _FRAME_CHECKS, 0.0)
-    loop_error = None
-    n_eval = len(samples)
+    n_eval, stack = 0, dict.fromkeys(tuple(_IWASAWA_CHECKS) + _FRAME_CHECKS, 0.0)
     if samples:
         try:
-            w = solve_iwasawa_float(hf, np.array(samples, dtype=complex))
-            fr = assemble_frame(hf, w)
-            # The checks stop at the first sample that fails, in sample order;
-            # the factorization residuals include it only if it failed in
-            # assembly.
-            n_eval = next((k for k, e in enumerate(fr.errors) if e is not None), n_eval)
-            for key in _IWASAWA_CHECKS.values():
-                agg[key] = _worst(w.residuals[key][w.index <= n_eval])
-            if n_eval < len(samples):
-                loop_error = fr.errors[n_eval]
-            else:
-                agg.update(_frame_checks(ctx, fr, lams))
+            n_eval, stack = _sample_checks(ctx, hf, samples, lams)
         except Exception as e:
-            loop_error, n_eval = e, 0
-
-    for name, key in _IWASAWA_CHECKS.items():
-        if loop_error is not None and n_eval == 0:
-            fail(name, loop_error)
-        else:
-            record(name, agg[key], n_eval)
-    for name in _FRAME_CHECKS:
-        if loop_error is not None:
-            fail(name, loop_error, n_eval)
-        else:
-            record(name, agg[name], n_eval)
-
-    # -- Maurer-Cartan structure, on one stack of connection coefficients -----
+            stack = dict.fromkeys(stack, e)
+    results += [(name, value, n_eval) for name, value in stack.items()]
 
     mc = (_maurer_cartan_checks(hf, fd_samples, lams) if fd_samples
           else dict.fromkeys(_MC_CHECKS, 0.0))
-    for name, value in mc.items():
-        if isinstance(value, Exception):
-            fail(name, value, 0)
-        else:
-            record(name, value, len(fd_samples))
+    results += [(name, value, len(fd_samples)) for name, value in mc.items()]
 
-    # -- surface geometry (finite differences on the honest lifts) ------------
+    # Sample 0 is the first fd sample: these two checks fail with its error,
+    # if it has one, as the frame checks do.
+    pairs = [SurfacePair(m, lam, hf) for lam in lams]
+    first_error = stack["frame-refactor"] if samples and n_eval == 0 else None
+    for name, check in (("conformality", _conformality),
+                        ("isotropy-order-m", _isotropy_order_m)):
+        value = _attempt(check, pairs, fd_samples) if first_error is None else first_error
+        results.append((name, value, len(fd_samples)))
 
-    # Both checks read the lifts of the frame at the probe sample.
-    probe_error = None
-    try:
-        fr0 = assemble_frame(hf, solve_iwasawa_float(hf, probe))
-        pairs = [extract_pair(fr0, lam) for lam in lams]
-    except Exception as e:
-        probe_error = e
+    results.append(("iso-oracle", _attempt(_iso_oracle, ctx, cfg, probe),
+                    cfg["oracle_matrices"]))
 
-    try:
-        if probe_error is not None:
-            raise probe_error
-        res = 0.0
-        h = 1e-4
-        for pair in pairs:
-            proj = project_to_sphere(pair, "Y")
-            pts = [p for z in fd_samples for p in (z + h, z - h, z + 1j * h, z - 1j * h)]
-            y, sample_errors = proj(np.array(pts, dtype=complex))
-            raise_first(sample_errors)
-            for yp, ym, yip, yim in y.reshape(len(fd_samples), 4, y.shape[-1]):
-                yx = (yp - ym) / (2 * h)
-                yy = (yip - yim) / (2 * h)
-                yz = (yx - 1j * yy) / 2
-                res = max(res, abs(complex(np.dot(yz, yz))) /
-                          max(1.0, float(np.dot(yz.real, yz.real))))
-        record("conformality", res, len(fd_samples))
-    except Exception as e:
-        fail("conformality", e, 0)
-
-    try:
-        if probe_error is not None:
-            raise probe_error
-        res = 0.0
-        for pair in pairs:
-            for which in ("Y", "Yhat"):
-                rep = isotropy_check(pair, which, samples=fd_samples)
-                res = max(res, rep["max_residual"])
-        record("isotropy-order-m", res, len(fd_samples))
-    except Exception as e:
-        fail("isotropy-order-m", e, 0)
-
-    # -- dual-implementation isometry oracle ----------------------------------
-
-    try:
-        rng = np.random.default_rng(cfg["seed"] + 1)
-        worst = 0.0
-        pending = None
-        for _ in range(cfg["oracle_matrices"]):
-            A = _rand_exact_loop(rng, d)
-            PA = ctx.iso_P(A)
-            diff = PA - ctx.iso_P_indexwise(A)
-            if not diff.is_zero():
-                worst = max(worst, _probe_exact(diff, probe))
-            if pending is None:
-                pending = A, PA
-            else:
-                B, PB = pending
-                hom = ctx.iso_P(B @ A) - PB @ PA
-                if not hom.is_zero():
-                    worst = max(worst, _probe_exact(hom, probe))
-                pending = None
-        record("iso-oracle", worst, cfg["oracle_matrices"])
-    except Exception as e:
-        fail("iso-oracle", e, 0)
-
-    # -- assemble the report ---------------------------------------------------
-
-    checks = []
-    for name in CHECK_NAMES:
-        residual, count = results[name]
-        tol = tol_f if name in _FD_CHECKS else tol_a
+    checks = {}
+    for name, value, count in results:
+        failed = isinstance(value, Exception)
+        fd = name in _FD_CHECKS
+        tol = cfg["tol_fd"] if fd else cfg["tol_algebraic"]
+        residual = float("inf") if failed else float(value)
         entry = {
             "name": name,
-            "kind": "finite-difference" if name in _FD_CHECKS else "algebraic",
-            "samples": count,
+            "kind": "finite-difference" if fd else "algebraic",
+            # A failed check covers no samples, except the stacked sample
+            # checks, which cover those before the failing one.
+            "samples": 0 if failed and name not in stack else count,
             "max_residual": residual,
             "tolerance": tol,
             "passed": residual <= tol,
         }
-        if name in errors:
-            entry["error"] = errors[name]
-        checks.append(entry)
+        if failed:
+            entry["error"] = "%s: %s" % (type(value).__name__, value)
+        checks[name] = entry
 
     return VerificationReport(
         digest=doc.digest(),
@@ -592,6 +561,6 @@ def run_suite(pot, plan=None) -> VerificationReport:
         plan=_plan_for_report(cfg),
         singular_radii=[float(r) for r in radii],
         rejected_samples=rejected,
-        checks=checks,
+        checks=[checks[name] for name in CHECK_NAMES],
         timing_ms=int(1000 * (time.monotonic() - t0)),
     )

@@ -1,5 +1,6 @@
 """Command-line behavior: file outputs, exit codes, and flag parsing."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -114,6 +115,22 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     save_potential(bad, bad_path)
     assert _run("synth", "--potential", str(bad_path),
                 "--out", str(tmp_path / "o")) == 2
+    # JSON's non-finite numbers are refused by name, not raised from Fraction
+    for value in ("NaN", "Infinity"):
+        nonfinite = tmp_path / ("%s.json" % value)
+        nonfinite.write_text('{"m": 1, "h": [[[%s, 0]]], "hhat": [[["1", "0"]]]}' % value)
+        assert _run("verify", "--potential", str(nonfinite)) == 2
+        assert "non-finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["cis:1/0", "1/0", "1/0i"])
+def test_lambda_with_a_zero_denominator_exits_2(text, tmp_path, capsys):
+    with pytest.raises(argparse.ArgumentTypeError):
+        _parse_lambda(text)
+    with pytest.raises(SystemExit) as exc:
+        _run("example", "--id", "1", "--lambda", text, "--out", str(tmp_path))
+    assert exc.value.code == 2
+    assert "argument --lambda" in capsys.readouterr().err
 
 
 def test_lambda_flag_accepts_exact_unit_values():
@@ -186,9 +203,8 @@ def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, offset, 
     from willmore.cli import _BLOCK, _grid_points
     from willmore.errors import WillmoreError
     from willmore.frames import integrate_frame
-    from willmore.iwasawa import assemble_frame, solve_iwasawa_float
     from willmore.potentials import to_nilpotent
-    from willmore.surfaces import extract_pair, induced_metric, reference_singular_radius
+    from willmore.surfaces import SurfacePair, induced_metric, reference_singular_radius
 
     radius = repr(1.25 * reference_singular_radius(1) * (1 + offset))
     out = tmp_path / "straddle"
@@ -199,7 +215,7 @@ def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, offset, 
     assert len(rows) == len(pts) == 26 and len(pts) % _BLOCK
 
     hf = integrate_frame(to_nilpotent(builtin_potential(1)))
-    pair = extract_pair(assemble_frame(hf, solve_iwasawa_float(hf, 0.1)), 1.0)
+    pair = SurfacePair(hf.m, 1.0, hf)
     metric_y = induced_metric(pair, "Y")
     metric_yhat = induced_metric(pair, "Yhat")
     reasons = Counter()

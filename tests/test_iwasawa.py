@@ -28,7 +28,7 @@ from willmore.loops import exact_equal, exact_identity, exact_map, exact_matrix,
 from willmore.potentials import NormalizedPotential, builtin_potential, to_nilpotent
 from willmore.scalars import BiPoly, GaussianRational, RationalFn
 from willmore.surfaces import (
-    extract_pair,
+    SurfacePair,
     induced_metric,
     lift_columns_float,
     reference_singular_radius,
@@ -352,7 +352,7 @@ def test_exactly_singular_gram_matrix_fails_only_its_sample(hf2):
 
 def test_stacked_lift_values_isolate_failed_samples(hf1):
     zs = _near_locus_stack()
-    pair = extract_pair(assemble_frame(hf1, solve_iwasawa_float(hf1, 0.1)), np.exp(0.4j))
+    pair = SurfacePair(hf1.m, np.exp(0.4j), hf1)
     Y, Yhat, errors = pair.values(zs)
     assert Y.shape == Yhat.shape == (len(zs), 8)
     for k, z in enumerate(zs):

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from willmore.errors import ExactPathRequired, SingularLocus
 from willmore.frames import integrate_frame
-from willmore.iwasawa import assemble_frame, solve_iwasawa_exact, solve_iwasawa_float
+from willmore.iwasawa import solve_iwasawa_exact, solve_iwasawa_float
 from willmore.potentials import builtin_potential, to_nilpotent
 from willmore.scalars import BiPoly, RationalFn
 from willmore.surfaces import (
@@ -108,8 +108,7 @@ def test_metric_identities_exact(pair1, pair2):
 def test_metric_float_value_at_origin(hf1, hf2):
     # both conformal factors evaluate to exactly 2 at z = 0
     for hf in (hf1, hf2):
-        frame = assemble_frame(hf, solve_iwasawa_float(hf, 0.05 + 0.05j))
-        pair = extract_pair(frame, 1.0)
+        pair = SurfacePair(hf.m, 1.0, hf)
         got = induced_metric(pair, "Y")(0.0)
         assert got == pytest.approx(2.0, abs=1e-8)
     for example_id in (1, 2):
@@ -118,8 +117,7 @@ def test_metric_float_value_at_origin(hf1, hf2):
 
 
 def test_float_metric_matches_exact_metric(pair2, hf2):
-    frame = assemble_frame(hf2, solve_iwasawa_float(hf2, 0.3 + 0.2j))
-    fpair = extract_pair(frame, 1.0)
+    fpair = SurfacePair(hf2.m, 1.0, hf2)
     fmetric = induced_metric(fpair, "Y")
     emetric = induced_metric(pair2, "Y")
     for z in (0.3 + 0.2j, -0.5 + 0.1j):
@@ -147,7 +145,7 @@ def _one_point_metric(pair, which, z, h=1e-4):
 @pytest.mark.parametrize("example_id", [1, 2])
 def test_stacked_metric_is_bitwise_the_one_point_code(example_id):
     hf = integrate_frame(to_nilpotent(builtin_potential(example_id)))
-    pair = extract_pair(assemble_frame(hf, solve_iwasawa_float(hf, 0.1)), np.exp(0.9j))
+    pair = SurfacePair(hf.m, np.exp(0.9j), hf)
     zs = [0j, 0.31 + 0.17j, -0.6 + 0.2j, -0.25 - 0.7j, 0.9 + 0.05j]
     for which in ("Y", "Yhat"):
         got, errors = induced_metric(pair, which)(np.array(zs))
@@ -177,8 +175,7 @@ def test_branch_limits_of_example_2(frame2):
 
 
 def test_branch_analysis_requires_exact_backend(hf2):
-    frame = assemble_frame(hf2, solve_iwasawa_float(hf2, 0.1 + 0.1j))
-    pair = extract_pair(frame, 1.0)
+    pair = SurfacePair(hf2.m, 1.0, hf2)
     with pytest.raises(ExactPathRequired):
         branch_analysis(pair)
 
@@ -255,8 +252,7 @@ def test_reference_eval_raises_on_the_degenerate_circle():
 
 def test_associated_family_members_stay_null(hf2):
     for lam in (1.0, 1j, np.exp(0.25j * np.pi)):
-        frame = assemble_frame(hf2, solve_iwasawa_float(hf2, 0.2 + 0.1j))
-        pair = extract_pair(frame, lam)
+        pair = SurfacePair(hf2.m, lam, hf2)
         Y, Yhat = pair.values(0.2 + 0.1j)
         mink = lambda a, b: -a[0] * b[0] + float(np.dot(a[1:], b[1:]))
         scale = max(1.0, np.abs(Y).max(), np.abs(Yhat).max()) ** 2

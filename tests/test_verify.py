@@ -3,6 +3,7 @@
 import cmath
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import willmore.iwasawa
 import willmore.surfaces
 import willmore.verify
+from willmore.cli import main
 from willmore.groups import GroupContext
 from willmore.loops import LoopMatrix, exact_zeros
 from willmore.potentials import (
@@ -155,35 +157,69 @@ def test_run_suite_factorizes_in_few_stacked_calls(monkeypatch):
     assert calls["solve"] <= 16 and calls["maurer_cartan"] <= 3, calls
 
 
-# sha256 of the reports, without timing, as the one-sample-per-call loop of
-# run_suite wrote them.
+# sha256 of the reports, without timing, by example and by the index of the
+# sample moved onto the circle: at index 3 as the one-sample-per-call loop of
+# run_suite wrote them, at index 0 as run_suite wrote them while it still read
+# the lifts of its surface checks off a separate frame solved at sample 0.
 SINGULAR_SAMPLE_REPORTS = {
-    1: "c8e6c8265d594dbfc420f8f4b118824b9185be39a56e866cb0725d2ffd40a019",
-    2: "b27ff79965d5ea0e7b110fdc482a68dd3749ab3df2b6dd2db1f901699ad1409d",
+    (1, 3): "c8e6c8265d594dbfc420f8f4b118824b9185be39a56e866cb0725d2ffd40a019",
+    (2, 3): "b27ff79965d5ea0e7b110fdc482a68dd3749ab3df2b6dd2db1f901699ad1409d",
+    (1, 0): "4bd84ad1bc31281ddd4a128da54ee727e279dfd174ae2a7ced7bf52c4c0cf050",
+    (2, 0): "bc3046386beeea734d60719a39fc9d67748c666200416b2cff69630d18b1b258",
 }
 
 
-@pytest.mark.parametrize("example", sorted(SINGULAR_SAMPLE_REPORTS))
-def test_a_sample_on_the_degeneracy_circle_stops_the_checks_at_its_index(example, monkeypatch):
-    # Sample 3, also an fd sample, fails to factorize: the checks that need
-    # the frame fail with its error after 3 samples, the factorization
-    # residuals keep samples 0-2, and the Maurer-Cartan checks fail too.
+@pytest.mark.parametrize("example,index", [
+    pytest.param(example, index, id=str(example) if index == 3 else "%d-sample0" % example)
+    for example, index in SINGULAR_SAMPLE_REPORTS])
+def test_a_sample_on_the_degeneracy_circle_stops_the_checks_at_its_index(
+        example, index, monkeypatch):
+    # The sample at index, also an fd sample, fails to factorize: the checks
+    # that need the frame fail with its error after index samples, the
+    # factorization residuals keep the samples before it (and fail if there
+    # are none), and the Maurer-Cartan checks fail too.  Sample 0's error also
+    # fails conformality and isotropy-order-m.
     draw = willmore.verify._draw_samples
 
     def with_locus_sample(cfg, radii, hf):
         pts, rejected = draw(cfg, radii, hf)
-        pts[3] = radii[0] * cmath.exp(0.7j)
+        pts[index] = radii[0] * cmath.exp(0.7j)
         return pts, rejected
 
     monkeypatch.setattr(willmore.verify, "_draw_samples", with_locus_sample)
     rep = run_suite(builtin_potential(example))
     checks = {c["name"]: c for c in rep.checks}
-    assert checks["frame-refactor"]["samples"] == 3
+    assert checks["frame-refactor"]["samples"] == index
     assert "lost positivity" in checks["frame-refactor"]["error"]
-    assert checks["iwasawa-1B"]["samples"] == 3 and "error" not in checks["iwasawa-1B"]
+    assert checks["iwasawa-1B"]["samples"] == index
+    assert ("error" in checks["iwasawa-1B"]) == (index == 0)
     assert "error" in checks["halfisotropy-pullback"]
+    if index == 0:
+        for name in ("conformality", "isotropy-order-m"):
+            assert checks[name]["error"] == checks["frame-refactor"]["error"], name
     text = rep.to_json(include_timing=False)
-    assert hashlib.sha256(text.encode()).hexdigest() == SINGULAR_SAMPLE_REPORTS[example]
+    assert hashlib.sha256(text.encode()).hexdigest() == SINGULAR_SAMPLE_REPORTS[example, index]
+
+
+def test_frames_are_assembled_only_for_the_verify_stacks(monkeypatch, tmp_path):
+    # run_suite assembles one frame stack for all samples and one for
+    # mc-lambda-affinity; a float surface pair reads its lifts off the
+    # factorization itself, so the mesh assembles none.
+    calls = []
+    assemble = willmore.iwasawa.assemble_frame
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("willmore") and hasattr(module, "assemble_frame"):
+            monkeypatch.setattr(module, "assemble_frame", counted)
+    run_suite(builtin_potential(1))
+    assert len(calls) == 2
+    calls.clear()
+    assert main(["example", "--id", "1", "--grid-n", "2", "--out", str(tmp_path)]) == 0
+    assert calls == []
 
 
 def test_a_sample_failing_only_its_refactor_check_counts_in_the_factorization_residuals(
