@@ -52,6 +52,16 @@ def _radius(text: str) -> float:
     return r
 
 
+def _at_least(minimum: int):
+    """argparse type of the ints no smaller than minimum."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (minimum, n))
+        return n
+    return count
+
+
 def _parse_lambda(text: str) -> complex:
     """Unit-circle family parameter: '1', 'i', 'a+bi', or 'cis:p/q'."""
     s = text.strip().replace(" ", "")
@@ -330,7 +340,7 @@ def cmd_verify(args) -> int:
 def _add_mesh_flags(p):
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, default=1 + 0j,
                    help="family parameter on the unit circle (1, i, a+bi, cis:p/q)")
-    p.add_argument("--grid-n", type=int, default=32,
+    p.add_argument("--grid-n", type=_at_least(1), default=32,
                    help="rings and sectors (polar) or side length (cartesian)")
     p.add_argument("--radius", type=_radius, default=1.2,
                    help="disk radius, rational syntax accepted")
@@ -360,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the invariant suite on a potential")
     pv.add_argument("--potential", required=True)
-    pv.add_argument("--samples", type=int, default=40)
+    pv.add_argument("--samples", type=_at_least(0), default=40)
     pv.add_argument("--radius", type=_radius, default=0.9)
     pv.add_argument("--seed", type=int, default=7)
     pv.add_argument("--tol", type=float, default=None,

@@ -38,13 +38,13 @@ l1 and l4 live outside the rational-function field (square roots), so the
 exact witness is global but the float witness is numeric.  It is solved
 over a stack of samples at once, every block carrying a leading sample
 axis, and keeps f(z) and g(z) for the lifts and for L_z; a sample that
-fails a check drops out of the stack with its error recorded.  The full
-extended frame is built at one sample or over the stack: a LoopMatrix of
-complex arrays, checked against the holomorphic side, F L tau(W)^-1 = H, by
-BLAS products of loop coefficients, matrix by matrix, so each sample of a
-stack holds the bits of the one-sample computation.  When q == I2
-identically the frame's middle two columns are rational and are assembled
-exactly; they are all the surface extraction needs.
+fails a check drops out of the stack with its error recorded.  The float
+entry points take 1-D arrays of samples only.  The full extended frame is
+built over the stack: a LoopMatrix of complex arrays, checked against the
+holomorphic side, F L tau(W)^-1 = H, by BLAS products of loop coefficients,
+matrix by matrix, so each sample holds the bits of a stack of one.  When
+q == I2 identically the frame's middle two columns are rational and are
+assembled exactly; they are all the surface extraction needs.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ class IwasawaWitness:
 
     An exact witness holds read-only object arrays of RationalFn, so it is
     the one whose rho.dtype is object.
-    A float witness solved at one sample holds matrices and float residuals.
-    One solved over an array of N samples holds stacks over the samples that
-    passed every check: index gives their positions in the input and errors
-    the error each of the N samples failed with (None where it passed).
+    A float witness is solved over a 1-D array of N samples and holds stacks
+    over the samples that passed every check: index gives their positions in
+    the input and errors the error each of the N samples failed with (None
+    where it passed).
     """
 
     def __init__(self, m, rho, rho_inv, det_rho, u, usharp, v, q, a,
@@ -112,13 +112,13 @@ class IwasawaWitness:
 
 
 class ExtendedFrame:
-    """Factorized frame: full float loop F at a sample or over a stack of
-    samples, or exact middle columns (middle is set exactly on an exact frame).
+    """Factorized frame: full float loop F over a stack of samples, or exact
+    middle columns (middle is set exactly on an exact frame).
 
-    A frame assembled from a stacked witness has one matrix per sample that
-    passed the witness's checks, one factor_residual per such sample, and
-    errors: for each input sample, the witness's error or the
-    ResidualTooLarge its refactor check failed with (None where it passed).
+    A float frame has one matrix per sample that passed the witness's checks,
+    one factor_residual per such sample, and errors: for each input sample,
+    the witness's error or the ResidualTooLarge its refactor check failed
+    with (None where it passed).
     """
 
     def __init__(self, m, witness, F=None, middle=None, z=None,
@@ -278,33 +278,17 @@ def _cholesky_stack(rho: np.ndarray):
 
 
 def solve_iwasawa_float(hf: HolomorphicFrame, z) -> IwasawaWitness:
-    """Numeric witness including the triangular factors, at one sample or a stack.
+    """Numeric witness including the triangular factors, over a 1-D array of z.
 
-    At a scalar z the witness holds matrices, and a failed check raises.  Over
-    a 1-D array of z every check runs on the whole stack and a failed sample
-    only drops out (see IwasawaWitness): the checks run in the order
-    positivity of rho, unit diagonal q, Cholesky, 1B, a-factor, and a sample
-    keeps the error of the first one it fails, the error the scalar call
-    raises.  Each sample's values equal the scalar call's bit for bit.
+    Every check runs on the whole stack and a failed sample only drops out
+    (see IwasawaWitness): the checks run in the order positivity of rho,
+    unit diagonal q, Cholesky, 1B, a-factor, and a sample keeps the error of
+    the first one it fails.  Each sample's values equal those of a stack of
+    one bit for bit; a z that is not a 1-D array raises ValueError.
     """
-    if np.ndim(z) == 0:
-        w = _solve_float_stack(hf, np.array([complex(z)]))
-        if w.errors[0] is not None:
-            raise w.errors[0]
-        return IwasawaWitness(
-            w.m, w.rho[0], w.rho_inv[0], float(w.det_rho[0]), w.u[0],
-            w.usharp[0], w.v[0], w.q[0], w.a[0], l0=w.l0[0], l1=w.l1[0], l4=w.l4[0],
-            q_is_identity=bool(w.q_is_identity[0]), z=complex(w.z[0]),
-            residuals={k: float(r[0]) for k, r in w.residuals.items()},
-            fv=w.fv[0], gv=w.gv[0],
-        )
     z = np.asarray(z, dtype=complex)
     if z.ndim != 1:
-        raise ValueError("sample points must be a scalar or a 1-D array")
-    return _solve_float_stack(hf, z)
-
-
-def _solve_float_stack(hf: HolomorphicFrame, z: np.ndarray) -> IwasawaWitness:
+        raise ValueError("sample points must be a 1-D array")
     m = hf.m
     tol = _STRUCT_TOL
     n = len(z)
@@ -348,7 +332,7 @@ def _solve_float_stack(hf: HolomorphicFrame, z: np.ndarray) -> IwasawaWitness:
     rho_inv = np.linalg.inv(rho)
 
     # Shared left factors are computed once; products still associate from
-    # the left, as in the one-sample formulas, so the bits do not change.
+    # the left, as in the block equations, so the bits do not change.
     j2fh = J2 @ _ct(fv)
     usharp = (fsh - j2fh @ gv) @ rho_inv
     u = sharp(usharp)
@@ -423,8 +407,7 @@ def middle_columns_float(w: IwasawaWitness):
     """The frame's middle two columns at a float witness, by loop power.
 
     Returns (top, mid, bot): rows 1..m at loop^-1, rows m+1, m+2 at loop^0
-    and the last m rows at loop^1, stacked over the samples of a stacked
-    witness.
+    and the last m rows at loop^1, stacked over the samples of the witness.
     """
     Jm = get_context(w.m).np("Jm")
     cu = w.u.conj()
@@ -465,27 +448,20 @@ def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedFrame:
 
     F = LoopMatrix(d, d, blocks)
     residual = check_refactor(hf, w, F)
-    errors = None
-    if w.errors is not None:
-        errors = list(w.errors)
-        for j in np.flatnonzero(residual > REFACTOR_TOL):
-            errors[w.index[j]] = _refactor_error(residual[j])
+    errors = list(w.errors)
+    for j in np.flatnonzero(residual > REFACTOR_TOL):
+        errors[w.index[j]] = ResidualTooLarge(
+            "frame does not refactor the holomorphic side: %.3e" % residual[j])
     return ExtendedFrame(m, w, F=F, z=w.z, factor_residual=residual, hf=hf, errors=errors)
 
 
-def _refactor_error(residual) -> ResidualTooLarge:
-    return ResidualTooLarge("frame does not refactor the holomorphic side: %.3e" % residual)
-
-
-def check_refactor(hf: HolomorphicFrame, w: IwasawaWitness, F: LoopMatrix):
-    """Largest entry of F L tau(W)^-1 - H at the float witness's sample, or one
-    per sample of a stacked witness.
+def check_refactor(hf: HolomorphicFrame, w: IwasawaWitness, F: LoopMatrix) -> np.ndarray:
+    """Largest entry of F L tau(W)^-1 - H at each sample of the float witness.
 
     L = diag(l1, l0, l4), and H is bound exactly at each sample, so the check
-    does not lean on the witness's f and g.  At one sample a residual above
-    REFACTOR_TOL, where F, L and W fail to factor the holomorphic frame,
-    raises ResidualTooLarge; over a stack the residuals are returned as they
-    are, and _assemble_float records each failure as its sample's error.
+    does not lean on the witness's f and g.  The residuals are returned as
+    they are; _assemble_float records each one above REFACTOR_TOL, where F, L
+    and W fail to factor the holomorphic frame, as its sample's error.
     """
     m = w.m
     d = 2 * m + 2
@@ -498,10 +474,7 @@ def check_refactor(hf: HolomorphicFrame, w: IwasawaWitness, F: LoopMatrix):
     wp2[..., 0:m, m + 2:] = w.v
     W_loop = LoopMatrix(d, d, {0: np.eye(d), -1: wp1, -2: wp2})
     tauWinv = unipotent_inverse(get_context(m).tau(W_loop))
-    residual = (F @ L_loop @ tauWinv - hf.H_loop().to_float(w.z)).max_abs()
-    if np.ndim(residual) == 0 and residual > REFACTOR_TOL:
-        raise _refactor_error(residual)
-    return residual
+    return (F @ L_loop @ tauWinv - hf.H_loop().to_float(w.z)).max_abs()
 
 
 def _assemble_exact_middle(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedFrame:
@@ -546,8 +519,7 @@ def _block_diag(l1, l0, l4) -> np.ndarray:
 
 
 def gauge_z_derivative(hf: HolomorphicFrame, w: IwasawaWitness) -> np.ndarray:
-    """Closed-form L_z at the float witness's sample, or at each sample of a
-    stacked witness, L = diag(l1, l0, l4).
+    """Closed-form L_z at each sample of the float witness, L = diag(l1, l0, l4).
 
     Each real direction D in (x, y) differentiates the Gram data by the
     product rule from exact f_D and g_D.  The Cholesky factor Lc = l4^H
@@ -593,24 +565,19 @@ def gauge_z_derivative(hf: HolomorphicFrame, w: IwasawaWitness) -> np.ndarray:
 
 
 def maurer_cartan(hf: HolomorphicFrame, z):
-    """Closed-form connection coefficients (float path), at one sample or over
-    a 1-D array of samples.
+    """Closed-form connection coefficients (float path) over a 1-D array of z.
 
-    Returns (alpha1p, alpha0p): the loop^-1 coefficient L N L^-1 (N the
-    nilpotent potential value) and the loop^0 coefficient
-    L [N, tauW1] L^-1 - L_z L^-1, with L_z from gauge_z_derivative.  At a
-    scalar z they are matrices, and a sample that fails to factorize raises.
-    Over an array of z all samples are factorized in one stacked solve, and
-    the result is (alpha1p, alpha0p, errors): one matrix per sample, NaN where
-    the sample failed, errors as SurfacePair.values gives them.  Each
-    sample's matrices equal the scalar call's bit for bit.
+    Returns (alpha1p, alpha0p, errors): the loop^-1 coefficient L N L^-1 (N
+    the nilpotent potential value) and the loop^0 coefficient
+    L [N, tauW1] L^-1 - L_z L^-1, with L_z from gauge_z_derivative, each one
+    matrix per sample, NaN where the sample failed, from one stacked solve;
+    errors is as SurfacePair.values gives it.  Each sample's matrices equal
+    those of a stack of one bit for bit.
     """
     m = hf.m
-    d = 2 * m + 2
     Jm = get_context(m).np("Jm")
 
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    w = solve_iwasawa_float(hf, zs)
+    w = solve_iwasawa_float(hf, z)
     L = _block_diag(w.l1, w.l0, w.l4)
     Linv = np.linalg.inv(L)
     fcv = _eval_mat(hf.fcheck, w.z)
@@ -625,12 +592,8 @@ def maurer_cartan(hf: HolomorphicFrame, z):
     commutator = N @ tauW1 - tauW1 @ N
 
     alpha0p = L @ commutator @ Linv - gauge_z_derivative(hf, w) @ Linv
-    out = np.full((2, len(zs), d, d), np.nan, dtype=complex)
+    out = np.full((2, len(w.errors)) + L.shape[1:], np.nan, dtype=complex)
     out[:, w.index] = alpha1p, alpha0p
-    if np.ndim(z) == 0:
-        if w.errors[0] is not None:
-            raise w.errors[0]
-        return out[0, 0], out[1, 0]
     return out[0], out[1], w.errors
 
 

@@ -16,15 +16,15 @@ power-major: {power: coefficient matrix}.  Every coefficient is a numpy
 array of one of two kinds:
 
 * exact: dtype=object, exact scalars (constants or functions of z, zbar);
-* float: complex, the loop bound at one sample point or a stack of them,
-  of shape (rows, cols) or (N, rows, cols).
+* float: complex, the loop bound at each of N samples, of shape
+  (N, rows, cols), or a constant of shape (rows, cols) that broadcasts
+  against such a stack.
 
 Both kinds share one implementation: numpy applies the same operators to
 exact scalars entry by entry, and to complex arrays through BLAS, matrix by
 matrix over a stack, so each sample of a stacked loop holds the values of
-the loop bound at that sample alone.  A constant (rows, cols) coefficient
-broadcasts against a stack.  Mixing the kinds in one operation raises
-ValueError.
+the loop bound at that sample alone.  Mixing the kinds in one operation
+raises ValueError.
 
 The conjugation bar() implements the loop-group reality operator on
 coefficients: conjugate each entry, negate each power.  At a physical sample

@@ -50,6 +50,14 @@ def _cmul_np(x, y) -> np.ndarray:
     return out
 
 
+def _to_float(n: int, d: int) -> float:
+    """n / d (d > 0), correctly rounded, or a signed infinity past the float range."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
 def _ratio(x):
     """(numerator, denominator > 0) in lowest terms of an exact real input.
 
@@ -232,8 +240,7 @@ class GaussianRational:
         return math.sqrt(float(self.abs_squared()))
 
     def to_complex(self) -> complex:
-        # Integer true division rounds correctly, as float(Fraction) does.
-        return complex(self._a / self._d, self._b / self._d)
+        return complex(_to_float(self._a, self._d), _to_float(self._b, self._d))
 
     def evaluate(self, z) -> complex:
         """The value at any z, as a constant BiPoly or RationalFn evaluates."""
@@ -494,7 +501,7 @@ class BiPoly:
         except AttributeError:
             # (a, b, re c, im c) per term in dict order; the slot stays unset
             # on the many polynomials that are never evaluated in floats.
-            terms = tuple((a, b, c._a / c._d, c._b / c._d)
+            terms = tuple((a, b, _to_float(c._a, c._d), _to_float(c._b, c._d))
                           for (a, b), c in self.terms.items())
             object.__setattr__(self, "_float_terms", terms)
         scalar = np.ndim(z) == 0

@@ -117,17 +117,22 @@ class SurfacePair:
         self.Yhat = Yhat
 
     def values(self, z):
-        """Homogeneous lift values of a float pair at z.
+        """Homogeneous lift values of a float pair over a 1-D array of z.
 
         Real vectors of the honest frame (factor included), future-pointing.
-        A 1-D array of z gives (Y, Yhat, errors): rows per sample, NaN where
-        the sample failed, and errors[k] the error sample k failed with (None
-        where it passed); a scalar z gives (Y, Yhat) and raises the error
-        instead.
+        Returns (Y, Yhat, errors): rows per sample, NaN where the sample
+        failed, and errors[k] the error sample k failed with (None where it
+        passed).
         """
-        if np.ndim(z) == 0:
-            return _one_sample(_float_lift_values(self.hf, self.lam, [z]))
-        return _float_lift_values(self.hf, self.lam, z)
+        w = solve_iwasawa_float(self.hf, z)
+        errors = list(w.errors)
+        Y, Yhat = lift_columns_float(w, self.lam)
+        scale = np.maximum(1.0, np.maximum(np.abs(Y).max(axis=-1), np.abs(Yhat).max(axis=-1)))
+        drift = np.maximum(np.abs(Y.imag).max(axis=-1), np.abs(Yhat.imag).max(axis=-1))
+        for k in np.flatnonzero(drift > 1e-8 * scale):
+            errors[w.index[k]] = ResidualTooLarge(
+                "lift has imaginary drift %.3e at z=%r" % (drift[k], complex(w.z[k])))
+        return _scatter(Y.real, w.index, errors), _scatter(Yhat.real, w.index, errors), errors
 
 
 def extract_pair(frame: ExtendedFrame, lam) -> SurfacePair:
@@ -164,7 +169,7 @@ def lift_columns_float(w: IwasawaWitness, lam: complex):
     Reads the frame's middle columns at the float witness w's samples, then
     binds the loop parameter to lam.  Returns (Ycol, Yhatcol) in
     R^{1,2m+1} coordinates including the overall sqrt(2)/2 scale, one row
-    per sample of a stacked witness; phase and realization are the caller's
+    per sample of the witness; phase and realization are the caller's
     business.
     """
     m = w.m
@@ -179,34 +184,12 @@ def lift_columns_float(w: IwasawaWitness, lam: complex):
     return -SQRT2_OVER_2 * combine(cols[..., 1]), SQRT2_OVER_2 * combine(cols[..., 0])
 
 
-def _float_lift_values(hf: HolomorphicFrame, lam: complex, z):
-    """Both honest lifts over a 1-D array of samples, as SurfacePair.values."""
-    z = np.asarray(z, dtype=complex)
-    w = solve_iwasawa_float(hf, z)
-    errors = list(w.errors)
-    Y, Yhat = lift_columns_float(w, lam)
-    scale = np.maximum(1.0, np.maximum(np.abs(Y).max(axis=-1), np.abs(Yhat).max(axis=-1)))
-    drift = np.maximum(np.abs(Y.imag).max(axis=-1), np.abs(Yhat.imag).max(axis=-1))
-    for k in np.flatnonzero(drift > 1e-8 * scale):
-        errors[w.index[k]] = ResidualTooLarge(
-            "lift has imaginary drift %.3e at z=%r" % (drift[k], complex(w.z[k])))
-    return _scatter(Y.real, w.index, errors), _scatter(Yhat.real, w.index, errors), errors
-
-
 def _scatter(rows, index, errors):
     """One row per sample: rows at positions index, NaN where errors are set."""
     out = np.full((len(errors),) + rows.shape[1:], np.nan)
     ok = np.array([errors[k] is None for k in index], dtype=bool)
     out[index[ok]] = rows[ok]
     return out
-
-
-def _one_sample(result):
-    """The values of a one-sample stacked result, or the error it failed with."""
-    *values, errors = result
-    if errors[0] is not None:
-        raise errors[0]
-    return values[0][0] if len(values) == 1 else tuple(v[0] for v in values)
 
 
 def raise_first(errors):
@@ -228,8 +211,9 @@ def project_to_sphere(pair: SurfacePair, which: str = "Y"):
     """First-coordinate projection of a lift to the unit sphere S^{2m}.
 
     Exact pairs return a tuple of 2m+1 rational functions; float pairs
-    return an evaluator z -> real unit vector, which over a 1-D array of z
-    returns (vectors, errors) as SurfacePair.values does.
+    return an evaluator that takes a 1-D array of z and returns (vectors,
+    errors), the real unit vectors one row per sample, as SurfacePair.values
+    does.
     """
     if pair.Y is not None:
         comps = _pick(pair, which)
@@ -240,9 +224,6 @@ def project_to_sphere(pair: SurfacePair, which: str = "Y"):
     idx = 0 if which in ("Y", "y") else 1
 
     def at(z):
-        if np.ndim(z) == 0:
-            return _one_sample(at([z]))
-        z = np.asarray(z, dtype=complex)
         values = pair.values(z)
         return _project(values[idx], values[2], z)
 
@@ -284,9 +265,9 @@ def induced_metric(pair: SurfacePair, which: str = "Y"):
     Exact pairs return it as a rational function (formal derivatives); float
     pairs return an evaluator metric(z, lifts=None) using
     Richardson-extrapolated central differences on the metric_stencil
-    points.  Over a 1-D array of z it returns (factors, errors), a point
-    failing with the first error of its stencil in stencil order; lifts,
-    if given, is pair.values at metric_stencil(z).ravel(), so that a
+    points.  It takes a 1-D array of z and returns (factors, errors), a
+    point failing with the first error of its stencil in stencil order;
+    lifts, if given, is pair.values at metric_stencil(z).ravel(), so that a
     caller can share one stacked evaluation between both lifts.
     """
     if pair.Y is not None:
@@ -300,9 +281,6 @@ def induced_metric(pair: SurfacePair, which: str = "Y"):
     idx = 0 if which in ("Y", "y") else 1
 
     def metric(z, lifts=None):
-        if np.ndim(z) == 0:
-            return _one_sample(metric([z], lifts))
-        z = np.asarray(z, dtype=complex)
         n = len(z)
         pts = metric_stencil(z).ravel()
         if lifts is None:

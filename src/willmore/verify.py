@@ -153,6 +153,8 @@ def _normalize_plan(plan) -> dict:
         if unknown:
             raise ValueError("unknown plan keys: %s" % ", ".join(sorted(unknown)))
         cfg.update(plan)
+    if min(cfg["samples"], cfg["fd_samples"], cfg["oracle_matrices"]) < 0:
+        raise ValueError("plan samples, fd_samples and oracle_matrices must be non-negative")
     lams = []
     for lam in cfg["lambdas"]:
         if isinstance(lam, (tuple, list)):
@@ -465,8 +467,8 @@ def run_suite(pot, plan=None) -> VerificationReport:
     report entries.  The float checks run on numpy stacks of samples: one
     factorization and one frame for all samples, one stack of connection
     coefficients for the fd samples and their flatness stencils, and one
-    frame stack for mc-lambda-affinity.  Each sample keeps the bits of the
-    one-sample computation and every residual is a maximum over samples, so
+    frame stack for mc-lambda-affinity.  Each sample keeps the bits of a
+    stack of one and every residual is a maximum over samples, so
     the report does not depend on how the samples are stacked.  When sample
     k is the first to fail, the checks that need its frame fail with its
     error after k samples, and the factorization residuals cover samples

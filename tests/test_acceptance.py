@@ -78,7 +78,8 @@ def _float_sweep(example_id, hf):
     for lam in lambdas:
         ref = reference_lift_eval(example_id, lam)
         for z in pts:
-            Y, Yhat = lift_columns_float(solve_iwasawa_float(hf, z), lam)
+            w = solve_iwasawa_float(hf, np.array([z]))
+            Y, Yhat = (c[0] for c in lift_columns_float(w, lam))
             Yr, Yhr = ref(z)
             worst = max(worst, _projective_distance(Y, Yr))
             worst = max(worst, _projective_distance(Yhat, Yhr))
@@ -300,7 +301,7 @@ def test_criterion_8_uniton_window():
         for pot in cases:
             hf = integrate_frame(to_nilpotent(pot))
             for z in (0.31 + 0.12j, -0.44 + 0.27j, 0.18 - 0.52j):
-                frame = assemble_frame(hf, solve_iwasawa_float(hf, z))
+                frame = assemble_frame(hf, solve_iwasawa_float(hf, np.array([z])))
                 lo, hi = frame.F.window()
                 assert -2 <= lo <= hi <= 2, (lo, hi)
 

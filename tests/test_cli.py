@@ -121,6 +121,31 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         nonfinite.write_text('{"m": 1, "h": [[[%s, 0]]], "hhat": [[["1", "0"]]]}' % value)
         assert _run("verify", "--potential", str(nonfinite)) == 2
         assert "non-finite number" in capsys.readouterr().err
+    # negative sample counts and empty grids are refused by argparse
+    for argv in (("verify", "--potential", str(broken), "--samples", "-3"),
+                 ("example", "--id", "1", "--grid-n", "0", "--out", str(tmp_path / "g"))):
+        with pytest.raises(SystemExit) as exc:
+            _run(*argv)
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_huge_finite_coefficient_flags_samples_without_a_traceback(tmp_path, capsys):
+    # 1e200 in h takes the frame's float coefficients past the float range;
+    # they become infinities, and the Gram check flags every sample
+    path = tmp_path / "huge.json"
+    path.write_text('{"m": 2, "h": [[["0", "1e200"]], [["0", "-1/2"]]],'
+                    ' "hhat": [[["0", "1/2"]], [["0", "1/2"]]]}')
+    assert _run("synth", "--potential", str(path), "--grid-n", "2",
+                "--out", str(tmp_path / "o")) == 0
+    out, err = capsys.readouterr()
+    assert "(5 vertices, 5 singular: SingularLocus 5)" in out and "Traceback" not in err
+    report = tmp_path / "report.json"
+    assert _run("verify", "--potential", str(path), "--report", str(report)) == 1
+    out, err = capsys.readouterr()
+    assert "verification FAILED" in out and "Traceback" not in err
+    assert json.loads(report.read_text())["passed"] is False
 
 
 @pytest.mark.parametrize("text", ["cis:1/0", "1/0", "1/0i"])
@@ -200,8 +225,9 @@ def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, offset, 
     is the one that evaluating it and its stencil one sample at a time gives."""
     from collections import Counter
 
+    import numpy as np
+
     from willmore.cli import _BLOCK, _grid_points
-    from willmore.errors import WillmoreError
     from willmore.frames import integrate_frame
     from willmore.potentials import to_nilpotent
     from willmore.surfaces import SurfacePair, induced_metric, reference_singular_radius
@@ -221,16 +247,14 @@ def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, offset, 
     reasons = Counter()
     flagged_by_stencil = 0
     for z, row in zip(pts, rows):
-        try:
-            Y, _ = pair.values(z)
-        except WillmoreError as e:
+        (Y,), _, (e,) = pair.values(np.array([z]))
+        if e is not None:
             reasons[type(e).__name__] += 1
             assert row["singular"] == "1", z
             continue
-        try:
-            my = metric_y(z)
-            metric_yhat(z)
-        except WillmoreError as e:
+        (my,), (e,) = metric_y(np.array([z]))
+        e = e or metric_yhat(np.array([z]))[1][0]
+        if e is not None:
             reasons[type(e).__name__] += 1
             flagged_by_stencil += 1
             assert row["singular"] == "1", z

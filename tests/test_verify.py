@@ -61,8 +61,9 @@ def test_report_bytes_are_deterministic():
 
 
 def test_plan_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        run_suite(builtin_potential(2), {"sample": 3})
+    for plan in ({"sample": 3}, {"samples": -3}, {"fd_samples": -1}, {"oracle_matrices": -1}):
+        with pytest.raises(ValueError):
+            run_suite(builtin_potential(2), plan)
 
 
 def test_default_plan_documented_keys():
