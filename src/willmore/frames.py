@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import numpy as np
-
-from .loops import LoopMatrix, exact_map, exact_matrix, exact_zeros, sharp
+from .loops import LoopMatrix, exact_map, exact_matrix, exact_zeros, nilpotent_block, sharp
 from .potentials import NilpotentPotential
 from .scalars import BP_ZERO, GR_I, RationalFn
 
@@ -34,9 +32,6 @@ class HolomorphicFrame:
             raise ValueError("f must be m x 2")
         if self.g.shape != (m, m):
             raise ValueError("g must be m x m")
-
-    def fsharp(self):
-        return sharp(self.f)
 
     @cached_property
     def axis_derivatives(self):
@@ -68,14 +63,10 @@ class HolomorphicFrame:
     def _H(self) -> LoopMatrix:
         m = self.m
         d = 2 * m + 2
-        zmm = exact_zeros(m, m, BP_ZERO)
-        zm2 = exact_zeros(m, 2, BP_ZERO)
-        z2m = exact_zeros(2, m, BP_ZERO)
-        z22 = exact_zeros(2, 2, BP_ZERO)
-        p1 = np.block([[zmm, self.f, zmm], [z2m, z22, -self.fsharp()], [zmm, zm2, zmm]])
-        p2 = np.block([[zmm, zm2, self.g], [z2m, z22, z2m], [zmm, zm2, zmm]])
+        p2 = exact_zeros(d, d, BP_ZERO)
+        p2[:m, m + 2:] = self.g
         coeffs = {
-            -1: exact_map(p1, RationalFn.coerce),
+            -1: exact_map(nilpotent_block(self.f, BP_ZERO), RationalFn.coerce),
             -2: exact_map(p2, RationalFn.coerce),
         }
         return LoopMatrix(d, d, coeffs) + LoopMatrix.identity(d)

@@ -59,12 +59,12 @@ from .loops import (
     exact_equal,
     exact_identity,
     exact_map,
-    exact_matrix,
     exact_zeros,
+    nilpotent_block,
     sharp,
     unipotent_inverse,
 )
-from .scalars import BP_ONE, BP_ZERO, RF_ONE, RF_ZERO, RationalFn, _cmul_np
+from .scalars import BP_ONE, BP_ZERO, RF_ONE, RF_ZERO, RationalFn, _cmul_np, as_samples
 
 _STRUCT_TOL = 1e-8
 REFACTOR_TOL = 1e-6
@@ -156,10 +156,12 @@ def _det_small(A):
 
 
 def _adjugate_small(A):
-    """Adjugate via cofactors: A @ adj(A) = det(A) * I.  Ring scalars, 2 <= n <= 4."""
+    """Adjugate via cofactors: A @ adj(A) = det(A) * I.  Ring scalars, n <= 4."""
     n, c = A.shape
-    if n != c or n < 2:
-        raise ValueError("adjugate of a non-square or 1x1 matrix")
+    if n != c:
+        raise ValueError("adjugate of a non-square matrix")
+    if n == 1:
+        return np.full((1, 1), A[0, 0] ** 0, dtype=object)  # a one of A's ring
     out = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
@@ -187,12 +189,8 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
     # 1F
     gram = (Jm @ fbar) @ (J2 @ (f.T @ Jm))
     rho_poly = exact_identity(m, BP_ONE, BP_ZERO) + (gram + gbar.T @ g)
-    if m == 1:
-        det = rho_poly[0, 0]
-        adj = exact_matrix([[BP_ONE]])
-    else:
-        det = _det_small(rho_poly)
-        adj = _adjugate_small(rho_poly)
+    det = _det_small(rho_poly)
+    adj = _adjugate_small(rho_poly)
     det_rf = RationalFn(det)
     rho_inv = exact_map(adj, lambda p: RationalFn(p, det))
     rho = exact_map(rho_poly, RationalFn.coerce)
@@ -238,13 +236,16 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
 
 
 def _eval_mat(mat, z) -> np.ndarray:
-    """A matrix of BiPoly at z: (rows, cols), or (N, rows, cols) over N samples.
+    """A matrix of BiPoly over a 1-D array of N samples, shape (N, rows, cols).
 
-    Stacks are C-contiguous, so each sample's matrix has the strides of the
-    one-sample matrix and every product of it rounds the same way.
+    The stack is C-contiguous, so each sample's matrix has the strides of a
+    stack of one and every product of it rounds the same way.  An infinite
+    coefficient times a zero power is NaN without a warning; the Gram checks
+    fail such samples.
     """
-    vals = np.array([[p.evaluate_float(z) for p in row] for row in mat], dtype=complex)
-    return vals if vals.ndim == 2 else np.ascontiguousarray(np.moveaxis(vals, -1, 0))
+    with np.errstate(invalid="ignore"):
+        vals = np.array([[p.evaluate_float(z) for p in row] for row in mat], dtype=complex)
+    return np.ascontiguousarray(np.moveaxis(vals, -1, 0))
 
 
 def gram_float(fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
@@ -286,9 +287,7 @@ def solve_iwasawa_float(hf: HolomorphicFrame, z) -> IwasawaWitness:
     the first one it fails.  Each sample's values equal those of a stack of
     one bit for bit; a z that is not a 1-D array raises ValueError.
     """
-    z = np.asarray(z, dtype=complex)
-    if z.ndim != 1:
-        raise ValueError("sample points must be a 1-D array")
+    z = as_samples(z)
     m = hf.m
     tol = _STRUCT_TOL
     n = len(z)
@@ -376,10 +375,8 @@ def solve_iwasawa_float(hf: HolomorphicFrame, z) -> IwasawaWitness:
     l1 = Jm @ np.linalg.inv(l4.swapaxes(-1, -2)) @ Jm
     residuals["a-factor"] = np.abs(_ct(l1) @ l1 - a).max(axis=(-2, -1))
     residuals["rho-factor"] = np.abs(_ct(l4) @ l4 - rho).max(axis=(-2, -1))
-    fscale = np.maximum(1.0, np.abs(fv).max(axis=(-2, -1)))
-    residuals["1B-scaled"] = residuals["1B"] / fscale
-    check(residuals["1B"] > 1e-6 * fscale, lambda k: ResidualTooLarge(
-        "closure equation 1B residual %.3e" % residuals["1B"][k]))
+    check(residuals["1B"] > 1e-6 * np.maximum(1.0, np.abs(fv).max(axis=(-2, -1))),
+          lambda k: ResidualTooLarge("closure equation 1B residual %.3e" % residuals["1B"][k]))
     check(residuals["a-factor"] > 1e-6 * np.maximum(1.0, np.abs(a).max(axis=(-2, -1))),
           lambda k: ResidualTooLarge(
               "triangular factor mismatch %.3e against block a" % residuals["a-factor"][k]))
@@ -403,19 +400,20 @@ def assemble_frame(hf: HolomorphicFrame, witness: IwasawaWitness) -> ExtendedFra
     return _assemble_float(hf, witness)
 
 
-def middle_columns_float(w: IwasawaWitness):
-    """The frame's middle two columns at a float witness, by loop power.
+def _middle_blocks(f, g, u, Jm):
+    """The frame's middle two columns before the l0^-1 factor: rows 1..m at
+    loop^-1, f + g Jm ubar; rows m+1, m+2 at loop^0, I - f# Jm ubar; the last
+    m rows at loop^1, Jm ubar.  Exact matrices and float stacks take the same
+    products (the identity's float entries become exact ones)."""
+    ubar = np.conjugate(u)
+    return f + g @ Jm @ ubar, np.eye(2) - sharp(f) @ Jm @ ubar, Jm @ ubar
 
-    Returns (top, mid, bot): rows 1..m at loop^-1, rows m+1, m+2 at loop^0
-    and the last m rows at loop^1, stacked over the samples of the witness.
-    """
-    Jm = get_context(w.m).np("Jm")
-    cu = w.u.conj()
+
+def middle_columns_float(w: IwasawaWitness):
+    """The frame's middle two columns at a float witness: (top, mid, bot) of
+    _middle_blocks times l0^-1, stacked over the samples of the witness."""
     l0inv = np.linalg.inv(w.l0)
-    top = (w.fv + w.gv @ Jm @ cu) @ l0inv
-    mid = (np.eye(2) - sharp(w.fv) @ Jm @ cu) @ l0inv
-    bot = (Jm @ cu) @ l0inv
-    return top, mid, bot
+    return tuple(b @ l0inv for b in _middle_blocks(w.fv, w.gv, w.u, get_context(w.m).np("Jm")))
 
 
 def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedFrame:
@@ -467,9 +465,7 @@ def check_refactor(hf: HolomorphicFrame, w: IwasawaWitness, F: LoopMatrix) -> np
     d = 2 * m + 2
     L_loop = LoopMatrix.from_constant(_block_diag(w.l1, w.l0, w.l4))
     # W = I + loop^-1 (u at (1,2), -u# at (2,3)) + loop^-2 (v at (1,3)).
-    wp1 = np.zeros(w.rho.shape[:-2] + (d, d), dtype=complex)
-    wp1[..., 0:m, m:m + 2] = w.u
-    wp1[..., m:m + 2, m + 2:] = -w.usharp
+    wp1 = nilpotent_block(w.u, 0j)
     wp2 = np.zeros_like(wp1)
     wp2[..., 0:m, m + 2:] = w.v
     W_loop = LoopMatrix(d, d, {0: np.eye(d), -1: wp1, -2: wp2})
@@ -489,12 +485,7 @@ def _assemble_exact_middle(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedF
     """
     m = hf.m
     d = 2 * m + 2
-    Jm = get_context(m).Jm
-    ubar = np.conjugate(w.u)
-    top = hf.f + (hf.g @ Jm) @ ubar
-    mid = exact_identity(2, RF_ONE, RF_ZERO) - (sharp(hf.f) @ Jm) @ ubar
-    bot = Jm @ ubar
-
+    top, mid, bot = _middle_blocks(hf.f, hf.g, w.u, get_context(m).Jm)
     coeffs = {}
     for power, r0, block in ((-1, 0, top), (0, m, mid), (1, m + 2, bot)):
         col = exact_zeros(d, 2, RF_ZERO)
@@ -581,9 +572,7 @@ def maurer_cartan(hf: HolomorphicFrame, z):
     L = _block_diag(w.l1, w.l0, w.l4)
     Linv = np.linalg.inv(L)
     fcv = _eval_mat(hf.fcheck, w.z)
-    N = np.zeros(L.shape, dtype=complex)
-    N[..., 0:m, m:m + 2] = fcv
-    N[..., m:m + 2, m + 2:] = -sharp(fcv)
+    N = nilpotent_block(fcv, 0j)
     alpha1p = L @ N @ Linv
 
     tauW1 = np.zeros(L.shape, dtype=complex)

@@ -83,6 +83,18 @@ def sharp(X: np.ndarray) -> np.ndarray:
     return X[..., ::-1, ::-1].swapaxes(-1, -2)
 
 
+def nilpotent_block(X, zero) -> np.ndarray:
+    """[[0, X, 0], [0, 0, -X#], [0, 0, 0]], the rest filled with zero, for an
+    m x 2 matrix X or for each matrix of a stack: the loop^-1 shape of the
+    nilpotent potential (X = fcheck), of the frame H (X = f), of W (X = u)
+    and of the connection's N (X = fcheck at the samples)."""
+    m = X.shape[-2]
+    mat = np.full(X.shape[:-2] + (2 * m + 2, 2 * m + 2), zero, dtype=X.dtype)
+    mat[..., :m, m:m + 2] = X
+    mat[..., m:m + 2, m + 2:] = -sharp(X)
+    return mat
+
+
 def _is_exact(x) -> bool:
     return isinstance(x, (GaussianRational, BiPoly, RationalFn))
 
@@ -293,14 +305,14 @@ class LoopMatrix:
         return self._with({k: _bind(m, z) for k, m in self.coeffs.items()})
 
     def max_abs(self):
-        """Largest entry magnitude across powers (float loops): a float, or
-        one per sample of a stacked loop."""
+        """Largest entry magnitude across powers of a float loop, one value
+        per sample of a stack."""
         if self.exact:
             raise ValueError("max_abs is a float-loop measure")
         worst = 0.0
         for m in self.coeffs.values():
             worst = np.maximum(worst, np.abs(m).max(axis=(-2, -1)))
-        return float(worst) if np.ndim(worst) == 0 else worst
+        return worst
 
     def __repr__(self):
         return "LoopMatrix(%dx%d, powers=%s, %s)" % (

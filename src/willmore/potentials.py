@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PotentialFormatError, StepSizeTooCoarse
-from .loops import LoopMatrix, exact_equal, exact_matrix, exact_zeros, sharp
+from .loops import LoopMatrix, exact_equal, exact_matrix, exact_zeros, nilpotent_block
 from .scalars import BP_ZERO, BiPoly, GR_I, GaussianRational
 
 
@@ -90,15 +90,8 @@ class NilpotentPotential:
 
     def full_loop(self) -> LoopMatrix:
         """The nilpotent potential at loop power -1, a BiPoly loop."""
-        m = self.m
-        d = 2 * m + 2
-        zmm = exact_zeros(m, m, BP_ZERO)
-        mat = np.block([
-            [zmm, self.fcheck, zmm],
-            [exact_zeros(2, m, BP_ZERO), exact_zeros(2, 2, BP_ZERO), -sharp(self.fcheck)],
-            [zmm, exact_zeros(m, 2, BP_ZERO), zmm],
-        ])
-        return LoopMatrix(d, d, {-1: mat})
+        d = 2 * self.m + 2
+        return LoopMatrix(d, d, {-1: nilpotent_block(self.fcheck, BP_ZERO)})
 
 
 def to_nilpotent(pot: NormalizedPotential) -> NilpotentPotential:

@@ -50,6 +50,14 @@ def _cmul_np(x, y) -> np.ndarray:
     return out
 
 
+def as_samples(z) -> np.ndarray:
+    """z as a 1-D complex array of sample points; anything else raises ValueError."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim != 1:
+        raise ValueError("sample points must be a 1-D array")
+    return z
+
+
 def _to_float(n: int, d: int) -> float:
     """n / d (d > 0), correctly rounded, or a signed infinity past the float range."""
     try:
@@ -486,15 +494,16 @@ class BiPoly:
         """Bind zbar = conj(z), compute exactly, round once."""
         return self.evaluate_exact(GaussianRational.coerce(z)).to_complex()
 
-    def evaluate_float(self, z):
-        """Floating evaluation at a scalar z (a complex) or a 1-D array of z.
+    def evaluate_float(self, z) -> np.ndarray:
+        """Floating evaluation over a 1-D array of z, one complex per sample.
 
         The coefficients are converted to floats once and cached.  Every
         product is formed as CPython forms a complex product,
         (ar br - ai bi, ar bi + ai br), from separate float operations, in
-        term order with powers by repeated multiplication, so an array
-        evaluation equals the scalar one bit for bit at every sample (numpy's
-        complex multiply rounds differently).
+        term order with powers by repeated multiplication, so each sample
+        equals a Python complex evaluation bit for bit (numpy's complex
+        multiply rounds differently).  A z that is not a 1-D array raises
+        ValueError.
         """
         try:
             terms = self._float_terms
@@ -504,8 +513,7 @@ class BiPoly:
             terms = tuple((a, b, _to_float(c._a, c._d), _to_float(c._b, c._d))
                           for (a, b), c in self.terms.items())
             object.__setattr__(self, "_float_terms", terms)
-        scalar = np.ndim(z) == 0
-        z = complex(z) if scalar else np.asarray(z, dtype=complex)
+        z = as_samples(z)
         zr, zi = z.real, z.imag
         zp = [(1.0, 0.0)]
         bp = [(1.0, 0.0)]
@@ -518,8 +526,6 @@ class BiPoly:
             xr, xi = _cmul(_cmul((cr, ci), zp[a]), bp[b])
             tr = tr + xr
             ti = ti + xi
-        if scalar:
-            return complex(tr, ti)
         out = np.empty(z.shape, dtype=complex)
         out.real = tr
         out.imag = ti

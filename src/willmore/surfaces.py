@@ -45,15 +45,18 @@ from .scalars import (
     RF_I,
     RationalFn,
     _cmul_np,
+    as_samples,
 )
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
 
 
-def _rf_float(rf: RationalFn, z: complex) -> complex:
+def _rf_float(rf: RationalFn, z) -> np.ndarray:
+    """rf over a 1-D array of z; SingularLocus at its first tiny denominator."""
     dv = rf.den.evaluate_float(z)
-    if abs(dv) < DENOMINATOR_FLOOR:
-        raise SingularLocus("rational component denominator %.3e at z=%r" % (abs(dv), z))
+    for k in np.flatnonzero(np.abs(dv) < DENOMINATOR_FLOOR)[:1]:
+        raise SingularLocus("rational component denominator %.3e at z=%r"
+                            % (abs(dv[k]), complex(z[k])))
     return rf.num.evaluate_float(z) / dv
 
 
@@ -199,11 +202,12 @@ def raise_first(errors):
             raise err
 
 
-def _pick(pair: SurfacePair, which: str):
+def _lift_index(which: str) -> int:
+    """0 for the lift Y and 1 for Yhat, on exact and float pairs alike."""
     if which in ("Y", "y"):
-        return pair.Y
+        return 0
     if which in ("Yhat", "yhat"):
-        return pair.Yhat
+        return 1
     raise ValueError("which must be 'Y' or 'Yhat'")
 
 
@@ -215,13 +219,12 @@ def project_to_sphere(pair: SurfacePair, which: str = "Y"):
     errors), the real unit vectors one row per sample, as SurfacePair.values
     does.
     """
+    idx = _lift_index(which)
     if pair.Y is not None:
-        comps = _pick(pair, which)
+        comps = (pair.Y, pair.Yhat)[idx]
         if comps[0].is_zero():
             raise FirstCoordinateVanishes("lift has identically zero first coordinate")
         return tuple(c / comps[0] for c in comps[1:])
-
-    idx = 0 if which in ("Y", "y") else 1
 
     def at(z):
         values = pair.values(z)
@@ -278,9 +281,10 @@ def induced_metric(pair: SurfacePair, which: str = "Y"):
             acc = term if acc is None else acc + term
         return acc
 
-    idx = 0 if which in ("Y", "y") else 1
+    idx = _lift_index(which)
 
     def metric(z, lifts=None):
+        z = as_samples(z)
         n = len(z)
         pts = metric_stencil(z).ravel()
         if lifts is None:
@@ -375,6 +379,7 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
     Float pairs use finite differences at the samples.
     """
     m = pair.m
+    idx = _lift_index(which)
     if max_order is None:
         max_order = m
     report = {
@@ -388,7 +393,7 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
         # rule d^j/dz^j (P / D) = Q_j / D^(j+1) with
         # Q_(j+1) = dQ_j D - (j+1) Q_j dD, so <d^j Y, d^l Y> vanishes exactly
         # when the polynomial <Q_j, Q_l> does.
-        comps = _pick(pair, which)
+        comps = (pair.Y, pair.Yhat)[idx]
         dens = []
         for c in comps:
             if c.den != BP_ONE and c.den not in dens:
@@ -408,7 +413,7 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
                     res = 0.0
                 elif samples:
                     p = RationalFn(p, D ** (j + l + 2))
-                    res = max(abs(_rf_float(p, z)) for z in samples)
+                    res = float(np.abs(_rf_float(p, np.asarray(samples))).max())
                 else:
                     res = float("inf")
                 report["pairs"]["(%d,%d)" % (j, l)] = res
@@ -416,7 +421,6 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
         report["max_residual"] = worst
         return report
 
-    idx = 0 if which in ("Y", "y") else 1
     if not samples:
         raise ValueError("float isotropy check needs sample points")
 
@@ -481,10 +485,11 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
 # -- degeneracy locus -------------------------------------------------------------
 
 
-def _gram_det_float(hf: HolomorphicFrame, z):
-    """det rho at a scalar z (a float) or over a 1-D array of z (an array)."""
-    det = np.linalg.det(gram_float(_eval_mat(hf.f, z), _eval_mat(hf.g, z))).real
-    return float(det) if np.ndim(z) == 0 else det
+def _gram_det_float(hf: HolomorphicFrame, z) -> np.ndarray:
+    """det rho over a 1-D array of z, one real value per sample; inf or NaN,
+    without a warning, where the Gram product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.det(gram_float(_eval_mat(hf.f, z), _eval_mat(hf.g, z))).real
 
 
 SCAN_GRID_N = 512
@@ -496,7 +501,8 @@ def degeneracy_scan(hf: HolomorphicFrame, theta: float = 0.0, r_range=(1e-3, 2.5
     The Gram determinant is a nonnegative function vanishing quadratically on
     the singular set, so its radial derivative changes sign there; each sign
     change is bisected to a bracket below 1e-10 and kept when the determinant
-    is numerically zero at the located radius.
+    is numerically zero at the located radius.  All brackets are bisected
+    together, one stacked derivative per halving, each as if it were alone.
     """
     direction = complex(math.cos(theta), math.sin(theta))
     r0, r1 = float(r_range[0]), float(r_range[1])
@@ -509,33 +515,26 @@ def degeneracy_scan(hf: HolomorphicFrame, theta: float = 0.0, r_range=(1e-3, 2.5
     fd = 1e-6
 
     def dsigma(r):
-        """Central radial difference at a radius or at an array of radii."""
-        return (sigma(r + fd) - sigma(np.maximum(r - fd, 0.0))) / (2 * fd)
+        """Central radial difference at each of an array of radii, from one
+        stack of determinants."""
+        s = sigma(np.concatenate([r + fd, np.maximum(r - fd, 0.0)]))
+        return (s[:len(r)] - s[len(r):]) / (2 * fd)
 
     rs = np.linspace(r0, r1, SCAN_GRID_N)
     sig = sigma(rs)
     dsig = dsigma(rs)
     scale = max(1.0, float(sig.max()))
-    found = []
-    for i in range(SCAN_GRID_N - 1):
-        if min(sig[i], sig[i + 1]) > 1e-2 * scale:
-            continue
-        da, db = dsig[i], dsig[i + 1]
-        if da == 0.0 and db == 0.0:
-            continue
-        if not (da < 0.0 <= db):
-            continue
-        a, b = float(rs[i]), float(rs[i + 1])
-        while b - a > 1e-11:
-            mdl = 0.5 * (a + b)
-            if dsigma(mdl) < 0.0:
-                a = mdl
-            else:
-                b = mdl
-        root = 0.5 * (a + b)
-        if sigma(root) <= 1e-8 * scale:
-            found.append(root)
-    return found
+    # min() of each neighbouring pair as Python's min takes it, NaN included
+    low = np.where(sig[1:] < sig[:-1], sig[1:], sig[:-1])
+    i = np.flatnonzero(~(low > 1e-2 * scale) & (dsig[:-1] < 0.0) & (dsig[1:] >= 0.0))
+    a, b = rs[i], rs[i + 1]
+    while (moving := b - a > 1e-11).any():
+        mdl = 0.5 * (a[moving] + b[moving])
+        below = dsigma(mdl) < 0.0
+        a[moving] = np.where(below, mdl, a[moving])
+        b[moving] = np.where(below, b[moving], mdl)
+    root = 0.5 * (a + b)
+    return root[sigma(root) <= 1e-8 * scale].tolist() if len(root) else []
 
 
 # -- behavior at infinity ----------------------------------------------------------

@@ -186,23 +186,26 @@ def _draw_samples(cfg, radii, hf):
     Radial annuli around detected singular radii are skipped, and so is any
     point where the Gram determinant is small: the locus of a general
     potential is a curve, not a circle, and residuals blow up like 1/sigma
-    next to it.
+    next to it.  Candidates are drawn in chunks of the sample count, with one
+    stacked determinant per chunk (about the cost of a single candidate's),
+    and tested in order; draws past the last sample are discarded.
     """
     rng = np.random.default_rng(cfg["seed"])
     r = float(cfg["radius"])
-    pts = []
-    rejected = 0
-    guard = 0
-    while len(pts) < cfg["samples"] and guard < 100 * cfg["samples"] + 1000:
-        guard += 1
-        z = complex(rng.uniform(-r, r), rng.uniform(-r, r))
-        if abs(z) > r:
-            continue
-        if (any(abs(abs(z) - rad) < 1e-3 for rad in radii)
-                or abs(_gram_det_float(hf, z)) < 1e-2):
-            rejected += 1
-            continue
-        pts.append(z)
+    n, left = cfg["samples"], 100 * cfg["samples"] + 1000
+    pts, rejected = [], 0
+    while len(pts) < n and left:
+        zs = [complex(x, y) for x, y in rng.uniform(-r, r, size=(min(n, left), 2)).tolist()]
+        for z, det in zip(zs, _gram_det_float(hf, np.array(zs)).tolist()):
+            if len(pts) == n:
+                break
+            left -= 1
+            if abs(z) > r:
+                continue
+            if any(abs(abs(z) - rad) < 1e-3 for rad in radii) or abs(det) < 1e-2:
+                rejected += 1
+                continue
+            pts.append(z)
     return pts, rejected
 
 

@@ -130,19 +130,21 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         assert "must be at least" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_huge_finite_coefficient_flags_samples_without_a_traceback(tmp_path, capsys):
     # 1e200 in h takes the frame's float coefficients past the float range;
     # they become infinities, and the Gram check flags every sample
     path = tmp_path / "huge.json"
     path.write_text('{"m": 2, "h": [[["0", "1e200"]], [["0", "-1/2"]]],'
                     ' "hhat": [[["0", "1/2"]], [["0", "1/2"]]]}')
-    assert _run("synth", "--potential", str(path), "--grid-n", "2",
-                "--out", str(tmp_path / "o")) == 0
-    out, err = capsys.readouterr()
-    assert "(5 vertices, 5 singular: SingularLocus 5)" in out and "Traceback" not in err
     report = tmp_path / "report.json"
-    assert _run("verify", "--potential", str(path), "--report", str(report)) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run("synth", "--potential", str(path), "--grid-n", "2",
+                    "--out", str(tmp_path / "o")) == 0
+        out, err = capsys.readouterr()
+        assert "(5 vertices, 5 singular: SingularLocus 5)" in out and "Traceback" not in err
+        assert _run("verify", "--potential", str(path), "--report", str(report)) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     out, err = capsys.readouterr()
     assert "verification FAILED" in out and "Traceback" not in err
     assert json.loads(report.read_text())["passed"] is False

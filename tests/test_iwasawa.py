@@ -218,7 +218,10 @@ def test_singular_locus_raises(hf2):
     solve_iwasawa_float,
     maurer_cartan,
     lambda hf, z: SurfacePair(hf.m, 1.0, hf).values(z),
-], ids=["solve_iwasawa_float", "maurer_cartan", "SurfacePair.values"])
+    lambda hf, z: induced_metric(SurfacePair(hf.m, 1.0, hf), "Y")(z),
+    lambda hf, z: hf.f[0, 0].evaluate_float(z),
+], ids=["solve_iwasawa_float", "maurer_cartan", "SurfacePair.values", "induced_metric",
+        "BiPoly.evaluate_float"])
 def test_float_evaluators_take_stacks_only(hf1, call, z):
     # a one-sample z is a stack of one, np.array([z]); a 0-d z is refused
     with pytest.raises(ValueError, match="1-D array"):
@@ -253,8 +256,10 @@ def _one_sample_reference(hf, z, lam):
     def sharp(X):
         return X[::-1, ::-1].T
 
-    fv = np.array([[p.evaluate_float(z) for p in row] for row in hf.f], dtype=complex)
-    gv = np.array([[p.evaluate_float(z) for p in row] for row in hf.g], dtype=complex)
+    fv = np.array([[p.evaluate_float(np.array([z]))[0] for p in row] for row in hf.f],
+                  dtype=complex)
+    gv = np.array([[p.evaluate_float(np.array([z]))[0] for p in row] for row in hf.g],
+                  dtype=complex)
     fsh = sharp(fv)
     rho = np.eye(m, dtype=complex) + Jm @ fv.conj() @ J2 @ fv.T @ Jm + gv.conj().T @ gv
     rho_inv = np.linalg.inv(rho)
@@ -355,8 +360,9 @@ def test_exactly_singular_gram_matrix_fails_only_its_sample(hf2):
     # On example 2's degeneracy circle |z| = sqrt(2) the float Gram matrix is
     # exactly singular, so LAPACK rejects it and would fail a whole stack.
     root2 = 2 ** 0.5
+    one = np.array([root2])
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(gram_float(_eval_mat(hf2.f, root2), _eval_mat(hf2.g, root2)))
+        np.linalg.inv(gram_float(_eval_mat(hf2.f, one), _eval_mat(hf2.g, one))[0])
     zs = np.array([0.3 + 0.2j, root2, -0.5j, root2 * 1j])
     w = solve_iwasawa_float(hf2, zs)
     assert [type(e) for e in w.errors] == [type(None), SingularLocus, type(None), SingularLocus]
@@ -384,7 +390,8 @@ def test_non_finite_gram_matrix_fails_only_its_sample(hf1):
     # From |z| ~ 1e52 the example-1 Gram matrix overflows, and LAPACK would
     # fail a whole stack on its account.
     zs = np.array([1e60, 0.3])
-    assert not np.isfinite(gram_float(_eval_mat(hf1.f, 1e60), _eval_mat(hf1.g, 1e60))).all()
+    one = np.array([1e60])
+    assert not np.isfinite(gram_float(_eval_mat(hf1.f, one), _eval_mat(hf1.g, one))[0]).all()
     w = solve_iwasawa_float(hf1, zs)
     assert type(w.errors[0]) is SingularLocus and "not finite" in str(w.errors[0])
     assert w.errors[1] is None and w.index.tolist() == [1]
@@ -606,8 +613,8 @@ def _one_sample_gauge_reference(hf, w):
     Lc_inv = np.linalg.inv(Lc)
     dL = []
     for fpoly, gpoly in hf.axis_derivatives:
-        fd = _eval_mat(fpoly, w.z)
-        gd = _eval_mat(gpoly, w.z)
+        fd = _eval_mat(fpoly, np.array([w.z]))[0]
+        gd = _eval_mat(gpoly, np.array([w.z]))[0]
         half = Jm @ fd.conj() @ J2 @ fv.T @ Jm + gd.conj().T @ gv
         drho = half + half.conj().T
         dus = (sharp(fd) - J2 @ fd.conj().T @ gv - J2 @ fv.conj().T @ gd

@@ -258,7 +258,7 @@ def test_bipoly_exact_evaluation_matches_float():
     p = z * z * zb - zb * 3 + BiPoly.const(GaussianRational(0, Fraction(1, 2)))
     s = 0.25 + 0.5j
     exact = p.evaluate_exact(GaussianRational(Fraction(1, 4), Fraction(1, 2)))
-    assert abs(exact.to_complex() - p.evaluate_float(s)) < 1e-15
+    assert abs(exact.to_complex() - p.evaluate_float(np.array([s]))[0]) < 1e-15
 
 
 def _evaluate_python_complex(p, z):
@@ -290,10 +290,6 @@ def test_bipoly_array_evaluation_is_bitwise_the_python_complex_loop(p, zs):
     want = np.array([_evaluate_python_complex(p, z) for z in zs], dtype=complex)
     assert got.dtype == complex and got.shape == (len(zs),)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    for z, w in zip(zs, want):
-        one = p.evaluate_float(z)
-        assert type(one) is complex
-        assert np.array([one]).view(np.uint64).tolist() == np.array([w]).view(np.uint64).tolist()
 
 
 def test_bipoly_degrees_and_leading_coefficient():

@@ -75,7 +75,7 @@ def test_exact_isotropy_reports_a_nonzero_pairing(pair1):
     bent = SurfacePair(pair1.m, pair1.lam, pair1.hf, Y=tuple(Y), Yhat=pair1.Yhat)
     samples = (0.3 + 0.2j, -0.5 + 0.4j, 0.7j)
     dY = [c.d_dz() for c in Y]
-    want = max(abs(_rf_float(mink_pair_rf(dY, dY), z)) for z in samples)
+    want = max(abs(_rf_float(mink_pair_rf(dY, dY), np.array([z]))[0]) for z in samples)
     got = isotropy_check(bent, "Y", max_order=1, samples=samples)
     assert got["max_residual"] > 0
     assert abs(got["pairs"]["(1,1)"] - want) <= 1e-9 * want
@@ -200,14 +200,27 @@ def test_singular_radius_example_1_vs_independent_rootfinder(hf1):
 
 
 def test_stacked_gram_determinant_is_bitwise_the_scalar_one(hf1):
-    # degeneracy_scan takes the radial derivative on its grid from stacked
-    # determinants and bisects with scalar ones, so both must round alike
+    # degeneracy_scan takes the radial derivative on its grid from one stack
+    # of determinants and bisects on stacks of its brackets, so a sample must
+    # round alike in any stack
     direction = complex(np.exp(0.9j))
     rs = np.linspace(1e-3, 2.5, 200)
     for r in (rs + 1e-6, np.maximum(rs - 1e-6, 0.0)):
         stacked = _gram_det_float(hf1, r * direction)
-        scalar = np.array([_gram_det_float(hf1, float(x) * direction) for x in r])
+        scalar = np.array([_gram_det_float(hf1, np.array([float(x) * direction]))[0]
+                           for x in r])
         assert np.array_equal(stacked.view(np.uint64), scalar.view(np.uint64))
+
+
+@pytest.mark.parametrize("call", [
+    project_to_sphere,
+    induced_metric,
+    lambda pair, which: isotropy_check(pair, which, samples=(0.3 + 0.2j,)),
+], ids=["project_to_sphere", "induced_metric", "isotropy_check"])
+def test_float_pair_rejects_an_unknown_lift_name(hf2, call):
+    # an exact pair raises in the same words
+    with pytest.raises(ValueError, match="which must be 'Y' or 'Yhat'"):
+        call(SurfacePair(hf2.m, 1.0, hf2), "bogus")
 
 
 def test_degeneracy_scan_is_rotation_invariant(hf2):

@@ -12,18 +12,30 @@ import pytest
 import willmore.iwasawa
 import willmore.surfaces
 import willmore.verify
+from test_acceptance import _random_potentials
 from willmore.cli import main
+from willmore.frames import integrate_frame
 from willmore.groups import GroupContext
+from willmore.iwasawa import solve_iwasawa_exact
 from willmore.loops import LoopMatrix, exact_zeros
 from willmore.potentials import (
     NilpotentPotential,
+    NormalizedPotential,
     PotentialDocument,
     builtin_potential,
     document_for,
+    to_nilpotent,
 )
 from willmore.scalars import GR_ZERO, BiPoly, GaussianRational
-from willmore.surfaces import mink_pair_np
-from willmore.verify import CHECK_NAMES, DEFAULT_PLAN, _proj_minor, run_suite
+from willmore.surfaces import degeneracy_scan, mink_pair_np
+from willmore.verify import (
+    CHECK_NAMES,
+    DEFAULT_PLAN,
+    _draw_samples,
+    _normalize_plan,
+    _proj_minor,
+    run_suite,
+)
 
 SMALL_PLAN = {"samples": 6, "fd_samples": 2, "seed": 3, "oracle_matrices": 4}
 
@@ -279,3 +291,28 @@ def test_stacked_lift_pairings_round_as_the_one_row_loop():
         assert minors[k] == want, k
         pair = -v[k][0] * w[k][0] + np.dot(v[k][1:], w[k][1:])
         assert pairs[k] == pair and np.signbit(pairs[k].imag) == np.signbit(pair.imag), k
+
+
+def test_scan_draw_and_witness_pins_with_two_brackets_and_rejected_samples():
+    # Pinned bisection and draw values: two scans with two brackets each, a
+    # draw that rejects two samples; and an m = 1 exact witness, whose rho is
+    # inverted by the 1 x 1 adjugate.
+    pots = _random_potentials(20)
+
+    def hf(pot):
+        return integrate_frame(to_nilpotent(pot))
+
+    def radii(*args, **kwargs):
+        return [x.hex() for x in degeneracy_scan(*args, **kwargs)]
+
+    assert radii(hf(pots[6])) == ["0x1.17beaaac12592p-2", "0x1.49a112714342ep+0"]
+    assert radii(hf(pots[2]), theta=1.7, r_range=(1e-3, 4.0)) == [
+        "0x1.7d736be686fe8p-1", "0x1.9776fa00efcccp+0"]
+    hf7 = hf(pots[7])
+    pts, rejected = _draw_samples(_normalize_plan(None), degeneracy_scan(hf7), hf7)
+    assert len(pts) == 40 and rejected == 2
+    assert hashlib.sha256("\n".join(repr(z) for z in pts).encode()).hexdigest() == (
+        "ffe3d31848e03ab118bbeb7cee7dfb9bf6365b4b6df4a91657024cf918550e8a")
+    one = NormalizedPotential(1, [BiPoly.var_z()], [BiPoly.const(GaussianRational(0, 1))])
+    w = solve_iwasawa_exact(hf(one))
+    assert (w.rho @ w.rho_inv)[0, 0] == 1
