@@ -3,7 +3,7 @@
 GroupContext(m) owns the constant matrices for ambient dimension 2m+2:
 the Minkowski form, the antidiagonal bilinear form J, the change-of-basis
 pair (M, P1) implementing the isometry onto the block-graded model, the
-reality conjugation S0, and the grading involutions Jhat, D0.
+reality conjugation S0, and the grading involution D0.
 
 The isometry is exact over Gaussian rationals: the two 1/sqrt(2) factors of
 the orthonormal change of basis pair into a single 1/2, so
@@ -111,7 +111,6 @@ class GroupContext:
         if not exact_equal(self.S0 @ self.S0, ident):
             raise AssertionError("S0 is not involutive")
 
-        self.Jhat = exact_matrix(np.block([[Im, zm2, zm], [z2m, self.J2, z2m], [zm, zm2, Im]]))
         self.D0 = exact_matrix(np.block([[Im, zm2, zm], [z2m, -I2, z2m], [zm, zm2, Im]]))
 
         self._arrays = {}
@@ -331,11 +330,6 @@ class GroupContext:
         """Reality involution: S0 bar(F) S0."""
         S0 = self._like("S0", F)
         return S0 @ F.bar() @ S0
-
-    def tau_inv_of(self, F: LoopMatrix) -> LoopMatrix:
-        """tau(F)^-1 computed without inverting: Jhat bar(F)^t Jhat."""
-        Jh = self._like("Jhat", F)
-        return Jh @ F.bar().transpose() @ Jh
 
     def check_membership(self, F: LoopMatrix, which: str, z=None,
                          lams=(1.0, 1j)) -> dict:

@@ -13,18 +13,18 @@ with 1B kept as a residual:
     1B: u q - v rho u#bar^t J2 = f        (residual)
 
 The exact witness solves 1F in polynomials: rho and det rho are polynomial,
-and rho^-1 = adj(rho) / det.  Every other block is a polynomial numerator
-over a denominator known in advance, det = det rho or D2 = det conj(det),
-so no gcd is needed:
+and rho^-1 = adj(rho) / det.  The blocks it goes on to solve are polynomial
+numerators over a denominator known in advance, det = det rho or
+D2 = det conj(det), so no gcd is needed:
 
     u# = U / det,   U = (f# - J2 fbar^t g) adj(rho)
     v  = V / det,   V = g adj(rho)
     q  = Q / D2,    Q = D2 (I + J2 fbar^t f) - U rho Ubar^t J2
-    a  = A / D2^2,  A = D2^2 I - U# Q J2 U#bar^t - D2 V rho Vbar^t
 
 with U# = sharp(U) the numerator of u.  1B cleared of det D2 reads
 U# Q - det V rho Ubar^t J2 - det D2 f = 0, a polynomial identity, and
-q == I2 reads Q == D2 I2.
+q == I2 reads Q == D2 I2.  The exact witness stops at 1B: exact frames need
+only u, so 1A is solved only in floats, where it checks l1.
 
 The diagonal Gram factor W0 = diag(a, q, rho) splits as tau(L)^-1 L with
 L = diag(l1, l0, l4): l4 is the upper Cholesky factor of rho,
@@ -78,16 +78,18 @@ def _ct(X: np.ndarray) -> np.ndarray:
 class IwasawaWitness:
     """Gram data of the factorization, exact (global) or float (numeric).
 
+    Both kinds carry m, rho, rho_inv, u, usharp, v and q.
     An exact witness holds read-only object arrays of RationalFn, so it is
-    the one whose rho.dtype is object.
+    the one whose rho.dtype is object; it also sets det_rho, q_is_identity
+    and, when q == I2, l0 = I2.
     A float witness is solved over a 1-D array of N samples and holds stacks
-    over the samples that passed every check: index gives their positions in
-    the input and errors the error each of the N samples failed with (None
-    where it passed).
+    over the samples that passed every check: l0, l1, l4, z, residuals, fv
+    and gv, with index giving their positions in the input and errors the
+    error each of the N samples failed with (None where it passed).
     """
 
-    def __init__(self, m, rho, rho_inv, det_rho, u, usharp, v, q, a,
-                 l0=None, l1=None, l4=None, q_is_identity=None, z=None,
+    def __init__(self, m, rho, rho_inv, u, usharp, v, q, det_rho=None,
+                 q_is_identity=None, l0=None, l1=None, l4=None, z=None,
                  residuals=None, fv=None, gv=None, index=None, errors=None):
         self.m = m
         self.rho = rho
@@ -97,11 +99,10 @@ class IwasawaWitness:
         self.usharp = usharp
         self.v = v
         self.q = q
-        self.a = a
+        self.q_is_identity = q_is_identity
         self.l0 = l0
         self.l1 = l1
         self.l4 = l4
-        self.q_is_identity = q_is_identity
         self.z = z
         self.residuals = residuals or {}
         # Float witnesses keep f(z) and g(z) for the frame, lifts and L_z.
@@ -176,7 +177,7 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
     Every block is solved on polynomial numerators over known denominators
     (see the module docstring) and returned as a read-only object array of
     RationalFn over its denominator: rho over 1, rho^-1, u#, u and v over
-    det rho, q over D2 and a over D2^2.
+    det rho, and q over D2.
     """
     m = hf.m
     ctx = get_context(m)
@@ -192,16 +193,19 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
     det = _det_small(rho_poly)
     adj = _adjugate_small(rho_poly)
     det_rf = RationalFn(det)
-    rho_inv = exact_map(adj, lambda p: RationalFn(p, det))
+
+    def over(mat, den):
+        return exact_map(mat, lambda p: RationalFn(p, den))
+
+    rho_inv = over(adj, det)
     rho = exact_map(rho_poly, RationalFn.coerce)
 
     # 1E and 1D on numerators: u# = U / det and v = V / det.
     j2fh = J2 @ fbar.T
     U = (sharp(f) - j2fh @ g) @ adj
     V = g @ adj
-    usharp = exact_map(U, lambda p: RationalFn(p, det))
+    usharp = over(U, det)
     u = sharp(usharp)
-    U_sharp = sharp(U)
     # q over D2 = det conj(det).
     D2 = det * det.conjugate()
 
@@ -213,25 +217,15 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
     Q = times(exact_identity(2, BP_ONE, BP_ZERO) + j2fh @ f, D2) - (U @ rho_poly) @ Ubar_t_J2
 
     # 1B, cleared of det D2, must vanish identically.
-    UQ = U_sharp @ Q
-    Vrho = V @ rho_poly
-    resid = (UQ - times(Vrho @ Ubar_t_J2, det)) - times(f, det * D2)
+    resid = (sharp(U) @ Q - times(V @ rho_poly @ Ubar_t_J2, det)) - times(f, det * D2)
     if not all(x.is_zero() for x in resid.flat):
         raise ResidualTooLarge("closure equation 1B fails as a rational identity")
-
-    # 1A over D2^2
-    D4 = D2 * D2
-    A = (exact_identity(m, D4, BP_ZERO) - UQ @ (J2 @ np.conjugate(U_sharp).T)
-         - times(Vrho @ np.conjugate(V).T, D2))
-
-    def over(mat, den):
-        return exact_map(mat, lambda p: RationalFn(p, den))
 
     q_is_identity = exact_equal(Q, exact_identity(2, D2, BP_ZERO))
     ident2 = exact_identity(2, RF_ONE, RF_ZERO)
     return IwasawaWitness(
-        m, rho, rho_inv, det_rf, u, usharp, over(V, det), over(Q, D2), over(A, D4),
-        l0=ident2 if q_is_identity else None, q_is_identity=q_is_identity,
+        m, rho, rho_inv, u, usharp, over(V, det), over(Q, D2), det_rho=det_rf,
+        q_is_identity=q_is_identity, l0=ident2 if q_is_identity else None,
     )
 
 
@@ -381,13 +375,11 @@ def solve_iwasawa_float(hf: HolomorphicFrame, z) -> IwasawaWitness:
           lambda k: ResidualTooLarge(
               "triangular factor mismatch %.3e against block a" % residuals["a-factor"][k]))
 
-    q_is_identity = (offdiag <= tol) & (np.hypot(c.real - 1.0, c.imag) <= tol)
     ok = ~failed
     usharp = usharp[ok]
     return IwasawaWitness(
-        m, rho[ok], rho_inv[ok], np.linalg.det(rho[ok]).real, sharp(usharp),
-        usharp, v[ok], q[ok], a[ok], l0=l0[ok], l1=l1[ok], l4=_ct(Lc[ok]),
-        q_is_identity=q_is_identity[ok], z=z[ok],
+        m, rho[ok], rho_inv[ok], sharp(usharp), usharp, v[ok], q[ok],
+        l0=l0[ok], l1=l1[ok], l4=_ct(Lc[ok]), z=z[ok],
         residuals={k: r[ok] for k, r in residuals.items()}, fv=fv[ok], gv=gv[ok],
         index=np.flatnonzero(ok), errors=errors,
     )

@@ -275,13 +275,12 @@ def _parse_poly(entry, where: str) -> BiPoly:
 class PotentialDocument:
     """Parsed potential file: the pairing data plus the effective B1hat."""
 
-    def __init__(self, m: int, h, hhat, b1hat_override=None, source=None):
+    def __init__(self, m: int, h, hhat, b1hat_override=None):
         self.m = m
         self.h = tuple(h)
         self.hhat = tuple(hhat)
         self.b1hat_override = (None if b1hat_override is None
                                else exact_matrix(b1hat_override))
-        self.source = source if source is not None else self.to_dict()
 
     def b1hat(self):
         if self.b1hat_override is not None:
@@ -348,7 +347,7 @@ def parse_potential(data) -> PotentialDocument:
             parsed.append([_parse_poly(e, "b1hat[%d][%d]" % (i, j))
                            for j, e in enumerate(row)])
         override = parsed
-    return PotentialDocument(m, h, hhat, override, source=data)
+    return PotentialDocument(m, h, hhat, override)
 
 
 def load_potential(path) -> PotentialDocument:

@@ -308,11 +308,6 @@ class BiPoly:
     def var_zbar(cls) -> "BiPoly":
         return cls({(0, 1): GR_ONE})
 
-    @classmethod
-    def from_z_coeffs(cls, coeffs) -> "BiPoly":
-        """Polynomial in z alone from an ascending coefficient list."""
-        return cls({(k, 0): GaussianRational.coerce(c) for k, c in enumerate(coeffs)})
-
     def coerce_other(self, other):
         if isinstance(other, BiPoly):
             return other
@@ -945,11 +940,3 @@ class RationalFn:
 RF_ZERO = RationalFn(BP_ZERO)
 RF_ONE = RationalFn(BP_ONE)
 RF_I = RationalFn(BiPoly.const(GR_I))
-
-
-def rf_z() -> RationalFn:
-    return RationalFn(BiPoly.var_z())
-
-
-def rf_zbar() -> RationalFn:
-    return RationalFn(BiPoly.var_zbar())

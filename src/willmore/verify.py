@@ -15,6 +15,7 @@ byte-for-byte reproducible for a fixed potential and plan.
 from __future__ import annotations
 
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -52,12 +53,13 @@ DEFAULT_PLAN = {
     "samples": 40,
     "fd_samples": 6,
     "radius": 0.9,
-    "lambdas": ((1.0, 0.0), (0.0, 1.0)),
     "seed": 7,
     "oracle_matrices": 25,
     "tol_algebraic": 1e-10,
     "tol_fd": 1e-6,
 }
+# The spectral parameters every sample is checked at.
+LAMBDAS = (1 + 0j, 1j)
 
 # Catalog order is part of the report contract.
 CHECK_NAMES = (
@@ -155,15 +157,8 @@ def _normalize_plan(plan) -> dict:
         cfg.update(plan)
     if min(cfg["samples"], cfg["fd_samples"], cfg["oracle_matrices"]) < 0:
         raise ValueError("plan samples, fd_samples and oracle_matrices must be non-negative")
-    lams = []
-    for lam in cfg["lambdas"]:
-        if isinstance(lam, (tuple, list)):
-            lam = complex(lam[0], lam[1])
-        lam = complex(lam)
-        if abs(abs(lam) - 1.0) > 1e-12:
-            raise ValueError("plan lambdas must lie on the unit circle")
-        lams.append(lam)
-    cfg["lambdas"] = tuple(lams)
+    if not 0 < cfg["radius"] < math.inf:
+        raise ValueError("plan radius must be a positive finite number")
     return cfg
 
 
@@ -172,7 +167,7 @@ def _plan_for_report(cfg) -> dict:
         "samples": cfg["samples"],
         "fd_samples": cfg["fd_samples"],
         "radius": float(cfg["radius"]),
-        "lambdas": [[lam.real, lam.imag] for lam in cfg["lambdas"]],
+        "lambdas": [[lam.real, lam.imag] for lam in LAMBDAS],
         "seed": cfg["seed"],
         "oracle_matrices": cfg["oracle_matrices"],
         "tol_algebraic": cfg["tol_algebraic"],
@@ -243,26 +238,26 @@ def _row_norms(y: np.ndarray) -> np.ndarray:
     return np.sqrt(dot(y.real) + dot(y.imag))
 
 
-def _frame_checks(ctx, fr, lams) -> dict:
+def _frame_checks(ctx, fr) -> dict:
     """The refactor, membership, isometry, window and lift checks of a float
-    frame stacked over samples, each the largest over the samples and lams."""
+    frame stacked over samples, each the largest over the samples and LAMBDAS."""
     F, w = fr.F, fr.witness
     out = {"frame-refactor": _worst(fr.factor_residual)}
     for which, name in (("G(2m+2,C)", "membership-G-form"),
                         ("real-form-via-tau", "membership-real-form"),
                         ("twisted-via-D0", "membership-twisted")):
-        out[name] = ctx.check_membership(F, which, z=w.z, lams=lams)["max_residual"]
+        out[name] = ctx.check_membership(F, which, z=w.z, lams=LAMBDAS)["max_residual"]
     G = ctx.np("minkowski")
     R = ctx.iso_P_inv(F)
     worst = 0.0
-    for lam in lams:
+    for lam in LAMBDAS:
         Rv = R.evaluate(w.z, lam)
         worst = _worst(worst, np.abs(Rv.imag), np.abs(Rv.swapaxes(-1, -2) @ G @ Rv - G))
     out["minkowski-isometry"] = worst
     lo, hi = F.window()
     out["uniton-window"] = float(max(0, max(abs(lo), abs(hi)) - 2))
     isotropic = pairing = reality = unit = 0.0
-    for lam in lams:
+    for lam in LAMBDAS:
         Yc, Yhc = lift_columns_float(w, lam)
         scale = np.array([max(1.0, a ** 2, b ** 2) for a, b in
                           zip(np.abs(Yc).max(axis=-1).tolist(),
@@ -333,7 +328,7 @@ def _rand_exact_loop(rng, d) -> LoopMatrix:
     return LoopMatrix(d, d, {0: mat})
 
 
-def _maurer_cartan_checks(hf, fd_samples, lams) -> dict:
+def _maurer_cartan_checks(hf, fd_samples) -> dict:
     """halfisotropy-pullback, mc-flatness and mc-lambda-affinity at the fd
     samples: each check's residual, or the exception it failed with.
 
@@ -371,7 +366,7 @@ def _maurer_cartan_checks(hf, fd_samples, lams) -> dict:
         p1 = a1.reshape(n, width, d, d)
         p0 = a0.reshape(n, width, d, d)
         res = 0.0
-        for lam in lams:
+        for lam in LAMBDAS:
             # A and B are closed forms, so only the stencil's O(h^4)
             # truncation and O(eps/h) rounding remain; near the locus they
             # meet around h = 3e-5, at about 1e-10.
@@ -399,7 +394,7 @@ def _maurer_cartan_checks(hf, fd_samples, lams) -> dict:
                      for e in [errors[i * width]] + frames.errors[5 * i:5 * i + 5]])
         rhs0, rhs1 = a0[::width], a1[::width]
         res = 0.0
-        for lam in lams:
+        for lam in LAMBDAS:
             Fv = frames.F.evaluate(frames.z, lam).reshape(n, 5, d, d)
             dxF = (Fv[:, 0] - Fv[:, 1]) / (2 * h)
             dyF = (Fv[:, 2] - Fv[:, 3]) / (2 * h)
@@ -414,7 +409,7 @@ def _maurer_cartan_checks(hf, fd_samples, lams) -> dict:
     return out
 
 
-def _sample_checks(ctx, hf, samples, lams):
+def _sample_checks(ctx, hf, samples):
     """The iwasawa-* and frame checks over one stack of all samples: the
     number of samples they cover, and each check's residual or the error it
     failed with.
@@ -430,7 +425,7 @@ def _sample_checks(ctx, hf, samples, lams):
     out = {name: _worst(w.residuals[key][w.index <= n_eval])
            for name, key in _IWASAWA_CHECKS.items()}
     if n_eval == len(samples):
-        out.update(_frame_checks(ctx, fr, lams))
+        out.update(_frame_checks(ctx, fr))
     else:
         failed = _FRAME_CHECKS if n_eval else tuple(_IWASAWA_CHECKS) + _FRAME_CHECKS
         out.update(dict.fromkeys(failed, fr.errors[n_eval]))
@@ -495,7 +490,6 @@ def run_suite(pot, plan=None) -> VerificationReport:
 
     m = norm.m
     ctx = get_context(m)
-    lams = cfg["lambdas"]
 
     nil = to_nilpotent(norm)
     hf = integrate_frame(nil)
@@ -519,18 +513,18 @@ def run_suite(pot, plan=None) -> VerificationReport:
     n_eval, stack = 0, dict.fromkeys(tuple(_IWASAWA_CHECKS) + _FRAME_CHECKS, 0.0)
     if samples:
         try:
-            n_eval, stack = _sample_checks(ctx, hf, samples, lams)
+            n_eval, stack = _sample_checks(ctx, hf, samples)
         except Exception as e:
             stack = dict.fromkeys(stack, e)
     results += [(name, value, n_eval) for name, value in stack.items()]
 
-    mc = (_maurer_cartan_checks(hf, fd_samples, lams) if fd_samples
+    mc = (_maurer_cartan_checks(hf, fd_samples) if fd_samples
           else dict.fromkeys(_MC_CHECKS, 0.0))
     results += [(name, value, len(fd_samples)) for name, value in mc.items()]
 
     # Sample 0 is the first fd sample: these two checks fail with its error,
     # if it has one, as the frame checks do.
-    pairs = [SurfacePair(m, lam, hf) for lam in lams]
+    pairs = [SurfacePair(m, lam, hf) for lam in LAMBDAS]
     first_error = stack["frame-refactor"] if samples and n_eval == 0 else None
     for name, check in (("conformality", _conformality),
                         ("isotropy-order-m", _isotropy_order_m)):

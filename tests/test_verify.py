@@ -73,7 +73,9 @@ def test_report_bytes_are_deterministic():
 
 
 def test_plan_rejects_unknown_keys():
-    for plan in ({"sample": 3}, {"samples": -3}, {"fd_samples": -1}, {"oracle_matrices": -1}):
+    for plan in ({"sample": 3}, {"samples": -3}, {"fd_samples": -1}, {"oracle_matrices": -1},
+                 {"radius": 0}, {"radius": float("nan")}, {"radius": float("inf")},
+                 {"radius": -0.9}, {"lambdas": ((1.0, 0.0),)}):
         with pytest.raises(ValueError):
             run_suite(builtin_potential(2), plan)
 
