@@ -154,7 +154,9 @@ _BLOCK = 16
 
 
 def _evaluate_block(pair, metric_y, metric_yhat, pts):
-    """CSV rows for a block of vertices, and each singular vertex's error class.
+    """The CSV value columns of a block of vertices, one row per vertex and
+    NaN on singular ones, the singular mask, and each singular vertex's
+    error class.
 
     A vertex is singular when its own sample or one of its metric stencil
     samples fails for either lift; its error is the first of those in the
@@ -166,26 +168,19 @@ def _evaluate_block(pair, metric_y, metric_yhat, pts):
     lifts = (Y[n:], Yhat[n:], errors[n:])
     my, errors_y = metric_y(z, lifts=lifts)
     myh, errors_yhat = metric_yhat(z, lifts=lifts)
-    y = Y[:n, 1:] / Y[:n, :1]
-    yhat = Yhat[:n, 1:] / Yhat[:n, :1]
-    width = 2 * pair.m + 2
-    nan = float("nan")
-    rows, reasons = [], []
-    for k in range(n):
-        err = next((e for e in (errors[k], errors_y[k], errors_yhat[k]) if e is not None),
-                   None)
-        if err is None:
-            rows.append((Y[k].tolist(), Yhat[k].tolist(), y[k].tolist(), yhat[k].tolist(),
-                         float(my[k]), float(myh[k]), 0))
-        else:
-            rows.append(([nan] * width, [nan] * width,
-                         [nan] * (width - 1), [nan] * (width - 1), nan, nan, 1))
-            reasons.append(type(err).__name__)
-    return rows, reasons
+    Y, Yhat = Y[:n], Yhat[:n]
+    vals = np.concatenate([Y, Yhat, Y[:, 1:] / Y[:, :1], Yhat[:, 1:] / Yhat[:, :1],
+                           my[:, None], myh[:, None]], axis=1)
+    first = [next((e for e in trio if e is not None), None)
+             for trio in zip(errors[:n], errors_y, errors_yhat)]
+    singular = np.array([e is not None for e in first], dtype=bool)
+    vals[singular] = np.nan
+    return vals, singular, [type(e).__name__ for e in first if e is not None]
 
 
 def _write_mesh_csv(path, pair, pts):
-    """Write mesh.csv; returns its rows and the singular vertices per error class."""
+    """Write mesh.csv; returns its value columns (as _evaluate_block gives
+    them), the singular mask and the singular vertices per error class."""
     m = pair.m
     metric_y = induced_metric(pair, "Y")
     metric_yhat = induced_metric(pair, "Yhat")
@@ -196,20 +191,17 @@ def _write_mesh_csv(path, pair, pts):
             + ["y%d" % k for k in range(1, d)]
             + ["yhat%d" % k for k in range(1, d)]
             + ["yz_sq", "yhatz_sq", "singular"])
-    rows = []
-    reasons = Counter()
-    for start in range(0, len(pts), _BLOCK):
-        block_rows, block_reasons = _evaluate_block(
-            pair, metric_y, metric_yhat, pts[start:start + _BLOCK])
-        rows += block_rows
-        reasons.update(block_reasons)
+    blocks = [_evaluate_block(pair, metric_y, metric_yhat, pts[start:start + _BLOCK])
+              for start in range(0, len(pts), _BLOCK)]
+    vals = np.concatenate([b[0] for b in blocks])
+    singular = np.concatenate([b[1] for b in blocks])
+    reasons = Counter(name for b in blocks for name in b[2])
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for z, (Y, Yhat, y, yhat, my, myh, flag) in zip(pts, rows):
-            vals = [z.real, z.imag, *Y, *Yhat, *y, *yhat, my, myh]
-            fh.write(",".join(map(repr, vals)))
+        for z, row, flag in zip(pts, vals.tolist(), singular.tolist()):
+            fh.write(",".join(map(repr, [z.real, z.imag, *row])))
             fh.write(",%d\n" % flag)
-    return rows, reasons
+    return vals, singular, reasons
 
 
 def _singular_summary(reasons: Counter) -> str:
@@ -221,16 +213,18 @@ def _singular_summary(reasons: Counter) -> str:
         "%s %d" % (name, count) for name, count in sorted(reasons.items())))
 
 
-def _write_mesh_obj(path, pair, pts, rows, faces):
+def _write_mesh_obj(path, pair, pts, vals, singular, faces):
     """Lossy visualization export: stereographic S^4 -> R^4, drop the last
     coordinate.  Only the y surface is exported and only for m = 2."""
     if pair.m != 2:
         raise WillmoreError("OBJ export needs m = 2 (a surface in S^4)")
     ok = [False] * len(pts)
+    d = 2 * pair.m + 2
     with open(path, "w") as fh:
         fh.write("# y surface, stereographic projection of S^4 from (1,0,0,0,0)"
                  " to R^4, last coordinate dropped (lossy)\n")
-        for k, (_, _, y, _, _, _, flag) in enumerate(rows):
+        for k, (y, flag) in enumerate(zip(vals[:, 2 * d:3 * d - 1].tolist(),
+                                          singular.tolist())):
             if flag or abs(1.0 - y[0]) < 1e-9:
                 fh.write("v 0 0 0\n")
                 continue
@@ -259,31 +253,30 @@ def _cmd_mesh_common(args, doc):
     pts = _grid_points(args.grid, args.grid_n, args.radius)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "mesh.csv")
-    rows, reasons = _write_mesh_csv(csv_path, pair, pts)
+    vals, singular, reasons = _write_mesh_csv(csv_path, pair, pts)
     print("wrote %s (%d vertices, %s)" % (csv_path, len(pts), _singular_summary(reasons)))
-    return pair, pts, rows
+    return pair, pts, vals, singular
 
 
 def cmd_example(args) -> int:
     src = resources.files("willmore").joinpath("data/example%d.json" % args.id)
     with resources.as_file(src) as path:
         doc = load_potential(str(path))
-    pair, pts, rows = _cmd_mesh_common(args, doc)
+    pair, pts, vals, singular = _cmd_mesh_common(args, doc)
     ref = reference_lift_eval(args.id, args.lam)
+    d = 2 * pair.m + 2
     per_vertex = []
     worst = 0.0
-    singular = 0
-    for z, row in zip(pts, rows):
-        if row[6]:
-            singular += 1
-            continue
+    skipped = int(singular.sum())
+    for k in np.flatnonzero(~singular):
+        z = pts[k]
         try:
             Yr, Yhr = ref(z)
         except WillmoreError:
-            singular += 1
+            skipped += 1
             continue
-        dy = _proj_distance(np.array(row[0]), np.asarray(Yr))
-        dyh = _proj_distance(np.array(row[1]), np.asarray(Yhr))
+        dy = _proj_distance(vals[k, :d], Yr)
+        dyh = _proj_distance(vals[k, d:2 * d], Yhr)
         per_vertex.append([z.real, z.imag, dy, dyh])
         worst = max(worst, dy, dyh)
     report = {
@@ -292,7 +285,7 @@ def cmd_example(args) -> int:
         "grid": {"type": args.grid, "n": args.grid_n, "radius": args.radius},
         "vertices": len(pts),
         "compared_vertices": len(per_vertex),
-        "skipped_vertices": singular,
+        "skipped_vertices": skipped,
         "max_projective_distance": worst,
         "per_vertex": per_vertex,
     }
@@ -306,12 +299,12 @@ def cmd_example(args) -> int:
 
 def cmd_synth(args) -> int:
     doc = load_potential(args.potential)
-    pair, pts, rows = _cmd_mesh_common(args, doc)
+    pair, pts, vals, singular = _cmd_mesh_common(args, doc)
     if args.format == "obj":
         faces = (_polar_faces(args.grid_n) if args.grid == "polar"
                  else _cartesian_faces(args.grid_n))
         obj_path = os.path.join(args.out, "mesh.obj")
-        _write_mesh_obj(obj_path, pair, pts, rows, faces)
+        _write_mesh_obj(obj_path, pair, pts, vals, singular, faces)
         print("wrote %s" % obj_path)
     return 0
 

@@ -1,4 +1,4 @@
-"""Group constants, the block-structure isometry, and membership checks.
+"""Group constants, the block-structure isometry, and float membership checks.
 
 GroupContext(m) owns the constant matrices for ambient dimension 2m+2:
 the Minkowski form, the antidiagonal bilinear form J, the change-of-basis
@@ -31,6 +31,8 @@ from .loops import LoopMatrix, exact_equal, exact_identity, exact_matrix, exact_
 from .scalars import GR_HALF, GR_I, GR_ONE, GR_ZERO, GaussianRational
 
 _MEMBERSHIP_TOL = 1e-10
+# The spectral parameters every float membership and verify check runs at.
+LAMBDAS = (1 + 0j, 1j)
 
 
 def _gr_mat(rows):
@@ -331,54 +333,32 @@ class GroupContext:
         S0 = self._like("S0", F)
         return S0 @ F.bar() @ S0
 
-    def check_membership(self, F: LoopMatrix, which: str, z=None,
-                         lams=(1.0, 1j)) -> dict:
-        """Report (never raise) how well F satisfies a membership relation;
-        for a float F stacked over samples, max_residual is the largest over
-        the samples and lams."""
+    def check_membership(self, F: LoopMatrix, which: str, z=None) -> dict:
+        """Report how well a float F, a constant or a stack over samples,
+        satisfies a membership relation: max_residual is the largest over
+        the samples and LAMBDAS, and a failed relation is reported, not
+        raised.  An exact F raises ValueError: an exact frame holds only its
+        middle columns, never a full F.  z is unused, as F is bound already."""
+        if F.exact is not False:
+            raise ValueError("check_membership needs a float loop")
         if which == "G(2m+2,C)":
             J = self._like("J", F)
             residual = F.transpose() @ J @ F - J
         elif which == "real-form-via-tau":
             residual = self.tau(F) - F
-        elif which == "K-fixed-via-D0":
-            D0 = self._like("D0", F)
-            residual = D0 @ F @ D0 - F
         elif which == "twisted-via-D0":
             D0 = self._like("D0", F)
             residual = F.negate_lambda() - D0 @ F @ D0
         else:
             raise ValueError("unknown membership relation %r" % which)
-
-        exact = F.exact is not False
-        report = {"which": which}
-        if exact:
-            ok = residual.is_zero()
-            report["exact"] = True
-            report["max_residual"] = 0.0 if ok else _probe_exact(residual, z)
-            report["passed"] = ok or report["max_residual"] <= _MEMBERSHIP_TOL
-        else:
-            worst = 0.0
-            for lam in lams:
-                val = residual.evaluate(z, lam)
-                worst = max(worst, float(abs(val).max()) if val.size else 0.0)
-            report["exact"] = False
-            report["max_residual"] = worst
-            report["passed"] = worst <= _MEMBERSHIP_TOL
-        return report
+        worst = 0.0
+        for lam in LAMBDAS:
+            val = residual.evaluate(z, lam)
+            worst = max(worst, float(abs(val).max()) if val.size else 0.0)
+        return {"which": which, "max_residual": worst, "passed": worst <= _MEMBERSHIP_TOL}
 
 
 @functools.lru_cache(maxsize=None)
 def get_context(m: int) -> GroupContext:
     """Shared context per dimension; construction re-runs its own checks."""
     return GroupContext(m)
-
-
-def _probe_exact(residual: LoopMatrix, z) -> float:
-    """Numeric size of a nonzero exact residual at a probe point."""
-    probe = z if z is not None else complex(1, 1) / 3
-    worst = 0.0
-    for lam in (1.0, 1j):
-        val = residual.evaluate(probe, lam)
-        worst = max(worst, float(abs(val).max()) if val.size else 0.0)
-    return worst

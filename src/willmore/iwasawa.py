@@ -43,8 +43,10 @@ entry points take 1-D arrays of samples only.  The full extended frame is
 built over the stack: a LoopMatrix of complex arrays, checked against the
 holomorphic side, F L tau(W)^-1 = H, by BLAS products of loop coefficients,
 matrix by matrix, so each sample holds the bits of a stack of one.  When
-q == I2 identically the frame's middle two columns are rational and are
-assembled exactly; they are all the surface extraction needs.
+q == I2 identically the frame's middle two columns are rational, and the
+exact frame is just their three nonzero blocks, the loop^-1, loop^0 and
+loop^1 coefficients of _middle_blocks: they are all the surface extraction
+needs, and it binds the loop parameter on them as the float lifts do.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .loops import (
     exact_equal,
     exact_identity,
     exact_map,
-    exact_zeros,
+    exact_matrix,
     nilpotent_block,
     sharp,
     unipotent_inverse,
@@ -113,8 +115,10 @@ class IwasawaWitness:
 
 
 class ExtendedFrame:
-    """Factorized frame: full float loop F over a stack of samples, or exact
-    middle columns (middle is set exactly on an exact frame).
+    """Factorized frame: full float loop F over a stack of samples, or, set on
+    an exact frame only, middle: the (top, mid, bot) blocks of _middle_blocks,
+    the read-only loop^-1, loop^0 and loop^1 coefficients of the frame's two
+    middle columns in rows 1..m, m+1..m+2 and m+3..2m+2 (all else is zero).
 
     A float frame has one matrix per sample that passed the witness's checks,
     one factor_residual per such sample, and errors: for each input sample,
@@ -466,7 +470,8 @@ def check_refactor(hf: HolomorphicFrame, w: IwasawaWitness, F: LoopMatrix) -> np
 
 
 def _assemble_exact_middle(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedFrame:
-    """Exact middle two columns; valid in any gauge of the unit block l0.
+    """Exact middle two columns as their (top, mid, bot) blocks; valid in any
+    gauge of the unit block l0.
 
     The assembled columns omit the l0^-1 factor (the 'rational gauge').  They
     differ from the honest float columns by the unit scalars (s, sbar)
@@ -475,16 +480,8 @@ def _assemble_exact_middle(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedF
     columns equal the honest ones inside the singular circle and are their
     negatives outside it, where the future-pointing lift takes s = -1.
     """
-    m = hf.m
-    d = 2 * m + 2
-    top, mid, bot = _middle_blocks(hf.f, hf.g, w.u, get_context(m).Jm)
-    coeffs = {}
-    for power, r0, block in ((-1, 0, top), (0, m, mid), (1, m + 2, bot)):
-        col = exact_zeros(d, 2, RF_ZERO)
-        col[r0:r0 + len(block)] = block
-        coeffs[power] = col
-    middle = LoopMatrix(d, 2, coeffs)
-    return ExtendedFrame(m, w, middle=middle, hf=hf)
+    blocks = _middle_blocks(hf.f, hf.g, w.u, get_context(hf.m).Jm)
+    return ExtendedFrame(hf.m, w, middle=tuple(exact_matrix(b) for b in blocks), hf=hf)
 
 
 # -- connection forms ----------------------------------------------------------

@@ -24,7 +24,11 @@ Both kinds share one implementation: numpy applies the same operators to
 exact scalars entry by entry, and to complex arrays through BLAS, matrix by
 matrix over a stack, so each sample of a stacked loop holds the values of
 the loop bound at that sample alone.  Mixing the kinds in one operation
-raises ValueError.
+raises ValueError.  A zero coefficient is dropped, except a float stack over
+zero samples, which keeps its (0, rows, cols) shape, so that every result
+built from it is an empty stack too.  A loop binds its parameter only
+numerically (evaluate); the exact frame is not a loop but its three middle
+blocks, and surfaces.extract_pair binds an exact unit lambda on those.
 
 The conjugation bar() implements the loop-group reality operator on
 coefficients: conjugate each entry, negate each power.  At a physical sample
@@ -37,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LambdaZero
-from .scalars import GR_ONE, GR_ZERO, BiPoly, GaussianRational, RationalFn, RF_ZERO, RF_ONE
+from .scalars import BiPoly, GaussianRational, RationalFn, RF_ZERO, RF_ONE
 
 
 def exact_matrix(rows) -> np.ndarray:
@@ -104,13 +108,6 @@ def _same_kind(a, b, what):
         raise ValueError("mixed exact and float %s" % what)
 
 
-def _gr_pow(base: GaussianRational, n: int) -> GaussianRational:
-    acc = GR_ONE
-    for _ in range(n):
-        acc = acc * base
-    return acc
-
-
 def _coefficient(mat) -> np.ndarray:
     """A read-only array: object if its entries are exact scalars, else complex.
 
@@ -131,10 +128,12 @@ def _coefficient(mat) -> np.ndarray:
     return arr
 
 
-def _nonzero(arr) -> bool:
+def _kept(arr) -> bool:
+    """Whether a coefficient is stored: it has a nonzero entry, or it is a
+    float stack over zero samples, which keeps the stack's shape."""
     if arr.dtype == object:
         return not all(x.is_zero() for x in arr.flat)
-    return bool(arr.any())
+    return not arr.size or bool(arr.any())
 
 
 def _bind(arr, z) -> np.ndarray:
@@ -168,7 +167,7 @@ class LoopMatrix:
                 )
             _same_kind(exact, kind, "LoopMatrix coefficients")
             exact = kind
-            if _nonzero(mat):
+            if _kept(mat):
                 clean[int(k)] = mat
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -225,9 +224,6 @@ class LoopMatrix:
                 out[k] = out[k] + prod if k in out else prod
         return self._with(out, cols=other.cols)
 
-    def shift_power(self, dk: int):
-        return self._with({k + dk: m for k, m in self.coeffs.items()})
-
     def transpose(self):
         return self._with({k: m.swapaxes(-1, -2) for k, m in self.coeffs.items()},
                           rows=self.cols, cols=self.rows)
@@ -257,7 +253,7 @@ class LoopMatrix:
         return self._exact_map(lambda x: x.d_dzbar(), "d_dzbar")
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(m.size for m in self.coeffs.values())
 
     def __eq__(self, other):
         if not isinstance(other, LoopMatrix):
@@ -266,19 +262,6 @@ class LoopMatrix:
 
     def __hash__(self):
         raise TypeError("LoopMatrix is unhashable")
-
-    def at_lambda(self, lam) -> np.ndarray:
-        """Collapse the loop parameter to an exact unit value: a read-only
-        object array, the sum of each power's coefficient times lam^k."""
-        if self.exact is False:
-            raise ValueError("at_lambda needs exact coefficients; use evaluate")
-        lam = GaussianRational.coerce(lam)
-        acc = exact_zeros(self.rows, self.cols, GR_ZERO)
-        for k, m in self.coeffs.items():
-            p = _gr_pow(lam, k) if k >= 0 else GR_ONE / _gr_pow(lam, -k)
-            acc = acc + m * p
-        acc.setflags(write=False)
-        return acc
 
     def evaluate(self, z, lam):
         """Numeric coefficient matrix at (z, lambda) as a numpy array.

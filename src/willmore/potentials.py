@@ -221,12 +221,8 @@ def wu_normalized_potential(delta0, delta1, z_samples, steps=None,
 # -- potential files ----------------------------------------------------------
 
 
-def _frac_to_str(f: Fraction) -> str:
-    return str(f)
-
-
 def _coeff_to_pair(c: GaussianRational):
-    return [_frac_to_str(c.re), _frac_to_str(c.im)]
+    return [str(c.re), str(c.im)]
 
 
 def _poly_to_pairs(p: BiPoly):

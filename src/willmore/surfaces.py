@@ -100,13 +100,14 @@ class SurfacePair:
     Exact pair (Y is not None), from extract_pair: Y and Yhat are tuples of
     2m+2 RationalFn in R^{1,2m+1} coordinates, each reduced by its num/den
     gcd (stored scale: true lift = (sqrt(2)/2) * stored, pairings carry
-    factor 1/2).
+    factor 1/2), read off the exact frame's middle blocks at an exact unit
+    lam; induced_metric keeps its conformal factors in metrics, by lift.
     Float pair (Y is None), SurfacePair(hf.m, lam, hf) for lam on the unit
     circle: its lifts are read off the middle columns of the frame that one
     stacked factorization of hf gives at the requested samples.
     """
 
-    __slots__ = ("m", "lam", "hf", "Y", "Yhat")
+    __slots__ = ("m", "lam", "hf", "Y", "Yhat", "metrics")
 
     def __init__(self, m, lam, hf, Y=None, Yhat=None):
         if Y is None:
@@ -118,6 +119,7 @@ class SurfacePair:
         self.hf = hf
         self.Y = Y
         self.Yhat = Yhat
+        self.metrics = {}
 
     def values(self, z):
         """Homogeneous lift values of a float pair over a 1-D array of z.
@@ -138,32 +140,39 @@ class SurfacePair:
         return _scatter(Y.real, w.index, errors), _scatter(Yhat.real, w.index, errors), errors
 
 
-def extract_pair(frame: ExtendedFrame, lam) -> SurfacePair:
-    """Read the adjoint pair off an exact frame's two middle columns.
+def _bind_columns(blocks, lam, li, m, times_minus_i):
+    """(Y column, Yhat column) of the frame at lam, li = 1 / lam, from its
+    (top, mid, bot) middle blocks, recombined by _combine before any scale
+    or sign: exact blocks with an exact lam, float stacks (one row per
+    sample) with a complex one, through the same products."""
+    top, mid, bot = blocks
+    cols = np.concatenate([li * top, mid, lam * bot], axis=-2)
+    return tuple(_combine(np.moveaxis(cols[..., j], -1, 0), m, times_minus_i)
+                 for j in (1, 0))
 
-    lam must be an exact unit; the pair holds its lifts as tuples of 2m+2
-    reduced RationalFn.  A float pair needs no frame: SurfacePair(hf.m, lam,
-    hf) factorizes hf at each sample it is evaluated at.
+
+def extract_pair(frame: ExtendedFrame, lam) -> SurfacePair:
+    """Read the adjoint pair off an exact frame's middle blocks at lam.
+
+    lam must be an exact unit; it is bound as lift_columns_float binds a
+    float one, and the pair holds its lifts as tuples of 2m+2 reduced
+    RationalFn.  A float pair needs no frame: SurfacePair(hf.m, lam, hf)
+    factorizes hf at each sample it is evaluated at.
     """
     if frame.middle is None:
         raise ExactPathRequired("extract_pair reads exact frames only")
     lam = GaussianRational.coerce(lam)
     if lam.abs_squared() != 1:
         raise ValueError("exact family parameter must satisfy |lambda| = 1")
-    mid = frame.middle.at_lambda(lam)
-    m = frame.m
-    col0, col1 = mid[:, 0], mid[:, 1]
     minus_i = RationalFn.const(GaussianRational(0, -1))
-
-    def times_minus_i(x):
-        return minus_i * x
-
+    ycol, yhatcol = _bind_columns(frame.middle, lam, GR_ONE / lam, frame.m,
+                                  lambda x: minus_i * x)
     # Reducing here collapses the unreduced factorization denominators
     # (degrees in the tens) to the true ones, so every downstream pairing,
     # metric, and derivative works on small operands.
-    Y = tuple((-c).reduced() for c in _combine(col1, m, times_minus_i))
-    Yhat = tuple(c.reduced() for c in _combine(col0, m, times_minus_i))
-    return SurfacePair(m, lam, frame.hf, Y=Y, Yhat=Yhat)
+    Y = tuple((-c).reduced() for c in ycol)
+    Yhat = tuple(c.reduced() for c in yhatcol)
+    return SurfacePair(frame.m, lam, frame.hf, Y=Y, Yhat=Yhat)
 
 
 def lift_columns_float(w: IwasawaWitness, lam: complex):
@@ -175,16 +184,10 @@ def lift_columns_float(w: IwasawaWitness, lam: complex):
     per sample of the witness; phase and realization are the caller's
     business.
     """
-    m = w.m
-    top, mid, bot = middle_columns_float(w)
-    li = 1.0 / lam
-    cols = np.concatenate([li * top, mid, lam * bot], axis=-2)
-
-    def combine(col):
-        rows = list(np.moveaxis(col, -1, 0))
-        return np.stack(_combine(rows, m, lambda x: _cmul_np(-1j, x)), axis=-1)
-
-    return -SQRT2_OVER_2 * combine(cols[..., 1]), SQRT2_OVER_2 * combine(cols[..., 0])
+    ycol, yhatcol = _bind_columns(middle_columns_float(w), lam, 1.0 / lam, w.m,
+                                  lambda x: _cmul_np(-1j, x))
+    return (-SQRT2_OVER_2 * np.stack(ycol, axis=-1),
+            SQRT2_OVER_2 * np.stack(yhatcol, axis=-1))
 
 
 def _scatter(rows, index, errors):
@@ -265,7 +268,8 @@ def metric_stencil(z) -> np.ndarray:
 def induced_metric(pair: SurfacePair, which: str = "Y"):
     """Conformal factor |y_z|^2 of the projected surface.
 
-    Exact pairs return it as a rational function (formal derivatives); float
+    Exact pairs return it as a rational function (formal derivatives),
+    computed once per pair and lift and kept in pair.metrics; float
     pairs return an evaluator metric(z, lifts=None) using
     Richardson-extrapolated central differences on the metric_stencil
     points.  It takes a 1-D array of z and returns (factors, errors), a
@@ -273,15 +277,15 @@ def induced_metric(pair: SurfacePair, which: str = "Y"):
     lifts, if given, is pair.values at metric_stencil(z).ravel(), so that a
     caller can share one stacked evaluation between both lifts.
     """
-    if pair.Y is not None:
-        y = project_to_sphere(pair, which)
-        acc = None
-        for c in y:
-            term = c.d_dz() * c.d_dzbar()
-            acc = term if acc is None else acc + term
-        return acc
-
     idx = _lift_index(which)
+    if pair.Y is not None:
+        if idx not in pair.metrics:
+            acc = None
+            for c in project_to_sphere(pair, which):
+                term = c.d_dz() * c.d_dzbar()
+                acc = term if acc is None else acc + term
+            pair.metrics[idx] = acc
+        return pair.metrics[idx]
 
     def metric(z, lifts=None):
         z = as_samples(z)
@@ -655,8 +659,7 @@ def reference_lift_exact(example_id: int, lam) -> dict:
             s2 * rp([1, 0, Fraction(-1, 12)]),
         )
         sigma = _r2poly([1, 0, Fraction(-1, 4), Fraction(-2, 9)])
-        return {"m": 3, "Y": Y, "Yhat": Yhat, "sigma": sigma, "sign_y": -1,
-                "sign_yhat": 1}
+        return {"m": 3, "Y": Y, "Yhat": Yhat, "sigma": sigma}
     if example_id == 2:
         d1, s1 = zc(1)
         half = Fraction(1, 2)
@@ -677,8 +680,7 @@ def reference_lift_exact(example_id: int, lam) -> dict:
             s1,
         )
         sigma = _r2poly([1, 0, Fraction(-1, 4)])
-        return {"m": 2, "Y": Y, "Yhat": Yhat, "sigma": sigma, "sign_y": 1,
-                "sign_yhat": 1}
+        return {"m": 2, "Y": Y, "Yhat": Yhat, "sigma": sigma}
     raise ValueError("no shipped example with id %r" % (example_id,))
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .frames import integrate_frame
-from .groups import _probe_exact, get_context
+from .groups import LAMBDAS, get_context
 from .iwasawa import (
     assemble_frame,
     maurer_cartan,
@@ -58,8 +58,6 @@ DEFAULT_PLAN = {
     "tol_algebraic": 1e-10,
     "tol_fd": 1e-6,
 }
-# The spectral parameters every sample is checked at.
-LAMBDAS = (1 + 0j, 1j)
 
 # Catalog order is part of the report contract.
 CHECK_NAMES = (
@@ -246,7 +244,7 @@ def _frame_checks(ctx, fr) -> dict:
     for which, name in (("G(2m+2,C)", "membership-G-form"),
                         ("real-form-via-tau", "membership-real-form"),
                         ("twisted-via-D0", "membership-twisted")):
-        out[name] = ctx.check_membership(F, which, z=w.z, lams=LAMBDAS)["max_residual"]
+        out[name] = ctx.check_membership(F, which)["max_residual"]
     G = ctx.np("minkowski")
     R = ctx.iso_P_inv(F)
     worst = 0.0
@@ -283,8 +281,11 @@ def _attempt(fn, *args):
 
 
 def _exact_size(residual: LoopMatrix, probe) -> float:
-    """0.0 for an exact loop that vanishes identically, else its size at probe."""
-    return 0.0 if residual.is_zero() else _probe_exact(residual, probe)
+    """0.0 for an exact loop that vanishes identically, else its largest
+    entry at probe over LAMBDAS."""
+    if residual.is_zero():
+        return 0.0
+    return max([0.0] + [float(abs(residual.evaluate(probe, lam)).max()) for lam in LAMBDAS])
 
 
 def _potential_isotropy(b1, probe) -> float:

@@ -120,22 +120,21 @@ def test_tau_is_involutive():
 
 def test_membership_reports_identity():
     ctx = get_context(2)
-    I = LoopMatrix.identity(ctx.dim)
-    for which in ("G(2m+2,C)", "real-form-via-tau", "K-fixed-via-D0"):
+    I = LoopMatrix.from_constant(np.eye(ctx.dim))
+    for which in ("G(2m+2,C)", "real-form-via-tau", "twisted-via-D0"):
         rep = ctx.check_membership(I, which)
         assert rep["passed"], rep
         assert rep["max_residual"] == 0.0
+    # an exact loop holds no frame to check
+    with pytest.raises(ValueError):
+        ctx.check_membership(LoopMatrix.identity(ctx.dim), "G(2m+2,C)")
 
 
 def test_membership_detects_violation():
     ctx = get_context(2)
     d = ctx.dim
     # a non-orthogonal diagonal matrix breaks the bilinear form
-    two = RationalFn(BiPoly.const(2))
-    one = RationalFn(BiPoly.const(1))
-    zero = RationalFn(BiPoly.zero())
-    mat = [[two if i == j else zero for j in range(d)] for i in range(d)]
-    F = LoopMatrix(d, d, {0: mat})
+    F = LoopMatrix.from_constant(2 * np.eye(d))
     rep = ctx.check_membership(F, "G(2m+2,C)", z=0.3 + 0.1j)
     assert not rep["passed"]
     assert rep["max_residual"] > 1.0
@@ -147,12 +146,10 @@ def test_twisted_membership_grades_by_parity():
     ctx = get_context(2)
     d = ctx.dim
     m = ctx.m
-    one = RationalFn(BiPoly.const(1))
-    zero = RationalFn(BiPoly.zero())
-    diag = [[one if i == j else zero for j in range(d)] for i in range(d)]
-    off = [[zero] * d for _ in range(d)]
-    off[0][m] = one
-    off[m][0] = one
+    diag = np.eye(d)
+    off = np.zeros((d, d))
+    off[0, m] = 1.0
+    off[m, 0] = 1.0
     F = LoopMatrix(d, d, {0: diag, -1: off})
     rep = ctx.check_membership(F, "twisted-via-D0")
     assert rep["passed"], rep

@@ -439,6 +439,16 @@ def test_perturbed_float_frame_fails_its_checks(hf1):
         assert rep["max_residual"] > 5e-7, (which, rep)
 
 
+def test_float_frame_over_no_samples_is_an_empty_stack(hf2):
+    # a witness over zero samples gives a frame and refactor residuals
+    # stacked over zero samples, not a single value
+    w = solve_iwasawa_float(hf2, np.array([], dtype=complex))
+    frame = assemble_frame(hf2, w)
+    assert frame.errors == []
+    assert frame.factor_residual.shape == (0,)
+    assert frame.F.evaluate(w.z, 1.0).shape == (0, 6, 6)
+
+
 def test_assembled_frame_window_is_bounded(hf1, hf2):
     # finite uniton bound: every assembled loop lives in powers [-2, 2]
     for hf in (hf1, hf2):
@@ -455,7 +465,9 @@ def test_exact_middle_columns_match_float(frame2, hf2):
     float_frame = assemble_frame(hf2, solve_iwasawa_float(hf2, np.array([z])))
     lam = np.exp(0.3j)
     Ffull = float_frame.F.evaluate(z, lam)[0]
-    mid_exact = frame2.middle.evaluate(z, lam)
+    top, mid, bot = (np.array([[x.evaluate(z) for x in row] for row in b])
+                     for b in frame2.middle)
+    mid_exact = np.concatenate([top / lam, mid, lam * bot])
     m = hf2.m
     assert np.abs(Ffull[:, m:m + 2] - mid_exact).max() < 1e-9
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from willmore.loops import LoopMatrix, exact_equal, exact_map, unipotent_inverse
+from willmore.loops import LoopMatrix, exact_map, unipotent_inverse
 from willmore.scalars import BiPoly, GaussianRational, RationalFn
 
 gaussians = st.builds(
@@ -98,38 +98,30 @@ def test_exact_matmul_matches_tuple_reference():
             assert got[i, j].den.terms == want[i][j].den.terms
 
 
-def test_at_lambda_then_z_is_evaluate():
-    # collapsing the loop parameter exactly, then binding z, gives the value
-    # evaluate computes at (z, lambda)
-    rng = np.random.default_rng(12)
-    z, zb = BiPoly.var_z(), BiPoly.var_zbar()
-    pool = [BiPoly.const(GaussianRational(1, 2)), z, zb, z * zb + 1, z * z - zb]
-
-    def rand_rf():
-        num = pool[rng.integers(len(pool))] * GaussianRational(
-            int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-        return RationalFn(num, pool[rng.integers(3, len(pool))])
-
-    L = LoopMatrix(3, 3, {k: [[rand_rf() for _ in range(3)] for _ in range(3)]
-                          for k in range(-2, 3)})
-    s = 0.3 - 0.45j
-    for lam in (GaussianRational(1), GaussianRational(0, 1),
-                GaussianRational(Fraction(3, 5), Fraction(4, 5))):
-        collapsed = L.at_lambda(lam)
-        assert collapsed.dtype == object and not collapsed.flags.writeable
-        got = np.array([[x.evaluate(s) for x in row] for row in collapsed])
-        assert np.allclose(got, L.evaluate(s, lam.to_complex()), atol=1e-12)
-
-
 def test_identity_and_shift_power():
     I = LoopMatrix.identity(3)
     assert I.window() == (0, 0)
-    S = I.shift_power(-2)
+    S = LoopMatrix(3, 3, {-2: I.coeffs[0]})
     assert S.window() == (-2, -2)
     assert (S @ S).window() == (-4, -4)
     lam = 0.6 + 0.8j
     v = _eval_np(S, 0.1 + 0.2j, lam)
     assert np.allclose(v, np.eye(3) * lam ** -2, atol=1e-14)
+
+
+def test_empty_float_stack_keeps_its_shape_and_kind():
+    # a float coefficient over zero samples is kept, so every loop built
+    # from it is an empty stack of its kind, and the Neumann series of an
+    # empty unipotent stack still ends
+    empty = np.zeros((0, 3, 3))
+    L = LoopMatrix(3, 3, {0: empty})
+    assert L.exact is False and L.coeffs[0].shape == (0, 3, 3)
+    assert L.is_zero() and L == L
+    z = np.array([], dtype=complex)
+    assert L.evaluate(z, 1.0).shape == (0, 3, 3)
+    assert (L @ L.bar()).evaluate(z, 1j).shape == (0, 3, 3)
+    U = LoopMatrix(3, 3, {0: empty + np.eye(3), -1: empty})
+    assert (U @ unipotent_inverse(U)).evaluate(z, 1.0).shape == (0, 3, 3)
 
 
 def test_window_tracks_support():
@@ -300,7 +292,6 @@ def test_exact_rings_agree_with_their_rationalfn_copies():
         assert L.bar() == Lr.bar() and _rings(L.bar()) == _rings(L)
         for lam in (GaussianRational(1), GaussianRational(0, 1),
                     GaussianRational(Fraction(3, 5), Fraction(-4, 5))):
-            assert exact_equal(L.at_lambda(lam), Lr.at_lambda(lam))
             got, want = L.evaluate(z, lam.to_complex()), Lr.evaluate(z, lam.to_complex())
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         F, Fr = L.to_float(z), Lr.to_float(z)

@@ -105,6 +105,27 @@ def test_metric_identities_exact(pair1, pair2):
     assert induced_metric(pair2, "Y") == reference_metric(2, "Y")
 
 
+def test_exact_metric_is_computed_once_per_pair_and_lift(pair1, monkeypatch):
+    # the pair keeps each conformal factor, so branch_analysis reuses the
+    # metrics computed before it instead of projecting the lifts again
+    import willmore.surfaces as surfaces
+
+    metric_y = induced_metric(pair1, "Y")
+    assert induced_metric(pair1, "Y") is metric_y
+    assert induced_metric(pair1, "y") is metric_y
+    induced_metric(pair1, "Yhat")
+    calls = []
+
+    def counted(pair, which="Y"):
+        calls.append(which)
+        return project_to_sphere(pair, which)
+
+    monkeypatch.setattr(surfaces, "project_to_sphere", counted)
+    rep = branch_analysis(pair1)
+    assert calls == []
+    assert rep["y_limit"] == 0 and rep["yhat_limit"] == 32
+
+
 def test_metric_float_value_at_origin(hf1, hf2):
     # both conformal factors evaluate to exactly 2 at z = 0
     for hf in (hf1, hf2):
