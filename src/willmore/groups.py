@@ -333,12 +333,12 @@ class GroupContext:
         S0 = self._like("S0", F)
         return S0 @ F.bar() @ S0
 
-    def check_membership(self, F: LoopMatrix, which: str, z=None) -> dict:
+    def check_membership(self, F: LoopMatrix, which: str) -> dict:
         """Report how well a float F, a constant or a stack over samples,
         satisfies a membership relation: max_residual is the largest over
         the samples and LAMBDAS, and a failed relation is reported, not
         raised.  An exact F raises ValueError: an exact frame holds only its
-        middle columns, never a full F.  z is unused, as F is bound already."""
+        middle columns, never a full F."""
         if F.exact is not False:
             raise ValueError("check_membership needs a float loop")
         if which == "G(2m+2,C)":
@@ -353,7 +353,7 @@ class GroupContext:
             raise ValueError("unknown membership relation %r" % which)
         worst = 0.0
         for lam in LAMBDAS:
-            val = residual.evaluate(z, lam)
+            val = residual.evaluate(None, lam)
             worst = max(worst, float(abs(val).max()) if val.size else 0.0)
         return {"which": which, "max_residual": worst, "passed": worst <= _MEMBERSHIP_TOL}
 

@@ -17,14 +17,18 @@ and rho^-1 = adj(rho) / det.  The blocks it goes on to solve are polynomial
 numerators over a denominator known in advance, det = det rho or
 D2 = det conj(det), so no gcd is needed:
 
-    u# = U / det,   U = (f# - J2 fbar^t g) adj(rho)
+    u# = U / det,   U = E adj(rho),   E = f# - J2 fbar^t g
     v  = V / det,   V = g adj(rho)
-    q  = Q / D2,    Q = D2 (I + J2 fbar^t f) - U rho Ubar^t J2
+    q  = Q / D2,    Q = det Q1,       Q1 = det (I + J2 fbar^t f) - E Ubar^t J2
 
-with U# = sharp(U) the numerator of u.  1B cleared of det D2 reads
-U# Q - det V rho Ubar^t J2 - det D2 f = 0, a polynomial identity, and
-q == I2 reads Q == D2 I2.  The exact witness stops at 1B: exact frames need
-only u, so 1A is solved only in floats, where it checks l1.
+with U# = sharp(U) the numerator of u.  No product with rho is formed:
+adj(rho) rho = det I gives U rho = det E and V rho = det g, and rho is
+Hermitian, so conj(det) = det and D2 = det^2.  1B cleared of det D2 and
+divided by det reads U# Q1 - det g Ubar^t J2 - D2 f = 0, a polynomial
+identity (the polynomials have no zero divisors, so it holds exactly when
+the undivided one does), and q == I2 reads Q == D2 I2.  The exact witness
+stops at 1B: exact frames need only u, so 1A is solved only in floats,
+where it checks l1.
 
 The diagonal Gram factor W0 = diag(a, q, rho) splits as tau(L)^-1 L with
 L = diag(l1, l0, l4): l4 is the upper Cholesky factor of rho,
@@ -206,7 +210,8 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
 
     # 1E and 1D on numerators: u# = U / det and v = V / det.
     j2fh = J2 @ fbar.T
-    U = (sharp(f) - j2fh @ g) @ adj
+    E = sharp(f) - j2fh @ g
+    U = E @ adj
     V = g @ adj
     usharp = over(U, det)
     u = sharp(usharp)
@@ -216,12 +221,14 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
     def times(mat, p):
         return exact_map(mat, lambda x: x * p)
 
-    # 1C
+    # 1C on Q = det Q1: U rho = det E and V rho = det g, as adj(rho) rho =
+    # det I, and conj(det) = det, as rho is Hermitian.
     Ubar_t_J2 = np.conjugate(U).T @ J2
-    Q = times(exact_identity(2, BP_ONE, BP_ZERO) + j2fh @ f, D2) - (U @ rho_poly) @ Ubar_t_J2
+    Q1 = times(exact_identity(2, BP_ONE, BP_ZERO) + j2fh @ f, det) - E @ Ubar_t_J2
+    Q = times(Q1, det)
 
-    # 1B, cleared of det D2, must vanish identically.
-    resid = (sharp(U) @ Q - times(V @ rho_poly @ Ubar_t_J2, det)) - times(f, det * D2)
+    # 1B, cleared of det D2 and then divided by det, must vanish identically.
+    resid = (sharp(U) @ Q1 - times(g @ Ubar_t_J2, det)) - times(f, D2)
     if not all(x.is_zero() for x in resid.flat):
         raise ResidualTooLarge("closure equation 1B fails as a rational identity")
 

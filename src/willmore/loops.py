@@ -6,6 +6,10 @@ read-only array of dtype=object whose entries are exact scalars:
 GaussianRational, BiPoly or RationalFn.  numpy applies +, -, * and @ to
 such entries one by one, and object @ sums each entry's products left to
 right, so an exact product keeps the association written in the source.
+The one exception is a LoopMatrix product of two GaussianRational
+coefficients: it multiplies their integer numerators over a common
+denominator and normalizes each entry once, which gives the same canonical
+values.
 The rings combine through Python's reflected operators: a GaussianRational
 times a BiPoly is a BiPoly, a BiPoly times a RationalFn a RationalFn.  So a
 constant or polynomial matrix stays in its own ring, and only a product
@@ -41,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LambdaZero
-from .scalars import BiPoly, GaussianRational, RationalFn, RF_ZERO, RF_ONE
+from .scalars import BiPoly, GaussianRational, RationalFn, RF_ZERO, RF_ONE, _cleared, _gr
 
 
 def exact_matrix(rows) -> np.ndarray:
@@ -149,6 +153,29 @@ def _bind(arr, z) -> np.ndarray:
                     dtype=complex).reshape(np.shape(z) + arr.shape)
 
 
+def _is_gr(arr) -> bool:
+    """Whether arr is an exact coefficient of GaussianRationals only."""
+    return arr.dtype == object and all(type(x) is GaussianRational for x in arr.flat)
+
+
+def _gr_parts(M):
+    """(d, re, im): a GaussianRational matrix as integer object arrays
+    re + im*i over d, the lcm of its entries' denominators."""
+    d, xs, ys = _cleared(list(M.flat))
+    return d, *(np.array(v, dtype=object).reshape(M.shape) for v in (xs, ys))
+
+
+def _gr_matmul(A, B) -> np.ndarray:
+    """A @ B for GaussianRational matrices: the four integer products of
+    their numerators over d_A d_B, and one _gr per entry."""
+    dA, Ar, Ai = _gr_parts(A)
+    dB, Br, Bi = _gr_parts(B)
+    d = dA * dB
+    re, im = Ar @ Br - Ai @ Bi, Ar @ Bi + Ai @ Br
+    return np.array([_gr(r, i, d) for r, i in zip(re.flat, im.flat)],
+                    dtype=object).reshape(re.shape)
+
+
 class LoopMatrix:
     """Matrix-valued finite Laurent polynomial, power-major storage."""
 
@@ -220,7 +247,7 @@ class LoopMatrix:
         for k1, m1 in self.coeffs.items():
             for k2, m2 in other.coeffs.items():
                 k = k1 + k2
-                prod = m1 @ m2
+                prod = _gr_matmul(m1, m2) if _is_gr(m1) and _is_gr(m2) else m1 @ m2
                 out[k] = out[k] + prod if k in out else prod
         return self._with(out, cols=other.cols)
 

@@ -10,6 +10,9 @@ Three layers, all on Python integers:
   GaussianRational coefficients, stored as a dict mapping exponent pairs
   (i, j) to nonzero coefficients.  Conjugation swaps the variables and
   conjugates the coefficients; zbar only becomes conj(z) at evaluation time.
+  A product or an exact evaluation runs on Gaussian-integer numerators over
+  a common denominator and normalizes once per output term, not once per
+  operation; a product keeps the term order of the loop over coefficients.
 * RationalFn: quotient of two BiPoly, kept unreduced apart from cheap
   monomial and content strips.  Equality is decided by cross-multiplication,
   never by computing a gcd normal form.  reduced() cancels the num/den gcd
@@ -25,8 +28,10 @@ a GaussianRational to its own value, so an exact matrix may mix the rings.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 import numpy as np
 
@@ -106,6 +111,9 @@ def _gr(a: int, b: int, d: int) -> "GaussianRational":
     x._b = b
     x._d = d
     return x
+
+
+_HASH_MODULUS = 1 << sys.hash_info.width
 
 
 class GaussianRational:
@@ -239,7 +247,13 @@ class GaussianRational:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # The hash of an equal int, Fraction, float or complex: CPython's
+        # complex hash of the parts, wrapped to a signed machine word, with
+        # -1 (its error value) made -2.
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) % _HASH_MODULUS
+        if h >= _HASH_MODULUS >> 1:
+            h -= _HASH_MODULUS
+        return -2 if h == -1 else h
 
     def abs_squared(self) -> Fraction:
         return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
@@ -272,6 +286,36 @@ GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 GR_HALF = GaussianRational(Fraction(1, 2))
+
+
+def _cleared(coeffs):
+    """(d, xs, ys): a sequence of GaussianRationals, in order, as
+    Gaussian-integer numerators x + y*i over d, the lcm of their denominators."""
+    d = lcm(*(c._d for c in coeffs))
+    return d, [c._a * (d // c._d) for c in coeffs], [c._b * (d // c._d) for c in coeffs]
+
+
+def _numerator_powers(x: "GaussianRational", n: int):
+    """[(re, im) of (x._a + x._b*i)^k x._d^(n-k) for k = 0..n]: the powers of x
+    up to n as numerators over x._d^n."""
+    a, b, d = x._a, x._b, x._d
+    out = [(d ** n, 0)]
+    r, i = 1, 0
+    for k in range(n - 1, -1, -1):
+        r, i = r * a - i * b, r * b + i * a
+        s = d ** k
+        out.append((r * s, i * s))
+    return out
+
+
+_zbar_exponent = itemgetter(1)
+
+
+def _bipoly(terms) -> "BiPoly":
+    """A BiPoly owning terms, a dict of nonzero GaussianRational coefficients."""
+    p = _new(BiPoly)
+    object.__setattr__(p, "terms", terms)
+    return p
 
 
 class BiPoly:
@@ -354,18 +398,40 @@ class BiPoly:
         other = self.coerce_other(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # A monomial shifts the other operand's keys, in their order, and
+            # nothing sums: one GaussianRational product per term.
+            mono, poly = (self, other) if len(self.terms) == 1 else (other, self)
+            ((a0, b0), c0), = mono.terms.items()
+            return _bipoly({(a + a0, b + b0): c * c0 for (a, b), c in poly.terms.items()})
+        # The term loop runs on Gaussian-integer numerators over a common
+        # denominator.  A sum is zero exactly when the rational sum is, so
+        # keys are inserted, and a cancelled key deleted, as a loop over
+        # GaussianRational coefficients would: the dict order, which the
+        # _content fold follows, is that loop's.  The real and imaginary sums
+        # sit in two dicts that see the same inserts and deletes, so they
+        # share one key order and no pair object is built per term.
+        d1, xs1, ys1 = _cleared(self.terms.values())
+        d2, xs2, ys2 = _cleared(other.terms.values())
+        keys2 = list(other.terms)
+        out_re, out_im = {}, {}
+        for (a1, b1), x1, y1 in zip(self.terms, xs1, ys1):
+            for (a2, b2), x2, y2 in zip(keys2, xs2, ys2):
                 key = (a1 + a2, b1 + b2)
-                p = c1 * c2
-                s = out.get(key)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return BiPoly(out)
+                re = x1 * x2 - y1 * y2
+                im = x1 * y2 + y1 * x2
+                s = out_re.get(key)
+                if s is not None:
+                    re += s
+                    im += out_im[key]
+                    if not (re or im):
+                        del out_re[key], out_im[key]
+                        continue
+                out_re[key] = re
+                out_im[key] = im
+        d = d1 * d2
+        return _bipoly({k: _gr(re, im, d)
+                        for (k, re), im in zip(out_re.items(), out_im.values())})
 
     __rmul__ = __mul__
 
@@ -415,18 +481,23 @@ class BiPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # A constant equals its coefficient, so it hashes as that.
+        if not self.terms:
+            return 0
+        if len(self.terms) == 1 and (0, 0) in self.terms:
+            return hash(self.terms[(0, 0)])
         return hash(frozenset(self.terms.items()))
 
     def degrees(self):
         """(max z-exponent, max zbar-exponent), (0, 0) for the zero poly."""
-        dz = max((a for a, _ in self.terms), default=0)
-        db = max((b for _, b in self.terms), default=0)
-        return dz, db
+        if not self.terms:
+            return 0, 0
+        return max(self.terms)[0], max(self.terms, key=_zbar_exponent)[1]
 
     def min_degrees(self):
-        dz = min((a for a, _ in self.terms), default=0)
-        db = min((b for _, b in self.terms), default=0)
-        return dz, db
+        if not self.terms:
+            return 0, 0
+        return min(self.terms)[0], min(self.terms, key=_zbar_exponent)[1]
 
     def shift(self, dz: int, db: int) -> "BiPoly":
         return BiPoly({(a + dz, b + db): c for (a, b), c in self.terms.items()})
@@ -465,20 +536,20 @@ class BiPoly:
         """Exact value with z and zbar bound independently."""
         z = GaussianRational.coerce(z)
         zbar = GaussianRational.coerce(zbar)
-        zp = {0: GR_ONE}
-        bp = {0: GR_ONE}
-
-        def power(cache, base, n):
-            v = cache.get(n)
-            if v is None:
-                v = power(cache, base, n - 1) * base
-                cache[n] = v
-            return v
-
-        total = GR_ZERO
-        for (a, b), c in self.terms.items():
-            total = total + c * power(zp, z, a) * power(bp, zbar, b)
-        return total
+        # Over the common denominator d z._d^A zbar._d^B, (A, B) = degrees,
+        # each term is an integer product, and one _gr normalizes the sum.
+        A, B = self.degrees()
+        d, xs, ys = _cleared(self.terms.values())
+        zp = _numerator_powers(z, A)
+        bp = _numerator_powers(zbar, B)
+        tr = ti = 0
+        for (a, b), x, y in zip(self.terms, xs, ys):
+            zr, zi = zp[a]
+            br, bi = bp[b]
+            pr, pi = x * zr - y * zi, x * zi + y * zr
+            tr += pr * br - pi * bi
+            ti += pr * bi + pi * br
+        return _gr(tr, ti, d * z._d ** A * zbar._d ** B)
 
     def evaluate_exact(self, z) -> GaussianRational:
         """Exact value at a physical point: zbar bound to conj(z)."""

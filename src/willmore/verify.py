@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .potentials import (
     document_for,
     to_nilpotent,
 )
-from .scalars import GaussianRational, _cmul_np
+from .scalars import GaussianRational, _cmul_np, _gr
 from .surfaces import (
     SurfacePair,
     _gram_det_float,
@@ -318,10 +317,10 @@ def _iso_oracle(ctx, cfg, probe) -> float:
 
 
 def _rand_gr(rng) -> GaussianRational:
-    return GaussianRational(
-        Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))),
-        Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))),
-    )
+    # a/p + (b/q)*i, the four ints drawn in this order.
+    a, p = int(rng.integers(-3, 4)), int(rng.integers(1, 4))
+    b, q = int(rng.integers(-3, 4)), int(rng.integers(1, 4))
+    return _gr(a * q, b * p, p * q)
 
 
 def _rand_exact_loop(rng, d) -> LoopMatrix:

@@ -135,7 +135,7 @@ def test_membership_detects_violation():
     d = ctx.dim
     # a non-orthogonal diagonal matrix breaks the bilinear form
     F = LoopMatrix.from_constant(2 * np.eye(d))
-    rep = ctx.check_membership(F, "G(2m+2,C)", z=0.3 + 0.1j)
+    rep = ctx.check_membership(F, "G(2m+2,C)")
     assert not rep["passed"]
     assert rep["max_residual"] > 1.0
 
@@ -155,7 +155,7 @@ def test_twisted_membership_grades_by_parity():
     assert rep["passed"], rep
     # moving the same off-block to an even power breaks the twist
     G = LoopMatrix(d, d, {0: diag, 2: off})
-    rep = ctx.check_membership(G, "twisted-via-D0", z=0.2)
+    rep = ctx.check_membership(G, "twisted-via-D0")
     assert not rep["passed"]
 
 

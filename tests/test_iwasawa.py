@@ -107,6 +107,21 @@ def test_exact_intermediates_keep_their_representation(hf1, hf2, frame1, frame2,
         "9a49af25cdb5b5f1bfe404b8a44647c9823a2d6ba525bef2ebd0ab0966d42ecb")
 
 
+def test_exact_witness_of_a_random_potential_keeps_its_representation():
+    # criterion 6's fourth random draw (m = 2, q != I2): rho, u#, q and det rho,
+    # whose num/den text follows the term order of every exact product on a
+    # potential other than the two shipped examples
+    from test_acceptance import _random_potentials
+
+    w = solve_iwasawa_exact(integrate_frame(to_nilpotent(_random_potentials(20)[3])))
+    assert w.q_is_identity is False
+    digest = hashlib.sha256()
+    for part in (w.rho, w.usharp, w.q, w.det_rho):
+        digest.update(_sorted_text(part).encode())
+    assert digest.hexdigest() == (
+        "7f3bf2b5de02f7fae73ce22596170ba1b52a8e218e486c107b9378fcbe28e48a")
+
+
 def test_exact_witness_blocks_sit_over_their_known_denominators(frame1, frame2):
     # u# and v over det = det rho and q over D2 = det conj(det), each up to
     # a constant factor, which construction normalizes away
@@ -409,7 +424,7 @@ def test_assembled_frame_memberships(example_id):
         frame = assemble_frame(hf, solve_iwasawa_float(hf, np.array([z])))
         assert frame.factor_residual[0] < 1e-8
         for which in ("G(2m+2,C)", "real-form-via-tau", "twisted-via-D0"):
-            rep = ctx.check_membership(frame.F, which, z=z)
+            rep = ctx.check_membership(frame.F, which)
             assert rep["passed"], (which, rep)
 
 
@@ -433,8 +448,8 @@ def test_perturbed_float_frame_fails_its_checks(hf1):
     bad = frame.F + LoopMatrix.from_constant(bump)
     assert check_refactor(hf1, w, bad)[0] > REFACTOR_TOL
     for which in ("G(2m+2,C)", "real-form-via-tau", "twisted-via-D0"):
-        assert ctx.check_membership(frame.F, which, z=z)["passed"], which
-        rep = ctx.check_membership(bad, which, z=z)
+        assert ctx.check_membership(frame.F, which)["passed"], which
+        rep = ctx.check_membership(bad, which)
         assert not rep["passed"], (which, rep)
         assert rep["max_residual"] > 5e-7, (which, rep)
 

@@ -29,6 +29,47 @@ def loop_matrices(draw, n=2, max_power=2):
     return LoopMatrix(n, n, coeffs)
 
 
+# Entries with mixed denominators, zeros among them.
+mixed_gaussians = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+) | st.just(GaussianRational(0))
+
+
+@st.composite
+def gr_loop_pairs(draw):
+    """Two GaussianRational loops, r x k and k x c, with powers in [-1, 1]."""
+    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def loop(rows, cols):
+        powers = draw(st.sets(st.integers(-1, 1), min_size=1, max_size=2))
+        return {p: [[draw(mixed_gaussians) for _ in range(cols)] for _ in range(rows)]
+                for p in powers}
+
+    return (r, k, loop(r, k)), (k, c, loop(k, c))
+
+
+@given(gr_loop_pairs())
+@settings(deadline=None, max_examples=15)
+def test_gaussian_rational_matmul_matches_object_matmul(pair):
+    (r, k, a), (_, c, b) = pair
+    want = {}
+    for pa, ma in a.items():
+        for pb, mb in b.items():
+            # numpy's object @: one GaussianRational product and sum per term
+            prod = np.array(ma, dtype=object) @ np.array(mb, dtype=object)
+            want[pa + pb] = want[pa + pb] + prod if pa + pb in want else prod
+    got = LoopMatrix(r, k, a) @ LoopMatrix(k, c, b)
+    assert (got.rows, got.cols) == (r, c)
+    kept = {p: m for p, m in want.items() if any(x for x in m.flat)}
+    assert sorted(got.coeffs) == sorted(kept)
+    for p, m in kept.items():
+        assert got.coeffs[p].shape == (r, c)
+        for x, y in zip(got.coeffs[p].flat, m.flat):
+            assert type(x) is GaussianRational and (x._a, x._b, x._d) == (y._a, y._b, y._d)
+
+
 @given(loop_matrices(), loop_matrices(), loop_matrices())
 @settings(deadline=None, max_examples=30)
 def test_loop_ring_axioms(A, B, C):
