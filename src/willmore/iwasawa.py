@@ -18,17 +18,16 @@ numerators over a denominator known in advance, det = det rho or
 D2 = det conj(det), so no gcd is needed:
 
     u# = U / det,   U = E adj(rho),   E = f# - J2 fbar^t g
-    v  = V / det,   V = g adj(rho)
     q  = Q / D2,    Q = det Q1,       Q1 = det (I + J2 fbar^t f) - E Ubar^t J2
 
 with U# = sharp(U) the numerator of u.  No product with rho is formed:
-adj(rho) rho = det I gives U rho = det E and V rho = det g, and rho is
-Hermitian, so conj(det) = det and D2 = det^2.  1B cleared of det D2 and
+adj(rho) rho = det I gives U rho = det E, and rho is Hermitian, so
+conj(det) = det and D2 = det^2.  1B cleared of det D2 and
 divided by det reads U# Q1 - det g Ubar^t J2 - D2 f = 0, a polynomial
 identity (the polynomials have no zero divisors, so it holds exactly when
 the undivided one does), and q == I2 reads Q == D2 I2.  The exact witness
-stops at 1B: exact frames need only u, so 1A is solved only in floats,
-where it checks l1.
+stops at 1B: exact frames need only u, so 1D and 1A are solved only in
+floats, where they check l1.
 
 The diagonal Gram factor W0 = diag(a, q, rho) splits as tau(L)^-1 L with
 L = diag(l1, l0, l4): l4 is the upper Cholesky factor of rho,
@@ -49,8 +48,9 @@ holomorphic side, F L tau(W)^-1 = H, by BLAS products of loop coefficients,
 matrix by matrix, so each sample holds the bits of a stack of one.  When
 q == I2 identically the frame's middle two columns are rational, and the
 exact frame is just their three nonzero blocks, the loop^-1, loop^0 and
-loop^1 coefficients of _middle_blocks: they are all the surface extraction
-needs, and it binds the loop parameter on them as the float lifts do.
+loop^1 coefficients of _middle_blocks, held as polynomial numerators over
+det rho: they are all the surface extraction needs, and it binds the loop
+parameter on them as the float lifts do.
 """
 
 from __future__ import annotations
@@ -84,23 +84,25 @@ def _ct(X: np.ndarray) -> np.ndarray:
 class IwasawaWitness:
     """Gram data of the factorization, exact (global) or float (numeric).
 
-    Both kinds carry m, rho, rho_inv, u, usharp, v and q.
+    Both kinds carry m, rho, rho_inv, u, usharp and q.
     An exact witness holds read-only object arrays of RationalFn, so it is
-    the one whose rho.dtype is object; it also sets det_rho, q_is_identity
-    and, when q == I2, l0 = I2.
+    the one whose rho.dtype is object; it also sets det_rho, q_is_identity,
+    usharp_frac = (U, det), the BiPoly numerator matrix and denominator
+    that u# = U / det is solved on, and, when q == I2, l0 = I2.
     A float witness is solved over a 1-D array of N samples and holds stacks
-    over the samples that passed every check: l0, l1, l4, z, residuals, fv
-    and gv, with index giving their positions in the input and errors the
+    over the samples that passed every check: v, l0, l1, l4, z, residuals,
+    fv and gv, with index giving their positions in the input and errors the
     error each of the N samples failed with (None where it passed).
     """
 
-    def __init__(self, m, rho, rho_inv, u, usharp, v, q, det_rho=None,
-                 q_is_identity=None, l0=None, l1=None, l4=None, z=None,
-                 residuals=None, fv=None, gv=None, index=None, errors=None):
+    def __init__(self, m, rho, rho_inv, u, usharp, q, v=None, det_rho=None,
+                 usharp_frac=None, q_is_identity=None, l0=None, l1=None, l4=None,
+                 z=None, residuals=None, fv=None, gv=None, index=None, errors=None):
         self.m = m
         self.rho = rho
         self.rho_inv = rho_inv
         self.det_rho = det_rho
+        self.usharp_frac = usharp_frac
         self.u = u
         self.usharp = usharp
         self.v = v
@@ -122,7 +124,8 @@ class ExtendedFrame:
     """Factorized frame: full float loop F over a stack of samples, or, set on
     an exact frame only, middle: the (top, mid, bot) blocks of _middle_blocks,
     the read-only loop^-1, loop^0 and loop^1 coefficients of the frame's two
-    middle columns in rows 1..m, m+1..m+2 and m+3..2m+2 (all else is zero).
+    middle columns in rows 1..m, m+1..m+2 and m+3..2m+2 (all else is zero),
+    as BiPoly numerators over the BiPoly den = det rho.
 
     A float frame has one matrix per sample that passed the witness's checks,
     one factor_residual per such sample, and errors: for each input sample,
@@ -130,12 +133,13 @@ class ExtendedFrame:
     with (None where it passed).
     """
 
-    def __init__(self, m, witness, F=None, middle=None, z=None,
+    def __init__(self, m, witness, F=None, middle=None, den=None, z=None,
                  factor_residual=None, hf=None, errors=None):
         self.m = m
         self.witness = witness
         self.F = F
         self.middle = middle
+        self.den = den
         self.z = z
         self.factor_residual = factor_residual
         self.hf = hf
@@ -184,7 +188,7 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
 
     Every block is solved on polynomial numerators over known denominators
     (see the module docstring) and returned as a read-only object array of
-    RationalFn over its denominator: rho over 1, rho^-1, u#, u and v over
+    RationalFn over its denominator: rho over 1, rho^-1, u# and u over
     det rho, and q over D2.
     """
     m = hf.m
@@ -208,11 +212,10 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
     rho_inv = over(adj, det)
     rho = exact_map(rho_poly, RationalFn.coerce)
 
-    # 1E and 1D on numerators: u# = U / det and v = V / det.
+    # 1E on the numerator: u# = U / det.
     j2fh = J2 @ fbar.T
     E = sharp(f) - j2fh @ g
     U = E @ adj
-    V = g @ adj
     usharp = over(U, det)
     u = sharp(usharp)
     # q over D2 = det conj(det).
@@ -221,8 +224,8 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
     def times(mat, p):
         return exact_map(mat, lambda x: x * p)
 
-    # 1C on Q = det Q1: U rho = det E and V rho = det g, as adj(rho) rho =
-    # det I, and conj(det) = det, as rho is Hermitian.
+    # 1C on Q = det Q1: U rho = det E, as adj(rho) rho = det I, and
+    # conj(det) = det, as rho is Hermitian.
     Ubar_t_J2 = np.conjugate(U).T @ J2
     Q1 = times(exact_identity(2, BP_ONE, BP_ZERO) + j2fh @ f, det) - E @ Ubar_t_J2
     Q = times(Q1, det)
@@ -235,7 +238,7 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
     q_is_identity = exact_equal(Q, exact_identity(2, D2, BP_ZERO))
     ident2 = exact_identity(2, RF_ONE, RF_ZERO)
     return IwasawaWitness(
-        m, rho, rho_inv, u, usharp, over(V, det), over(Q, D2), det_rho=det_rf,
+        m, rho, rho_inv, u, usharp, over(Q, D2), det_rho=det_rf, usharp_frac=(U, det),
         q_is_identity=q_is_identity, l0=ident2 if q_is_identity else None,
     )
 
@@ -389,7 +392,7 @@ def solve_iwasawa_float(hf: HolomorphicFrame, z) -> IwasawaWitness:
     ok = ~failed
     usharp = usharp[ok]
     return IwasawaWitness(
-        m, rho[ok], rho_inv[ok], sharp(usharp), usharp, v[ok], q[ok],
+        m, rho[ok], rho_inv[ok], sharp(usharp), usharp, q[ok], v=v[ok],
         l0=l0[ok], l1=l1[ok], l4=_ct(Lc[ok]), z=z[ok],
         residuals={k: r[ok] for k, r in residuals.items()}, fv=fv[ok], gv=gv[ok],
         index=np.flatnonzero(ok), errors=errors,
@@ -403,13 +406,19 @@ def assemble_frame(hf: HolomorphicFrame, witness: IwasawaWitness) -> ExtendedFra
     return _assemble_float(hf, witness)
 
 
-def _middle_blocks(f, g, u, Jm):
+def _middle_blocks(f, g, u, Jm, den=None):
     """The frame's middle two columns before the l0^-1 factor: rows 1..m at
     loop^-1, f + g Jm ubar; rows m+1, m+2 at loop^0, I - f# Jm ubar; the last
-    m rows at loop^1, Jm ubar.  Exact matrices and float stacks take the same
-    products (the identity's float entries become exact ones)."""
+    m rows at loop^1, Jm ubar.  Given den, with conj(den) = den, u is the
+    numerator of u over den, and the blocks are numerators over den, with
+    den f and den I in place of f and I.  Float stacks and exact matrices
+    over det rho take the same products."""
     ubar = np.conjugate(u)
-    return f + g @ Jm @ ubar, np.eye(2) - sharp(f) @ Jm @ ubar, Jm @ ubar
+    if den is None:
+        top, eye = f, np.eye(2)
+    else:
+        top, eye = den * f, exact_identity(2, den, BP_ZERO)
+    return top + g @ Jm @ ubar, eye - sharp(f) @ Jm @ ubar, Jm @ ubar
 
 
 def middle_columns_float(w: IwasawaWitness):
@@ -487,8 +496,10 @@ def _assemble_exact_middle(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedF
     columns equal the honest ones inside the singular circle and are their
     negatives outside it, where the future-pointing lift takes s = -1.
     """
-    blocks = _middle_blocks(hf.f, hf.g, w.u, get_context(hf.m).Jm)
-    return ExtendedFrame(hf.m, w, middle=tuple(exact_matrix(b) for b in blocks), hf=hf)
+    U, det = w.usharp_frac
+    blocks = _middle_blocks(hf.f, hf.g, sharp(U), get_context(hf.m).Jm, det)
+    return ExtendedFrame(hf.m, w, middle=tuple(exact_matrix(b) for b in blocks), den=det,
+                         hf=hf)
 
 
 # -- connection forms ----------------------------------------------------------

@@ -16,9 +16,10 @@ Three layers, all on Python integers:
 * RationalFn: quotient of two BiPoly, kept unreduced apart from cheap
   monomial and content strips.  Equality is decided by cross-multiplication,
   never by computing a gcd normal form.  reduced() cancels the num/den gcd
-  on demand; its one caller is the exact lift extraction.  Where the
-  denominator is known in advance (the exact witness, the exact isotropy
-  check) the pipeline works on BiPoly numerators over it instead.
+  on demand, computed on BiPoly itself; its one caller is the exact lift
+  extraction, which reduces numerators over det rho.  Where the denominator
+  is known in advance (the exact witness, the exact frame, the exact
+  isotropy check) the pipeline works on BiPoly numerators over it instead.
 
 Numeric evaluation computes exactly (the sample point is converted to exact
 rationals) and rounds to complex once at the end.  All three evaluate(z),
@@ -474,9 +475,8 @@ class BiPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = BiPoly.const(other)
-        if not isinstance(other, BiPoly):
+        other = self.coerce_other(other)
+        if other is None:
             return NotImplemented
         return self.terms == other.terms
 
@@ -622,190 +622,102 @@ BP_ZERO = BiPoly.zero()
 BP_ONE = BiPoly.const(1)
 
 
-# Polynomial gcd support for RationalFn.reduced().  A BiPoly is viewed as a
-# univariate polynomial in z whose coefficients are univariate polynomials in
-# zbar over the field Q(i); both layers are sparse dicts.  The bivariate gcd
-# uses the primitive polynomial remainder sequence, which keeps coefficient
-# growth tame at the degrees arising here (tens, not thousands).
+# Polynomial gcd for RationalFn.reduced().  A BiPoly is read as a polynomial
+# in z whose coefficients are polynomials in zbar over the field Q(i).  The
+# gcd runs the primitive remainder sequence in z (Brown 1971), which keeps
+# coefficient growth tame at the degrees arising here (tens, not thousands),
+# and splits off the zbar contents by Euclid's algorithm on z-free
+# polynomials.  Both rest on one long division on lex-leading terms.
 
-def _u_deg(u):
-    return max(u) if u else -1
-
-
-def _u_monic(u):
-    if not u:
-        return u
-    lead = u[_u_deg(u)]
-    if lead == GR_ONE:
-        return u
-    inv = GR_ONE / lead
-    return {k: c * inv for k, c in u.items()}
-
-
-def _u_mul(a, b):
-    out = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            k = i + j
-            v = out.get(k)
-            v = ca * cb if v is None else v + ca * cb
-            if v.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = v
-    return out
-
-
-def _u_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("univariate division by zero polynomial")
-    db = _u_deg(b)
-    lb = b[db]
+def _divmod_lex(p: BiPoly, g: BiPoly):
+    """(q, r) with p = q g + r, by long division on lex-leading terms that
+    stops at the first leading term of r that the leading term of g does not
+    divide.  For z-free p and g, r is the remainder in zbar.  When g divides
+    p, r is zero and q is the exact quotient, its terms in descending lex
+    order."""
+    a0, b0 = lead = max(g.terms)
+    lg = g.terms[lead]
+    rest = [(a, b, c) for (a, b), c in g.terms.items() if (a, b) != lead]
+    r = dict(p.terms)
     q = {}
-    r = dict(a)
-    while r and _u_deg(r) >= db:
-        dr = _u_deg(r)
-        c = r[dr] / lb
-        q[dr - db] = c
-        for j, cb in b.items():
-            k = dr - db + j
-            v = r.get(k, GR_ZERO) - c * cb
-            if v.is_zero():
-                r.pop(k, None)
-            else:
+    while r:
+        a, b = key = max(r)
+        if a < a0 or b < b0:
+            break
+        c = r.pop(key) / lg
+        a, b = a - a0, b - b0
+        q[(a, b)] = c
+        for ga, gb, gc in rest:
+            k = (a + ga, b + gb)
+            v = r.get(k)
+            v = -(c * gc) if v is None else v - c * gc
+            if v:
                 r[k] = v
-    return q, r
+            else:
+                del r[k]
+    return _bipoly(q), _bipoly(r)
 
 
-def _u_gcd(a, b):
-    a, b = dict(a), dict(b)
-    while b:
-        a, b = b, _u_divmod(a, b)[1]
-    return _u_monic(a)
-
-
-def _u_div_exact(a, g):
-    q, r = _u_divmod(a, g)
+def _div_exact(p: BiPoly, g: BiPoly) -> BiPoly:
+    """Quotient p / g, erroring out unless the division is exact."""
+    q, r = _divmod_lex(p, g)
     if r:
-        raise ArithmeticError("inexact univariate division in gcd reduction")
+        raise ArithmeticError("inexact division in gcd reduction")
     return q
 
 
-def _t_from_bipoly(p):
-    tower = {}
-    for (i, j), c in p.terms.items():
-        tower.setdefault(i, {})[j] = c
-    return tower
+def _monic(p: BiPoly) -> BiPoly:
+    """p over the coefficient of its lex-leading term."""
+    lead = p.terms[max(p.terms)]
+    return p if lead == GR_ONE else p * (GR_ONE / lead)
 
 
-def _t_to_bipoly(t):
-    return BiPoly({(i, j): c for i, u in t.items() for j, c in u.items()})
+def _zbar_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
+    """Monic gcd of two z-free polynomials, not both zero."""
+    while b:
+        a, b = b, _divmod_lex(a, b)[1]
+    return _monic(a)
 
 
-def _t_content_pp(t):
-    """Split off the gcd of the zbar-coefficient polynomials."""
-    cont = {}
-    for u in t.values():
-        cont = _u_gcd(cont, u)
-        if _u_deg(cont) == 0:
+def _z_coefficient(p: BiPoly, i: int) -> BiPoly:
+    """The coefficient of z^i in p, a z-free polynomial."""
+    return _bipoly({(0, b): c for (a, b), c in p.terms.items() if a == i})
+
+
+def _primitive_split(p: BiPoly):
+    """(content, primitive part) of a nonzero p read as a polynomial in z; a
+    content of degree zero is returned as 1, with p as it is."""
+    cont = BP_ZERO
+    for i in {a for a, _ in p.terms}:
+        cont = _zbar_gcd(cont, _z_coefficient(p, i))
+        if cont.degrees() == (0, 0):
+            return BP_ONE, p
+    return cont, _div_exact(p, cont)
+
+
+def _prem(a: BiPoly, b: BiPoly) -> BiPoly:
+    """Pseudo-remainder of a by b in z."""
+    db = b.degrees()[0]
+    lb = _z_coefficient(b, db)
+    while a:
+        da = a.degrees()[0]
+        if da < db:
             break
-    if _u_deg(cont) <= 0:
-        return cont, t
-    return cont, {i: _u_div_exact(u, cont) for i, u in t.items()}
-
-
-def _t_prem(a, b):
-    """Pseudo-remainder of a by b in the z variable."""
-    db = max(b)
-    lb = b[db]
-    r = a
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        out = {}
-        for i, u in r.items():
-            out[i] = _u_mul(u, lb)
-        for i, u in b.items():
-            k = dr - db + i
-            prod = _u_mul(u, lr)
-            cur = out.get(k, {})
-            merged = dict(cur)
-            for j, c in prod.items():
-                v = merged.get(j, GR_ZERO) - c
-                if v.is_zero():
-                    merged.pop(j, None)
-                else:
-                    merged[j] = v
-            if merged:
-                out[k] = merged
-            else:
-                out.pop(k, None)
-        r = out
-    return r
-
-
-def _t_gcd(a, b):
-    ca, pa = _t_content_pp(a)
-    cb, pb = _t_content_pp(b)
-    cont = _u_gcd(ca, cb)
-    if max(pa) < max(pb):
-        pa, pb = pb, pa
-    while True:
-        if not pb:
-            g = pa
-            break
-        if max(pb) == 0:
-            g = {0: {0: GR_ONE}}
-            break
-        r = _t_prem(pa, pb)
-        if r:
-            r = _t_content_pp(r)[1]
-        pa, pb = pb, r
-    if _u_deg(cont) > 0:
-        g = {i: _u_mul(u, cont) for i, u in g.items()}
-    lead = g[max(g)]
-    inv = GR_ONE / lead[_u_deg(lead)]
-    if inv != GR_ONE:
-        g = {i: {j: c * inv for j, c in u.items()} for i, u in g.items()}
-    return g
+        a = a * lb - _z_coefficient(a, da).shift(da - db, 0) * b
+    return a
 
 
 def _bipoly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
-    if p.is_zero():
-        return q
-    if q.is_zero():
-        return p
-    return _t_to_bipoly(_t_gcd(_t_from_bipoly(p), _t_from_bipoly(q)))
-
-
-def _bipoly_div_exact(p: BiPoly, g: BiPoly) -> BiPoly:
-    """Quotient p / g, erroring out unless the division is exact."""
-    t = _t_from_bipoly(p)
-    d = _t_from_bipoly(g)
-    dg = max(d)
-    lg = d[dg]
-    q = {}
-    while t:
-        dt = max(t)
-        if dt < dg:
-            raise ArithmeticError("inexact bivariate division in gcd reduction")
-        qc = _u_div_exact(t[dt], lg)
-        q[dt - dg] = qc
-        for i, u in d.items():
-            k = dt - dg + i
-            prod = _u_mul(u, qc)
-            cur = dict(t.get(k, {}))
-            for j, c in prod.items():
-                v = cur.get(j, GR_ZERO) - c
-                if v.is_zero():
-                    cur.pop(j, None)
-                else:
-                    cur[j] = v
-            if cur:
-                t[k] = cur
-            else:
-                t.pop(k, None)
-    return _t_to_bipoly({i: u for i, u in q.items() if u})
+    """gcd of two nonzero polynomials, monic in lex order."""
+    cp, pa = _primitive_split(p)
+    cq, pb = _primitive_split(q)
+    if pa.degrees()[0] < pb.degrees()[0]:
+        pa, pb = pb, pa
+    while pb and pb.degrees()[0] > 0:
+        r = _prem(pa, pb)
+        pa, pb = pb, (_primitive_split(r)[1] if r else r)
+    g = pa if not pb else BP_ONE
+    return _monic(g * _zbar_gcd(cp, cq))
 
 
 class RationalFn:
@@ -983,9 +895,7 @@ class RationalFn:
         g = _bipoly_gcd(self.num, self.den)
         if g.degrees() == (0, 0):
             return self
-        return RationalFn(
-            _bipoly_div_exact(self.num, g), _bipoly_div_exact(self.den, g)
-        )
+        return RationalFn(_div_exact(self.num, g), _div_exact(self.den, g))
 
     def evaluate_at(self, z, zbar) -> GaussianRational:
         dv = self.den.evaluate_at(z, zbar)

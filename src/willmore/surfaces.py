@@ -98,10 +98,11 @@ class SurfacePair:
     """Adjoint pair of homogeneous light-cone lifts at one family parameter.
 
     Exact pair (Y is not None), from extract_pair: Y and Yhat are tuples of
-    2m+2 RationalFn in R^{1,2m+1} coordinates, each reduced by its num/den
-    gcd (stored scale: true lift = (sqrt(2)/2) * stored, pairings carry
-    factor 1/2), read off the exact frame's middle blocks at an exact unit
-    lam; induced_metric keeps its conformal factors in metrics, by lift.
+    2m+2 RationalFn in R^{1,2m+1} coordinates (stored scale: true lift =
+    (sqrt(2)/2) * stored, pairings carry factor 1/2), each a polynomial read
+    off the exact frame's middle blocks at an exact unit lam, over det rho,
+    and reduced by its num/den gcd; induced_metric keeps its conformal
+    factors in metrics, by lift.
     Float pair (Y is None), SurfacePair(hf.m, lam, hf) for lam on the unit
     circle: its lifts are read off the middle columns of the frame that one
     stacked factorization of hf gives at the requested samples.
@@ -154,24 +155,25 @@ def _bind_columns(blocks, lam, li, m, times_minus_i):
 def extract_pair(frame: ExtendedFrame, lam) -> SurfacePair:
     """Read the adjoint pair off an exact frame's middle blocks at lam.
 
-    lam must be an exact unit; it is bound as lift_columns_float binds a
-    float one, and the pair holds its lifts as tuples of 2m+2 reduced
-    RationalFn.  A float pair needs no frame: SurfacePair(hf.m, lam, hf)
-    factorizes hf at each sample it is evaluated at.
+    lam must be an exact unit; it is bound on the blocks' BiPoly numerators
+    as lift_columns_float binds a float one on float columns, and each
+    component, a numerator over det rho, is reduced to a RationalFn.  A
+    float pair needs no frame: SurfacePair(hf.m, lam, hf) factorizes hf at
+    each sample it is evaluated at.
     """
     if frame.middle is None:
         raise ExactPathRequired("extract_pair reads exact frames only")
     lam = GaussianRational.coerce(lam)
     if lam.abs_squared() != 1:
         raise ValueError("exact family parameter must satisfy |lambda| = 1")
-    minus_i = RationalFn.const(GaussianRational(0, -1))
+    minus_i = GaussianRational(0, -1)
     ycol, yhatcol = _bind_columns(frame.middle, lam, GR_ONE / lam, frame.m,
                                   lambda x: minus_i * x)
-    # Reducing here collapses the unreduced factorization denominators
-    # (degrees in the tens) to the true ones, so every downstream pairing,
-    # metric, and derivative works on small operands.
-    Y = tuple((-c).reduced() for c in ycol)
-    Yhat = tuple(c.reduced() for c in yhatcol)
+    # Each component is a numerator over det rho; reducing it cancels their
+    # gcd, so every downstream pairing, metric, and derivative works on the
+    # true denominator.
+    Y = tuple(RationalFn(-c, frame.den).reduced() for c in ycol)
+    Yhat = tuple(RationalFn(c, frame.den).reduced() for c in yhatcol)
     return SurfacePair(frame.m, lam, frame.hf, Y=Y, Yhat=Yhat)
 
 

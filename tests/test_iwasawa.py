@@ -123,8 +123,8 @@ def test_exact_witness_of_a_random_potential_keeps_its_representation():
 
 
 def test_exact_witness_blocks_sit_over_their_known_denominators(frame1, frame2):
-    # u# and v over det = det rho and q over D2 = det conj(det), each up to
-    # a constant factor, which construction normalizes away
+    # u# over det = det rho and q over D2 = det conj(det), each up to a
+    # constant factor, which construction normalizes away
     def over(x, den):
         lead = x.den.leading_coefficient()
         return x.is_zero() or x.den * den.leading_coefficient() == den * lead
@@ -134,7 +134,7 @@ def test_exact_witness_blocks_sit_over_their_known_denominators(frame1, frame2):
         det = w.det_rho.num
         assert w.det_rho.den == BiPoly.const(1)
         D2 = det * det.conjugate()
-        for name, den in (("usharp", det), ("u", det), ("v", det), ("q", D2)):
+        for name, den in (("usharp", det), ("u", det), ("q", D2)):
             for (i, j), x in np.ndenumerate(getattr(w, name)):
                 assert over(x, den), (w.m, name, i, j, x.den.degrees())
 
@@ -152,9 +152,9 @@ def test_exact_determinant_is_a_perfect_square(hf1, hf2):
 
 
 def _rational_chain(hf, w):
-    """q and v as products of RationalFn, as the exact witness formed them
-    before it solved 1C and 1D over known denominators: the reference for
-    those blocks, from the witness's rho, rho^-1 and u#."""
+    """q as a product of RationalFn, as the exact witness formed it before it
+    solved 1C over a known denominator: the reference for that block, from
+    the witness's rho and u#."""
     J2 = get_context(hf.m).J2
 
     def rf(mat):
@@ -163,21 +163,17 @@ def _rational_chain(hf, w):
     one, zero = RationalFn(BiPoly.const(1)), RationalFn(BiPoly.zero())
     J2rf = rf(J2)
     usharp_bar_t = np.conjugate(w.usharp).T
-    q = ((exact_identity(2, one, zero) + rf((J2 @ np.conjugate(hf.f).T) @ hf.f))
-         - (w.usharp @ w.rho) @ (usharp_bar_t @ J2rf))
-    v = rf(hf.g) @ w.rho_inv
-    return q, v
+    return ((exact_identity(2, one, zero) + rf((J2 @ np.conjugate(hf.f).T) @ hf.f))
+            - (w.usharp @ w.rho) @ (usharp_bar_t @ J2rf))
 
 
 def test_exact_witness_blocks_equal_the_rational_chain(hf1, hf2, frame1, frame2):
     for hf, frame in ((hf1, frame1), (hf2, frame2)):
         w = frame.witness
-        q, v = _rational_chain(hf, w)
-        for name, want in (("q", q), ("v", v)):
-            got = getattr(w, name)
-            assert got.shape == want.shape, name
-            for (i, j), x in np.ndenumerate(got):
-                assert x == want[i, j], (hf.m, name, i, j)
+        q = _rational_chain(hf, w)
+        assert w.q.shape == q.shape
+        for (i, j), x in np.ndenumerate(w.q):
+            assert x == q[i, j], (hf.m, i, j)
         ident = exact_identity(2, RationalFn(BiPoly.const(1)), RationalFn(BiPoly.zero()))
         assert w.q_is_identity and exact_equal(q, ident)
 
@@ -195,11 +191,14 @@ def test_exact_closure_rejects_a_broken_frame(hf1):
 def test_float_witness_matches_exact_at_samples(example_id):
     hf = integrate_frame(to_nilpotent(builtin_potential(example_id)))
     wx = solve_iwasawa_exact(hf)
+    # the exact witness solves no v; 1D gives it as g rho^-1
+    exact_blocks = {"rho": wx.rho, "u": wx.u,
+                    "v": exact_map(hf.g, RationalFn.coerce) @ wx.rho_inv}
     for z in (0.2 + 0.1j, -0.5 + 0.4j, 0.7j):
         wf = solve_iwasawa_float(hf, np.array([z]))
-        for name in ("rho", "u", "v"):
+        for name, block in exact_blocks.items():
             exact = np.array(
-                [[e.evaluate(z) for e in row] for row in getattr(wx, name)],
+                [[e.evaluate(z) for e in row] for row in block],
                 dtype=complex,
             )
             got = getattr(wf, name)[0]
@@ -480,8 +479,9 @@ def test_exact_middle_columns_match_float(frame2, hf2):
     float_frame = assemble_frame(hf2, solve_iwasawa_float(hf2, np.array([z])))
     lam = np.exp(0.3j)
     Ffull = float_frame.F.evaluate(z, lam)[0]
+    # the exact blocks are numerators over det rho
     top, mid, bot = (np.array([[x.evaluate(z) for x in row] for row in b])
-                     for b in frame2.middle)
+                     / frame2.den.evaluate(z) for b in frame2.middle)
     mid_exact = np.concatenate([top / lam, mid, lam * bot])
     m = hf2.m
     assert np.abs(Ffull[:, m:m + 2] - mid_exact).max() < 1e-9

@@ -403,6 +403,18 @@ def test_equal_numbers_find_each_other_as_keys():
     assert hash(big) == hash(complex(-1000004, 1)) == -2
 
 
+def test_bipoly_equals_equal_numbers_of_every_type():
+    one = BiPoly.const(1)
+    for x in (1, Fraction(1), 1.0, 1 + 0j, GaussianRational(1)):
+        assert one == x and x == one
+        assert {one: "x"}[x] == "x"
+    assert one != 1.5 and one != 1j
+    half_i = BiPoly.const(GaussianRational(Fraction(1, 2), Fraction(-1, 2)))
+    assert half_i == 0.5 - 0.5j and {half_i: "x"}[0.5 - 0.5j] == "x"
+    assert BP_ZERO == 0.0 and BP_ZERO == 0j
+    assert BiPoly.var_z() != 1.0
+
+
 def test_bipoly_degrees_and_leading_coefficient():
     z = BiPoly.var_z()
     zb = BiPoly.var_zbar()
@@ -466,6 +478,66 @@ def test_rationalfn_reduced_cancels_common_factor(num, den, common):
     base = RationalFn(num, den).reduced()
     assert r.num.degrees() == base.num.degrees()
     assert r.den.degrees() == base.den.degrees()
+
+
+def _sympy_poly(p, gens):
+    import sympy
+
+    QQ_I = sympy.QQ_I
+    return sympy.Poly.from_dict(
+        {k: QQ_I(sympy.QQ(c.re.numerator, c.re.denominator),
+                 sympy.QQ(c.im.numerator, c.im.denominator))
+         for k, c in p.terms.items()}, *gens, domain=QQ_I)
+
+
+def _from_sympy(P):
+    return BiPoly({k: GaussianRational(Fraction(int(c.x.numerator), int(c.x.denominator)),
+                                       Fraction(int(c.y.numerator), int(c.y.denominator)))
+                   for k, c in P.as_dict(native=True).items()})
+
+
+# (a + b i)/d from three small ints: cheaper to draw than two Fractions
+_small_gaussians = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 6)).filter(
+    lambda t: t[0] or t[1]).map(lambda t: GaussianRational(Fraction(t[0], t[2]), Fraction(t[1], t[2])))
+
+
+def _small_polys(max_terms, min_terms=0, z_free=False):
+    keys = st.tuples(st.just(0) if z_free else st.integers(0, 2), st.integers(0, 2))
+    return st.dictionaries(keys, _small_gaussians, min_size=min_terms,
+                           max_size=max_terms).map(BiPoly)
+
+
+# (p, q, c): small polynomials, c nonzero, p and c z-free in some cases
+gcd_cases = st.tuples(st.booleans(), st.booleans()).flatmap(lambda free: st.tuples(
+    _small_polys(3, z_free=free[0]), _small_polys(3),
+    _small_polys(2, min_terms=1, z_free=free[1])))
+
+
+@given(gcd_cases)
+@settings(deadline=None, max_examples=40)
+def test_gcd_and_exact_division_match_sympy(case):
+    # the monic lex gcd of p c and q c, and the exact quotient (of zero when
+    # p or q is), against sympy over Q(i) with z > zbar in lex order
+    from willmore.scalars import _bipoly_gcd, _div_exact
+
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("z w")
+    p, q, c = case
+    a, b = p * c, q * c
+    if a and b:
+        want = _sympy_poly(a, gens).gcd(_sympy_poly(b, gens))
+        assert _bipoly_gcd(a, b) == _from_sympy(want)
+    for num, den in ((a, c), (p, c), (a, p), (b, q)):
+        if not den:
+            continue
+        divisible = _sympy_poly(num, gens).rem(_sympy_poly(den, gens)).is_zero
+        if divisible:
+            quot = _div_exact(num, den)
+            assert quot * den == num
+            assert list(quot.terms) == sorted(quot.terms, reverse=True)
+        else:
+            with pytest.raises(ArithmeticError):
+                _div_exact(num, den)
 
 
 def test_rationalfn_known_reduction():

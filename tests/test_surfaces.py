@@ -1,6 +1,7 @@
 """Surface extraction: light-cone pairings, metrics, isotropy, branch
 behavior, and the degeneracy loci."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from willmore.errors import ExactPathRequired, SingularLocus
 from willmore.frames import integrate_frame
 from willmore.iwasawa import solve_iwasawa_exact, solve_iwasawa_float
 from willmore.potentials import builtin_potential, to_nilpotent
-from willmore.scalars import BiPoly, RationalFn
+from willmore.scalars import GR_I, BiPoly, RationalFn
 from willmore.surfaces import (
     SurfacePair,
     _gram_det_float,
@@ -34,6 +35,23 @@ RF_ZERO = RationalFn(BiPoly.zero())
 
 
 # -- exact light-cone relations -----------------------------------------------
+
+
+def test_reduced_lifts_keep_their_representation(frame1, frame2):
+    # the num/den terms of every reduced Y and Yhat component of both
+    # examples at lambda = 1 and i, in dict order, which RationalFn's content
+    # strip folds in
+    def terms(p):
+        return "+".join("%d,%d:%s,%s" % (a, b, c.re, c.im) for (a, b), c in p.terms.items())
+
+    digest = hashlib.sha256()
+    for frame in (frame1, frame2):
+        for lam in (1, GR_I):
+            pair = extract_pair(frame, lam)
+            for c in pair.Y + pair.Yhat:
+                digest.update(("(%s)/(%s)" % (terms(c.num), terms(c.den))).encode())
+    assert digest.hexdigest() == (
+        "e09671a52f0449197bf160cb8893527ba31fcc7ce3a74a62403e7f908b862224")
 
 
 @pytest.mark.parametrize("which_pair", ["pair1", "pair2"])
