@@ -257,12 +257,10 @@ def _eval_mat(mat, z) -> np.ndarray:
 
 
 def gram_float(fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
-    """Equation 1F at each sample: rho = I + Jm fbar J2 f^t Jm + gbar^t g."""
-    m = fv.shape[-2]
-    ctx = get_context(m)
-    Jm = ctx.np("Jm")
-    return (np.eye(m, dtype=complex) + Jm @ fv.conj() @ ctx.np("J2") @ fv.swapaxes(-1, -2) @ Jm
-            + _ct(gv) @ gv)
+    """Equation 1F at each sample: rho = I + Jm fbar J2 f^t Jm + gbar^t g, the
+    permutations Jm and J2 applied by indexing."""
+    gram = (fv.conj()[..., ::-1, ::-1] @ fv.swapaxes(-1, -2))[..., ::-1]
+    return np.eye(fv.shape[-2], dtype=complex) + gram + _ct(gv) @ gv
 
 
 def _cholesky_stack(rho: np.ndarray):
@@ -299,8 +297,7 @@ def solve_iwasawa_float(hf: HolomorphicFrame, z) -> IwasawaWitness:
     m = hf.m
     tol = _STRUCT_TOL
     n = len(z)
-    ctx = get_context(m)
-    Jm, J2 = ctx.np("Jm"), ctx.np("J2")
+    Jm = get_context(m).np("Jm")
     eye_m = np.eye(m, dtype=complex)
     errors = [None] * n
     failed = np.zeros(n, dtype=bool)
@@ -339,18 +336,19 @@ def solve_iwasawa_float(hf: HolomorphicFrame, z) -> IwasawaWitness:
     rho_inv = np.linalg.inv(rho)
 
     # Shared left factors are computed once; products still associate from
-    # the left, as in the block equations, so the bits do not change.
-    j2fh = J2 @ _ct(fv)
+    # the left, as in the block equations, so the bits do not change.  J2
+    # is applied by indexing (X[..., ::-1] is X J2, X[..., ::-1, :] is J2 X).
+    j2fh = _ct(fv)[..., ::-1, :]
     usharp = (fsh - j2fh @ gv) @ rho_inv
     u = sharp(usharp)
-    q = np.eye(2, dtype=complex) + j2fh @ fv - usharp @ rho @ _ct(usharp) @ J2
+    q = np.eye(2, dtype=complex) + j2fh @ fv - (usharp @ rho @ _ct(usharp))[..., ::-1]
     v = gv @ rho_inv
     uq = u @ q
     vrho = v @ rho
-    a = eye_m - uq @ J2 @ _ct(u) - vrho @ _ct(v)
+    a = eye_m - uq[..., ::-1] @ _ct(u) - vrho @ _ct(v)
 
     residuals = {}
-    residuals["1B"] = np.abs(uq - vrho @ _ct(usharp) @ J2 - fv).max(axis=(-2, -1))
+    residuals["1B"] = np.abs(uq - (vrho @ _ct(usharp))[..., ::-1] - fv).max(axis=(-2, -1))
     qscale = np.maximum(1.0, np.abs(q).max(axis=(-2, -1)))
     # Moduli of single entries use hypot, as abs() of a complex scalar does;
     # numpy's array abs can differ from it in the last bit.
@@ -406,26 +404,27 @@ def assemble_frame(hf: HolomorphicFrame, witness: IwasawaWitness) -> ExtendedFra
     return _assemble_float(hf, witness)
 
 
-def _middle_blocks(f, g, u, Jm, den=None):
+def _middle_blocks(f, g, u, den=None):
     """The frame's middle two columns before the l0^-1 factor: rows 1..m at
     loop^-1, f + g Jm ubar; rows m+1, m+2 at loop^0, I - f# Jm ubar; the last
     m rows at loop^1, Jm ubar.  Given den, with conj(den) = den, u is the
     numerator of u over den, and the blocks are numerators over den, with
     den f and den I in place of f and I.  Float stacks and exact matrices
-    over det rho take the same products."""
+    over det rho take the same products; the permutation Jm is applied by
+    indexing (X[..., ::-1] is X Jm, X[..., ::-1, :] is Jm X)."""
     ubar = np.conjugate(u)
     if den is None:
         top, eye = f, np.eye(2)
     else:
         top, eye = den * f, exact_identity(2, den, BP_ZERO)
-    return top + g @ Jm @ ubar, eye - sharp(f) @ Jm @ ubar, Jm @ ubar
+    return top + g[..., ::-1] @ ubar, eye - sharp(f)[..., ::-1] @ ubar, ubar[..., ::-1, :]
 
 
 def middle_columns_float(w: IwasawaWitness):
     """The frame's middle two columns at a float witness: (top, mid, bot) of
     _middle_blocks times l0^-1, stacked over the samples of the witness."""
     l0inv = np.linalg.inv(w.l0)
-    return tuple(b @ l0inv for b in _middle_blocks(w.fv, w.gv, w.u, get_context(w.m).np("Jm")))
+    return tuple(b @ l0inv for b in _middle_blocks(w.fv, w.gv, w.u))
 
 
 def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedFrame:
@@ -497,7 +496,7 @@ def _assemble_exact_middle(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedF
     negatives outside it, where the future-pointing lift takes s = -1.
     """
     U, det = w.usharp_frac
-    blocks = _middle_blocks(hf.f, hf.g, sharp(U), get_context(hf.m).Jm, det)
+    blocks = _middle_blocks(hf.f, hf.g, sharp(U), det)
     return ExtendedFrame(hf.m, w, middle=tuple(exact_matrix(b) for b in blocks), den=det,
                          hf=hf)
 

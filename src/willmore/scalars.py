@@ -667,15 +667,16 @@ def _div_exact(p: BiPoly, g: BiPoly) -> BiPoly:
 
 
 def _monic(p: BiPoly) -> BiPoly:
-    """p over the coefficient of its lex-leading term."""
-    lead = p.terms[max(p.terms)]
+    """p over the coefficient of its lex-leading term; zero stays zero."""
+    lead = p.terms[max(p.terms)] if p else GR_ONE
     return p if lead == GR_ONE else p * (GR_ONE / lead)
 
 
 def _zbar_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
-    """Monic gcd of two z-free polynomials, not both zero."""
+    """Monic gcd of two z-free polynomials, not both zero; each remainder is
+    made monic, which keeps its coefficients from growing."""
     while b:
-        a, b = b, _divmod_lex(a, b)[1]
+        a, b = b, _monic(_divmod_lex(a, b)[1])
     return _monic(a)
 
 

@@ -220,27 +220,31 @@ def test_overflowing_vertices_flagged_not_fatal(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("offset,stencil_only", [(0.0, 0), (2.8e-4, 3)])
-def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, offset, stencil_only):
+def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, monkeypatch,
+                                                      offset, stencil_only):
     """A polar grid whose fourth ring lies on the example-1 degeneracy circle,
     or just off it where some vertices fail only through a metric stencil
-    sample; 26 vertices, not a multiple of the block size.  Each vertex's flag
-    is the one that evaluating it and its stencil one sample at a time gives."""
+    sample; 26 vertices in blocks of 8, the last one partial.  Each vertex's
+    flag is the one that evaluating it and its stencil one sample at a time
+    gives."""
     from collections import Counter
 
     import numpy as np
 
-    from willmore.cli import _BLOCK, _grid_points
+    from willmore import cli
+    from willmore.cli import _grid_points
     from willmore.frames import integrate_frame
     from willmore.potentials import to_nilpotent
     from willmore.surfaces import SurfacePair, induced_metric, reference_singular_radius
 
+    monkeypatch.setattr(cli, "_BLOCK", 8)
     radius = repr(1.25 * reference_singular_radius(1) * (1 + offset))
     out = tmp_path / "straddle"
     assert _run("example", "--id", "1", "--grid-n", "5", "--radius", radius,
                 "--out", str(out)) == 0
     rows = list(csv.DictReader(open(out / "mesh.csv")))
     pts = _grid_points("polar", 5, float(radius))
-    assert len(rows) == len(pts) == 26 and len(pts) % _BLOCK
+    assert len(rows) == len(pts) == 26 and len(pts) % cli._BLOCK
 
     hf = integrate_frame(to_nilpotent(builtin_potential(1)))
     pair = SurfacePair(hf.m, 1.0, hf)
@@ -268,6 +272,58 @@ def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, offset, 
     summary = ", ".join("%s %d" % kv for kv in sorted(reasons.items()))
     assert "(26 vertices, %d singular: %s)" % (sum(reasons.values()), summary) \
         in capsys.readouterr().out
+
+
+def test_output_bytes_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch):
+    # the straddle grid of the test above, singular vertices included
+    from willmore import cli
+    from willmore.surfaces import reference_singular_radius
+
+    radius = repr(1.25 * reference_singular_radius(1))
+    outputs = []
+    for block in (1, 7, cli._BLOCK):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        out = tmp_path / ("block%d" % block)
+        assert _run("example", "--id", "1", "--grid-n", "5", "--radius", radius,
+                    "--out", str(out)) == 0
+        outputs.append(((out / "mesh.csv").read_bytes(), (out / "comparison.json").read_bytes(),
+                        capsys.readouterr().out.replace(str(out), "OUT")))
+    assert b",1\n" in outputs[0][0]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _proj_distance_per_row(u, v) -> float:
+    """The projective distance of one pair of rows, as cmd_example took it
+    before its distances were stacked."""
+    import numpy as np
+
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0 or nv == 0:
+        return float("inf")
+    a = u / nu
+    b = v / nv
+    return float(min(np.abs(a - b).max(), np.abs(a + b).max()))
+
+
+def test_stacked_projective_distance_is_bitwise_the_per_row_one():
+    import numpy as np
+
+    from willmore.cli import _proj_distance
+
+    rng = np.random.default_rng(18)
+    u = rng.normal(size=(40, 2, 8)) * 10.0 ** rng.integers(-3, 4, size=(40, 2, 1))
+    v = u + rng.normal(size=u.shape) * 1e-12
+    v[::3] = rng.normal(size=v[::3].shape)
+    v[5::7] *= -1.0
+    u[4, 1] = 0.0
+    v[9, 0] = 0.0
+    got = _proj_distance(u, v)
+    assert got.shape == (40, 2)
+    assert np.isinf(got[4, 1]) and np.isinf(got[9, 0])
+    want = np.array([[_proj_distance_per_row(a, b) for a, b in zip(ra, rb)]
+                     for ra, rb in zip(u, v)])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_far_out_vertices_fail_without_runtime_warnings(tmp_path):

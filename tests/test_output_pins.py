@@ -51,3 +51,19 @@ def test_example_mesh_bytes_are_pinned(tmp_path):
         "93ac5b11a450dc6b82d81b345fa19b7428e2a7938be2e04ba33fd78fb4405366")
     assert _sha256((tmp_path / "comparison.json").read_bytes()) == (
         "d0510bd92bb6d1b18a560f5f4332ff31cd975f0e43aecc4616cf6b049cbd3c67")
+
+
+def test_bench_mesh_bytes_are_pinned(tmp_path):
+    """mesh.csv and comparison.json of the seed-7 mesh-ex1 bench run,
+    `willmore example --id 1 --grid-n 32 --lambda cis:8/10`: a non-real
+    lambda, which the lambda = 1 pin above cannot see bound.
+
+    A legitimate change to these bytes updates the pin and logs both digests
+    in CHANGES.md.
+    """
+    assert main(["example", "--id", "1", "--grid-n", "32", "--lambda", "cis:8/10",
+                 "--out", str(tmp_path)]) == 0
+    assert _sha256((tmp_path / "mesh.csv").read_bytes()) == (
+        "2861eb6127f0dc83bda4484e5a6658f471b020405bcb1ccb1109444a8aa3073b")
+    assert _sha256((tmp_path / "comparison.json").read_bytes()) == (
+        "ccce318e3af78b010f238a4394614448e99ba397581737b022a67124f5babd52")

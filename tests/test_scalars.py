@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from willmore.scalars import (
     BP_ONE,
@@ -538,6 +538,24 @@ def test_gcd_and_exact_division_match_sympy(case):
         else:
             with pytest.raises(ArithmeticError):
                 _div_exact(num, den)
+
+
+@given(st.tuples(_small_polys(3, z_free=True), _small_polys(3, z_free=True),
+                 _small_polys(2, min_terms=1, z_free=True)))
+@settings(deadline=None, max_examples=40)
+def test_zbar_gcd_is_monic_and_matches_sympy(case):
+    # Euclid's algorithm in zbar, each remainder made monic: the gcd of p c
+    # and q c is monic in lex order and equals sympy's over Q(i)
+    from willmore.scalars import GR_ONE, _zbar_gcd
+
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("z w")
+    p, q, c = case
+    a, b = p * c, q * c
+    assume(a or b)
+    got = _zbar_gcd(a, b)
+    assert got.terms[max(got.terms)] == GR_ONE
+    assert got == _from_sympy(_sympy_poly(a, gens).gcd(_sympy_poly(b, gens)))
 
 
 def test_rationalfn_known_reduction():
