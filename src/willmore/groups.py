@@ -169,9 +169,10 @@ class GroupContext:
         """Entry-by-entry recombination oracle for iso_P, on an exact loop.
 
         Each entry of the result is a closed-form combination of four
-        entries of A, applied to all loop powers at once, with the
-        GaussianRational weights 1, i and 1/2, so the result stays in the
-        ring of A's entries.  It shares no code with iso_left/iso_right.
+        entries of A with the GaussianRational weights 1, i and 1/2, so the
+        result stays in the ring of A's entries.  It acts on all loop powers
+        at once and never mixes them, so they can be a batch axis of
+        constant matrices.  It shares no code with iso_left/iso_right.
         """
         if (A.rows, A.cols) != (self.dim, self.dim) or A.exact is False:
             raise ValueError("iso_P_indexwise expects an exact %dx%d loop"

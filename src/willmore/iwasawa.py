@@ -445,10 +445,11 @@ def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedFrame:
         blk = blocks.setdefault(power, np.zeros(w.rho.shape[:-2] + (d, d), dtype=complex))
         blk[..., r0:r0 + mat.shape[-2], c0:c0 + mat.shape[-1]] = mat
 
-    put(0, 0, 0, (np.eye(m) - fv @ cu_sharp @ Jm + gv @ Jm @ cv @ Jm) @ l1inv)
+    put(0, 0, 0, (np.eye(m) - (fv @ cu_sharp)[..., ::-1]
+                  + (gv[..., ::-1] @ cv)[..., ::-1]) @ l1inv)
     put(-1, 0, m, top)
     put(-2, 0, m + 2, gv @ l4inv)
-    put(1, m, 0, -(cu_sharp @ Jm + fsh @ Jm @ cv @ Jm) @ l1inv)
+    put(1, m, 0, -(cu_sharp[..., ::-1] + (fsh[..., ::-1] @ cv)[..., ::-1]) @ l1inv)
     put(0, m, m, mid)
     put(-1, m, m + 2, -fsh @ l4inv)
     put(2, m + 2, 0, Jm @ cv @ Jm @ l1inv)
@@ -527,8 +528,7 @@ def gauge_z_derivative(hf: HolomorphicFrame, w: IwasawaWitness) -> np.ndarray:
     on the entries of one matrix.
     """
     z = w.z
-    ctx = get_context(hf.m)
-    Jm, J2 = ctx.np("Jm"), ctx.np("J2")
+    Jm = get_context(hf.m).np("Jm")
     fv, gv = w.fv, w.gv
     rho, us = w.rho, w.usharp
     s = w.l0[..., 0, 0]
@@ -540,9 +540,9 @@ def gauge_z_derivative(hf: HolomorphicFrame, w: IwasawaWitness) -> np.ndarray:
     for fpoly, gpoly in hf.axis_derivatives:
         fd = _eval_mat(fpoly, z)
         gd = _eval_mat(gpoly, z)
-        half = Jm @ fd.conj() @ J2 @ fv.swapaxes(-1, -2) @ Jm + _ct(gd) @ gv
+        half = (fd.conj()[..., ::-1, ::-1] @ fv.swapaxes(-1, -2))[..., ::-1] + _ct(gd) @ gv
         drho = half + _ct(half)
-        dus = (sharp(fd) - J2 @ _ct(fd) @ gv - J2 @ _ct(fv) @ gd
+        dus = (sharp(fd) - _ct(fd)[..., ::-1, :] @ gv - _ct(fv)[..., ::-1, :] @ gd
                - us @ drho) @ w.rho_inv
         # dq = J2 d(fbar^t f) - d(u# rho u#^H) J2; only c = q[0,0] is needed.
         half_f = _ct(fd) @ fv
@@ -553,7 +553,7 @@ def gauge_z_derivative(hf: HolomorphicFrame, w: IwasawaWitness) -> np.ndarray:
         P = Lc_inv @ drho @ _ct(Lc_inv)
         diag = np.where(np.eye(P.shape[-1], dtype=bool), P, 0)
         dl4 = _ct(Lc @ (np.tril(P) - diag / 2))
-        dl1 = -w.l1 @ Jm @ dl4.swapaxes(-1, -2) @ Jm @ w.l1
+        dl1 = (-w.l1 @ Jm @ dl4.swapaxes(-1, -2))[..., ::-1] @ w.l1
         dl0 = np.zeros(s.shape + (2, 2), dtype=complex)
         dl0[..., 0, 0] = ds
         dl0[..., 1, 1] = -ds / ss
@@ -572,8 +572,6 @@ def maurer_cartan(hf: HolomorphicFrame, z):
     those of a stack of one bit for bit.
     """
     m = hf.m
-    Jm = get_context(m).np("Jm")
-
     w = solve_iwasawa_float(hf, z)
     L = _block_diag(w.l1, w.l0, w.l4)
     Linv = np.linalg.inv(L)
@@ -582,8 +580,8 @@ def maurer_cartan(hf: HolomorphicFrame, z):
     alpha1p = L @ N @ Linv
 
     tauW1 = np.zeros(L.shape, dtype=complex)
-    tauW1[..., m:m + 2, 0:m] = -w.usharp.conj() @ Jm
-    tauW1[..., m + 2:, m:m + 2] = Jm @ w.u.conj()
+    tauW1[..., m:m + 2, 0:m] = -w.usharp.conj()[..., ::-1]
+    tauW1[..., m + 2:, m:m + 2] = w.u.conj()[..., ::-1, :]
     commutator = N @ tauW1 - tauW1 @ N
 
     alpha0p = L @ commutator @ Linv - gauge_z_derivative(hf, w) @ Linv

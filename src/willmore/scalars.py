@@ -911,6 +911,9 @@ class RationalFn:
         return self.evaluate_at(z, z.conjugate())
 
     def evaluate(self, z: complex) -> complex:
+        """Exact value at z rounded once: over denominator 1, the numerator's."""
+        if self.den == BP_ONE:
+            return self.num.evaluate(z)
         return self.evaluate_exact(GaussianRational.coerce(z)).to_complex()
 
     def __repr__(self):

@@ -28,14 +28,14 @@ from .iwasawa import (
     pullback_halfisotropy,
     solve_iwasawa_float,
 )
-from .loops import LoopMatrix
+from .loops import LoopMatrix, _bind, _gr_matmul, exact_matrix
 from .potentials import (
     NormalizedPotential,
     PotentialDocument,
     document_for,
     to_nilpotent,
 )
-from .scalars import GaussianRational, _cmul_np, _gr
+from .scalars import _cmul_np, _gr
 from .surfaces import (
     SurfacePair,
     _gram_det_float,
@@ -280,11 +280,13 @@ def _attempt(fn, *args):
 
 
 def _exact_size(residual: LoopMatrix, probe) -> float:
-    """0.0 for an exact loop that vanishes identically, else its largest
-    entry at probe over LAMBDAS."""
+    """0.0 for an exact loop that vanishes identically, else the largest entry
+    of any one coefficient at probe (their sum can cancel at each of LAMBDAS,
+    as (lambda - 1)(lambda - i) does), or math.inf if all vanish there."""
     if residual.is_zero():
         return 0.0
-    return max([0.0] + [float(abs(residual.evaluate(probe, lam)).max()) for lam in LAMBDAS])
+    size = max(float(np.abs(_bind(c, probe)).max()) for c in residual.coeffs.values())
+    return size or math.inf
 
 
 def _potential_isotropy(b1, probe) -> float:
@@ -299,33 +301,28 @@ def _frame_unipotent(H: LoopMatrix, probe) -> float:
 
 def _iso_oracle(ctx, cfg, probe) -> float:
     """iso_P against its index-wise form, and its homomorphism property on
-    consecutive pairs, over random exact constant loops."""
+    consecutive pairs, over random exact constant matrices.
+
+    Matrix k is the coefficient of loop power k, and the product of pair
+    (k, k+1) that of power k: the powers are the batch axis, as both forms
+    act power by power, so one call of each checks every matrix, and
+    _exact_size reports the worst entry over all matrices."""
+    n, d = cfg["oracle_matrices"], ctx.dim
     rng = np.random.default_rng(cfg["seed"] + 1)
-    worst = 0.0
-    pending = None
-    for _ in range(cfg["oracle_matrices"]):
-        A = _rand_exact_loop(rng, ctx.dim)
-        PA = ctx.iso_P(A)
-        worst = max(worst, _exact_size(PA - ctx.iso_P_indexwise(A), probe))
-        if pending is None:
-            pending = A, PA
-        else:
-            B, PB = pending
-            worst = max(worst, _exact_size(ctx.iso_P(B @ A) - PB @ PA, probe))
-            pending = None
-    return worst
-
-
-def _rand_gr(rng) -> GaussianRational:
-    # a/p + (b/q)*i, the four ints drawn in this order.
-    a, p = int(rng.integers(-3, 4)), int(rng.integers(1, 4))
-    b, q = int(rng.integers(-3, 4)), int(rng.integers(1, 4))
-    return _gr(a * q, b * p, p * q)
-
-
-def _rand_exact_loop(rng, d) -> LoopMatrix:
-    mat = [[_rand_gr(rng) for _ in range(d)] for _ in range(d)]
-    return LoopMatrix(d, d, {0: mat})
+    # Entry by entry a/p + (b/q) i, the four ints drawn in this order: one
+    # draw with array bounds gives the values of the scalar draws.
+    a, p, b, q = rng.integers(np.tile([-3, 1, -3, 1], n * d * d), 4).reshape(-1, 4).T
+    mats = exact_matrix([_gr(*e) for e in zip(
+        (a * q).tolist(), (b * p).tolist(), (p * q).tolist())]).reshape(n, d, d)
+    A = LoopMatrix(d, d, dict(enumerate(mats)))
+    PA = ctx.iso_P(A)
+    worst = _exact_size(PA - ctx.iso_P_indexwise(A), probe)
+    # A zero matrix has no power in PA, and is its own image.
+    images = [PA.coeffs.get(k, mat) for k, mat in enumerate(mats)]
+    pairs = range(0, n - 1, 2)
+    BA = LoopMatrix(d, d, {k: _gr_matmul(mats[k], mats[k + 1]) for k in pairs})
+    PBPA = LoopMatrix(d, d, {k: _gr_matmul(images[k], images[k + 1]) for k in pairs})
+    return max(worst, _exact_size(ctx.iso_P(BA) - PBPA, probe))
 
 
 def _maurer_cartan_checks(hf, fd_samples) -> dict:

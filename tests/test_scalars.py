@@ -581,3 +581,18 @@ def test_rationalfn_conjugate_evaluates_to_conjugate():
     f = (rz * rz + 1) / (RationalFn(BiPoly.var_zbar()) + 2)
     z = 0.3 - 0.7j
     assert abs(f.conjugate().evaluate(z) - f.evaluate(z).conjugate()) < 1e-15
+
+
+def test_rationalfn_evaluate_over_denominator_one_keeps_the_exact_bits():
+    # 14 of example 1's 18 nonzero H entries have denominator 1; evaluate
+    # reads only their numerators, to the bits of the exact quotient.
+    from willmore.frames import integrate_frame
+    from willmore.potentials import builtin_potential, to_nilpotent
+
+    H = integrate_frame(to_nilpotent(builtin_potential(1))).H_loop()
+    entries = [x for c in H.coeffs.values() for x in c.flat if x and x.den == BP_ONE]
+    assert len(entries) == 14
+    for x in entries:
+        for z in (0j, complex(-0.0, 0.0), 0.3 - 0.7j, -1.25 + 0.5j, 1e-3j, 0.7):
+            got, want = x.evaluate(z), x.evaluate_exact(z).to_complex()
+            assert np.array([got]).tobytes() == np.array([want]).tobytes(), (x, z)

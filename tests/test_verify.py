@@ -26,12 +26,14 @@ from willmore.potentials import (
     document_for,
     to_nilpotent,
 )
-from willmore.scalars import GR_ZERO, BiPoly, GaussianRational
+from willmore.scalars import GR_ZERO, RF_ONE, BiPoly, GaussianRational, RationalFn, _gr
 from willmore.surfaces import degeneracy_scan, mink_pair_np
 from willmore.verify import (
     CHECK_NAMES,
     DEFAULT_PLAN,
     _draw_samples,
+    _exact_size,
+    _iso_oracle,
     _normalize_plan,
     _proj_minor,
     run_suite,
@@ -318,3 +320,99 @@ def test_scan_draw_and_witness_pins_with_two_brackets_and_rejected_samples():
     one = NormalizedPotential(1, [BiPoly.var_z()], [BiPoly.const(GaussianRational(0, 1))])
     w = solve_iwasawa_exact(hf(one))
     assert (w.rho @ w.rho_inv)[0, 0] == 1
+
+
+def test_oracle_draws_its_matrices_as_per_entry_scalar_draws(monkeypatch):
+    # The oracle's matrices, the loop powers of the one loop it hands to
+    # iso_P_indexwise, are the matrices of four scalar draws per entry.
+    seen = []
+    indexwise = GroupContext.iso_P_indexwise
+
+    def recorded(self, A):
+        seen.append(A)
+        return indexwise(self, A)
+
+    monkeypatch.setattr(GroupContext, "iso_P_indexwise", recorded)
+    ctx = GroupContext(3)
+    n, d = 3, ctx.dim
+    assert _iso_oracle(ctx, {"seed": 8, "oracle_matrices": n}, 0.5) == 0.0
+    rng = np.random.default_rng(9)
+    for k in range(n):
+        want = []
+        for _ in range(d * d):
+            a, p = int(rng.integers(-3, 4)), int(rng.integers(1, 4))
+            b, q = int(rng.integers(-3, 4)), int(rng.integers(1, 4))
+            want.append(_gr(a * q, b * p, p * q))
+        assert list(seen[0].coeffs[k].flat) == want, k
+    assert sorted(seen[0].coeffs) == list(range(n))
+
+
+def test_oracle_measures_one_broken_matrix(monkeypatch):
+    # A third added to matrix 3 of the stacked oracle (its loop power 3)
+    # fails iso-oracle alone, with that third as its residual.
+    indexwise = GroupContext.iso_P_indexwise
+
+    def broken(self, A):
+        mat = exact_zeros(A.rows, A.cols, GR_ZERO)
+        mat[1, 2] = GaussianRational(Fraction(1, 3))
+        return indexwise(self, A) + LoopMatrix(A.rows, A.cols, {3: mat})
+
+    monkeypatch.setattr(GroupContext, "iso_P_indexwise", broken)
+    rep = run_suite(builtin_potential(2), SMALL_PLAN)
+    failed = {c["name"]: c for c in rep.checks if not c["passed"]}
+    assert list(failed) == ["iso-oracle"]
+    assert "error" not in failed["iso-oracle"]
+    assert failed["iso-oracle"]["max_residual"] == 1 / 3
+
+
+def test_oracle_checks_the_homomorphism_of_the_last_pair(monkeypatch):
+    # Both forms of the isometry gain a third at loop power 2 (matrix 2), so
+    # they agree, but P(A2 A3) no longer equals P(A2) P(A3).
+    third = exact_zeros(8, 8, GR_ZERO)
+    third[1, 2] = GaussianRational(Fraction(1, 3))
+
+    def shifted(iso):
+        def wrapper(self, A):
+            return iso(self, A) + LoopMatrix(A.rows, A.cols, {2: third} if 2 in A.coeffs else {})
+        return wrapper
+
+    for name in ("iso_P", "iso_P_indexwise"):
+        monkeypatch.setattr(GroupContext, name, shifted(getattr(GroupContext, name)))
+    ctx = GroupContext(3)
+    assert _iso_oracle(ctx, {"seed": 8, "oracle_matrices": 3}, 0.5) == 0.0
+    assert _iso_oracle(ctx, {"seed": 8, "oracle_matrices": 4}, 0.5) > 0.0
+
+
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_oracle_passes_on_any_matrix_count(count):
+    # An odd count leaves the last matrix without a partner.
+    rep = run_suite(builtin_potential(2), dict(SMALL_PLAN, oracle_matrices=count))
+    entry = {c["name"]: c for c in rep.checks}["iso-oracle"]
+    assert entry["passed"] and entry["max_residual"] == 0.0
+    assert entry["samples"] == count
+
+
+def test_exact_size_does_not_cancel_across_loop_powers(monkeypatch):
+    # (lambda - 1)(lambda - i) = i - (1 + i) lambda + lambda^2 vanishes at
+    # both LAMBDAS, yet is not zero: each power is sized on its own.  A
+    # nonzero loop that vanishes at the probe reads inf.
+    i = RationalFn.const(GaussianRational(0, 1))
+    cancel = LoopMatrix(1, 1, {0: [[i]], 1: [[-(RF_ONE + i)]], 2: [[RF_ONE]]})
+    assert _exact_size(cancel, 0.25j) == abs(1 + 1j)
+    z_half = RationalFn(BiPoly.var_z() - GaussianRational(Fraction(1, 2)))
+    assert _exact_size(LoopMatrix(1, 1, {1: [[z_half]]}), 0.5) == float("inf")
+
+    full_loop = NilpotentPotential.full_loop
+
+    def with_cancelling_residual(self):
+        d = 2 * self.m + 2
+        mats = {}
+        for k, c in cancel.coeffs.items():
+            mats[k] = np.full((d, d), RationalFn.const(0), dtype=object)
+            mats[k][0, 1] = c[0, 0]
+        return full_loop(self) + LoopMatrix(d, d, mats)
+
+    monkeypatch.setattr(NilpotentPotential, "full_loop", with_cancelling_residual)
+    rep = run_suite(builtin_potential(2), SMALL_PLAN)
+    entry = {c["name"]: c for c in rep.checks}["nilpotent-embed"]
+    assert not entry["passed"] and entry["max_residual"] == abs(1 + 1j), entry
