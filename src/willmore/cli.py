@@ -28,13 +28,12 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
-from importlib import resources
 
 import numpy as np
 
 from .errors import PotentialFormatError, WillmoreError
 from .frames import integrate_frame
-from .potentials import load_potential, to_nilpotent
+from .potentials import builtin_potential, load_potential, to_nilpotent
 from .surfaces import SurfacePair, induced_metric, metric_stencil, reference_lift_eval
 from .verify import run_suite
 
@@ -261,10 +260,7 @@ def _cmd_mesh_common(args, doc):
 
 
 def cmd_example(args) -> int:
-    src = resources.files("willmore").joinpath("data/example%d.json" % args.id)
-    with resources.as_file(src) as path:
-        doc = load_potential(str(path))
-    pair, pts, vals, singular = _cmd_mesh_common(args, doc)
+    pair, pts, vals, singular = _cmd_mesh_common(args, builtin_potential(args.id))
     ref = reference_lift_eval(args.id, args.lam)
     d = 2 * pair.m + 2
     compared, refs = [], []

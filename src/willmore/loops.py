@@ -332,17 +332,15 @@ class LoopMatrix:
 
 
 def unipotent_inverse(U: LoopMatrix) -> LoopMatrix:
-    """Inverse of I + N with N nilpotent: alternating Neumann series.
+    """Inverse of a float loop I + N with N nilpotent: alternating Neumann
+    series.  An exact U raises the mixed exact and float ValueError.
 
     Raises if the series does not terminate within the dimension bound,
     which means U was not unipotent.
     """
     if U.rows != U.cols:
         raise ValueError("unipotent_inverse needs a square loop matrix")
-    if U.exact is False:
-        ident = LoopMatrix.from_constant(np.eye(U.rows, dtype=complex))
-    else:
-        ident = LoopMatrix.identity(U.rows)
+    ident = LoopMatrix.from_constant(np.eye(U.rows, dtype=complex))
     N = U - ident
     acc = ident
     term = ident

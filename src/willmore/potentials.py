@@ -21,6 +21,10 @@ z power and re/im are exact rational strings "p/q" (plain numbers are also
 accepted).  An optional "b1hat" key overrides the interleaved assembly with
 an explicit 2 x 2m polynomial matrix; it exists so that a corrupted pairing
 is expressible and the isotropy check has something real to catch.
+
+NormalizedPotential is both the potential and its file form, override
+included; the shipped examples are their files data/example<id>.json, which
+builtin_potential reads.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 
@@ -44,9 +49,14 @@ def _require_z_only(p: BiPoly, what: str):
 
 
 class NormalizedPotential:
-    """The (h, hhat) data of a normalized potential in dimension 2m+2."""
+    """The (h, hhat) data of a normalized potential in dimension 2m+2.
 
-    def __init__(self, m: int, h, hhat):
+    b1hat_override, when given, is an explicit 2 x 2m block that b1hat()
+    returns in place of the interleaved one; eta_loop and to_nilpotent read
+    only h and hhat.
+    """
+
+    def __init__(self, m: int, h, hhat, b1hat_override=None):
         if len(h) != m or len(hhat) != m:
             raise ValueError("expected %d polynomials in each of h, hhat" % m)
         self.m = m
@@ -56,20 +66,56 @@ class NormalizedPotential:
             _require_z_only(p, "h[%d]" % j)
         for j, p in enumerate(self.hhat):
             _require_z_only(p, "hhat[%d]" % j)
+        self.b1hat_override = (None if b1hat_override is None
+                               else exact_matrix(b1hat_override))
 
-    def b1hat(self):
-        """The interleaved 2 x 2m block as a read-only BiPoly array."""
+    def _interleaved(self):
         row1, row2 = [], []
         for hj, hhj in zip(self.h, self.hhat):
             row1.extend([hj, hj * GR_I])
             row2.extend([hhj, hhj * GR_I])
         return exact_matrix([row1, row2])
 
+    def b1hat(self):
+        """The 2 x 2m block as a read-only BiPoly array: the override if
+        there is one, else the interleaved block."""
+        if self.b1hat_override is not None:
+            return self.b1hat_override
+        return self._interleaved()
+
+    def pairing_consistent(self) -> bool:
+        if self.b1hat_override is None:
+            return True
+        return exact_equal(self.b1hat_override, self._interleaved())
+
+    def normalized(self) -> NormalizedPotential:
+        if not self.pairing_consistent():
+            raise PotentialFormatError(
+                "b1hat override breaks the h/hhat pairing; refusing to synthesize"
+            )
+        return self
+
+    def to_dict(self) -> dict:
+        out = {
+            "m": self.m,
+            "h": [_poly_to_pairs(p) for p in self.h],
+            "hhat": [_poly_to_pairs(p) for p in self.hhat],
+        }
+        if self.b1hat_override is not None:
+            out["b1hat"] = [
+                [_poly_to_pairs(p) for p in row] for row in self.b1hat_override
+            ]
+        return out
+
+    def digest(self) -> str:
+        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
+
     def eta_loop(self) -> LoopMatrix:
         """The potential matrix at loop power -1, a BiPoly loop."""
         m = self.m
         d = 2 * m + 2
-        B = self.b1hat()
+        B = self._interleaved()
         I11 = exact_matrix([[GaussianRational(-1), GaussianRational(0)],
                             [GaussianRational(0), GaussianRational(1)]])
         mat = np.block([
@@ -153,8 +199,6 @@ def wu_normalized_potential(delta0, delta1, z_samples, steps=None,
     integrated by RK4 along the segment [0, z] with step doubling.  Returns
     the loop-power -1 coefficient of eta at each sample as numpy arrays.
     """
-    import numpy as np
-
     d1 = np.asarray(delta1, dtype=complex)
     n = d1.shape[0]
     if delta0 is None:
@@ -268,52 +312,7 @@ def _parse_poly(entry, where: str) -> BiPoly:
     return BiPoly(terms)
 
 
-class PotentialDocument:
-    """Parsed potential file: the pairing data plus the effective B1hat."""
-
-    def __init__(self, m: int, h, hhat, b1hat_override=None):
-        self.m = m
-        self.h = tuple(h)
-        self.hhat = tuple(hhat)
-        self.b1hat_override = (None if b1hat_override is None
-                               else exact_matrix(b1hat_override))
-
-    def b1hat(self):
-        if self.b1hat_override is not None:
-            return self.b1hat_override
-        return NormalizedPotential(self.m, self.h, self.hhat).b1hat()
-
-    def pairing_consistent(self) -> bool:
-        if self.b1hat_override is None:
-            return True
-        want = NormalizedPotential(self.m, self.h, self.hhat).b1hat()
-        return exact_equal(self.b1hat_override, want)
-
-    def normalized(self) -> NormalizedPotential:
-        if not self.pairing_consistent():
-            raise PotentialFormatError(
-                "b1hat override breaks the h/hhat pairing; refusing to synthesize"
-            )
-        return NormalizedPotential(self.m, self.h, self.hhat)
-
-    def to_dict(self) -> dict:
-        out = {
-            "m": self.m,
-            "h": [_poly_to_pairs(p) for p in self.h],
-            "hhat": [_poly_to_pairs(p) for p in self.hhat],
-        }
-        if self.b1hat_override is not None:
-            out["b1hat"] = [
-                [_poly_to_pairs(p) for p in row] for row in self.b1hat_override
-            ]
-        return out
-
-    def digest(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def parse_potential(data) -> PotentialDocument:
+def parse_potential(data) -> NormalizedPotential:
     if not isinstance(data, dict):
         raise PotentialFormatError("potential document must be a JSON object")
     try:
@@ -343,10 +342,10 @@ def parse_potential(data) -> PotentialDocument:
             parsed.append([_parse_poly(e, "b1hat[%d][%d]" % (i, j))
                            for j, e in enumerate(row)])
         override = parsed
-    return PotentialDocument(m, h, hhat, override)
+    return NormalizedPotential(m, h, hhat, override)
 
 
-def load_potential(path) -> PotentialDocument:
+def load_potential(path) -> NormalizedPotential:
     with open(path, "r") as fh:
         text = fh.read()
     try:
@@ -356,27 +355,16 @@ def load_potential(path) -> PotentialDocument:
     return parse_potential(data)
 
 
-def save_potential(doc: PotentialDocument, path):
+def save_potential(doc: NormalizedPotential, path):
     with open(path, "w") as fh:
         json.dump(doc.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def builtin_potential(example_id: int) -> NormalizedPotential:
-    """The two closed-form reference potentials."""
-    i = GR_I
-    half_i = GaussianRational(0, Fraction(1, 2))
-    z = BiPoly.var_z()
-    if example_id == 1:
-        h = [BiPoly.const(-half_i), BiPoly.const(half_i), z * (-i)]
-        hhat = [BiPoly.const(half_i), BiPoly.const(half_i), z * i]
-        return NormalizedPotential(3, h, hhat)
-    if example_id == 2:
-        h = [BiPoly.const(half_i), BiPoly.const(-half_i)]
-        hhat = [BiPoly.const(half_i), BiPoly.const(half_i)]
-        return NormalizedPotential(2, h, hhat)
-    raise ValueError("example_id must be 1 or 2")
-
-
-def document_for(pot: NormalizedPotential) -> PotentialDocument:
-    return PotentialDocument(pot.m, pot.h, pot.hhat)
+    """Shipped example 1 or 2, read from its file data/example<id>.json."""
+    if example_id not in (1, 2):
+        raise ValueError("example_id must be 1 or 2")
+    src = resources.files("willmore").joinpath("data/example%d.json" % example_id)
+    with resources.as_file(src) as path:
+        return load_potential(path)

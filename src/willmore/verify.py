@@ -29,12 +29,7 @@ from .iwasawa import (
     solve_iwasawa_float,
 )
 from .loops import LoopMatrix, _bind, _gr_matmul, exact_matrix
-from .potentials import (
-    NormalizedPotential,
-    PotentialDocument,
-    document_for,
-    to_nilpotent,
-)
+from .potentials import NormalizedPotential, to_nilpotent
 from .scalars import _cmul_np, _gr
 from .surfaces import (
     SurfacePair,
@@ -431,7 +426,8 @@ def _sample_checks(ctx, hf, samples):
 
 def _conformality(pairs, fd_samples) -> float:
     """|<y_z, y_z>| of the projected lift y, by central differences at each fd
-    sample, relative to max(1, |y_z|^2)."""
+    sample, relative to max(1, |Re y_z|^2), which is about half of |y_z|^2
+    for a conformal y."""
     h = 1e-4
     pts = np.array([p for z in fd_samples for p in (z + h, z - h, z + 1j * h, z - 1j * h)],
                    dtype=complex)
@@ -455,7 +451,12 @@ def _isotropy_order_m(pairs, fd_samples) -> float:
 
 
 def run_suite(pot, plan=None) -> VerificationReport:
-    """Execute the full catalog and return the structured report.
+    """Execute the full catalog on a NormalizedPotential and return the
+    structured report.
+
+    potential-isotropy checks pot.b1hat(), its b1hat override if it has one;
+    every other check reads only h and hhat, through eta_loop and
+    to_nilpotent.  The report's potential_digest is pot.digest().
 
     Each check, or each group of checks computed together, gives its
     residual or the exception it failed with, and one loop turns those into
@@ -474,21 +475,12 @@ def run_suite(pot, plan=None) -> VerificationReport:
     t0 = time.monotonic()
     cfg = _normalize_plan(plan)
 
-    if isinstance(pot, PotentialDocument):
-        doc = pot
-        b1 = doc.b1hat()
-        norm = NormalizedPotential(doc.m, doc.h, doc.hhat)
-    elif isinstance(pot, NormalizedPotential):
-        doc = document_for(pot)
-        b1 = doc.b1hat()
-        norm = pot
-    else:
-        raise TypeError("run_suite wants a NormalizedPotential or PotentialDocument")
-
-    m = norm.m
+    if not isinstance(pot, NormalizedPotential):
+        raise TypeError("run_suite wants a NormalizedPotential")
+    m = pot.m
     ctx = get_context(m)
 
-    nil = to_nilpotent(norm)
+    nil = to_nilpotent(pot)
     hf = integrate_frame(nil)
     radii = degeneracy_scan(hf, r_range=(1e-3, max(2.5, 1.5 * cfg["radius"])))
     samples, rejected = _draw_samples(cfg, radii, hf)
@@ -499,9 +491,9 @@ def run_suite(pot, plan=None) -> VerificationReport:
 
     # (name, residual or the exception it failed with, samples covered)
     results = [
-        ("potential-isotropy", _attempt(_potential_isotropy, b1, probe), 1),
+        ("potential-isotropy", _attempt(_potential_isotropy, pot.b1hat(), probe), 1),
         ("nilpotent-embed", _attempt(
-            lambda: _exact_size(ctx.iso_P(norm.eta_loop()) - nil.full_loop(), probe)), 1),
+            lambda: _exact_size(ctx.iso_P(pot.eta_loop()) - nil.full_loop(), probe)), 1),
         ("frame-ode", _attempt(
             lambda: _exact_size(H.d_dz() - H @ nil.full_loop(), probe)), 1),
         ("frame-unipotent", _attempt(_frame_unipotent, H, probe), 1),
@@ -552,7 +544,7 @@ def run_suite(pot, plan=None) -> VerificationReport:
         checks[name] = entry
 
     return VerificationReport(
-        digest=doc.digest(),
+        digest=pot.digest(),
         m=m,
         plan=_plan_for_report(cfg),
         singular_radii=[float(r) for r in radii],

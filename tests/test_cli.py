@@ -10,9 +10,8 @@ import pytest
 
 from willmore.cli import _parse_lambda, build_parser, main
 from willmore.potentials import (
-    PotentialDocument,
+    NormalizedPotential,
     builtin_potential,
-    document_for,
     save_potential,
 )
 from willmore.scalars import BiPoly
@@ -40,7 +39,7 @@ def test_synth_reproduces_example_byte_for_byte(tmp_path):
     ex_out = tmp_path / "via_example"
     sy_out = tmp_path / "via_synth"
     pot_path = tmp_path / "pot.json"
-    save_potential(document_for(builtin_potential(1)), pot_path)
+    save_potential(builtin_potential(1), pot_path)
     assert _run("example", "--id", "1", "--grid-n", "4", "--radius", "0.7",
                 "--out", str(ex_out)) == 0
     assert _run("synth", "--potential", str(pot_path), "--grid-n", "4",
@@ -49,27 +48,34 @@ def test_synth_reproduces_example_byte_for_byte(tmp_path):
 
 
 def test_obj_export_for_m_equals_2(tmp_path):
-    out = tmp_path / "obj"
     pot_path = tmp_path / "pot.json"
-    save_potential(document_for(builtin_potential(2)), pot_path)
-    rc = _run("synth", "--potential", str(pot_path), "--grid-n", "4",
-              "--radius", "0.6", "--out", str(out), "--format", "obj")
-    assert rc == 0
-    lines = (out / "mesh.obj").read_text().splitlines()
-    assert lines[0].startswith("#") and "lossy" in lines[0]
-    v = [l for l in lines if l.startswith("v ")]
-    f = [l for l in lines if l.startswith("f ")]
-    assert len(v) == 1 + 4 * 4
-    assert f, "no faces emitted"
-    for face in f:
-        idx = [int(t) for t in face.split()[1:]]
-        assert all(1 <= k <= len(v) for k in idx)
+    save_potential(builtin_potential(2), pot_path)
+    n = 4
+    # (grid, vertices, most faces): a polar grid has a centre and n rings of
+    # n, a cartesian one n x n vertices
+    for grid, vertices, faces in (("polar", 1 + n * n, n * (2 * n - 1)),
+                                  ("cartesian", n * n, 2 * (n - 1) ** 2)):
+        out = tmp_path / grid
+        rc = _run("synth", "--potential", str(pot_path), "--grid-n", str(n),
+                  "--radius", "0.6", "--out", str(out), "--format", "obj",
+                  "--grid", grid)
+        assert rc == 0
+        lines = (out / "mesh.obj").read_text().splitlines()
+        assert lines[0].startswith("#") and "lossy" in lines[0]
+        v = [l for l in lines if l.startswith("v ")]
+        f = [l for l in lines if l.startswith("f ")]
+        assert len(v) == vertices
+        assert f, "no faces emitted"
+        assert len(f) <= faces
+        for face in f:
+            idx = [int(t) for t in face.split()[1:]]
+            assert all(1 <= k <= len(v) for k in idx)
 
 
 def test_obj_export_rejected_for_other_m(tmp_path):
     out = tmp_path / "obj3"
     pot_path = tmp_path / "pot.json"
-    save_potential(document_for(builtin_potential(1)), pot_path)
+    save_potential(builtin_potential(1), pot_path)
     rc = _run("synth", "--potential", str(pot_path), "--grid-n", "3",
               "--radius", "0.5", "--out", str(out), "--format", "obj")
     assert rc == 1
@@ -77,7 +83,7 @@ def test_obj_export_rejected_for_other_m(tmp_path):
 
 def test_verify_exit_codes(tmp_path):
     pot_path = tmp_path / "pot.json"
-    save_potential(document_for(builtin_potential(2)), pot_path)
+    save_potential(builtin_potential(2), pot_path)
     report_path = tmp_path / "report.json"
     rc = _run("verify", "--potential", str(pot_path), "--samples", "5",
               "--report", str(report_path))
@@ -88,7 +94,7 @@ def test_verify_exit_codes(tmp_path):
     pot = builtin_potential(2)
     rows = [list(r) for r in pot.b1hat()]
     rows[0][0] = rows[0][0] + BiPoly.var_z()
-    bad = PotentialDocument(pot.m, pot.h, pot.hhat, tuple(tuple(r) for r in rows))
+    bad = NormalizedPotential(pot.m, pot.h, pot.hhat, tuple(tuple(r) for r in rows))
     bad_path = tmp_path / "bad.json"
     save_potential(bad, bad_path)
     rc = _run("verify", "--potential", str(bad_path), "--samples", "5",
@@ -110,7 +116,7 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     pot = builtin_potential(2)
     rows = [list(r) for r in pot.b1hat()]
     rows[0][0] = rows[0][0] + BiPoly.var_z()
-    bad = PotentialDocument(pot.m, pot.h, pot.hhat, tuple(tuple(r) for r in rows))
+    bad = NormalizedPotential(pot.m, pot.h, pot.hhat, tuple(tuple(r) for r in rows))
     bad_path = tmp_path / "bad.json"
     save_potential(bad, bad_path)
     assert _run("synth", "--potential", str(bad_path),

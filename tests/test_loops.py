@@ -237,6 +237,9 @@ def test_float_unipotent_inverse():
     assert Uinv.exact is False
     ident = LoopMatrix.from_constant(np.eye(4))
     assert (U @ Uinv - ident).max_abs() < 1e-12
+    # an exact loop is refused: its constant identity would be a float one
+    with pytest.raises(ValueError, match="mixed exact and float"):
+        unipotent_inverse(LoopMatrix.identity(4))
 
 
 def test_to_float_binds_exact_entries():

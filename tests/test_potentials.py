@@ -10,9 +10,8 @@ from scipy.linalg import expm
 
 from willmore.errors import PotentialFormatError
 from willmore.potentials import (
-    PotentialDocument,
+    NormalizedPotential,
     builtin_potential,
-    document_for,
     load_potential,
     parse_potential,
     rank_and_classify,
@@ -24,7 +23,7 @@ from willmore.scalars import BiPoly, GaussianRational
 
 
 def test_round_trip_through_disk(tmp_path):
-    doc = document_for(builtin_potential(1))
+    doc = builtin_potential(1)
     path = tmp_path / "pot.json"
     save_potential(doc, path)
     back = load_potential(path)
@@ -35,8 +34,8 @@ def test_round_trip_through_disk(tmp_path):
 
 
 def test_digest_is_content_addressed(tmp_path):
-    doc = document_for(builtin_potential(2))
-    other = document_for(builtin_potential(1))
+    doc = builtin_potential(2)
+    other = builtin_potential(1)
     assert doc.digest() != other.digest()
     # serialization formatting does not enter the digest
     path = tmp_path / "pot.json"
@@ -59,6 +58,23 @@ def test_parse_rejects_malformed_documents():
         )
     with pytest.raises(PotentialFormatError):
         parse_potential({"m": 1, "h": [[["x", "0"]]], "hhat": [[["0", "0"]]]})
+    one = [[["1", "0"]]]
+    row = [[["1", "0"]], [["0", "1"]]]
+    for bad in (
+        {"m": 1, "h": [[[True, "0"]]], "hhat": one},
+        {"m": 1, "h": [[[None, "0"]]], "hhat": one},
+        {"m": 1, "h": ["1"], "hhat": one},
+        {"h": one, "hhat": one},
+        {"m": 1, "h": one},
+        {"m": 1, "h": one, "hhat": one, "b1hat": [row]},
+        {"m": 1, "h": one, "hhat": one, "b1hat": [row, row, row]},
+        {"m": 1, "h": one, "hhat": one, "b1hat": [row, row[:1]]},
+    ):
+        with pytest.raises(PotentialFormatError):
+            parse_potential(bad)
+    # an int and a finite float coefficient parse exactly
+    pot = parse_potential({"m": 1, "h": [[[3, 0.5]]], "hhat": one})
+    assert pot.h[0].terms[(0, 0)] == GaussianRational(3, Fraction(1, 2))
 
 
 def test_load_reports_line_and_column(tmp_path):
@@ -73,13 +89,13 @@ def test_load_reports_line_and_column(tmp_path):
 
 def test_b1hat_override_consistency_gate():
     pot = builtin_potential(2)
-    good = PotentialDocument(pot.m, pot.h, pot.hhat, pot.b1hat())
+    good = NormalizedPotential(pot.m, pot.h, pot.hhat, pot.b1hat())
     assert good.pairing_consistent()
     assert good.normalized().m == 2
 
     rows = [list(r) for r in pot.b1hat()]
     rows[0][0] = rows[0][0] + BiPoly.var_z()
-    bad = PotentialDocument(pot.m, pot.h, pot.hhat, tuple(tuple(r) for r in rows))
+    bad = NormalizedPotential(pot.m, pot.h, pot.hhat, tuple(tuple(r) for r in rows))
     assert not bad.pairing_consistent()
     with pytest.raises(PotentialFormatError):
         bad.normalized()
@@ -87,7 +103,7 @@ def test_b1hat_override_consistency_gate():
 
 def test_override_survives_serialization(tmp_path):
     pot = builtin_potential(2)
-    doc = PotentialDocument(pot.m, pot.h, pot.hhat, pot.b1hat())
+    doc = NormalizedPotential(pot.m, pot.h, pot.hhat, pot.b1hat())
     path = tmp_path / "with_override.json"
     save_potential(doc, path)
     back = load_potential(path)
@@ -99,8 +115,6 @@ def test_rank_and_classify_tags():
     one = BiPoly.const(1)
     zero = BiPoly.zero()
     z = BiPoly.var_z()
-
-    from willmore.potentials import NormalizedPotential
 
     assert rank_and_classify(NormalizedPotential(1, [one], [zero])) == (
         1, "hyperbolic-minimal")
@@ -122,6 +136,8 @@ def test_rank_and_classify_tags():
 def test_shipped_examples_classification():
     assert rank_and_classify(builtin_potential(1))[0] == 2
     assert rank_and_classify(builtin_potential(2))[0] == 2
+    with pytest.raises(ValueError):
+        builtin_potential(3)
 
 
 def test_nilpotent_embedding_is_cube_zero():
@@ -185,12 +201,15 @@ def test_wu_callable_framing_agrees_with_constant_closed_form():
     d1 = _nilpotent_sample()
     rng = np.random.default_rng(11)
     d0 = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) * 0.2
-    samples = [0.6 - 0.3j, -0.9j]
-    got = wu_normalized_potential(lambda z: d0, d1, samples)
-    for z, g in zip(samples, got):
-        F0 = expm(z * d0)
-        want = F0 @ d1 @ np.linalg.inv(F0)
-        assert np.abs(g - want).max() < 1e-9
+    samples = [0.6 - 0.3j, -0.9j, 0j]
+    # steps=None doubles until it converges; an explicit steps is checked
+    # once against twice as many
+    for steps in (None, 256):
+        got = wu_normalized_potential(lambda z: d0, d1, samples, steps=steps)
+        for z, g in zip(samples, got):
+            F0 = expm(z * d0)
+            want = F0 @ d1 @ np.linalg.inv(F0)
+            assert np.abs(g - want).max() < 1e-9
 
 
 def test_wu_step_doubling_guard_fires():

@@ -21,9 +21,7 @@ from willmore.loops import LoopMatrix, exact_zeros
 from willmore.potentials import (
     NilpotentPotential,
     NormalizedPotential,
-    PotentialDocument,
     builtin_potential,
-    document_for,
     to_nilpotent,
 )
 from willmore.scalars import GR_ZERO, RF_ONE, BiPoly, GaussianRational, RationalFn, _gr
@@ -59,7 +57,7 @@ def test_report_serialization_schema(report2):
     data = report2.to_dict()
     assert data["schema"] == "verification-report/1"
     assert data["m"] == 2
-    assert data["potential_digest"] == document_for(builtin_potential(2)).digest()
+    assert data["potential_digest"] == builtin_potential(2).digest()
     assert isinstance(data["singular_radii"], list)
     assert data["passed"] is True
     assert "timing_ms" in data
@@ -80,6 +78,9 @@ def test_plan_rejects_unknown_keys():
                  {"radius": -0.9}, {"lambdas": ((1.0, 0.0),)}):
         with pytest.raises(ValueError):
             run_suite(builtin_potential(2), plan)
+    # so is a potential in any form but NormalizedPotential
+    with pytest.raises(TypeError):
+        run_suite(builtin_potential(2).to_dict(), SMALL_PLAN)
 
 
 def test_default_plan_documented_keys():
@@ -92,7 +93,7 @@ def test_corrupted_pairing_fails_only_the_isotropy_check():
     pot = builtin_potential(2)
     rows = [list(r) for r in pot.b1hat()]
     rows[0][0] = rows[0][0] + BiPoly.var_z()
-    doc = PotentialDocument(pot.m, pot.h, pot.hhat, tuple(tuple(r) for r in rows))
+    doc = NormalizedPotential(pot.m, pot.h, pot.hhat, tuple(tuple(r) for r in rows))
     rep = run_suite(doc, SMALL_PLAN)
     assert not rep.passed
     failed = [c["name"] for c in rep.checks if not c["passed"]]
