@@ -1,14 +1,15 @@
 """Holomorphic frame integration for nilpotent potentials.
 
-Because the potential image is strictly upper triangular with two grading
-steps, the frame ODE dH = H (loop^-1 P(eta)) dz closes after two quadratures:
+The nilpotent potential N is the m x 2 block fcheck of potentials.to_nilpotent
+at loop power -1, in the shape of f below.  N is strictly upper triangular with
+two grading steps, so the frame ODE dH = H N dz closes after two quadratures:
 
     H = I + loop^-1 [[0, f, 0], [0, 0, -f#], [0, 0, 0]]
           + loop^-2 [[0, 0, g], [0, 0, 0], [0, 0, 0]]
 
 with f = int_0^z fcheck dz and g = -int_0^z f fcheck# dz.  Both integrals are
 term-wise exact on polynomial potentials, H(0) = I, and (H - I)^3 = 0.
-fcheck, f and g are read-only object arrays of BiPoly.
+fcheck, f and g are read-only BiPoly arrays, all held by HolomorphicFrame.
 """
 
 from __future__ import annotations
@@ -16,22 +17,19 @@ from __future__ import annotations
 from functools import cached_property
 
 from .loops import LoopMatrix, exact_map, exact_matrix, exact_zeros, nilpotent_block, sharp
-from .potentials import NilpotentPotential
 from .scalars import BP_ZERO, GR_I, RationalFn
 
 
 class HolomorphicFrame:
-    """Exact frame data (f, g) for one nilpotent potential."""
+    """Exact frame data (f, g) for one nilpotent potential fcheck."""
 
     def __init__(self, m: int, fcheck, f, g):
         self.m = m
         self.fcheck = exact_matrix(fcheck)
         self.f = exact_matrix(f)
         self.g = exact_matrix(g)
-        if self.f.shape != (m, 2):
-            raise ValueError("f must be m x 2")
-        if self.g.shape != (m, m):
-            raise ValueError("g must be m x m")
+        if (self.fcheck.shape, self.f.shape, self.g.shape) != ((m, 2), (m, 2), (m, m)):
+            raise ValueError("fcheck and f must be m x 2, and g m x m")
 
     @cached_property
     def axis_derivatives(self):
@@ -48,14 +46,20 @@ class HolomorphicFrame:
 
         return tuple((exact_map(self.f, d), exact_map(self.g, d)) for d in (d_x, d_y))
 
+    def potential_loop(self) -> LoopMatrix:
+        """The nilpotent potential N at loop power -1, a BiPoly loop."""
+        d = 2 * self.m + 2
+        return LoopMatrix(d, d, {-1: nilpotent_block(self.fcheck, BP_ZERO)})
+
     def H_loop(self) -> LoopMatrix:
         """The integrated frame as an exact loop with powers {0, -1, -2},
         built once per frame.  Bind it at a sample with .to_float(z).
 
-        Its entries are polynomials but stay RationalFn: check_refactor binds
-        H exactly at every sample, and that binding is the verify path's one
-        use of RationalFn.evaluate, which the benchmark's tracer
-        (perfbench/tracer.py) times as a span of its own.
+        Its entries are polynomials but stay RationalFn: binding H in
+        check_refactor is the only call of RationalFn.evaluate and
+        LoopMatrix.to_float on any benchmark workload, and
+        perfbench/selftest.py fails when a timed span never fires, so H
+        becomes a BiPoly loop only with benchmark v2 (ROADMAP item 3).
         """
         return self._H
 
@@ -72,8 +76,8 @@ class HolomorphicFrame:
         return LoopMatrix(d, d, coeffs) + LoopMatrix.identity(d)
 
 
-def integrate_frame(nil: NilpotentPotential) -> HolomorphicFrame:
-    """Both quadratures, term-wise exact."""
-    f = exact_map(nil.fcheck, lambda p: p.integrate_z())
-    g = exact_map(f @ sharp(nil.fcheck), lambda p: -p.integrate_z())
-    return HolomorphicFrame(nil.m, nil.fcheck, f, g)
+def integrate_frame(fcheck) -> HolomorphicFrame:
+    """Both quadratures of an m x 2 BiPoly array fcheck, term-wise exact."""
+    f = exact_map(fcheck, lambda p: p.integrate_z())
+    g = exact_map(f @ sharp(fcheck), lambda p: -p.integrate_z())
+    return HolomorphicFrame(fcheck.shape[0], fcheck, f, g)

@@ -70,7 +70,7 @@ from .loops import (
     sharp,
     unipotent_inverse,
 )
-from .scalars import BP_ONE, BP_ZERO, RF_ONE, RF_ZERO, RationalFn, _cmul_np, as_samples
+from .scalars import BP_ONE, BP_ZERO, RationalFn, _cmul_np, as_samples
 
 _STRUCT_TOL = 1e-8
 REFACTOR_TOL = 1e-6
@@ -88,7 +88,7 @@ class IwasawaWitness:
     An exact witness holds read-only object arrays of RationalFn, so it is
     the one whose rho.dtype is object; it also sets det_rho, q_is_identity,
     usharp_frac = (U, det), the BiPoly numerator matrix and denominator
-    that u# = U / det is solved on, and, when q == I2, l0 = I2.
+    that u# = U / det is solved on.
     A float witness is solved over a 1-D array of N samples and holds stacks
     over the samples that passed every check: v, l0, l1, l4, z, residuals,
     fv and gv, with index giving their positions in the input and errors the
@@ -236,10 +236,9 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
         raise ResidualTooLarge("closure equation 1B fails as a rational identity")
 
     q_is_identity = exact_equal(Q, exact_identity(2, D2, BP_ZERO))
-    ident2 = exact_identity(2, RF_ONE, RF_ZERO)
     return IwasawaWitness(
         m, rho, rho_inv, u, usharp, over(Q, D2), det_rho=det_rf, usharp_frac=(U, det),
-        q_is_identity=q_is_identity, l0=ident2 if q_is_identity else None,
+        q_is_identity=q_is_identity,
     )
 
 

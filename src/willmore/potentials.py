@@ -13,7 +13,9 @@ h^2 + (i h)^2 = 0), and the potential matrix is the pairing
 
 carried at loop power -1.  Pushing through the block-graded isometry gives
 the strictly upper-triangular form with the m x 2 block fcheck,
-fcheck[j] = (i (h_j - hhat_j), -i (h_j + hhat_j)).
+fcheck[j] = (i (h_j - hhat_j), -i (h_j + hhat_j)).  to_nilpotent returns that
+block as a read-only BiPoly array; frames.integrate_frame integrates it, and
+the frame's potential_loop() carries it at loop power -1.
 
 Potential files are JSON: {"m": int, "h": [[..], ..], "hhat": [[..], ..]}
 where each polynomial is a list of [re, im] coefficient pairs by ascending
@@ -38,7 +40,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import PotentialFormatError, StepSizeTooCoarse
-from .loops import LoopMatrix, exact_equal, exact_matrix, exact_zeros, nilpotent_block
+from .loops import LoopMatrix, exact_equal, exact_matrix, exact_zeros
 from .scalars import BP_ZERO, BiPoly, GR_I, GaussianRational
 
 
@@ -125,27 +127,11 @@ class NormalizedPotential:
         return LoopMatrix(d, d, {-1: mat})
 
 
-class NilpotentPotential:
-    """Image of a normalized potential in the block-graded model."""
-
-    def __init__(self, m: int, fcheck):
-        self.m = m
-        self.fcheck = exact_matrix(fcheck)
-        if self.fcheck.shape != (m, 2):
-            raise ValueError("fcheck must be m x 2")
-
-    def full_loop(self) -> LoopMatrix:
-        """The nilpotent potential at loop power -1, a BiPoly loop."""
-        d = 2 * self.m + 2
-        return LoopMatrix(d, d, {-1: nilpotent_block(self.fcheck, BP_ZERO)})
-
-
-def to_nilpotent(pot: NormalizedPotential) -> NilpotentPotential:
-    """Closed-form image of the potential under the block-graded isometry."""
-    fc = []
-    for hj, hhj in zip(pot.h, pot.hhat):
-        fc.append(((hj - hhj) * GR_I, (hj + hhj) * (-GR_I)))
-    return NilpotentPotential(pot.m, fc)
+def to_nilpotent(pot: NormalizedPotential) -> np.ndarray:
+    """Closed-form image of the potential under the block-graded isometry:
+    the m x 2 block fcheck, a read-only BiPoly array (integrate_frame takes it)."""
+    return exact_matrix([((hj - hhj) * GR_I, (hj + hhj) * (-GR_I))
+                         for hj, hhj in zip(pot.h, pot.hhat)])
 
 
 def rank_and_classify(pot: NormalizedPotential):
@@ -319,7 +305,7 @@ def parse_potential(data) -> NormalizedPotential:
         m = data["m"]
     except KeyError:
         raise PotentialFormatError("missing key 'm'")
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise PotentialFormatError("'m' must be a positive integer")
     for key in ("h", "hhat"):
         if key not in data:

@@ -779,20 +779,13 @@ def reference_metric(example_id: int, which: str = "Y") -> RationalFn:
 
 
 def reference_singular_radius(example_id: int) -> float:
-    """Positive root of the shipped degeneracy polynomials (bisected, exact input)."""
-    if example_id == 1:
-        poly = [Fraction(1), Fraction(0), Fraction(0), Fraction(0),
-                Fraction(-1, 4), Fraction(0), Fraction(-2, 9)]
-    elif example_id == 2:
-        poly = [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(-1, 4)]
-    else:
-        raise ValueError("no shipped example with id %r" % (example_id,))
+    """Positive root of the shipped degeneracy polynomial sigma (bisected,
+    exact input)."""
+    sigma = reference_lift_exact(example_id, 1)["sigma"]
 
     def val(r: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(poly):
-            acc = acc * r + c
-        return acc
+        # sigma is a real polynomial in r^2 = z zbar, taken at z = r.
+        return sigma.evaluate_exact(GaussianRational(r)).re
 
     a, b = Fraction(1), Fraction(2)
     while val(b) > 0:

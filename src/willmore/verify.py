@@ -284,16 +284,6 @@ def _exact_size(residual: LoopMatrix, probe) -> float:
     return size or math.inf
 
 
-def _potential_isotropy(b1, probe) -> float:
-    """Largest entry of B1hat B1hat^t at probe: 0.0 when it vanishes identically."""
-    return max([0.0] + [abs(p.evaluate(probe)) for p in (b1 @ b1.T).flat])
-
-
-def _frame_unipotent(H: LoopMatrix, probe) -> float:
-    E = H - LoopMatrix.identity(H.rows)
-    return _exact_size(E @ E @ E, probe)
-
-
 def _iso_oracle(ctx, cfg, probe) -> float:
     """iso_P against its index-wise form, and its homomorphism property on
     consecutive pairs, over random exact constant matrices.
@@ -456,7 +446,9 @@ def run_suite(pot, plan=None) -> VerificationReport:
 
     potential-isotropy checks pot.b1hat(), its b1hat override if it has one;
     every other check reads only h and hhat, through eta_loop and
-    to_nilpotent.  The report's potential_digest is pot.digest().
+    to_nilpotent.  The report's potential_digest is pot.digest().  The four
+    exact identities (potential-isotropy, nilpotent-embed, frame-ode and
+    frame-unipotent) are each _exact_size of one residual loop.
 
     Each check, or each group of checks computed together, gives its
     residual or the exception it failed with, and one loop turns those into
@@ -480,8 +472,7 @@ def run_suite(pot, plan=None) -> VerificationReport:
     m = pot.m
     ctx = get_context(m)
 
-    nil = to_nilpotent(pot)
-    hf = integrate_frame(nil)
+    hf = integrate_frame(to_nilpotent(pot))
     radii = degeneracy_scan(hf, r_range=(1e-3, max(2.5, 1.5 * cfg["radius"])))
     samples, rejected = _draw_samples(cfg, radii, hf)
     fd_samples = samples[: cfg["fd_samples"]]
@@ -489,15 +480,24 @@ def run_suite(pot, plan=None) -> VerificationReport:
     probe = samples[0] if samples else complex(1, 1) / 3
     H = hf.H_loop()
 
+    def potential_isotropy():
+        b1 = pot.b1hat()
+        return LoopMatrix.from_constant(b1 @ b1.T)
+
+    def frame_unipotent():
+        E = H - LoopMatrix.identity(H.rows)
+        return E @ E @ E
+
+    # The exact identities as loops that vanish when they hold.
+    residuals = (
+        ("potential-isotropy", potential_isotropy),
+        ("nilpotent-embed", lambda: ctx.iso_P(pot.eta_loop()) - hf.potential_loop()),
+        ("frame-ode", lambda: H.d_dz() - H @ hf.potential_loop()),
+        ("frame-unipotent", frame_unipotent),
+    )
     # (name, residual or the exception it failed with, samples covered)
-    results = [
-        ("potential-isotropy", _attempt(_potential_isotropy, pot.b1hat(), probe), 1),
-        ("nilpotent-embed", _attempt(
-            lambda: _exact_size(ctx.iso_P(pot.eta_loop()) - nil.full_loop(), probe)), 1),
-        ("frame-ode", _attempt(
-            lambda: _exact_size(H.d_dz() - H @ nil.full_loop(), probe)), 1),
-        ("frame-unipotent", _attempt(_frame_unipotent, H, probe), 1),
-    ]
+    results = [(name, _attempt(lambda: _exact_size(residual(), probe)), 1)
+               for name, residual in residuals]
 
     n_eval, stack = 0, dict.fromkeys(tuple(_IWASAWA_CHECKS) + _FRAME_CHECKS, 0.0)
     if samples:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from willmore.frames import integrate_frame
@@ -39,17 +40,15 @@ def _frame_cases():
 @pytest.mark.parametrize("pot", _frame_cases())
 def test_frame_satisfies_its_defining_equation(pot):
     # dH/dz must equal H times the potential loop, exactly
-    nil = to_nilpotent(pot)
-    hf = integrate_frame(nil)
+    hf = integrate_frame(to_nilpotent(pot))
     H = hf.H_loop()
-    rhs = H @ nil.full_loop()
+    rhs = H @ hf.potential_loop()
     assert (H.d_dz() - rhs).is_zero()
 
 
 @pytest.mark.parametrize("pot", _frame_cases())
 def test_frame_is_unipotent_and_based(pot):
-    nil = to_nilpotent(pot)
-    H = integrate_frame(nil).H_loop()
+    H = integrate_frame(to_nilpotent(pot)).H_loop()
     d = 2 * pot.m + 2
     N = H - LoopMatrix.identity(d)
     assert (N @ N @ N).is_zero()
@@ -71,13 +70,13 @@ def test_quadratures_recover_known_example():
     # constant fcheck integrates to z * fcheck and the second quadrature
     # picks up the -z^2/2 contraction
     pot = builtin_potential(2)
-    nil = to_nilpotent(pot)
-    hf = integrate_frame(nil)
+    fcheck = to_nilpotent(pot)
+    hf = integrate_frame(fcheck)
     z = BiPoly.var_z()
     for i in range(hf.m):
         for j in range(2):
-            assert (hf.f[i][j] - z * nil.fcheck[i][j]).is_zero()
-    prod = nil.fcheck @ sharp(nil.fcheck)
+            assert (hf.f[i][j] - z * fcheck[i][j]).is_zero()
+    prod = fcheck @ sharp(fcheck)
     for i in range(hf.m):
         for j in range(hf.m):
             want = (z * z * prod[i][j]).scale(Fraction(-1, 2))
@@ -87,7 +86,12 @@ def test_quadratures_recover_known_example():
 def test_frame_shapes_validated():
     from willmore.frames import HolomorphicFrame
 
-    nil = to_nilpotent(builtin_potential(2))
-    hf = integrate_frame(nil)
+    hf = integrate_frame(to_nilpotent(builtin_potential(2)))
     with pytest.raises(ValueError):
         HolomorphicFrame(3, hf.fcheck, hf.f, hf.g)
+    # an m x 3 fcheck, with f and g of the right shapes
+    wide = np.concatenate([hf.fcheck, hf.fcheck[:, :1]], axis=1)
+    with pytest.raises(ValueError):
+        HolomorphicFrame(hf.m, wide, hf.f, hf.g)
+    with pytest.raises(ValueError):
+        integrate_frame(wide)

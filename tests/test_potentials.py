@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from willmore.errors import PotentialFormatError
+from willmore.frames import integrate_frame
 from willmore.potentials import (
     NormalizedPotential,
     builtin_potential,
@@ -66,6 +67,7 @@ def test_parse_rejects_malformed_documents():
         {"m": 1, "h": ["1"], "hhat": one},
         {"h": one, "hhat": one},
         {"m": 1, "h": one},
+        {"m": True, "h": one, "hhat": one},
         {"m": 1, "h": one, "hhat": one, "b1hat": [row]},
         {"m": 1, "h": one, "hhat": one, "b1hat": [row, row, row]},
         {"m": 1, "h": one, "hhat": one, "b1hat": [row, row[:1]]},
@@ -144,8 +146,7 @@ def test_nilpotent_embedding_is_cube_zero():
     # the graded coefficient is strictly block-upper-triangular with two
     # off-diagonal blocks, so its cube vanishes identically
     for example_id in (1, 2):
-        nil = to_nilpotent(builtin_potential(example_id))
-        eta = nil.full_loop()
+        eta = integrate_frame(to_nilpotent(builtin_potential(example_id))).potential_loop()
         assert not (eta @ eta).is_zero()
         assert (eta @ eta @ eta).is_zero()
 

@@ -14,16 +14,11 @@ import willmore.surfaces
 import willmore.verify
 from test_acceptance import _random_potentials
 from willmore.cli import main
-from willmore.frames import integrate_frame
+from willmore.frames import HolomorphicFrame, integrate_frame
 from willmore.groups import GroupContext
 from willmore.iwasawa import solve_iwasawa_exact
 from willmore.loops import LoopMatrix, exact_zeros
-from willmore.potentials import (
-    NilpotentPotential,
-    NormalizedPotential,
-    builtin_potential,
-    to_nilpotent,
-)
+from willmore.potentials import NormalizedPotential, builtin_potential, to_nilpotent
 from willmore.scalars import GR_ZERO, RF_ONE, BiPoly, GaussianRational, RationalFn, _gr
 from willmore.surfaces import degeneracy_scan, mink_pair_np
 from willmore.verify import (
@@ -100,6 +95,19 @@ def test_corrupted_pairing_fails_only_the_isotropy_check():
     assert failed == ["potential-isotropy"]
 
 
+def test_b1hat_isotropy_is_not_passed_by_a_zero_at_the_probe():
+    # B1hat B1hat^t is not identically zero, but it vanishes at the probe of
+    # a plan with no samples, (1 + i)/3: the check must read inf and fail.
+    pot = builtin_potential(2)
+    rows = [list(r) for r in pot.b1hat()]
+    rows[0][0] = rows[0][0] + (BiPoly.var_z() - GaussianRational.from_complex(complex(1, 1) / 3))
+    doc = NormalizedPotential(pot.m, pot.h, pot.hhat, tuple(tuple(r) for r in rows))
+    rep = run_suite(doc, {"samples": 0, "fd_samples": 0})
+    entry = {c["name"]: c for c in rep.checks}["potential-isotropy"]
+    assert not entry["passed"] and entry["max_residual"] == float("inf"), entry
+    assert "error" not in entry, entry
+
+
 def test_singular_radii_are_reported_and_avoided():
     rep = run_suite(builtin_potential(2), dict(SMALL_PLAN, radius=2.0))
     assert any(abs(r - 2 ** 0.5) < 1e-8 for r in rep.singular_radii)
@@ -127,11 +135,11 @@ def test_exact_checks_measure_a_broken_identity(monkeypatch):
         return LoopMatrix(d, d, {0: mat})
 
     indexwise = GroupContext.iso_P_indexwise
-    full_loop = NilpotentPotential.full_loop
+    potential_loop = HolomorphicFrame.potential_loop
     monkeypatch.setattr(GroupContext, "iso_P_indexwise",
                         lambda self, A: indexwise(self, A) + constant_loop(A.rows))
-    monkeypatch.setattr(NilpotentPotential, "full_loop",
-                        lambda self: full_loop(self) + constant_loop(2 * self.m + 2))
+    monkeypatch.setattr(HolomorphicFrame, "potential_loop",
+                        lambda self: potential_loop(self) + constant_loop(2 * self.m + 2))
     rep = run_suite(builtin_potential(2), SMALL_PLAN)
     checks = {c["name"]: c for c in rep.checks}
     for name in ("iso-oracle", "nilpotent-embed"):
@@ -403,7 +411,7 @@ def test_exact_size_does_not_cancel_across_loop_powers(monkeypatch):
     z_half = RationalFn(BiPoly.var_z() - GaussianRational(Fraction(1, 2)))
     assert _exact_size(LoopMatrix(1, 1, {1: [[z_half]]}), 0.5) == float("inf")
 
-    full_loop = NilpotentPotential.full_loop
+    potential_loop = HolomorphicFrame.potential_loop
 
     def with_cancelling_residual(self):
         d = 2 * self.m + 2
@@ -411,9 +419,9 @@ def test_exact_size_does_not_cancel_across_loop_powers(monkeypatch):
         for k, c in cancel.coeffs.items():
             mats[k] = np.full((d, d), RationalFn.const(0), dtype=object)
             mats[k][0, 1] = c[0, 0]
-        return full_loop(self) + LoopMatrix(d, d, mats)
+        return potential_loop(self) + LoopMatrix(d, d, mats)
 
-    monkeypatch.setattr(NilpotentPotential, "full_loop", with_cancelling_residual)
+    monkeypatch.setattr(HolomorphicFrame, "potential_loop", with_cancelling_residual)
     rep = run_suite(builtin_potential(2), SMALL_PLAN)
     entry = {c["name"]: c for c in rep.checks}["nilpotent-embed"]
     assert not entry["passed"] and entry["max_residual"] == abs(1 + 1j), entry
