@@ -5,9 +5,13 @@ Subcommands:
 * example: full pipeline on a shipped potential, mesh plus a closed-form
   comparison report with the projective distance at every vertex, all
   distances taken in one stacked pass.  The mesh is evaluated in blocks of
-  64 vertices, each factorized with its metric stencils in one stacked call
-  (the output bytes do not depend on the block size); the summary counts
-  singular vertices by error class.
+  64 vertices, each factorized with its metric stencils in one stacked call,
+  and the blocks are split into interleaved shares over the usable CPUs:
+  this process computes one share and a forked child each other one, and
+  the blocks are written back in block order.  A block's values do not
+  depend on the block size or on the process that computes it, so neither
+  do the output bytes; with one usable CPU nothing forks.  The summary
+  counts singular vertices by error class.
 * synth: the same pipeline for a user potential file (CSV always; OBJ for
   m = 2 after a stereographic projection to R^4 with the last coordinate
   dropped, a visualization convenience that is clearly lossy).
@@ -25,6 +29,7 @@ import cmath
 import json
 import math
 import os
+import pickle
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -154,6 +159,80 @@ def _cartesian_faces(n: int):
 _BLOCK = 64
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where os.fork or
+    os.sched_getaffinity is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _child(fn, share, fds, w):
+    """Run fn(share) in a forked child, send (True, result) or (False,
+    exception) pickled through the write end w, and leave by os._exit: the
+    child never returns into its caller's stack and never flushes the
+    parent's buffers.  fds are the read ends the child inherited."""
+    status = 1
+    try:
+        for fd in fds:
+            os.close(fd)
+        try:
+            payload = (True, fn(share))
+        except Exception as e:
+            payload = (False, e)
+        try:
+            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            data = pickle.dumps((False, RuntimeError("cannot pickle %s: %s" % (
+                type(payload[1]).__name__, payload[1]))))
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _map_shares(fn, shares) -> list:
+    """[fn(share) for share in shares]: the first share in this process, each
+    other one in a forked child (_child) computing at the same time.
+
+    A child's exception is raised here with its type and message.  Every
+    child is reaped before this returns or raises; the read ends are closed
+    first, so that a child blocked on a full pipe gets EPIPE and exits.  With
+    one share nothing forks.
+    """
+    children = []  # (pid, read end)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(fn, share, [fd for _, fd in children] + [r], w)
+            os.close(w)
+            children.append((pid, r))
+        results = [fn(shares[0])]
+        for _, r in children:
+            with os.fdopen(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            if not data:
+                raise RuntimeError("a forked worker exited without its result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for _, r in children:
+            os.close(r)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+
+
 def _evaluate_block(pair, metric_y, metric_yhat, pts):
     """The CSV value columns of a block of vertices, one row per vertex and
     NaN on singular ones, the singular mask, and each singular vertex's
@@ -181,7 +260,16 @@ def _evaluate_block(pair, metric_y, metric_yhat, pts):
 
 def _write_mesh_csv(path, pair, pts):
     """Write mesh.csv; returns its value columns (as _evaluate_block gives
-    them), the singular mask and the singular vertices per error class."""
+    them), the singular mask and the singular vertices per error class.
+
+    The blocks are dealt into interleaved shares, one per worker, with
+    workers = min(usable CPUs, blocks): this process computes share 0 and a
+    forked child each other one (_map_shares), each block evaluated and its
+    CSV rows formatted where it is computed.  The blocks are then put back
+    in block order and written here.  A block's values do not depend on
+    which process computes it, so the output does not depend on the worker
+    count; with one worker the single share runs here and nothing forks.
+    """
     m = pair.m
     metric_y = induced_metric(pair, "Y")
     metric_yhat = induced_metric(pair, "Yhat")
@@ -192,16 +280,26 @@ def _write_mesh_csv(path, pair, pts):
             + ["y%d" % k for k in range(1, d)]
             + ["yhat%d" % k for k in range(1, d)]
             + ["yz_sq", "yhatz_sq", "singular"])
-    blocks = [_evaluate_block(pair, metric_y, metric_yhat, pts[start:start + _BLOCK])
-              for start in range(0, len(pts), _BLOCK)]
-    vals = np.concatenate([b[0] for b in blocks])
-    singular = np.concatenate([b[1] for b in blocks])
-    reasons = Counter(name for b in blocks for name in b[2])
+
+    def share(starts):
+        out = []
+        for start in starts:
+            block = pts[start:start + _BLOCK]
+            vals, singular, reasons = _evaluate_block(pair, metric_y, metric_yhat, block)
+            rows = "".join("%s,%d\n" % (repr([z.real, z.imag, *row])[1:-1].replace(", ", ","), flag)
+                           for z, row, flag in zip(block, vals.tolist(), singular.tolist()))
+            out.append((start, vals, singular, reasons, rows))
+        return out
+
+    starts = range(0, len(pts), _BLOCK)
+    workers = min(_usable_cpus(), len(starts))
+    blocks = sorted((b for done in _map_shares(share, [starts[k::workers] for k in range(workers)])
+                     for b in done), key=lambda b: b[0])
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for z, row, flag in zip(pts, vals.tolist(), singular.tolist()):
-            fh.write("%s,%d\n" % (repr([z.real, z.imag, *row])[1:-1].replace(", ", ","), flag))
-    return vals, singular, reasons
+        fh.writelines(b[4] for b in blocks)
+    return (np.concatenate([b[1] for b in blocks]), np.concatenate([b[2] for b in blocks]),
+            Counter(name for b in blocks for name in b[3]))
 
 
 def _singular_summary(reasons: Counter) -> str:

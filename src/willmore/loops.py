@@ -153,27 +153,30 @@ def _bind(arr, z) -> np.ndarray:
                     dtype=complex).reshape(np.shape(z) + arr.shape)
 
 
-def _is_gr(arr) -> bool:
-    """Whether arr is an exact coefficient of GaussianRationals only."""
-    return arr.dtype == object and all(type(x) is GaussianRational for x in arr.flat)
-
-
 def _gr_parts(M):
     """(d, re, im): a GaussianRational matrix as integer object arrays
-    re + im*i over d, the lcm of its entries' denominators."""
+    re + im*i over d, the lcm of its entries' denominators; None for any
+    other coefficient."""
+    if M.dtype != object or not all(type(x) is GaussianRational for x in M.flat):
+        return None
     d, xs, ys = _cleared(list(M.flat))
     return d, *(np.array(v, dtype=object).reshape(M.shape) for v in (xs, ys))
 
 
-def _gr_matmul(A, B) -> np.ndarray:
-    """A @ B for GaussianRational matrices: the four integer products of
-    their numerators over d_A d_B, and one _gr per entry."""
-    dA, Ar, Ai = _gr_parts(A)
-    dB, Br, Bi = _gr_parts(B)
+def _gr_product(A, B) -> np.ndarray:
+    """The GaussianRational matrix product of two _gr_parts: the four
+    integer products of their numerators over d_A d_B, and one _gr per
+    entry."""
+    (dA, Ar, Ai), (dB, Br, Bi) = A, B
     d = dA * dB
     re, im = Ar @ Br - Ai @ Bi, Ar @ Bi + Ai @ Br
     return np.array([_gr(r, i, d) for r, i in zip(re.flat, im.flat)],
                     dtype=object).reshape(re.shape)
+
+
+def _gr_matmul(A, B) -> np.ndarray:
+    """A @ B for GaussianRational matrices, as _gr_product."""
+    return _gr_product(_gr_parts(A), _gr_parts(B))
 
 
 class LoopMatrix:
@@ -243,11 +246,16 @@ class LoopMatrix:
                 "LoopMatrix matmul mismatch: %dx%d @ %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
+        # each GaussianRational coefficient is cleared once per product, not
+        # once per power of the other operand
+        left = {k: _gr_parts(m) for k, m in self.coeffs.items()}
+        right = {k: _gr_parts(m) for k, m in other.coeffs.items()}
         out = {}
         for k1, m1 in self.coeffs.items():
             for k2, m2 in other.coeffs.items():
                 k = k1 + k2
-                prod = _gr_matmul(m1, m2) if _is_gr(m1) and _is_gr(m2) else m1 @ m2
+                p1, p2 = left[k1], right[k2]
+                prod = _gr_product(p1, p2) if p1 and p2 else m1 @ m2
                 out[k] = out[k] + prod if k in out else prod
         return self._with(out, cols=other.cols)
 

@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import signal
 import warnings
 
 import pytest
@@ -280,22 +281,121 @@ def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, monkeypa
         in capsys.readouterr().out
 
 
+def _boom(*args):
+    raise AssertionError("forked with one usable CPU")
+
+
 def test_output_bytes_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch):
-    # the straddle grid of the test above, singular vertices included
+    # the straddle grids of the test above, singular vertices included: example
+    # 1 through `example`, and example 2 (m = 2) through `synth --format obj`,
+    # each under every block size and worker count, nothing forked with one
+    import os
+
     from willmore import cli
     from willmore.surfaces import reference_singular_radius
 
-    radius = repr(1.25 * reference_singular_radius(1))
-    outputs = []
-    for block in (1, 7, cli._BLOCK):
-        monkeypatch.setattr(cli, "_BLOCK", block)
-        out = tmp_path / ("block%d" % block)
-        assert _run("example", "--id", "1", "--grid-n", "5", "--radius", radius,
-                    "--out", str(out)) == 0
-        outputs.append(((out / "mesh.csv").read_bytes(), (out / "comparison.json").read_bytes(),
-                        capsys.readouterr().out.replace(str(out), "OUT")))
-    assert b",1\n" in outputs[0][0]
-    assert outputs[0] == outputs[1] == outputs[2]
+    pot_path = tmp_path / "example2.json"
+    save_potential(builtin_potential(2), pot_path)
+    runs = (("example", "--id", "1", "--radius", repr(1.25 * reference_singular_radius(1))),
+            ("synth", "--potential", str(pot_path), "--format", "obj",
+             "--radius", repr(1.25 * reference_singular_radius(2))))
+    outputs, fork = [], os.fork
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(os, "fork", _boom if workers == 1 else fork)
+        for block in (1, 7, 64):
+            monkeypatch.setattr(cli, "_BLOCK", block)
+            files = []
+            for k, argv in enumerate(runs):
+                out = tmp_path / ("w%d-b%d-%d" % (workers, block, k))
+                assert _run(*argv, "--grid-n", "5", "--out", str(out)) == 0
+                files += [p.read_bytes() for p in sorted(out.iterdir())]
+            files.append(capsys.readouterr().out.replace(str(tmp_path), "TMP")
+                         .replace("w%d-b%d-" % (workers, block), "OUT"))
+            outputs.append(files)
+    assert [len(f) for f in outputs[0]] and len(outputs[0]) == 5
+    assert b",1\n" in outputs[0][1] and b",1\n" in outputs[0][2]
+    assert all(files == outputs[0] for files in outputs)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_block(cli, monkeypatch, exc, in_child):
+    """Make _evaluate_block raise exc on every block that a forked child
+    (in_child) or this process computes."""
+    import os
+
+    parent = os.getpid()
+    evaluate = cli._evaluate_block
+
+    def block(*args):
+        if (os.getpid() != parent) == in_child:
+            raise exc
+        return evaluate(*args)
+
+    monkeypatch.setattr(cli, "_evaluate_block", block)
+
+
+@pytest.mark.parametrize("exc", [ValueError("share failed: 7 blocks"),
+                                 KeyError("share failed")])
+def test_a_child_share_error_reaches_the_caller(tmp_path, monkeypatch, exc):
+    import os
+
+    from willmore import cli
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(cli, "_BLOCK", 4)
+    _failing_block(cli, monkeypatch, exc, in_child=True)
+    with pytest.raises(type(exc)) as caught:
+        _run("example", "--id", "1", "--grid-n", "4", "--out", str(tmp_path))
+    assert str(caught.value) == str(exc)
+    assert not (tmp_path / "mesh.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_willmore_error_exits_1(tmp_path, capsys, monkeypatch):
+    import os
+
+    from willmore import cli
+    from willmore.errors import ResidualTooLarge
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_BLOCK", 4)
+    _failing_block(cli, monkeypatch, ResidualTooLarge("1B residual 3.0e-2 at a block"),
+                   in_child=True)
+    assert _run("example", "--id", "1", "--grid-n", "4", "--out", str(tmp_path)) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: 1B residual 3.0e-2 at a block\n" and out == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_parent_share_error_does_not_wait_on_full_pipes(tmp_path, monkeypatch):
+    # 257 vertices in blocks of 8 over 3 workers: each child's share pickles
+    # to about 80 kB, more than a pipe holds (64 KiB on Linux), so the
+    # children block on their writes until the parent closes the read ends
+    import os
+
+    from willmore import cli
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(cli, "_BLOCK", 8)
+    _failing_block(cli, monkeypatch, ArithmeticError("parent share failed"), in_child=False)
+
+    def expire(signum, frame):
+        raise TimeoutError("the parent still waits on its children after 60 s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ArithmeticError, match="^parent share failed$"):
+            _run("example", "--id", "1", "--grid-n", "16", "--out", str(tmp_path))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _proj_distance_per_row(u, v) -> float:

@@ -6,6 +6,9 @@ CHANGES.md; any other change must leave them as they are.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,6 +56,13 @@ def test_example_mesh_bytes_are_pinned(tmp_path):
         "d0510bd92bb6d1b18a560f5f4332ff31cd975f0e43aecc4616cf6b049cbd3c67")
 
 
+BENCH_MESH = {
+    "mesh.csv": "2861eb6127f0dc83bda4484e5a6658f471b020405bcb1ccb1109444a8aa3073b",
+    "comparison.json": "ccce318e3af78b010f238a4394614448e99ba397581737b022a67124f5babd52",
+}
+BENCH_ARGV = ["example", "--id", "1", "--grid-n", "32", "--lambda", "cis:8/10"]
+
+
 def test_bench_mesh_bytes_are_pinned(tmp_path):
     """mesh.csv and comparison.json of the seed-7 mesh-ex1 bench run,
     `willmore example --id 1 --grid-n 32 --lambda cis:8/10`: a non-real
@@ -61,9 +71,30 @@ def test_bench_mesh_bytes_are_pinned(tmp_path):
     A legitimate change to these bytes updates the pin and logs both digests
     in CHANGES.md.
     """
-    assert main(["example", "--id", "1", "--grid-n", "32", "--lambda", "cis:8/10",
-                 "--out", str(tmp_path)]) == 0
-    assert _sha256((tmp_path / "mesh.csv").read_bytes()) == (
-        "2861eb6127f0dc83bda4484e5a6658f471b020405bcb1ccb1109444a8aa3073b")
-    assert _sha256((tmp_path / "comparison.json").read_bytes()) == (
-        "ccce318e3af78b010f238a4394614448e99ba397581737b022a67124f5babd52")
+    assert main(BENCH_ARGV + ["--out", str(tmp_path)]) == 0
+    for name, digest in BENCH_MESH.items():
+        assert _sha256((tmp_path / name).read_bytes()) == digest, name
+
+
+def test_entry_point_mesh_bytes_and_lines_are_pinned(tmp_path):
+    """The bench run through `python -m willmore.cli` with stdout piped, so
+    block-buffered: the pinned bytes, and each `wrote` line printed once.
+    The second run leaves a line in the buffer before the mesh workers fork,
+    so a worker that flushed the parent's buffer would print it twice."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(willmore.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    buffered = ("import sys; from willmore.cli import main; print('buffered');"
+                " sys.exit(main(sys.argv[1:]))")
+    for k, (command, head) in enumerate(((["-m", "willmore.cli"], []),
+                                         (["-c", buffered], ["buffered"]))):
+        out = tmp_path / str(k)
+        proc = subprocess.run([sys.executable, *command, *BENCH_ARGV, "--out", str(out)],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        for name, digest in BENCH_MESH.items():
+            assert _sha256((out / name).read_bytes()) == digest, name
+        assert [line.split(" (")[0] for line in proc.stdout.splitlines()] == head + [
+            "wrote %s" % (out / name) for name in ("mesh.csv", "comparison.json")]
