@@ -218,10 +218,10 @@ def _map_shares(fn, shares) -> list:
         results = [fn(shares[0])]
         for _, r in children:
             with os.fdopen(r, "rb", closefd=False) as fh:
-                data = fh.read()
-            if not data:
-                raise RuntimeError("a forked worker exited without its result")
-            ok, value = pickle.loads(data)
+                try:
+                    ok, value = pickle.load(fh)
+                except EOFError:
+                    raise RuntimeError("a forked worker exited without its result") from None
             if not ok:
                 raise value
             results.append(value)

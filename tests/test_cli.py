@@ -313,7 +313,9 @@ def test_output_bytes_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypa
             files.append(capsys.readouterr().out.replace(str(tmp_path), "TMP")
                          .replace("w%d-b%d-" % (workers, block), "OUT"))
             outputs.append(files)
-    assert [len(f) for f in outputs[0]] and len(outputs[0]) == 5
+    # comparison.json and mesh.csv of example 1, mesh.csv and mesh.obj of
+    # example 2, and stdout; both mesh.csv files have singular rows
+    assert len(outputs[0]) == 5
     assert b",1\n" in outputs[0][1] and b",1\n" in outputs[0][2]
     assert all(files == outputs[0] for files in outputs)
     with pytest.raises(ChildProcessError):
