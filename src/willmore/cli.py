@@ -171,7 +171,8 @@ def _child(fn, share, fds, w):
     """Run fn(share) in a forked child, send (True, result) or (False,
     exception) pickled through the write end w, and leave by os._exit: the
     child never returns into its caller's stack and never flushes the
-    parent's buffers.  fds are the read ends the child inherited."""
+    parent's buffers.  fds are the read ends the child inherited, its own
+    pipe's included."""
     status = 1
     try:
         for fd in fds:

@@ -246,8 +246,7 @@ class LoopMatrix:
                 "LoopMatrix matmul mismatch: %dx%d @ %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        # each GaussianRational coefficient is cleared once per product, not
-        # once per power of the other operand
+        # clear each GaussianRational coefficient once, for every power it meets
         left = {k: _gr_parts(m) for k, m in self.coeffs.items()}
         right = {k: _gr_parts(m) for k, m in other.coeffs.items()}
         out = {}
