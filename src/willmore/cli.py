@@ -3,15 +3,16 @@
 Subcommands:
 
 * example: full pipeline on a shipped potential, mesh plus a closed-form
-  comparison report with the projective distance at every vertex, all
-  distances taken in one stacked pass.  The mesh is evaluated in blocks of
-  64 vertices, each factorized with its metric stencils in one stacked call,
-  and the blocks are split into interleaved shares over the usable CPUs:
-  this process computes one share and a forked child each other one, and
-  the blocks are written back in block order.  A block's values do not
-  depend on the block size or on the process that computes it, so neither
-  do the output bytes; with one usable CPU nothing forks.  The summary
-  counts singular vertices by error class.
+  comparison report with the projective distance at every vertex.  The
+  mesh is evaluated in blocks of _BLOCK vertices, each factorized in one
+  stacked call whose witness gives both lifts and both conformal factors in
+  closed form, and the blocks are split into interleaved shares over the
+  usable CPUs: this process computes one share and a forked child each
+  other one.  A share also compares its vertices with the closed form and
+  formats their report rows; the blocks are written back in block order.
+  A block's values do not depend on the block size or on the process that
+  computes it, so neither do the output bytes; with one usable CPU nothing
+  forks.  The summary counts singular vertices by error class.
 * synth: the same pipeline for a user potential file (CSV always; OBJ for
   m = 2 after a stereographic projection to R^4 with the last coordinate
   dropped, a visualization convenience that is clearly lossy).
@@ -39,7 +40,8 @@ import numpy as np
 from .errors import PotentialFormatError, WillmoreError
 from .frames import integrate_frame
 from .potentials import builtin_potential, load_potential, to_nilpotent
-from .surfaces import SurfacePair, induced_metric, metric_stencil, reference_lift_eval
+from .iwasawa import solve_iwasawa_float
+from .surfaces import SurfacePair, induced_metric, reference_lift_eval
 from .verify import run_suite
 
 
@@ -152,11 +154,14 @@ def _cartesian_faces(n: int):
     return faces
 
 
-# Vertices per stacked evaluation: each block factorizes its vertices and
-# their metric stencils (9 samples per vertex) in one call, and the block
-# size bounds the memory that call takes.  Each sample of a stack has the
-# bits of a stack of one, so the output does not depend on the block size.
-_BLOCK = 64
+# Vertices per stacked evaluation: each block factorizes its vertices in one
+# call, and the block size bounds the memory that call takes.  On the bench
+# mesh (1,025 vertices, 2 vCPUs) blocks of 64, 128, 256 and 512 read median
+# wall_ref 79.5, 67.7, 62.7 and 59.5 and peak RSS 38.1, 38.6, 38.9 and
+# 39.4 MB; from 256 on, the RSS reaches that of the 9-sample stencil mesh at
+# 64.  Each sample of a stack has the bits of a stack of one, so the output
+# does not depend on the block size.
+_BLOCK = 128
 
 
 def _usable_cpus() -> int:
@@ -239,37 +244,63 @@ def _evaluate_block(pair, metric_y, metric_yhat, pts):
     NaN on singular ones, the singular mask, and each singular vertex's
     error class.
 
-    A vertex is singular when its own sample or one of its metric stencil
-    samples fails for either lift; its error is the first of those in the
-    order vertex, y metric, yhat metric.
+    One stacked factorization of the block's vertices feeds both lifts and
+    both conformal factors.  A vertex is singular when its own sample fails
+    for either lift: a check of the witness, the imaginary drift of
+    SurfacePair.values, or a vanishing first coordinate of y or yhat
+    (induced_metric).  Its error is the first of those in the order vertex
+    (witness and drift), y metric, yhat metric.
     """
-    n = len(pts)
     z = np.array(pts, dtype=complex)
-    Y, Yhat, errors = pair.values(np.concatenate([z, metric_stencil(z).ravel()]))
-    lifts = (Y[n:], Yhat[n:], errors[n:])
-    my, errors_y = metric_y(z, lifts=lifts)
-    myh, errors_yhat = metric_yhat(z, lifts=lifts)
-    Y, Yhat = Y[:n], Yhat[:n]
+    w = solve_iwasawa_float(pair.hf, z)
+    Y, Yhat, errors = pair.values(z, w)
+    my, errors_y = metric_y(z, w)
+    myh, errors_yhat = metric_yhat(z, w)
     vals = np.concatenate([Y, Yhat, Y[:, 1:] / Y[:, :1], Yhat[:, 1:] / Yhat[:, :1],
                            my[:, None], myh[:, None]], axis=1)
     first = [next((e for e in trio if e is not None), None)
-             for trio in zip(errors[:n], errors_y, errors_yhat)]
+             for trio in zip(errors, errors_y, errors_yhat)]
     singular = np.array([e is not None for e in first], dtype=bool)
     vals[singular] = np.nan
     return vals, singular, [type(e).__name__ for e in first if e is not None]
 
 
-def _write_mesh_csv(path, pair, pts):
+def _compare_block(ref, block, vals, singular, d):
+    """The closed-form comparison of a block's vertices: for each
+    non-singular vertex where ref (a reference_lift_eval evaluator, called
+    one vertex at a time) is defined, its projective distances [dy, dyhat]
+    (_proj_distance) and its per_vertex row as json.dump writes it at
+    indent=2 inside comparison.json."""
+    compared, refs = [], []
+    for k in np.flatnonzero(~singular).tolist():
+        try:
+            refs.append(ref(block[k]))
+        except WillmoreError:
+            continue
+        compared.append(k)
+    lifts = vals[compared, :2 * d].reshape(len(compared), 2, d)
+    dist = _proj_distance(lifts, np.array(refs).reshape(lifts.shape)).tolist()
+    # json.dumps spells floats as json.dump does, NaN and Infinity included,
+    # and no float's text holds ", ".
+    rows = ["    [\n      %s\n    ]" % json.dumps([block[k].real, block[k].imag, dy, dyh])[1:-1]
+            .replace(", ", ",\n      ") for k, (dy, dyh) in zip(compared, dist)]
+    return dist, rows
+
+
+def _write_mesh_csv(path, pair, pts, ref=None):
     """Write mesh.csv; returns its value columns (as _evaluate_block gives
-    them), the singular mask and the singular vertices per error class.
+    them), the singular mask, the singular vertices per error class, and,
+    given ref, the distances and per_vertex rows of _compare_block for all
+    blocks in vertex order (None without ref).
 
     The blocks are dealt into interleaved shares, one per worker, with
     workers = min(usable CPUs, blocks): this process computes share 0 and a
-    forked child each other one (_map_shares), each block evaluated and its
-    CSV rows formatted where it is computed.  The blocks are then put back
-    in block order and written here.  A block's values do not depend on
-    which process computes it, so the output does not depend on the worker
-    count; with one worker the single share runs here and nothing forks.
+    forked child each other one (_map_shares), each block evaluated, its
+    CSV rows formatted and, given ref, compared where it is computed.  The
+    blocks are then put back in block order and written here.  A block's
+    values do not depend on which process computes it, so the output does
+    not depend on the worker count; with one worker the single share runs
+    here and nothing forks.
     """
     m = pair.m
     metric_y = induced_metric(pair, "Y")
@@ -289,7 +320,8 @@ def _write_mesh_csv(path, pair, pts):
             vals, singular, reasons = _evaluate_block(pair, metric_y, metric_yhat, block)
             rows = "".join("%s,%d\n" % (repr([z.real, z.imag, *row])[1:-1].replace(", ", ","), flag)
                            for z, row, flag in zip(block, vals.tolist(), singular.tolist()))
-            out.append((start, vals, singular, reasons, rows))
+            out.append((start, vals, singular, reasons, rows,
+                        None if ref is None else _compare_block(ref, block, vals, singular, d)))
         return out
 
     starts = range(0, len(pts), _BLOCK)
@@ -299,8 +331,10 @@ def _write_mesh_csv(path, pair, pts):
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         fh.writelines(b[4] for b in blocks)
+    compared = None if ref is None else tuple([x for b in blocks for x in b[5][k]]
+                                              for k in (0, 1))
     return (np.concatenate([b[1] for b in blocks]), np.concatenate([b[2] for b in blocks]),
-            Counter(name for b in blocks for name in b[3]))
+            Counter(name for b in blocks for name in b[3]), compared)
 
 
 def _singular_summary(reasons: Counter) -> str:
@@ -347,54 +381,46 @@ def _proj_distance(u, v) -> np.ndarray:
     return np.where((nu == 0) | (nv == 0), np.inf, dist)
 
 
-def _cmd_mesh_common(args, doc):
+def _cmd_mesh_common(args, doc, ref=None):
     hf = integrate_frame(to_nilpotent(doc.normalized()))
     pair = SurfacePair(hf.m, args.lam, hf)
     pts = _grid_points(args.grid, args.grid_n, args.radius)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "mesh.csv")
-    vals, singular, reasons = _write_mesh_csv(csv_path, pair, pts)
+    vals, singular, reasons, compared = _write_mesh_csv(csv_path, pair, pts, ref)
     print("wrote %s (%d vertices, %s)" % (csv_path, len(pts), _singular_summary(reasons)))
-    return pair, pts, vals, singular
+    return pair, pts, vals, singular, compared
 
 
 def cmd_example(args) -> int:
-    pair, pts, vals, singular = _cmd_mesh_common(args, builtin_potential(args.id))
     ref = reference_lift_eval(args.id, args.lam)
-    d = 2 * pair.m + 2
-    compared, refs = [], []
-    for k in np.flatnonzero(~singular).tolist():
-        try:
-            refs.append(ref(pts[k]))
-        except WillmoreError:
-            continue
-        compared.append(k)
-    lifts = vals[compared, :2 * d].reshape(len(compared), 2, d)
-    dist = _proj_distance(lifts, np.array(refs).reshape(lifts.shape)).tolist()
-    per_vertex = [[pts[k].real, pts[k].imag, dy, dyh] for k, (dy, dyh) in zip(compared, dist)]
+    _, pts, _, _, (dist, rows) = _cmd_mesh_common(args, builtin_potential(args.id), ref)
     worst = max([0.0] + [x for row in dist for x in row])
-    skipped = len(pts) - len(compared)
     report = {
         "example": args.id,
         "lambda": [args.lam.real, args.lam.imag],
         "grid": {"type": args.grid, "n": args.grid_n, "radius": args.radius},
         "vertices": len(pts),
-        "compared_vertices": len(per_vertex),
-        "skipped_vertices": skipped,
+        "compared_vertices": len(rows),
+        "skipped_vertices": len(pts) - len(rows),
         "max_projective_distance": worst,
-        "per_vertex": per_vertex,
+        "per_vertex": [],
     }
+    # The text json.dump(report, fh, indent=2) writes, with the rows that
+    # the mesh's shares formatted spliced into the last key, per_vertex.
+    text = json.dumps(report, indent=2)
+    if rows:
+        text = text[:-len("[]\n}")] + "[\n" + ",\n".join(rows) + "\n  ]\n}"
     rpt_path = os.path.join(args.out, "comparison.json")
     with open(rpt_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     print("wrote %s (max projective distance %.3e)" % (rpt_path, worst))
     return 0 if worst < 1e-9 else 1
 
 
 def cmd_synth(args) -> int:
     doc = load_potential(args.potential)
-    pair, pts, vals, singular = _cmd_mesh_common(args, doc)
+    pair, pts, vals, singular, _ = _cmd_mesh_common(args, doc)
     if args.format == "obj":
         faces = (_polar_faces(args.grid_n) if args.grid == "polar"
                  else _cartesian_faces(args.grid_n))

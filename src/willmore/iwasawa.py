@@ -419,6 +419,14 @@ def _middle_blocks(f, g, u, den=None):
     return top + g[..., ::-1] @ ubar, eye - sharp(f)[..., ::-1] @ ubar, ubar[..., ::-1, :]
 
 
+def _middle_blocks_d(f, g, ubar, fd, gd, dubar):
+    """The derivative of _middle_blocks(f, g, u) (no den) along one direction,
+    by the product rule from f_D, g_D and ubar_D, in the shape of its blocks."""
+    return (fd + gd[..., ::-1] @ ubar + g[..., ::-1] @ dubar,
+            -(sharp(fd)[..., ::-1] @ ubar + sharp(f)[..., ::-1] @ dubar),
+            dubar[..., ::-1, :])
+
+
 def middle_columns_float(w: IwasawaWitness):
     """The frame's middle two columns at a float witness: (top, mid, bot) of
     _middle_blocks times l0^-1, stacked over the samples of the witness."""
@@ -515,20 +523,41 @@ def _block_diag(l1, l0, l4) -> np.ndarray:
     return L
 
 
+def gram_axis_derivatives(hf: HolomorphicFrame, w: IwasawaWitness) -> list:
+    """[(f_D, g_D, drho_D, du#_D) for each real direction D in
+    hf.axis_derivatives] at each sample of the float witness w of hf.
+
+    f_D and g_D are the exact derivatives bound at the samples; drho_D and
+    du#_D follow from 1F and 1E by the product rule:
+    drho = d(Jm fbar J2 f^t Jm + gbar^t g), the sum of a half and its ^H, and
+    du# = (f_D# - J2 fbar_D^t g - J2 fbar^t g_D - u# drho) rho^-1.
+    """
+    fv, gv = w.fv, w.gv
+    out = []
+    for fpoly, gpoly in hf.axis_derivatives:
+        fd = _eval_mat(fpoly, w.z)
+        gd = _eval_mat(gpoly, w.z)
+        half = (fd.conj()[..., ::-1, ::-1] @ fv.swapaxes(-1, -2))[..., ::-1] + _ct(gd) @ gv
+        drho = half + _ct(half)
+        dus = (sharp(fd) - _ct(fd)[..., ::-1, :] @ gv - _ct(fv)[..., ::-1, :] @ gd
+               - w.usharp @ drho) @ w.rho_inv
+        out.append((fd, gd, drho, dus))
+    return out
+
+
 def gauge_z_derivative(hf: HolomorphicFrame, w: IwasawaWitness) -> np.ndarray:
     """Closed-form L_z at each sample of the float witness, L = diag(l1, l0, l4).
 
     Each real direction D in (x, y) differentiates the Gram data by the
-    product rule from exact f_D and g_D.  The Cholesky factor Lc = l4^H
+    product rule (gram_axis_derivatives).  The Cholesky factor Lc = l4^H
     moves by dLc = Lc Phi(Lc^-1 drho Lc^-H), Phi keeping the lower triangle
     with its diagonal halved (Murray, arXiv:1602.07527), and ds = dc / 2s.
     L_z = (L_x - i L_y) / 2, because d/dz does not commute with ^H.
     Products of single entries are CPython's complex products, as they are
     on the entries of one matrix.
     """
-    z = w.z
     Jm = get_context(hf.m).np("Jm")
-    fv, gv = w.fv, w.gv
+    fv = w.fv
     rho, us = w.rho, w.usharp
     s = w.l0[..., 0, 0]
     ss = _cmul_np(s, s)
@@ -536,13 +565,7 @@ def gauge_z_derivative(hf: HolomorphicFrame, w: IwasawaWitness) -> np.ndarray:
     Lc_inv = np.linalg.inv(Lc)
 
     dL = []
-    for fpoly, gpoly in hf.axis_derivatives:
-        fd = _eval_mat(fpoly, z)
-        gd = _eval_mat(gpoly, z)
-        half = (fd.conj()[..., ::-1, ::-1] @ fv.swapaxes(-1, -2))[..., ::-1] + _ct(gd) @ gv
-        drho = half + _ct(half)
-        dus = (sharp(fd) - _ct(fd)[..., ::-1, :] @ gv - _ct(fv)[..., ::-1, :] @ gd
-               - us @ drho) @ w.rho_inv
+    for fd, _, drho, dus in gram_axis_derivatives(hf, w):
         # dq = J2 d(fbar^t f) - d(u# rho u#^H) J2; only c = q[0,0] is needed.
         half_f = _ct(fd) @ fv
         half_u = dus @ rho @ _ct(us)

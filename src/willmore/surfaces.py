@@ -32,10 +32,14 @@ from .iwasawa import (
     ExtendedFrame,
     IwasawaWitness,
     _eval_mat,
+    _middle_blocks,
+    _middle_blocks_d,
+    gram_axis_derivatives,
     gram_float,
     middle_columns_float,
     solve_iwasawa_float,
 )
+from .loops import sharp
 from .scalars import (
     BP_ONE,
     DENOMINATOR_FLOOR,
@@ -122,15 +126,16 @@ class SurfacePair:
         self.Yhat = Yhat
         self.metrics = {}
 
-    def values(self, z):
+    def values(self, z, witness=None):
         """Homogeneous lift values of a float pair over a 1-D array of z.
 
         Real vectors of the honest frame (factor included), future-pointing.
         Returns (Y, Yhat, errors): rows per sample, NaN where the sample
         failed, and errors[k] the error sample k failed with (None where it
-        passed).
+        passed).  witness, if given, is solve_iwasawa_float(self.hf, z), so
+        that a caller can share one factorization with induced_metric.
         """
-        w = solve_iwasawa_float(self.hf, z)
+        w = solve_iwasawa_float(self.hf, z) if witness is None else witness
         errors = list(w.errors)
         Y, Yhat = lift_columns_float(w, self.lam)
         scale = np.maximum(1.0, np.maximum(np.abs(Y).max(axis=-1), np.abs(Yhat).max(axis=-1)))
@@ -253,31 +258,25 @@ def _project(vals, errors, z):
     return out, errors
 
 
-METRIC_STEP = 1e-4
-
-
-def metric_stencil(z) -> np.ndarray:
-    """The 8 points around each z at which the float conformal factor samples
-    the lift, shape (8, N) for N points: z +- h/2, z +- i h/2, then z +- h,
-    z +- i h, with h = METRIC_STEP."""
-    z = np.asarray(z, dtype=complex)
-    pts = []
-    for s in (METRIC_STEP / 2, METRIC_STEP):
-        pts += [z + s, z - s, z + 1j * s, z - 1j * s]
-    return np.stack(pts)
-
-
 def induced_metric(pair: SurfacePair, which: str = "Y"):
     """Conformal factor |y_z|^2 of the projected surface.
 
     Exact pairs return it as a rational function (formal derivatives),
-    computed once per pair and lift and kept in pair.metrics; float
-    pairs return an evaluator metric(z, lifts=None) using
-    Richardson-extrapolated central differences on the metric_stencil
-    points.  It takes a 1-D array of z and returns (factors, errors), a
-    point failing with the first error of its stencil in stencil order;
-    lifts, if given, is pair.values at metric_stencil(z).ravel(), so that a
-    caller can share one stacked evaluation between both lifts.
+    computed once per pair and lift and kept in pair.metrics.  Float pairs
+    return an evaluator metric(z, witness=None) that takes a 1-D array of z
+    and returns (factors, errors): errors as SurfacePair.values gives them,
+    with a vanishing first coordinate of this lift (_project) added, and the
+    factor NaN wherever an error is set.  So a sample fails only where it
+    fails itself.  witness, if given, is solve_iwasawa_float(pair.hf, z),
+    so that a caller can share one factorization between the lifts and both
+    factors.
+
+    The factor is a closed form at the sample itself.  The honest lift is a
+    scalar multiple of P, the lam-bound column of _middle_blocks before the
+    l0^-1 factor, so y = P[1:] / P[0].  Each real direction D differentiates
+    those blocks by the product rule (gram_axis_derivatives,
+    _middle_blocks_d), y_D follows by the quotient rule, and for the real y,
+    |y_z|^2 = (|y_x|^2 + |y_y|^2) / 4.
     """
     idx = _lift_index(which)
     if pair.Y is not None:
@@ -289,29 +288,28 @@ def induced_metric(pair: SurfacePair, which: str = "Y"):
             pair.metrics[idx] = acc
         return pair.metrics[idx]
 
-    def metric(z, lifts=None):
+    hf, lam = pair.hf, pair.lam
+
+    def column(blocks):
+        return np.stack(_bind_columns(blocks, lam, 1.0 / lam, pair.m,
+                                      lambda x: _cmul_np(-1j, x))[idx], axis=-1)
+
+    def metric(z, witness=None):
         z = as_samples(z)
-        n = len(z)
-        pts = metric_stencil(z).ravel()
-        if lifts is None:
-            lifts = pair.values(pts)
-        if len(lifts[2]) != len(pts):
-            raise ValueError("lifts must hold the %d metric stencil samples" % len(pts))
-        y, stencil_errors = _project(lifts[idx], lifts[2], pts)
-        y = y.reshape(8, n, y.shape[-1])
-        errors = [next((stencil_errors[k * n + i] for k in range(8)
-                        if stencil_errors[k * n + i] is not None), None)
-                  for i in range(n)]
-
-        def dz(p, s):
-            yx = (p[0] - p[1]) / (2 * s)
-            yy = (p[2] - p[3]) / (2 * s)
-            return (yx - 1j * yy) / 2
-
-        d = (4.0 * dz(y[:4], METRIC_STEP / 2) - dz(y[4:], METRIC_STEP)) / 3.0
-        out = np.sum(d * d.conj(), axis=-1).real
-        out[[e is not None for e in errors]] = np.nan
-        return out, errors
+        w = solve_iwasawa_float(hf, z) if witness is None else witness
+        values = pair.values(z, w)
+        errors = _project(values[idx], values[2], z)[1]
+        P = column(_middle_blocks(w.fv, w.gv, w.u))
+        ubar = w.u.conj()
+        grad = []
+        # A sample whose P[0] vanishes has its error from _project already.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for fd, gd, _, dus in gram_axis_derivatives(hf, w):
+                dP = column(_middle_blocks_d(w.fv, w.gv, ubar, fd, gd, sharp(dus).conj()))
+                grad.append(((dP[:, 1:] * P[:, :1] - P[:, 1:] * dP[:, :1])
+                             / (P[:, :1] * P[:, :1])).real)
+        factors = np.sum(grad[0] ** 2 + grad[1] ** 2, axis=-1) / 4
+        return _scatter(factors, w.index, errors), errors
 
     return metric
 

@@ -226,14 +226,82 @@ def test_overflowing_vertices_flagged_not_fatal(tmp_path, capsys):
     assert "4 singular: SingularLocus 4" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("offset,stencil_only", [(0.0, 0), (2.8e-4, 3)])
-def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, monkeypatch,
-                                                      offset, stencil_only):
+def _exact_factors(example_id, pair2):
+    """The exact conformal factors of y and yhat: the printed ones, and for
+    example 2's yhat, which has none printed, the exact pair's."""
+    from willmore.surfaces import induced_metric, reference_metric
+
+    if example_id == 1:
+        return reference_metric(1, "Y"), reference_metric(1, "Yhat")
+    return reference_metric(2, "Y"), induced_metric(pair2, "Yhat")
+
+
+def _factor_errors(hf, zs, got, exact):
+    """Relative errors of float factors got at zs against the exact factor,
+    each over its tolerance: 1e-11, widened to 1e-15 cond(rho) near the
+    degeneracy circle.  There the closed-form factor, through the float
+    witness's u#, moves by up to about 2e-16 cond(rho) relative when f and
+    g change by one rounding."""
+    import numpy as np
+
+    from willmore.iwasawa import _eval_mat, gram_float
+
+    z = np.array(zs, dtype=complex)
+    want = np.array([exact.evaluate(x).real for x in zs])
+    cond = np.linalg.cond(gram_float(_eval_mat(hf.f, z), _eval_mat(hf.g, z)))
+    return np.abs(np.asarray(got) - want) / want / np.maximum(1e-11, 1e-15 * cond)
+
+
+@pytest.mark.parametrize("lam", ["1", "cis:8/10"])
+def test_mesh_conformal_factors_match_the_exact_ones(tmp_path, pair2, lam):
+    # every vertex of both examples' default meshes, each factor taken in
+    # closed form at the vertex; the former metric stencil read up to 1.03e-9
+    # relative on these grids, 2e-11 away from the degeneracy circle
+    from willmore.frames import integrate_frame
+    from willmore.potentials import to_nilpotent
+
+    for example_id in (1, 2):
+        out = tmp_path / str(example_id)
+        assert _run("example", "--id", str(example_id), "--lambda", lam,
+                    "--out", str(out)) == 0
+        rows = list(csv.DictReader(open(out / "mesh.csv")))
+        assert len(rows) == 1025 and all(r["singular"] == "0" for r in rows)
+        hf = integrate_frame(to_nilpotent(builtin_potential(example_id)))
+        zs = [complex(float(r["re_z"]), float(r["im_z"])) for r in rows]
+        for col, exact in zip(("yz_sq", "yhatz_sq"), _exact_factors(example_id, pair2)):
+            errors = _factor_errors(hf, zs, [float(r[col]) for r in rows], exact)
+            assert errors.max() <= 1.0, (example_id, col, errors.max())
+
+
+def test_example_factorizes_each_vertex_once(tmp_path, monkeypatch):
+    # one factorization feeds each vertex's lifts and both conformal factors
+    # (the metric stencil took 8 more)
+    from willmore import cli, iwasawa, surfaces
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    samples = []
+    solve = iwasawa.solve_iwasawa_float
+
+    def counted(hf, z):
+        samples.append(len(z))
+        return solve(hf, z)
+
+    for module in (cli, iwasawa, surfaces):
+        monkeypatch.setattr(module, "solve_iwasawa_float", counted, raising=False)
+    assert _run("example", "--id", "1", "--grid-n", "8", "--out", str(tmp_path)) == 0
+    assert sum(samples) == 1 + 8 * 8
+
+
+@pytest.mark.parametrize("offset,stencil_flagged", [(0.0, 0), (2.8e-4, 3)])
+def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, monkeypatch, pair2,
+                                                      offset, stencil_flagged):
     """A polar grid whose fourth ring lies on the example-1 degeneracy circle,
-    or just off it where some vertices fail only through a metric stencil
-    sample; 26 vertices in blocks of 8, the last one partial.  Each vertex's
-    flag is the one that evaluating it and its stencil one sample at a time
-    gives."""
+    or just off it; 26 vertices in blocks of 8, the last one partial.  Each
+    vertex's flag and values are the ones that evaluating it alone gives:
+    its lifts, then both conformal factors, each a stack of one.  Just off
+    the circle, stencil_flagged vertices fail at a sample of the former
+    metric stencil (z +- h/2, z +- ih/2, z +- h, z +- ih, h = 1e-4) but not
+    themselves, so they get values, within the exact factors' tolerance."""
     from collections import Counter
 
     import numpy as np
@@ -258,24 +326,26 @@ def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, monkeypa
     metric_y = induced_metric(pair, "Y")
     metric_yhat = induced_metric(pair, "Yhat")
     reasons = Counter()
-    flagged_by_stencil = 0
+    valued, formerly_flagged = [], 0
     for z, row in zip(pts, rows):
         (Y,), _, (e,) = pair.values(np.array([z]))
+        (my,), (ey,) = metric_y(np.array([z]))
+        (myh,), (eyh,) = metric_yhat(np.array([z]))
+        e = e or ey or eyh
         if e is not None:
             reasons[type(e).__name__] += 1
-            assert row["singular"] == "1", z
-            continue
-        (my,), (e,) = metric_y(np.array([z]))
-        e = e or metric_yhat(np.array([z]))[1][0]
-        if e is not None:
-            reasons[type(e).__name__] += 1
-            flagged_by_stencil += 1
             assert row["singular"] == "1", z
             continue
         assert row["singular"] == "0", z
         assert [row["Y%d" % k] for k in range(8)] == [repr(float(v)) for v in Y]
-        assert row["yz_sq"] == repr(float(my))
-    assert sum(reasons.values()) >= 4 and flagged_by_stencil == stencil_only
+        assert (row["yz_sq"], row["yhatz_sq"]) == (repr(float(my)), repr(float(myh)))
+        valued.append((z, my, myh))
+        stencil = [z + s * t for s in (1e-4 / 2, 1e-4) for t in (1, -1, 1j, -1j)]
+        formerly_flagged += any(e is not None for e in pair.values(np.array(stencil))[2])
+    assert reasons and formerly_flagged == stencil_flagged
+    zs, got_y, got_yhat = zip(*valued)
+    for got, exact in zip((got_y, got_yhat), _exact_factors(1, pair2)):
+        assert _factor_errors(hf, zs, got, exact).max() <= 1.0
     summary = ", ".join("%s %d" % kv for kv in sorted(reasons.items()))
     assert "(26 vertices, %d singular: %s)" % (sum(reasons.values()), summary) \
         in capsys.readouterr().out
@@ -436,8 +506,9 @@ def test_stacked_projective_distance_is_bitwise_the_per_row_one():
 
 def test_far_out_vertices_fail_without_runtime_warnings(tmp_path):
     # The Gram matrix overflows from |z| ~ 1e52; those vertices fail with
-    # SingularLocus and no arithmetic runs on their overflowed values.  The
-    # digests are the files as written before that arithmetic was skipped.
+    # SingularLocus and no arithmetic runs on their overflowed values.
+    # comparison.json is the file as written before that arithmetic was
+    # skipped; mesh.csv has the closed-form factors, 2.0 at z = 0.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert _run("example", "--id", "1", "--grid-n", "2", "--radius", "1e60",
@@ -446,6 +517,6 @@ def test_far_out_vertices_fail_without_runtime_warnings(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("mesh.csv", "comparison.json")}
     assert digests == {
-        "mesh.csv": "bbe6ad48677408c2ffdd98c1ffd9c3ce81b11a1c646b400e7ec65ac1a9a41734",
+        "mesh.csv": "56adcd808923eff7f9d690199d0a8ba42155d3e8aa0582920b9ff170c95e933a",
         "comparison.json": "91302673779a52358dddc9d6dc3cc2eed3d02a5ca28bf623b8d25af996ec426c",
     }

@@ -51,7 +51,7 @@ def test_example_mesh_bytes_are_pinned(tmp_path):
     """
     assert main(["example", "--id", "1", "--grid-n", "32", "--out", str(tmp_path)]) == 0
     assert _sha256((tmp_path / "mesh.csv").read_bytes()) == (
-        "93ac5b11a450dc6b82d81b345fa19b7428e2a7938be2e04ba33fd78fb4405366")
+        "5e564112f9323010c228f81540bf7c5d9bc5f349d22c28ee3ddea8f1f9f4ea0b")
     assert _sha256((tmp_path / "comparison.json").read_bytes()) == (
         "d0510bd92bb6d1b18a560f5f4332ff31cd975f0e43aecc4616cf6b049cbd3c67")
 
@@ -67,14 +67,14 @@ def test_bench_mesh_bytes_are_pinned(tmp_path):
     assert main(["example", "--id", "1", "--grid-n", "32", "--lambda", "cis:8/10",
                  "--out", str(tmp_path)]) == 0
     assert _sha256((tmp_path / "mesh.csv").read_bytes()) == (
-        "2861eb6127f0dc83bda4484e5a6658f471b020405bcb1ccb1109444a8aa3073b")
+        "a76cea406596f1dc988637e9204735a80a73d4752b57cc0efe48c9554e7851dc")
     assert _sha256((tmp_path / "comparison.json").read_bytes()) == (
         "ccce318e3af78b010f238a4394614448e99ba397581737b022a67124f5babd52")
 
 
 # The digests of the pin above, for the same run through the entry point.
 BENCH_MESH = {
-    "mesh.csv": "2861eb6127f0dc83bda4484e5a6658f471b020405bcb1ccb1109444a8aa3073b",
+    "mesh.csv": "a76cea406596f1dc988637e9204735a80a73d4752b57cc0efe48c9554e7851dc",
     "comparison.json": "ccce318e3af78b010f238a4394614448e99ba397581737b022a67124f5babd52",
 }
 BENCH_ARGV = ["example", "--id", "1", "--grid-n", "32", "--lambda", "cis:8/10"]

@@ -163,34 +163,23 @@ def test_float_metric_matches_exact_metric(pair2, hf2):
         assert abs(fmetric(np.array([z]))[0][0] - emetric.evaluate(z).real) < 1e-6
 
 
-def _one_point_metric(pair, which, z, h=1e-4):
-    """The float conformal factor as computed one point at a time before
-    stacking: four one-sample lifts per central difference, one np.sum."""
-    idx = 0 if which == "Y" else 1
-
-    def at(zz):
-        vals = pair.values(np.array([zz]))[idx][0]
-        return vals[1:] / vals[0]
-
-    def dz(s):
-        yx = (at(z + s) - at(z - s)) / (2 * s)
-        yy = (at(z + 1j * s) - at(z - 1j * s)) / (2 * s)
-        return (yx - 1j * yy) / 2
-
-    d = (4.0 * dz(h / 2) - dz(h)) / 3.0
-    return float(np.sum(d * d.conj()).real)
-
-
 @pytest.mark.parametrize("example_id", [1, 2])
 def test_stacked_metric_is_bitwise_the_one_point_code(example_id):
+    # each sample's factor has the bits of a stack of one, and a caller's
+    # witness gives the factors that the evaluator's own factorization gives
     hf = integrate_frame(to_nilpotent(builtin_potential(example_id)))
     pair = SurfacePair(hf.m, np.exp(0.9j), hf)
-    zs = [0j, 0.31 + 0.17j, -0.6 + 0.2j, -0.25 - 0.7j, 0.9 + 0.05j]
+    zs = np.array([0j, 0.31 + 0.17j, -0.6 + 0.2j, -0.25 - 0.7j, 0.9 + 0.05j])
+    w = solve_iwasawa_float(hf, zs)
     for which in ("Y", "Yhat"):
-        got, errors = induced_metric(pair, which)(np.array(zs))
+        metric = induced_metric(pair, which)
+        got, errors = metric(zs)
         assert errors == [None] * len(zs)
-        want = np.array([_one_point_metric(pair, which, z) for z in zs])
+        want = np.array([metric(zs[k:k + 1])[0][0] for k in range(len(zs))])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), which
+        shared, shared_errors = metric(zs, w)
+        assert np.array_equal(shared.view(np.uint64), got.view(np.uint64)), which
+        assert shared_errors == errors
 
 
 # -- behavior at infinity ------------------------------------------------------
