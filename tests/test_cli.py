@@ -239,9 +239,8 @@ def _exact_factors(example_id, pair2):
 def _factor_errors(hf, zs, got, exact):
     """Relative errors of float factors got at zs against the exact factor,
     each over its tolerance: 1e-11, widened to 1e-15 cond(rho) near the
-    degeneracy circle.  There the closed-form factor, through the float
-    witness's u#, moves by up to about 2e-16 cond(rho) relative when f and
-    g change by one rounding."""
+    degeneracy circle.  There the closed-form factor moves by up to about
+    2e-16 cond(rho) relative when f and g change by one rounding."""
     import numpy as np
 
     from willmore.iwasawa import _eval_mat, gram_float
