@@ -40,7 +40,7 @@ import numpy as np
 from .errors import PotentialFormatError, WillmoreError
 from .frames import integrate_frame
 from .potentials import builtin_potential, load_potential, to_nilpotent
-from .iwasawa import solve_iwasawa_float
+from .iwasawa import gram_axis_derivatives, solve_iwasawa_float
 from .surfaces import SurfacePair, induced_metric, reference_lift_eval
 from .verify import run_suite
 
@@ -245,17 +245,20 @@ def _evaluate_block(pair, metric_y, metric_yhat, pts):
     error class.
 
     One stacked factorization of the block's vertices feeds both lifts and
-    both conformal factors.  A vertex is singular when its own sample fails
-    for either lift: a check of the witness, the imaginary drift of
-    SurfacePair.values, or a vanishing first coordinate of y or yhat
-    (induced_metric).  Its error is the first of those in the order vertex
-    (witness and drift), y metric, yhat metric.
+    both conformal factors, and the lifts and the Gram data's derivatives
+    are computed once for both factors.  A vertex is singular when its own
+    sample fails for either lift: a check of the witness, the imaginary
+    drift of SurfacePair.values, or a vanishing first coordinate of y or
+    yhat (induced_metric).  Its error is the first of those in the order
+    vertex (witness and drift), y metric, yhat metric.
     """
     z = np.array(pts, dtype=complex)
     w = solve_iwasawa_float(pair.hf, z)
-    Y, Yhat, errors = pair.values(z, w)
-    my, errors_y = metric_y(z, w)
-    myh, errors_yhat = metric_yhat(z, w)
+    values = pair.values(z, w)
+    derivatives = gram_axis_derivatives(pair.hf, w)
+    Y, Yhat, errors = values
+    my, errors_y = metric_y(z, w, values, derivatives)
+    myh, errors_yhat = metric_yhat(z, w, values, derivatives)
     vals = np.concatenate([Y, Yhat, Y[:, 1:] / Y[:, :1], Yhat[:, 1:] / Yhat[:, :1],
                            my[:, None], myh[:, None]], axis=1)
     first = [next((e for e in trio if e is not None), None)

@@ -144,12 +144,14 @@ def _bind(arr, z) -> np.ndarray:
     """Exact entries evaluated at z, or at each z of a 1-D array (a stack):
     computed exactly, rounded once.
 
-    Zero entries are left as 0j, which is what evaluating them returns.
+    Each sample is made a GaussianRational once, and every entry's evaluate
+    takes that exact point, the value it would coerce the float z to.  Zero
+    entries are left as 0j, which is what evaluating them returns.
     """
     if arr.dtype != object:
         return arr
-    return np.array([[x.evaluate(zk) if x else 0j for x in arr.flat]
-                     for zk in np.ravel(z).tolist()],
+    points = [GaussianRational.coerce(zk) for zk in np.ravel(z).tolist()]
+    return np.array([[x.evaluate(zk) if x else 0j for x in arr.flat] for zk in points],
                     dtype=complex).reshape(np.shape(z) + arr.shape)
 
 

@@ -98,6 +98,20 @@ def mink_pair_np(x: np.ndarray, y: np.ndarray):
     return (_cmul_np(-x[..., 0], y[..., 0]) + dot)[()]
 
 
+def _modulus(x: np.ndarray) -> np.ndarray:
+    """|x| entrywise by hypot, as abs() of a complex scalar computes it; numpy's
+    array abs can differ from it in the last bit."""
+    return np.hypot(x.real, x.imag)
+
+
+def _row_norms(y: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex stack, summed as np.linalg.norm
+    sums one vector: a BLAS dot of the real parts plus one of the imaginary."""
+    def dot(x):
+        return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+    return np.sqrt(dot(y.real) + dot(y.imag))
+
+
 class SurfacePair:
     """Adjoint pair of homogeneous light-cone lifts at one family parameter.
 
@@ -225,9 +239,11 @@ def project_to_sphere(pair: SurfacePair, which: str = "Y"):
     """First-coordinate projection of a lift to the unit sphere S^{2m}.
 
     Exact pairs return a tuple of 2m+1 rational functions; float pairs
-    return an evaluator that takes a 1-D array of z and returns (vectors,
-    errors), the real unit vectors one row per sample, as SurfacePair.values
-    does.
+    return an evaluator at(z, witness=None) that takes a 1-D array of z and
+    returns (vectors, errors), the real unit vectors one row per sample, as
+    SurfacePair.values does; witness, if given, is
+    solve_iwasawa_float(pair.hf, z), so that pairs of several lam can share
+    one factorization.
     """
     idx = _lift_index(which)
     if pair.Y is not None:
@@ -236,8 +252,8 @@ def project_to_sphere(pair: SurfacePair, which: str = "Y"):
             raise FirstCoordinateVanishes("lift has identically zero first coordinate")
         return tuple(c / comps[0] for c in comps[1:])
 
-    def at(z):
-        values = pair.values(z)
+    def at(z, witness=None):
+        values = pair.values(z, witness)
         return _project(values[idx], values[2], z)
 
     return at
@@ -263,13 +279,16 @@ def induced_metric(pair: SurfacePair, which: str = "Y"):
 
     Exact pairs return it as a rational function (formal derivatives),
     computed once per pair and lift and kept in pair.metrics.  Float pairs
-    return an evaluator metric(z, witness=None) that takes a 1-D array of z
-    and returns (factors, errors): errors as SurfacePair.values gives them,
-    with a vanishing first coordinate of this lift (_project) added, and the
-    factor NaN wherever an error is set.  So a sample fails only where it
-    fails itself.  witness, if given, is solve_iwasawa_float(pair.hf, z),
-    so that a caller can share one factorization between the lifts and both
-    factors.
+    return an evaluator metric(z, witness=None, values=None, derivatives=None)
+    that takes a 1-D array of z and returns (factors, errors): errors as
+    SurfacePair.values gives them, with a vanishing first coordinate of this
+    lift (_project) added, and the factor NaN wherever an error is set.  So
+    a sample fails only where it fails itself.  witness, if given, is
+    solve_iwasawa_float(pair.hf, z), so that a caller can share one
+    factorization between the lifts and both factors; values and
+    derivatives, if given with it, are pair.values(z, witness) and
+    gram_axis_derivatives(pair.hf, witness), so that both factors can share
+    those too.
 
     The factor is a closed form at the sample itself.  The honest lift is a
     scalar multiple of P, the lam-bound column of _middle_blocks before the
@@ -294,17 +313,20 @@ def induced_metric(pair: SurfacePair, which: str = "Y"):
         return np.stack(_bind_columns(blocks, lam, 1.0 / lam, pair.m,
                                       lambda x: _cmul_np(-1j, x))[idx], axis=-1)
 
-    def metric(z, witness=None):
+    def metric(z, witness=None, values=None, derivatives=None):
         z = as_samples(z)
         w = solve_iwasawa_float(hf, z) if witness is None else witness
-        values = pair.values(z, w)
+        if values is None:
+            values = pair.values(z, w)
+        if derivatives is None:
+            derivatives = gram_axis_derivatives(hf, w)
         errors = _project(values[idx], values[2], z)[1]
         P = column(_middle_blocks(w.fv, w.gv, w.u))
         ubar = w.u.conj()
         grad = []
         # A sample whose P[0] vanishes has its error from _project already.
         with np.errstate(divide="ignore", invalid="ignore"):
-            for fd, gd, _, dus in gram_axis_derivatives(hf, w):
+            for fd, gd, _, dus in derivatives:
                 dP = column(_middle_blocks_d(w.fv, w.gv, ubar, fd, gd, sharp(dus).conj()))
                 grad.append(((dP[:, 1:] * P[:, :1] - P[:, 1:] * dP[:, :1])
                              / (P[:, :1] * P[:, :1])).real)
@@ -333,7 +355,8 @@ def _stencil_weights(order: int):
 
 
 def _fd_z_derivative(values, order: int, h: float):
-    """d^order/dz^order from a dict (a, b) -> vector of samples at z + (a+ib)h.
+    """d^order/dz^order from a dict (a, b) -> values at z + (a+ib)h, one row
+    per sample z.
 
     Expands (d/dz)^j = 2^-j * sum_k C(j,k) (-i)^k d_x^{j-k} d_y^k with
     fourth-order central stencils in each axis.
@@ -356,6 +379,14 @@ def _fd_offsets(max_order: int):
     return [(a, b) for a in range(-span, span + 1) for b in range(-span, span + 1)]
 
 
+def isotropy_stencil(samples, max_order: int, step: float) -> np.ndarray:
+    """The points where the float isotropy_check evaluates a lift at step:
+    z + (a + ib) step for each sample z in order, over the offsets (a, b) of
+    the stencil for z-derivatives up to max_order."""
+    return np.array([z + (a + 1j * b) * step for z in samples
+                     for a, b in _fd_offsets(max_order)])
+
+
 def _cofactor_times(num: BiPoly, den: BiPoly, dens) -> BiPoly:
     """num times every denominator in dens other than den: the numerator of
     num / den over the product of dens."""
@@ -369,7 +400,7 @@ ISOTROPY_STEP = 2e-3
 
 
 def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
-                   samples=()) -> dict:
+                   samples=(), lifts=None) -> dict:
     """Pairings of z-derivative pairs of a lift, up to max_order.
 
     All of them must vanish: the z-derivative flag of the lift is isotropic,
@@ -380,7 +411,15 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
     quotient rule, so each pairing is a polynomial over a power of D and no
     gcd is taken.  A pairing that is the zero polynomial reports 0; any
     other reports its largest modulus at the samples, or inf without them.
-    Float pairs use finite differences at the samples.
+
+    Float pairs use finite differences at the samples, on the points
+    isotropy_stencil(samples, max_order, step), refining the step from
+    ISOTROPY_STEP while the residual fails and keeps improving.  Each step
+    evaluates the lifts in one stack and takes the derivatives, norms and
+    pairings of all samples in one stack.  lifts, if given, maps a step to
+    pair.values at those points, so that callers can share one
+    factorization and one evaluation of the lifts per step between both
+    lifts and several lam; without it each step is factorized here.
     """
     m = pair.m
     idx = _lift_index(which)
@@ -429,28 +468,30 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
         raise ValueError("float isotropy check needs sample points")
 
     offsets = _fd_offsets(max_order)
+    if lifts is None:
+        def lifts(step):
+            return pair.values(isotropy_stencil(samples, max_order, step))
 
     def run(step):
-        """Worst pairing per (j, l), each scaled by its own derivative norms.
+        """Worst pairing per (j, l) over the samples, each scaled by its own
+        derivative norms.
 
         The per-pair scale measures achieved cancellation, which keeps the
-        check meaningful where high derivatives dwarf the lift itself.  The
-        stencils of all samples are evaluated in one stacked call.
+        check meaningful where high derivatives dwarf the lift itself.  Each
+        sample's row has the bits of one vector's np.linalg.norm and abs(),
+        and fmax from 0.0 skips NaN as a running max() does.
         """
-        pts = [z + (a + 1j * b) * step for z in samples for a, b in offsets]
-        lifts = pair.values(np.array(pts))
-        raise_first(lifts[2])
-        grid = lifts[idx].reshape(len(samples), len(offsets), -1)
+        values = lifts(step)
+        raise_first(values[2])
+        grid = values[idx].reshape(len(samples), len(offsets), -1)
+        rows = {ab: grid[:, k] for k, ab in enumerate(offsets)}
+        derivs = [_fd_z_derivative(rows, j, step) for j in range(max_order + 1)]
+        norms = [np.fmax(1.0, _row_norms(v)) for v in derivs]
         out = {}
-        for vals in grid:
-            values = dict(zip(offsets, vals))
-            derivs = [_fd_z_derivative(values, j, step) for j in range(max_order + 1)]
-            norms = [max(1.0, float(np.linalg.norm(v))) for v in derivs]
-            for j in range(1, max_order + 1):
-                for l in range(j, max_order + 1):
-                    val = abs(mink_pair_np(derivs[j], derivs[l])) / (norms[j] * norms[l])
-                    key = "(%d,%d)" % (j, l)
-                    out[key] = max(out.get(key, 0.0), float(val))
+        for j in range(1, max_order + 1):
+            for l in range(j, max_order + 1):
+                val = _modulus(mink_pair_np(derivs[j], derivs[l])) / (norms[j] * norms[l])
+                out["(%d,%d)" % (j, l)] = float(np.fmax.reduce(val, initial=0.0))
         return out
 
     h = ISOTROPY_STEP

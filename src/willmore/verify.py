@@ -14,6 +14,7 @@ byte-for-byte reproducible for a fixed potential and plan.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -34,9 +35,12 @@ from .scalars import _cmul_np, _gr
 from .surfaces import (
     SurfacePair,
     _gram_det_float,
+    _modulus,
+    _row_norms,
     _stencil_weights,
     degeneracy_scan,
     isotropy_check,
+    isotropy_stencil,
     lift_columns_float,
     mink_pair_np,
     project_to_sphere,
@@ -207,12 +211,6 @@ def _entry_max(X: np.ndarray) -> np.ndarray:
     return np.abs(X).max(axis=(-2, -1))
 
 
-def _modulus(x: np.ndarray) -> np.ndarray:
-    """|x| entrywise by hypot, as abs() of a complex scalar computes it; numpy's
-    array abs can differ from it in the last bit."""
-    return np.hypot(x.real, x.imag)
-
-
 def _proj_minor(v, w) -> np.ndarray:
     """Scaled largest 2x2 minor of [v; w] for each row of two stacks: zero iff
     the rows are projectively equal."""
@@ -220,14 +218,6 @@ def _proj_minor(v, w) -> np.ndarray:
     i, j = np.triu_indices(v.shape[-1], 1)
     minors = _cmul_np(v[:, i], w[:, j]) - _cmul_np(v[:, j], w[:, i])
     return _modulus(minors).max(axis=-1, initial=0.0) / (s * s)
-
-
-def _row_norms(y: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a complex stack, summed as np.linalg.norm
-    sums one vector: a BLAS dot of the real parts plus one of the imaginary."""
-    def dot(x):
-        return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
-    return np.sqrt(dot(y.real) + dot(y.imag))
 
 
 def _frame_checks(ctx, fr) -> dict:
@@ -417,13 +407,15 @@ def _sample_checks(ctx, hf, samples):
 def _conformality(pairs, fd_samples) -> float:
     """|<y_z, y_z>| of the projected lift y, by central differences at each fd
     sample, relative to max(1, |Re y_z|^2), which is about half of |y_z|^2
-    for a conformal y."""
+    for a conformal y.  One factorization of the difference points serves
+    every pair."""
     h = 1e-4
     pts = np.array([p for z in fd_samples for p in (z + h, z - h, z + 1j * h, z - 1j * h)],
                    dtype=complex)
+    w = solve_iwasawa_float(pairs[0].hf, pts)
     res = 0.0
     for pair in pairs:
-        y, sample_errors = project_to_sphere(pair, "Y")(pts)
+        y, sample_errors = project_to_sphere(pair, "Y")(pts, w)
         raise_first(sample_errors)
         for yp, ym, yip, yim in y.reshape(len(fd_samples), 4, y.shape[-1]):
             yx = (yp - ym) / (2 * h)
@@ -435,9 +427,30 @@ def _conformality(pairs, fd_samples) -> float:
 
 
 def _isotropy_order_m(pairs, fd_samples) -> float:
-    """The worst isotropy_check residual of both lifts of every pair."""
-    return max([0.0] + [isotropy_check(pair, which, samples=fd_samples)["max_residual"]
-                        for pair in pairs for which in ("Y", "Yhat")])
+    """The worst isotropy_check residual of both lifts of every pair.
+
+    Each check refines its step on its own, but a step's stencil is
+    factorized once, for the first check that asks for it, and each pair's
+    lifts there are evaluated once for both of its checks; so each check
+    reads what it reads alone.
+    """
+    hf, m = pairs[0].hf, pairs[0].m
+
+    @functools.cache
+    def stencil(step):
+        z = isotropy_stencil(fd_samples, m, step)
+        return z, solve_iwasawa_float(hf, z)
+
+    worst = 0.0
+    for pair in pairs:
+        @functools.cache
+        def lifts(step, pair=pair):
+            return pair.values(*stencil(step))
+
+        for which in ("Y", "Yhat"):
+            check = isotropy_check(pair, which, samples=fd_samples, lifts=lifts)
+            worst = max(worst, check["max_residual"])
+    return worst
 
 
 def run_suite(pot, plan=None) -> VerificationReport:
@@ -452,12 +465,15 @@ def run_suite(pot, plan=None) -> VerificationReport:
 
     Each check, or each group of checks computed together, gives its
     residual or the exception it failed with, and one loop turns those into
-    report entries.  The float checks run on numpy stacks of samples: one
-    factorization and one frame for all samples, one stack of connection
-    coefficients for the fd samples and their flatness stencils, and one
-    frame stack for mc-lambda-affinity.  Each sample keeps the bits of a
-    stack of one and every residual is a maximum over samples, so
-    the report does not depend on how the samples are stacked.  When sample
+    report entries.  The float checks run on numpy stacks of samples, and
+    each distinct point is factorized once: one factorization and one frame
+    for all samples, one stack of connection coefficients for the fd samples
+    and their flatness stencils, one frame stack for mc-lambda-affinity, one
+    factorization of the conformality points for both pairs, and one of the
+    isotropy stencil per step for both pairs and both lifts.  Each sample
+    keeps the bits of a stack of one and every residual is a maximum over
+    samples, so the report does not depend on how the samples are stacked
+    or which checks share a factorization.  When sample
     k is the first to fail, the checks that need its frame fail with its
     error after k samples, and the factorization residuals cover samples
     0..k-1, and k itself if it failed only its refactor check.  A float pair

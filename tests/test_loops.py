@@ -287,6 +287,24 @@ def test_to_float_is_the_entrywise_evaluation(example, request):
             assert np.array_equal(F.coeffs[k].view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("example", [1, 2])
+def test_binding_a_stack_is_each_entrys_evaluation_at_the_float_z(example, request):
+    # _bind makes each sample exact once and evaluates every entry at that
+    # point; each entry must still give what evaluate gives at the float z,
+    # bit for bit, signed zeros included.
+    from willmore.loops import _bind
+
+    H = request.getfixturevalue("hf%d" % example).H_loop()
+    zs = np.array([0.3 - 0.2j, -0.45 + 0.1j, 0.05j, 0.71 + 0.33j, -0.2 - 0.6j])
+    for k, exact in H.coeffs.items():
+        got = _bind(exact, zs)
+        assert got.shape == zs.shape + exact.shape and got.dtype == complex
+        for j, z in enumerate(zs.tolist()):
+            want = np.array([x.evaluate(z) if x else 0j for x in exact.flat],
+                            dtype=complex).reshape(exact.shape)
+            assert np.array_equal(got[j].view(np.uint64), want.view(np.uint64)), (k, j)
+
+
 def _ring_loops(rng, d=3):
     """A GaussianRational loop and a BiPoly loop, random over a few powers."""
     z, zb = BiPoly.var_z(), BiPoly.var_zbar()

@@ -15,6 +15,8 @@ from willmore.potentials import builtin_potential, to_nilpotent
 from willmore.scalars import GR_I, BiPoly, RationalFn
 from willmore.surfaces import (
     SurfacePair,
+    _fd_offsets,
+    _fd_z_derivative,
     _gram_det_float,
     _rf_float,
     branch_analysis,
@@ -23,6 +25,7 @@ from willmore.surfaces import (
     induced_metric,
     isotropy_check,
     lift_columns_float,
+    mink_pair_np,
     mink_pair_rf,
     project_to_sphere,
     reference_lift_exact,
@@ -99,6 +102,64 @@ def test_exact_isotropy_reports_a_nonzero_pairing(pair1):
     assert abs(got["pairs"]["(1,1)"] - want) <= 1e-9 * want
     assert got["max_residual"] == got["pairs"]["(1,1)"]
     assert isotropy_check(bent, "Y", max_order=1)["max_residual"] == float("inf")
+
+
+def _per_sample_isotropy_pairs(pair, which, samples, step):
+    """The float isotropy pairings at step, one sample at a time: the loop
+    the float isotropy_check ran before its arithmetic was stacked."""
+    idx = ("Y", "Yhat").index(which)
+    max_order = pair.m
+    offsets = _fd_offsets(max_order)
+    pts = [z + (a + 1j * b) * step for z in samples for a, b in offsets]
+    lifts = pair.values(np.array(pts))
+    assert lifts[2] == [None] * len(pts)
+    grid = lifts[idx].reshape(len(samples), len(offsets), -1)
+    out = {}
+    for vals in grid:
+        values = dict(zip(offsets, vals))
+        derivs = [_fd_z_derivative(values, j, step) for j in range(max_order + 1)]
+        norms = [max(1.0, float(np.linalg.norm(v))) for v in derivs]
+        for j in range(1, max_order + 1):
+            for l in range(j, max_order + 1):
+                val = abs(mink_pair_np(derivs[j], derivs[l])) / (norms[j] * norms[l])
+                key = "(%d,%d)" % (j, l)
+                out[key] = max(out.get(key, 0.0), float(val))
+    return out
+
+
+def _verify_fd_samples(hf):
+    """The fd samples of run_suite's default plan."""
+    from willmore.verify import _draw_samples, _normalize_plan
+
+    cfg = _normalize_plan(None)
+    radii = degeneracy_scan(hf, r_range=(1e-3, max(2.5, 1.5 * cfg["radius"])))
+    return _draw_samples(cfg, radii, hf)[0][:cfg["fd_samples"]]
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_stacked_isotropy_check_is_bitwise_the_per_sample_loop(example, request):
+    # On the verify fd samples, and, on example 1, on single samples 0.02 and
+    # 0.005 inside the degeneracy circle, where the check refines its step to
+    # 1e-3 and 5e-4: every pairing at the step the check settles on has the
+    # bits of the per-sample loop, for both lifts and both lam.
+    from willmore.groups import LAMBDAS
+
+    hf = request.getfixturevalue("hf%d" % example)
+    cases = [(_verify_fd_samples(hf), 2e-3)]
+    if example == 1:
+        r0 = reference_singular_radius(1)
+        cases += [([complex(r0 - 0.02)], 1e-3), ([complex(r0 - 0.005)], 5e-4)]
+    for samples, step in cases:
+        for lam in LAMBDAS:
+            pair = SurfacePair(hf.m, lam, hf)
+            for which in ("Y", "Yhat"):
+                rep = isotropy_check(pair, which, samples=samples)
+                assert rep["step"] == step, (samples, lam, which)
+                want = _per_sample_isotropy_pairs(pair, which, samples, step)
+                assert list(rep["pairs"]) == list(want)
+                assert [v.hex() for v in rep["pairs"].values()] == [
+                    v.hex() for v in want.values()], (samples, lam, which)
+                assert rep["max_residual"] == max(want.values())
 
 
 def test_projective_match_with_closed_form_exact(pair1, pair2):

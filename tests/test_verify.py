@@ -183,6 +183,64 @@ def test_run_suite_factorizes_in_few_stacked_calls(monkeypatch):
     assert calls["solve"] <= 16 and calls["maurer_cartan"] <= 3, calls
 
 
+@pytest.mark.parametrize("example,count", [(1, 442), (2, 298)])
+def test_run_suite_factorizes_each_point_once(example, count, monkeypatch):
+    # Each distinct point is factorized once: the samples, the flatness and
+    # affinity stencils, the 4 conformality points per fd sample for both
+    # pairs, and the isotropy stencil (49 or 25 points per fd sample) for
+    # both lifts and both lam.  Solving the isotropy stencil per check and
+    # conformality per pair passed 1,348 and 772 points.
+    samples = []
+    solve = willmore.iwasawa.solve_iwasawa_float
+
+    def counted(hf, z):
+        samples.append(len(z))
+        return solve(hf, z)
+
+    for module in (willmore.iwasawa, willmore.surfaces, willmore.verify):
+        monkeypatch.setattr(module, "solve_iwasawa_float", counted)
+    assert run_suite(builtin_potential(example)).passed
+    assert sum(samples) == count, samples
+
+
+def test_run_suite_binds_exact_loops_numerically(monkeypatch):
+    # The benchmark times LoopMatrix.to_float and RationalFn.evaluate, and
+    # only run_suite calls them (binding H in check_refactor), so its
+    # self-test fails if run_suite stops calling either.
+    calls = {"to_float": 0, "evaluate": 0}
+
+    def counted(cls, name, key):
+        fn = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(LoopMatrix, "to_float", "to_float")
+    counted(RationalFn, "evaluate", "evaluate")
+    run_suite(builtin_potential(1), SMALL_PLAN)
+    assert calls["to_float"] >= 1 and calls["evaluate"] >= 1, calls
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_shared_isotropy_stencil_reads_what_each_check_reads_alone(example):
+    # _isotropy_order_m shares one factorization per step between all four
+    # checks and one evaluation of the lifts per lam; each check must read
+    # what it reads alone, also where the step refines (example 1's circle).
+    from willmore.groups import LAMBDAS
+    from willmore.surfaces import SurfacePair, isotropy_check, reference_singular_radius
+
+    hf = integrate_frame(to_nilpotent(builtin_potential(example)))
+    pairs = [SurfacePair(hf.m, lam, hf) for lam in LAMBDAS]
+    r0 = reference_singular_radius(example)
+    for samples in ([0.3 + 0.2j, -0.1 + 0.5j], [complex(r0 - 0.005), 0.2j]):
+        alone = max(isotropy_check(pair, which, samples=samples)["max_residual"]
+                    for pair in pairs for which in ("Y", "Yhat"))
+        shared = willmore.verify._isotropy_order_m(pairs, samples)
+        assert shared.hex() == alone.hex(), samples
+
+
 # sha256 of the reports, without timing, by example and by the index of the
 # sample moved onto the circle: at index 3 as the one-sample-per-call loop of
 # run_suite wrote them, at index 0 as run_suite wrote them while it still read
