@@ -45,15 +45,18 @@ from .surfaces import SurfacePair, induced_metric, reference_lift_eval
 from .verify import run_suite
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_real(text: str) -> float:
+    """The float of a rational like 3/2 or 1e-3; a usage error past the float range."""
     try:
-        return Fraction(text)
+        return float(Fraction(text))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("expected a rational like 3/2, got %r" % text)
+    except OverflowError:
+        raise argparse.ArgumentTypeError("%r is too large for a float" % text)
 
 
 def _radius(text: str) -> float:
-    r = float(_parse_rational(text))
+    r = _parse_real(text)
     if r <= 0:
         raise argparse.ArgumentTypeError("radius must be positive")
     return r
@@ -73,8 +76,7 @@ def _parse_lambda(text: str) -> complex:
     """Unit-circle family parameter: '1', 'i', 'a+bi', or 'cis:p/q'."""
     s = text.strip().replace(" ", "")
     if s.startswith("cis:"):
-        turns = _parse_rational(s[4:])
-        lam = cmath.exp(1j * math.pi * float(turns))
+        lam = cmath.exp(1j * math.pi * _parse_real(s[4:]))
     else:
         lam = _parse_complex(s)
     if abs(abs(lam) - 1.0) > 1e-12:
@@ -96,16 +98,16 @@ def _parse_complex(s: str) -> complex:
         # and never the leading sign).
         for k in range(len(body) - 1, 0, -1):
             if body[k] in "+-" and body[k - 1] not in "+-/":
-                re = _parse_rational(body[:k])
+                re = _parse_real(body[:k])
                 imtext = body[k:]
-                im = Fraction(1) if imtext in ("+",) else (
-                    Fraction(-1) if imtext == "-" else _parse_rational(imtext))
-                return complex(float(re), float(im))
+                im = 1.0 if imtext == "+" else (
+                    -1.0 if imtext == "-" else _parse_real(imtext))
+                return complex(re, im)
         body = body or "1"
         if body in ("+", "-"):
             body += "1"
-        return complex(0.0, float(_parse_rational(body)))
-    return complex(float(_parse_rational(s)), 0.0)
+        return complex(0.0, _parse_real(body))
+    return complex(_parse_real(s), 0.0)
 
 
 def _grid_points(kind: str, n: int, radius: float):
@@ -244,9 +246,9 @@ def _evaluate_block(pair, metric_y, metric_yhat, pts):
     NaN on singular ones, the singular mask, and each singular vertex's
     error class.
 
-    One stacked factorization of the block's vertices feeds both lifts and
-    both conformal factors, and the lifts and the Gram data's derivatives
-    are computed once for both factors.  A vertex is singular when its own
+    One stacked factorization of the block's vertices, solved here, feeds
+    both lifts and both conformal factors, and the lifts and the Gram data's
+    derivatives are computed once for both factors.  A vertex is singular when its own
     sample fails for either lift: a check of the witness, the imaginary
     drift of SurfacePair.values, or a vanishing first coordinate of y or
     yhat (induced_metric).  Its error is the first of those in the order
@@ -254,7 +256,7 @@ def _evaluate_block(pair, metric_y, metric_yhat, pts):
     """
     z = np.array(pts, dtype=complex)
     w = solve_iwasawa_float(pair.hf, z)
-    values = pair.values(z, w)
+    values = pair.values(w)
     derivatives = gram_axis_derivatives(pair.hf, w)
     Y, Yhat, errors = values
     my, errors_y = metric_y(z, w, values, derivatives)

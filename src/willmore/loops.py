@@ -212,10 +212,10 @@ class LoopMatrix:
         raise AttributeError("LoopMatrix is immutable")
 
     @classmethod
-    def from_constant(cls, mat, power=0):
+    def from_constant(cls, mat):
         arr = _coefficient(mat)
         r, c = arr.shape[-2:]
-        return cls(r, c, {power: arr})
+        return cls(r, c, {0: arr})
 
     @classmethod
     def identity(cls, n):
@@ -316,7 +316,7 @@ class LoopMatrix:
             out += t
         return out
 
-    def to_float(self, z=None):
+    def to_float(self, z):
         """Bind exact entries at a sample, or at each sample of a 1-D array of
         z (a stacked float loop); the loop parameter stays formal."""
         if self.exact is not True:

@@ -1,5 +1,9 @@
 """Light-cone lifts extracted from the factorized frame, and their geometry.
 
+This is the closed-form layer: it never factorizes.  Exact pairs carry
+their lifts as rational functions, and a float pair's evaluators take the
+float witness its caller solved; verify checks them by finite differences.
+
 The two middle columns of the frame carry an adjoint pair of light-cone
 lifts.  Recombining each column's entries (middle rows give the timelike
 plane, outer rows pair up j with 2m+3-j) rotates the split basis back to
@@ -25,7 +29,6 @@ from .errors import (
     FirstCoordinateVanishes,
     ResidualTooLarge,
     SingularLocus,
-    StepSizeTooCoarse,
 )
 from .frames import HolomorphicFrame
 from .iwasawa import (
@@ -34,10 +37,8 @@ from .iwasawa import (
     _eval_mat,
     _middle_blocks,
     _middle_blocks_d,
-    gram_axis_derivatives,
     gram_float,
     middle_columns_float,
-    solve_iwasawa_float,
 )
 from .loops import sharp
 from .scalars import (
@@ -49,7 +50,6 @@ from .scalars import (
     RF_I,
     RationalFn,
     _cmul_np,
-    as_samples,
 )
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
@@ -98,20 +98,6 @@ def mink_pair_np(x: np.ndarray, y: np.ndarray):
     return (_cmul_np(-x[..., 0], y[..., 0]) + dot)[()]
 
 
-def _modulus(x: np.ndarray) -> np.ndarray:
-    """|x| entrywise by hypot, as abs() of a complex scalar computes it; numpy's
-    array abs can differ from it in the last bit."""
-    return np.hypot(x.real, x.imag)
-
-
-def _row_norms(y: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a complex stack, summed as np.linalg.norm
-    sums one vector: a BLAS dot of the real parts plus one of the imaginary."""
-    def dot(x):
-        return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
-    return np.sqrt(dot(y.real) + dot(y.imag))
-
-
 class SurfacePair:
     """Adjoint pair of homogeneous light-cone lifts at one family parameter.
 
@@ -122,8 +108,8 @@ class SurfacePair:
     and reduced by its num/den gcd; induced_metric keeps its conformal
     factors in metrics, by lift.
     Float pair (Y is None), SurfacePair(hf.m, lam, hf) for lam on the unit
-    circle: its lifts are read off the middle columns of the frame that one
-    stacked factorization of hf gives at the requested samples.
+    circle: its lifts are read off the middle columns of the frame at the
+    samples of a float witness of hf that the caller solved.
     """
 
     __slots__ = ("m", "lam", "hf", "Y", "Yhat", "metrics")
@@ -140,16 +126,15 @@ class SurfacePair:
         self.Yhat = Yhat
         self.metrics = {}
 
-    def values(self, z, witness=None):
-        """Homogeneous lift values of a float pair over a 1-D array of z.
+    def values(self, w):
+        """Homogeneous lift values of a float pair at the samples of w, a
+        float witness of self.hf (solve_iwasawa_float(self.hf, z)).
 
         Real vectors of the honest frame (factor included), future-pointing.
-        Returns (Y, Yhat, errors): rows per sample, NaN where the sample
+        Returns (Y, Yhat, errors): rows per sample of z, NaN where the sample
         failed, and errors[k] the error sample k failed with (None where it
-        passed).  witness, if given, is solve_iwasawa_float(self.hf, z), so
-        that a caller can share one factorization with induced_metric.
+        passed).
         """
-        w = solve_iwasawa_float(self.hf, z) if witness is None else witness
         errors = list(w.errors)
         Y, Yhat = lift_columns_float(w, self.lam)
         scale = np.maximum(1.0, np.maximum(np.abs(Y).max(axis=-1), np.abs(Yhat).max(axis=-1)))
@@ -177,8 +162,8 @@ def extract_pair(frame: ExtendedFrame, lam) -> SurfacePair:
     lam must be an exact unit; it is bound on the blocks' BiPoly numerators
     as lift_columns_float binds a float one on float columns, and each
     component, a numerator over det rho, is reduced to a RationalFn.  A
-    float pair needs no frame: SurfacePair(hf.m, lam, hf) factorizes hf at
-    each sample it is evaluated at.
+    float pair needs no frame: SurfacePair(hf.m, lam, hf) reads its lifts off
+    the float witness of hf it is evaluated at.
     """
     if frame.middle is None:
         raise ExactPathRequired("extract_pair reads exact frames only")
@@ -219,13 +204,6 @@ def _scatter(rows, index, errors):
     return out
 
 
-def raise_first(errors):
-    """Raise the first error of a stacked result, if any sample failed."""
-    for err in errors:
-        if err is not None:
-            raise err
-
-
 def _lift_index(which: str) -> int:
     """0 for the lift Y and 1 for Yhat, on exact and float pairs alike."""
     if which in ("Y", "y"):
@@ -236,27 +214,18 @@ def _lift_index(which: str) -> int:
 
 
 def project_to_sphere(pair: SurfacePair, which: str = "Y"):
-    """First-coordinate projection of a lift to the unit sphere S^{2m}.
+    """First-coordinate projection of an exact pair's lift to the unit
+    sphere S^{2m}, as a tuple of 2m+1 rational functions.
 
-    Exact pairs return a tuple of 2m+1 rational functions; float pairs
-    return an evaluator at(z, witness=None) that takes a 1-D array of z and
-    returns (vectors, errors), the real unit vectors one row per sample, as
-    SurfacePair.values does; witness, if given, is
-    solve_iwasawa_float(pair.hf, z), so that pairs of several lam can share
-    one factorization.
+    A float pair raises ExactPathRequired; its projected rows are
+    _project of SurfacePair.values.
     """
-    idx = _lift_index(which)
-    if pair.Y is not None:
-        comps = (pair.Y, pair.Yhat)[idx]
-        if comps[0].is_zero():
-            raise FirstCoordinateVanishes("lift has identically zero first coordinate")
-        return tuple(c / comps[0] for c in comps[1:])
-
-    def at(z, witness=None):
-        values = pair.values(z, witness)
-        return _project(values[idx], values[2], z)
-
-    return at
+    comps = (pair.Y, pair.Yhat)[_lift_index(which)]
+    if comps is None:
+        raise ExactPathRequired("project_to_sphere reads exact pairs only")
+    if comps[0].is_zero():
+        raise FirstCoordinateVanishes("lift has identically zero first coordinate")
+    return tuple(c / comps[0] for c in comps[1:])
 
 
 def _project(vals, errors, z):
@@ -279,16 +248,14 @@ def induced_metric(pair: SurfacePair, which: str = "Y"):
 
     Exact pairs return it as a rational function (formal derivatives),
     computed once per pair and lift and kept in pair.metrics.  Float pairs
-    return an evaluator metric(z, witness=None, values=None, derivatives=None)
-    that takes a 1-D array of z and returns (factors, errors): errors as
-    SurfacePair.values gives them, with a vanishing first coordinate of this
-    lift (_project) added, and the factor NaN wherever an error is set.  So
-    a sample fails only where it fails itself.  witness, if given, is
-    solve_iwasawa_float(pair.hf, z), so that a caller can share one
-    factorization between the lifts and both factors; values and
-    derivatives, if given with it, are pair.values(z, witness) and
-    gram_axis_derivatives(pair.hf, witness), so that both factors can share
-    those too.
+    return an evaluator metric(z, w, values, derivatives) for the caller's
+    float witness w = solve_iwasawa_float(pair.hf, z), values =
+    pair.values(w) and derivatives = gram_axis_derivatives(pair.hf, w), so
+    that the lifts and both factors share them; z names the samples in
+    errors.  It returns (factors, errors): errors as values gives them, with
+    a vanishing first coordinate of this lift (_project) added, and the
+    factor NaN wherever an error is set.  So a sample fails only where it
+    fails itself.
 
     The factor is a closed form at the sample itself.  The honest lift is a
     scalar multiple of P, the lam-bound column of _middle_blocks before the
@@ -307,19 +274,13 @@ def induced_metric(pair: SurfacePair, which: str = "Y"):
             pair.metrics[idx] = acc
         return pair.metrics[idx]
 
-    hf, lam = pair.hf, pair.lam
+    lam = pair.lam
 
     def column(blocks):
         return np.stack(_bind_columns(blocks, lam, 1.0 / lam, pair.m,
                                       lambda x: _cmul_np(-1j, x))[idx], axis=-1)
 
-    def metric(z, witness=None, values=None, derivatives=None):
-        z = as_samples(z)
-        w = solve_iwasawa_float(hf, z) if witness is None else witness
-        if values is None:
-            values = pair.values(z, w)
-        if derivatives is None:
-            derivatives = gram_axis_derivatives(hf, w)
+    def metric(z, w, values, derivatives):
         errors = _project(values[idx], values[2], z)[1]
         P = column(_middle_blocks(w.fv, w.gv, w.u))
         ubar = w.u.conj()
@@ -339,54 +300,6 @@ def induced_metric(pair: SurfacePair, which: str = "Y"):
 # -- total isotropy --------------------------------------------------------------
 
 
-def _stencil_weights(order: int):
-    """Fourth-order central weights for the order-th one-dimensional derivative."""
-    table = {
-        0: {0: 1.0},
-        1: {-2: 1 / 12, -1: -2 / 3, 1: 2 / 3, 2: -1 / 12},
-        2: {-2: -1 / 12, -1: 4 / 3, 0: -5 / 2, 1: 4 / 3, 2: -1 / 12},
-        3: {-3: 1 / 8, -2: -1.0, -1: 13 / 8, 1: -13 / 8, 2: 1.0, 3: -1 / 8},
-        4: {-3: -1 / 6, -2: 2.0, -1: -13 / 2, 0: 28 / 3, 1: -13 / 2, 2: 2.0,
-            3: -1 / 6},
-    }
-    if order not in table:
-        raise ValueError("stencil order %d not supported" % order)
-    return table[order]
-
-
-def _fd_z_derivative(values, order: int, h: float):
-    """d^order/dz^order from a dict (a, b) -> values at z + (a+ib)h, one row
-    per sample z.
-
-    Expands (d/dz)^j = 2^-j * sum_k C(j,k) (-i)^k d_x^{j-k} d_y^k with
-    fourth-order central stencils in each axis.
-    """
-    acc = None
-    for k in range(order + 1):
-        wx = _stencil_weights(order - k)
-        wy = _stencil_weights(k)
-        coef = math.comb(order, k) * (-1j) ** k
-        for a, ca in wx.items():
-            for b, cb in wy.items():
-                term = coef * ca * cb * values[(a, b)]
-                acc = term if acc is None else acc + term
-    return acc / (2 * h) ** order if order else acc
-
-
-def _fd_offsets(max_order: int):
-    """Grid offsets (a, b) of the stencil for z-derivatives up to max_order."""
-    span = 3 if max_order >= 3 else 2
-    return [(a, b) for a in range(-span, span + 1) for b in range(-span, span + 1)]
-
-
-def isotropy_stencil(samples, max_order: int, step: float) -> np.ndarray:
-    """The points where the float isotropy_check evaluates a lift at step:
-    z + (a + ib) step for each sample z in order, over the offsets (a, b) of
-    the stencil for z-derivatives up to max_order."""
-    return np.array([z + (a + 1j * b) * step for z in samples
-                     for a, b in _fd_offsets(max_order)])
-
-
 def _cofactor_times(num: BiPoly, den: BiPoly, dens) -> BiPoly:
     """num times every denominator in dens other than den: the numerator of
     num / den over the product of dens."""
@@ -396,135 +309,56 @@ def _cofactor_times(num: BiPoly, den: BiPoly, dens) -> BiPoly:
     return num
 
 
-ISOTROPY_STEP = 2e-3
-
-
 def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
-                   samples=(), lifts=None) -> dict:
-    """Pairings of z-derivative pairs of a lift, up to max_order.
+                   samples=()) -> dict:
+    """Pairings of z-derivative pairs of an exact pair's lift, up to max_order.
 
     All of them must vanish: the z-derivative flag of the lift is isotropic,
     a property insensitive to the stored gauge and scale.
 
-    Exact pairs put the components over their common denominator D, the
-    product of their distinct denominators, and differentiate by the
-    quotient rule, so each pairing is a polynomial over a power of D and no
-    gcd is taken.  A pairing that is the zero polynomial reports 0; any
-    other reports its largest modulus at the samples, or inf without them.
-
-    Float pairs use finite differences at the samples, on the points
-    isotropy_stencil(samples, max_order, step), refining the step from
-    ISOTROPY_STEP while the residual fails and keeps improving.  Each step
-    evaluates the lifts in one stack and takes the derivatives, norms and
-    pairings of all samples in one stack.  lifts, if given, maps a step to
-    pair.values at those points, so that callers can share one
-    factorization and one evaluation of the lifts per step between both
-    lifts and several lam; without it each step is factorized here.
+    The components are put over their common denominator D, the product of
+    their distinct denominators, and differentiated by the quotient rule, so
+    each pairing is a polynomial over a power of D and no gcd is taken.  A
+    pairing that is the zero polynomial reports 0; any other reports its
+    largest modulus at the samples, or inf without them.  A float pair
+    raises ExactPathRequired; verify checks its lifts by finite differences.
     """
-    m = pair.m
-    idx = _lift_index(which)
+    comps = (pair.Y, pair.Yhat)[_lift_index(which)]
+    if comps is None:
+        raise ExactPathRequired("isotropy_check reads exact pairs only")
     if max_order is None:
-        max_order = m
-    report = {
-        "which": which,
-        "max_order": max_order,
-        "pairs": {},
-    }
+        max_order = pair.m
+    pairs = {}
 
-    if pair.Y is not None:
-        # Over the common denominator D the lift is P / D, and by the quotient
-        # rule d^j/dz^j (P / D) = Q_j / D^(j+1) with
-        # Q_(j+1) = dQ_j D - (j+1) Q_j dD, so <d^j Y, d^l Y> vanishes exactly
-        # when the polynomial <Q_j, Q_l> does.
-        comps = (pair.Y, pair.Yhat)[idx]
-        dens = []
-        for c in comps:
-            if c.den != BP_ONE and c.den not in dens:
-                dens.append(c.den)
-        D = BP_ONE
-        for den in dens:
-            D = D * den
-        derivs = [[_cofactor_times(c.num, c.den, dens) for c in comps]]
-        dD = D.d_dz()
-        for j in range(max_order):
-            derivs.append([q.d_dz() * D - q * dD * (j + 1) for q in derivs[-1]])
-        worst = 0.0
-        for j in range(1, max_order + 1):
-            for l in range(j, max_order + 1):
-                p = mink_pair_rf(derivs[j], derivs[l])
-                if p.is_zero():
-                    res = 0.0
-                elif samples:
-                    p = RationalFn(p, D ** (j + l + 2))
-                    res = float(np.abs(_rf_float(p, np.asarray(samples))).max())
-                else:
-                    res = float("inf")
-                report["pairs"]["(%d,%d)" % (j, l)] = res
-                worst = max(worst, res)
-        report["max_residual"] = worst
-        return report
-
-    if not samples:
-        raise ValueError("float isotropy check needs sample points")
-
-    offsets = _fd_offsets(max_order)
-    if lifts is None:
-        def lifts(step):
-            return pair.values(isotropy_stencil(samples, max_order, step))
-
-    def run(step):
-        """Worst pairing per (j, l) over the samples, each scaled by its own
-        derivative norms.
-
-        The per-pair scale measures achieved cancellation, which keeps the
-        check meaningful where high derivatives dwarf the lift itself.  Each
-        sample's row has the bits of one vector's np.linalg.norm and abs(),
-        and fmax from 0.0 skips NaN as a running max() does.
-        """
-        values = lifts(step)
-        raise_first(values[2])
-        grid = values[idx].reshape(len(samples), len(offsets), -1)
-        rows = {ab: grid[:, k] for k, ab in enumerate(offsets)}
-        derivs = [_fd_z_derivative(rows, j, step) for j in range(max_order + 1)]
-        norms = [np.fmax(1.0, _row_norms(v)) for v in derivs]
-        out = {}
-        for j in range(1, max_order + 1):
-            for l in range(j, max_order + 1):
-                val = _modulus(mink_pair_np(derivs[j], derivs[l])) / (norms[j] * norms[l])
-                out["(%d,%d)" % (j, l)] = float(np.fmax.reduce(val, initial=0.0))
-        return out
-
-    h = ISOTROPY_STEP
-    tol = 1e-6 * (1.0 + 1e-13 / h ** max_order)
-
-    # Truncation can dominate near poles of the lift; refine until the
-    # residual stops improving or passes.
-    best = run(h)
-    worst = max(best.values())
-    step = h
-    prev = worst
-    for k in (2, 4, 8):
-        if worst <= tol:
-            break
-        finer = run(h / k)
-        worst_finer = max(finer.values())
-        improving = worst_finer < prev / 2
-        prev = worst_finer
-        if worst_finer < worst:
-            best, worst, step = finer, worst_finer, h / k
-        if not improving:
-            break
-    else:
-        if worst > tol and improving:
-            raise StepSizeTooCoarse(
-                "isotropy residual %.3e still truncation-dominated at step %.1e;"
-                " refine the step" % (worst, step)
-            )
-    report["pairs"] = best
-    report["max_residual"] = worst
-    report["step"] = step
-    report["tolerance"] = tol
-    return report
+    # Over the common denominator D the lift is P / D, and by the quotient
+    # rule d^j/dz^j (P / D) = Q_j / D^(j+1) with
+    # Q_(j+1) = dQ_j D - (j+1) Q_j dD, so <d^j Y, d^l Y> vanishes exactly
+    # when the polynomial <Q_j, Q_l> does.
+    dens = []
+    for c in comps:
+        if c.den != BP_ONE and c.den not in dens:
+            dens.append(c.den)
+    D = BP_ONE
+    for den in dens:
+        D = D * den
+    derivs = [[_cofactor_times(c.num, c.den, dens) for c in comps]]
+    dD = D.d_dz()
+    for j in range(max_order):
+        derivs.append([q.d_dz() * D - q * dD * (j + 1) for q in derivs[-1]])
+    worst = 0.0
+    for j in range(1, max_order + 1):
+        for l in range(j, max_order + 1):
+            p = mink_pair_rf(derivs[j], derivs[l])
+            if p.is_zero():
+                res = 0.0
+            elif samples:
+                p = RationalFn(p, D ** (j + l + 2))
+                res = float(np.abs(_rf_float(p, np.asarray(samples))).max())
+            else:
+                res = float("inf")
+            pairs["(%d,%d)" % (j, l)] = res
+            worst = max(worst, res)
+    return {"which": which, "max_order": max_order, "pairs": pairs, "max_residual": worst}
 
 
 # -- degeneracy locus -------------------------------------------------------------

@@ -7,6 +7,10 @@ Minkowski isometry, Maurer-Cartan structure, and the surface-level light-cone
 geometry.  Every reported residual is a maximum over samples, never an
 average, and failures are report entries rather than exceptions.
 
+The four finite-difference checks (mc-flatness, mc-lambda-affinity,
+conformality and isotropy-order-m) live here, with their stencils: they
+test the closed forms of surfaces at points this module factorizes.
+
 The report serializes with a fixed key order; the only nondeterministic
 field (wall-clock timing) sits last and can be excluded, making reports
 byte-for-byte reproducible for a fixed potential and plan.
@@ -21,6 +25,7 @@ import time
 
 import numpy as np
 
+from .errors import StepSizeTooCoarse
 from .frames import integrate_frame
 from .groups import LAMBDAS, get_context
 from .iwasawa import (
@@ -35,16 +40,11 @@ from .scalars import _cmul_np, _gr
 from .surfaces import (
     SurfacePair,
     _gram_det_float,
-    _modulus,
-    _row_norms,
-    _stencil_weights,
+    _lift_index,
+    _project,
     degeneracy_scan,
-    isotropy_check,
-    isotropy_stencil,
     lift_columns_float,
     mink_pair_np,
-    project_to_sphere,
-    raise_first,
 )
 
 DEFAULT_PLAN = {
@@ -200,6 +200,27 @@ def _draw_samples(cfg, radii, hf):
     return pts, rejected
 
 
+def raise_first(errors):
+    """Raise the first error of a stacked result, if any sample failed."""
+    for err in errors:
+        if err is not None:
+            raise err
+
+
+def _modulus(x: np.ndarray) -> np.ndarray:
+    """|x| entrywise by hypot, as abs() of a complex scalar computes it; numpy's
+    array abs can differ from it in the last bit."""
+    return np.hypot(x.real, x.imag)
+
+
+def _row_norms(y: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex stack, summed as np.linalg.norm
+    sums one vector: a BLAS dot of the real parts plus one of the imaginary."""
+    def dot(x):
+        return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+    return np.sqrt(dot(y.real) + dot(y.imag))
+
+
 def _worst(*values) -> float:
     """The largest of 0.0 and every entry of values, NaN entries skipped, as a
     running max() over samples keeps it."""
@@ -298,6 +319,21 @@ def _iso_oracle(ctx, cfg, probe) -> float:
     BA = LoopMatrix(d, d, {k: _gr_matmul(mats[k], mats[k + 1]) for k in pairs})
     PBPA = LoopMatrix(d, d, {k: _gr_matmul(images[k], images[k + 1]) for k in pairs})
     return max(worst, _exact_size(ctx.iso_P(BA) - PBPA, probe))
+
+
+def _stencil_weights(order: int):
+    """Fourth-order central weights for the order-th one-dimensional derivative."""
+    table = {
+        0: {0: 1.0},
+        1: {-2: 1 / 12, -1: -2 / 3, 1: 2 / 3, 2: -1 / 12},
+        2: {-2: -1 / 12, -1: 4 / 3, 0: -5 / 2, 1: 4 / 3, 2: -1 / 12},
+        3: {-3: 1 / 8, -2: -1.0, -1: 13 / 8, 1: -13 / 8, 2: 1.0, 3: -1 / 8},
+        4: {-3: -1 / 6, -2: 2.0, -1: -13 / 2, 0: 28 / 3, 1: -13 / 2, 2: 2.0,
+            3: -1 / 6},
+    }
+    if order not in table:
+        raise ValueError("stencil order %d not supported" % order)
+    return table[order]
 
 
 def _maurer_cartan_checks(hf, fd_samples) -> dict:
@@ -415,7 +451,8 @@ def _conformality(pairs, fd_samples) -> float:
     w = solve_iwasawa_float(pairs[0].hf, pts)
     res = 0.0
     for pair in pairs:
-        y, sample_errors = project_to_sphere(pair, "Y")(pts, w)
+        Y, _, errors = pair.values(w)
+        y, sample_errors = _project(Y, errors, pts)
         raise_first(sample_errors)
         for yp, ym, yip, yim in y.reshape(len(fd_samples), 4, y.shape[-1]):
             yx = (yp - ym) / (2 * h)
@@ -426,29 +463,123 @@ def _conformality(pairs, fd_samples) -> float:
     return res
 
 
+def _fd_z_derivative(values, order: int, h: float):
+    """d^order/dz^order from a dict (a, b) -> values at z + (a+ib)h, one row
+    per sample z.
+
+    Expands (d/dz)^j = 2^-j * sum_k C(j,k) (-i)^k d_x^{j-k} d_y^k with
+    fourth-order central stencils in each axis.
+    """
+    acc = None
+    for k in range(order + 1):
+        wx = _stencil_weights(order - k)
+        wy = _stencil_weights(k)
+        coef = math.comb(order, k) * (-1j) ** k
+        for a, ca in wx.items():
+            for b, cb in wy.items():
+                term = coef * ca * cb * values[(a, b)]
+                acc = term if acc is None else acc + term
+    return acc / (2 * h) ** order if order else acc
+
+
+def _fd_offsets(max_order: int):
+    """Grid offsets (a, b) of the stencil for z-derivatives up to max_order."""
+    span = 3 if max_order >= 3 else 2
+    return [(a, b) for a in range(-span, span + 1) for b in range(-span, span + 1)]
+
+
+ISOTROPY_STEP = 2e-3
+
+
+def _isotropy_fd(pair: SurfacePair, which: str, samples, lifts) -> dict:
+    """surfaces.isotropy_check of a float pair, up to order m, by finite
+    differences at the samples, refining the step from ISOTROPY_STEP while
+    the residual fails and keeps improving.  lifts maps a step to
+    pair.values at z + (a + ib) step for each sample z in order and each
+    offset (a, b) of _fd_offsets(m)."""
+    max_order = pair.m
+    idx = _lift_index(which)
+    if not samples:
+        raise ValueError("float isotropy check needs sample points")
+
+    offsets = _fd_offsets(max_order)
+
+    def run(step):
+        """Worst pairing per (j, l) over the samples, each scaled by its own
+        derivative norms.
+
+        The per-pair scale measures achieved cancellation, which keeps the
+        check meaningful where high derivatives dwarf the lift itself.  Each
+        sample's row has the bits of one vector's np.linalg.norm and abs(),
+        and fmax from 0.0 skips NaN as a running max() does.
+        """
+        values = lifts(step)
+        raise_first(values[2])
+        grid = values[idx].reshape(len(samples), len(offsets), -1)
+        rows = {ab: grid[:, k] for k, ab in enumerate(offsets)}
+        derivs = [_fd_z_derivative(rows, j, step) for j in range(max_order + 1)]
+        norms = [np.fmax(1.0, _row_norms(v)) for v in derivs]
+        out = {}
+        for j in range(1, max_order + 1):
+            for l in range(j, max_order + 1):
+                val = _modulus(mink_pair_np(derivs[j], derivs[l])) / (norms[j] * norms[l])
+                out["(%d,%d)" % (j, l)] = float(np.fmax.reduce(val, initial=0.0))
+        return out
+
+    h = ISOTROPY_STEP
+    tol = 1e-6 * (1.0 + 1e-13 / h ** max_order)
+
+    # Truncation can dominate near poles of the lift; refine until the
+    # residual stops improving or passes.
+    best = run(h)
+    worst = max(best.values())
+    step = h
+    prev = worst
+    for k in (2, 4, 8):
+        if worst <= tol:
+            break
+        finer = run(h / k)
+        worst_finer = max(finer.values())
+        improving = worst_finer < prev / 2
+        prev = worst_finer
+        if worst_finer < worst:
+            best, worst, step = finer, worst_finer, h / k
+        if not improving:
+            break
+    else:
+        if worst > tol and improving:
+            raise StepSizeTooCoarse(
+                "isotropy residual %.3e still truncation-dominated at step %.1e;"
+                " refine the step" % (worst, step)
+            )
+    return {"which": which, "max_order": max_order, "pairs": best,
+            "max_residual": worst, "step": step, "tolerance": tol}
+
+
 def _isotropy_order_m(pairs, fd_samples) -> float:
-    """The worst isotropy_check residual of both lifts of every pair.
+    """The worst _isotropy_fd residual of both lifts of every pair.
 
     Each check refines its step on its own, but a step's stencil is
     factorized once, for the first check that asks for it, and each pair's
     lifts there are evaluated once for both of its checks; so each check
     reads what it reads alone.
     """
-    hf, m = pairs[0].hf, pairs[0].m
+    hf = pairs[0].hf
+    offsets = _fd_offsets(hf.m)
 
     @functools.cache
     def stencil(step):
-        z = isotropy_stencil(fd_samples, m, step)
-        return z, solve_iwasawa_float(hf, z)
+        return solve_iwasawa_float(hf, np.array([z + (a + 1j * b) * step for z in fd_samples
+                                                 for a, b in offsets]))
 
     worst = 0.0
     for pair in pairs:
         @functools.cache
         def lifts(step, pair=pair):
-            return pair.values(*stencil(step))
+            return pair.values(stencil(step))
 
         for which in ("Y", "Yhat"):
-            check = isotropy_check(pair, which, samples=fd_samples, lifts=lifts)
+            check = _isotropy_fd(pair, which, fd_samples, lifts)
             worst = max(worst, check["max_residual"])
     return worst
 

@@ -1,15 +1,45 @@
 """Shared fixtures: the two shipped pipelines, built once per session.
 
 The exact backend is the expensive one (seconds per example), so every test
-that needs an exact frame or surface pair pulls it from here.
+that needs an exact frame or surface pair pulls it from here.  The helpers
+below evaluate a float pair at z as the program's callers do: they solve
+the float witness at z and hand it to the pair's evaluators.
 """
 
+import numpy as np
 import pytest
 
 from willmore.frames import integrate_frame
-from willmore.iwasawa import assemble_frame, solve_iwasawa_exact
+from willmore.iwasawa import (
+    assemble_frame,
+    gram_axis_derivatives,
+    solve_iwasawa_exact,
+    solve_iwasawa_float,
+)
 from willmore.potentials import builtin_potential, to_nilpotent
-from willmore.surfaces import extract_pair
+from willmore.surfaces import extract_pair, induced_metric
+from willmore.verify import _fd_offsets
+
+
+def float_values(pair, z):
+    """pair.values at a 1-D array of z: (Y, Yhat, errors)."""
+    return pair.values(solve_iwasawa_float(pair.hf, z))
+
+
+def float_metric(pair, which, z):
+    """The float conformal factor of one lift at a 1-D array of z:
+    (factors, errors)."""
+    w = solve_iwasawa_float(pair.hf, z)
+    return induced_metric(pair, which)(
+        z, w, pair.values(w), gram_axis_derivatives(pair.hf, w))
+
+
+def isotropy_lifts(pair, samples):
+    """The lifts input of verify._isotropy_fd, each step's stencil around
+    the samples factorized on its own."""
+    offsets = _fd_offsets(pair.m)
+    return lambda step: float_values(pair, np.array(
+        [z + (a + 1j * b) * step for z in samples for a, b in offsets]))
 
 
 @pytest.fixture(scope="session")

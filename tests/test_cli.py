@@ -157,7 +157,7 @@ def test_huge_finite_coefficient_flags_samples_without_a_traceback(tmp_path, cap
     assert json.loads(report.read_text())["passed"] is False
 
 
-@pytest.mark.parametrize("text", ["cis:1/0", "1/0", "1/0i"])
+@pytest.mark.parametrize("text", ["cis:1/0", "1/0", "1/0i", "cis:1e400", "1e400", "1e400i"])
 def test_lambda_with_a_zero_denominator_exits_2(text, tmp_path, capsys):
     with pytest.raises(argparse.ArgumentTypeError):
         _parse_lambda(text)
@@ -190,6 +190,18 @@ def test_rational_radius_flag(tmp_path):
     rows = list(csv.DictReader(open(out / "mesh.csv")))
     radii = [complex(float(r["re_z"]), float(r["im_z"])) for r in rows]
     assert max(abs(z) for z in radii) == pytest.approx(0.8)
+
+
+@pytest.mark.parametrize("command", ["example", "verify"])
+@pytest.mark.parametrize("text", ["0", "1e400"])
+def test_radius_flag_rejects_zero_and_overflow(command, text, tmp_path, capsys):
+    # 1e400 is a rational whose float overflows: a usage error, not a traceback
+    where = ["--id", "1", "--out", str(tmp_path)] if command == "example" else [
+        "--potential", str(tmp_path / "p.json")]
+    with pytest.raises(SystemExit) as exc:
+        _run(command, *where, "--radius", text)
+    assert exc.value.code == 2
+    assert "argument --radius" in capsys.readouterr().err
 
 
 def test_parser_rejects_unknown_subcommand(capsys):
@@ -309,7 +321,8 @@ def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, monkeypa
     from willmore.cli import _grid_points
     from willmore.frames import integrate_frame
     from willmore.potentials import to_nilpotent
-    from willmore.surfaces import SurfacePair, induced_metric, reference_singular_radius
+    from conftest import float_metric, float_values
+    from willmore.surfaces import SurfacePair, reference_singular_radius
 
     monkeypatch.setattr(cli, "_BLOCK", 8)
     radius = repr(1.25 * reference_singular_radius(1) * (1 + offset))
@@ -322,14 +335,12 @@ def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, monkeypa
 
     hf = integrate_frame(to_nilpotent(builtin_potential(1)))
     pair = SurfacePair(hf.m, 1.0, hf)
-    metric_y = induced_metric(pair, "Y")
-    metric_yhat = induced_metric(pair, "Yhat")
     reasons = Counter()
     valued, formerly_flagged = [], 0
     for z, row in zip(pts, rows):
-        (Y,), _, (e,) = pair.values(np.array([z]))
-        (my,), (ey,) = metric_y(np.array([z]))
-        (myh,), (eyh,) = metric_yhat(np.array([z]))
+        (Y,), _, (e,) = float_values(pair, np.array([z]))
+        (my,), (ey,) = float_metric(pair, "Y", np.array([z]))
+        (myh,), (eyh,) = float_metric(pair, "Yhat", np.array([z]))
         e = e or ey or eyh
         if e is not None:
             reasons[type(e).__name__] += 1
@@ -340,7 +351,7 @@ def test_block_singular_flags_match_scalar_evaluation(tmp_path, capsys, monkeypa
         assert (row["yz_sq"], row["yhatz_sq"]) == (repr(float(my)), repr(float(myh)))
         valued.append((z, my, myh))
         stencil = [z + s * t for s in (1e-4 / 2, 1e-4) for t in (1, -1, 1j, -1j)]
-        formerly_flagged += any(e is not None for e in pair.values(np.array(stencil))[2])
+        formerly_flagged += any(e is not None for e in float_values(pair, np.array(stencil))[2])
     assert reasons and formerly_flagged == stencil_flagged
     zs, got_y, got_yhat = zip(*valued)
     for got, exact in zip((got_y, got_yhat), _exact_factors(1, pair2)):

@@ -35,6 +35,8 @@ from willmore.surfaces import (
     reference_singular_radius,
 )
 
+from conftest import float_values
+
 
 def _r2_poly(coeffs):
     """sum coeffs[k] (z zbar)^k as an exact polynomial."""
@@ -227,11 +229,8 @@ def test_singular_locus_raises(hf2):
 @pytest.mark.parametrize("call", [
     solve_iwasawa_float,
     maurer_cartan,
-    lambda hf, z: SurfacePair(hf.m, 1.0, hf).values(z),
-    lambda hf, z: induced_metric(SurfacePair(hf.m, 1.0, hf), "Y")(z),
     lambda hf, z: hf.f[0, 0].evaluate_float(z),
-], ids=["solve_iwasawa_float", "maurer_cartan", "SurfacePair.values", "induced_metric",
-        "BiPoly.evaluate_float"])
+], ids=["solve_iwasawa_float", "maurer_cartan", "BiPoly.evaluate_float"])
 def test_float_evaluators_take_stacks_only(hf1, call, z):
     # a one-sample z is a stack of one, np.array([z]); a 0-d z is refused
     with pytest.raises(ValueError, match="1-D array"):
@@ -379,10 +378,10 @@ def test_exactly_singular_gram_matrix_fails_only_its_sample(hf2):
 def test_stacked_lift_values_isolate_failed_samples(hf1):
     zs = _near_locus_stack()
     pair = SurfacePair(hf1.m, np.exp(0.4j), hf1)
-    Y, Yhat, errors = pair.values(zs)
+    Y, Yhat, errors = float_values(pair, zs)
     assert Y.shape == Yhat.shape == (len(zs), 8)
     for k, z in enumerate(zs):
-        oneY, oneYhat, (e,) = pair.values(np.array([z]))
+        oneY, oneYhat, (e,) = float_values(pair, np.array([z]))
         if e is not None:
             assert type(errors[k]) is type(e) and str(errors[k]) == str(e)
             assert np.isnan(Y[k]).all() and np.isnan(Yhat[k]).all()

@@ -15,8 +15,6 @@ from willmore.potentials import builtin_potential, to_nilpotent
 from willmore.scalars import GR_I, BiPoly, RationalFn
 from willmore.surfaces import (
     SurfacePair,
-    _fd_offsets,
-    _fd_z_derivative,
     _gram_det_float,
     _rf_float,
     branch_analysis,
@@ -33,6 +31,9 @@ from willmore.surfaces import (
     reference_metric,
     reference_singular_radius,
 )
+from willmore.verify import _fd_offsets, _fd_z_derivative, _isotropy_fd
+
+from conftest import float_metric, float_values, isotropy_lifts
 
 RF_ZERO = RationalFn(BiPoly.zero())
 
@@ -106,13 +107,12 @@ def test_exact_isotropy_reports_a_nonzero_pairing(pair1):
 
 def _per_sample_isotropy_pairs(pair, which, samples, step):
     """The float isotropy pairings at step, one sample at a time: the loop
-    the float isotropy_check ran before its arithmetic was stacked."""
+    the float isotropy check ran before its arithmetic was stacked."""
     idx = ("Y", "Yhat").index(which)
     max_order = pair.m
     offsets = _fd_offsets(max_order)
-    pts = [z + (a + 1j * b) * step for z in samples for a, b in offsets]
-    lifts = pair.values(np.array(pts))
-    assert lifts[2] == [None] * len(pts)
+    lifts = isotropy_lifts(pair, samples)(step)
+    assert lifts[2] == [None] * len(samples) * len(offsets)
     grid = lifts[idx].reshape(len(samples), len(offsets), -1)
     out = {}
     for vals in grid:
@@ -153,7 +153,7 @@ def test_stacked_isotropy_check_is_bitwise_the_per_sample_loop(example, request)
         for lam in LAMBDAS:
             pair = SurfacePair(hf.m, lam, hf)
             for which in ("Y", "Yhat"):
-                rep = isotropy_check(pair, which, samples=samples)
+                rep = _isotropy_fd(pair, which, samples, isotropy_lifts(pair, samples))
                 assert rep["step"] == step, (samples, lam, which)
                 want = _per_sample_isotropy_pairs(pair, which, samples, step)
                 assert list(rep["pairs"]) == list(want)
@@ -209,7 +209,7 @@ def test_metric_float_value_at_origin(hf1, hf2):
     # both conformal factors evaluate to exactly 2 at z = 0
     for hf in (hf1, hf2):
         pair = SurfacePair(hf.m, 1.0, hf)
-        got = induced_metric(pair, "Y")(np.array([0.0]))[0][0]
+        got = float_metric(pair, "Y", np.array([0.0]))[0][0]
         assert got == pytest.approx(2.0, abs=1e-8)
     for example_id in (1, 2):
         exact_value = reference_metric(example_id, "Y").evaluate(0.0)
@@ -218,29 +218,23 @@ def test_metric_float_value_at_origin(hf1, hf2):
 
 def test_float_metric_matches_exact_metric(pair2, hf2):
     fpair = SurfacePair(hf2.m, 1.0, hf2)
-    fmetric = induced_metric(fpair, "Y")
     emetric = induced_metric(pair2, "Y")
     for z in (0.3 + 0.2j, -0.5 + 0.1j):
-        assert abs(fmetric(np.array([z]))[0][0] - emetric.evaluate(z).real) < 1e-6
+        got = float_metric(fpair, "Y", np.array([z]))[0][0]
+        assert abs(got - emetric.evaluate(z).real) < 1e-6
 
 
 @pytest.mark.parametrize("example_id", [1, 2])
 def test_stacked_metric_is_bitwise_the_one_point_code(example_id):
-    # each sample's factor has the bits of a stack of one, and a caller's
-    # witness gives the factors that the evaluator's own factorization gives
+    # each sample's factor has the bits of a stack of one
     hf = integrate_frame(to_nilpotent(builtin_potential(example_id)))
     pair = SurfacePair(hf.m, np.exp(0.9j), hf)
     zs = np.array([0j, 0.31 + 0.17j, -0.6 + 0.2j, -0.25 - 0.7j, 0.9 + 0.05j])
-    w = solve_iwasawa_float(hf, zs)
     for which in ("Y", "Yhat"):
-        metric = induced_metric(pair, which)
-        got, errors = metric(zs)
+        got, errors = float_metric(pair, which, zs)
         assert errors == [None] * len(zs)
-        want = np.array([metric(zs[k:k + 1])[0][0] for k in range(len(zs))])
+        want = np.array([float_metric(pair, which, zs[k:k + 1])[0][0] for k in range(len(zs))])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), which
-        shared, shared_errors = metric(zs, w)
-        assert np.array_equal(shared.view(np.uint64), got.view(np.uint64)), which
-        assert shared_errors == errors
 
 
 # -- behavior at infinity ------------------------------------------------------
@@ -264,9 +258,12 @@ def test_branch_limits_of_example_2(frame2):
 
 
 def test_branch_analysis_requires_exact_backend(hf2):
+    # so do the projection and the isotropy check, the float pair's
+    # counterparts of which are _project and verify._isotropy_fd
     pair = SurfacePair(hf2.m, 1.0, hf2)
-    with pytest.raises(ExactPathRequired):
-        branch_analysis(pair)
+    for call in (branch_analysis, project_to_sphere, isotropy_check):
+        with pytest.raises(ExactPathRequired):
+            call(pair)
 
 
 # -- degeneracy loci -----------------------------------------------------------
@@ -355,7 +352,7 @@ def test_reference_eval_raises_on_the_degenerate_circle():
 def test_associated_family_members_stay_null(hf2):
     for lam in (1.0, 1j, np.exp(0.25j * np.pi)):
         pair = SurfacePair(hf2.m, lam, hf2)
-        Y, Yhat = (c[0] for c in pair.values(np.array([0.2 + 0.1j]))[:2])
+        Y, Yhat = (c[0] for c in float_values(pair, np.array([0.2 + 0.1j]))[:2])
         mink = lambda a, b: -a[0] * b[0] + float(np.dot(a[1:], b[1:]))
         scale = max(1.0, np.abs(Y).max(), np.abs(Yhat).max()) ** 2
         assert abs(mink(Y, Y)) < 1e-10 * scale

@@ -175,7 +175,7 @@ def test_run_suite_factorizes_in_few_stacked_calls(monkeypatch):
         return wrapper
 
     solve = counted(willmore.iwasawa.solve_iwasawa_float, "solve")
-    for module in (willmore.iwasawa, willmore.surfaces, willmore.verify):
+    for module in (willmore.iwasawa, willmore.verify):
         monkeypatch.setattr(module, "solve_iwasawa_float", solve)
     monkeypatch.setattr(willmore.verify, "maurer_cartan",
                         counted(willmore.iwasawa.maurer_cartan, "maurer_cartan"))
@@ -197,7 +197,7 @@ def test_run_suite_factorizes_each_point_once(example, count, monkeypatch):
         samples.append(len(z))
         return solve(hf, z)
 
-    for module in (willmore.iwasawa, willmore.surfaces, willmore.verify):
+    for module in (willmore.iwasawa, willmore.verify):
         monkeypatch.setattr(module, "solve_iwasawa_float", counted)
     assert run_suite(builtin_potential(example)).passed
     assert sum(samples) == count, samples
@@ -228,15 +228,17 @@ def test_shared_isotropy_stencil_reads_what_each_check_reads_alone(example):
     # _isotropy_order_m shares one factorization per step between all four
     # checks and one evaluation of the lifts per lam; each check must read
     # what it reads alone, also where the step refines (example 1's circle).
+    from conftest import isotropy_lifts
     from willmore.groups import LAMBDAS
-    from willmore.surfaces import SurfacePair, isotropy_check, reference_singular_radius
+    from willmore.surfaces import SurfacePair, reference_singular_radius
+    from willmore.verify import _isotropy_fd
 
     hf = integrate_frame(to_nilpotent(builtin_potential(example)))
     pairs = [SurfacePair(hf.m, lam, hf) for lam in LAMBDAS]
     r0 = reference_singular_radius(example)
     for samples in ([0.3 + 0.2j, -0.1 + 0.5j], [complex(r0 - 0.005), 0.2j]):
-        alone = max(isotropy_check(pair, which, samples=samples)["max_residual"]
-                    for pair in pairs for which in ("Y", "Yhat"))
+        alone = max(_isotropy_fd(pair, which, samples, isotropy_lifts(pair, samples))
+                    ["max_residual"] for pair in pairs for which in ("Y", "Yhat"))
         shared = willmore.verify._isotropy_order_m(pairs, samples)
         assert shared.hex() == alone.hex(), samples
 
