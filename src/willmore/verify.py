@@ -9,7 +9,7 @@ average, and failures are report entries rather than exceptions.
 
 The four finite-difference checks (mc-flatness, mc-lambda-affinity,
 conformality and isotropy-order-m) live here, with their stencils: they
-test the closed forms of surfaces at points this module factorizes.
+test closed forms at stencil points that this module factorizes.
 
 The report serializes with a fixed key order; the only nondeterministic
 field (wall-clock timing) sits last and can be excluded, making reports
@@ -601,11 +601,11 @@ def run_suite(pot, plan=None) -> VerificationReport:
     for all samples, one stack of connection coefficients for the fd samples
     and their flatness stencils, one frame stack for mc-lambda-affinity, one
     factorization of the conformality points for both pairs, and one of the
-    isotropy stencil per step for both pairs and both lifts.  Each sample
-    keeps the bits of a stack of one and every residual is a maximum over
-    samples, so the report does not depend on how the samples are stacked
-    or which checks share a factorization.  When sample
-    k is the first to fail, the checks that need its frame fail with its
+    isotropy stencil per step for both pairs and both lifts; the pairs'
+    closed forms read those witnesses.  Each sample keeps the bits of a
+    stack of one and every residual is a maximum over samples, so the
+    report does not depend on how the samples are stacked or which checks
+    share a factorization.  When sample k is the first to fail, the checks that need its frame fail with its
     error after k samples, and the factorization residuals cover samples
     0..k-1, and k itself if it failed only its refactor check.  A float pair
     evaluates its lifts at any sample, but conformality and

@@ -258,8 +258,8 @@ def test_branch_limits_of_example_2(frame2):
 
 
 def test_branch_analysis_requires_exact_backend(hf2):
-    # so do the projection and the isotropy check, the float pair's
-    # counterparts of which are _project and verify._isotropy_fd
+    # so do project_to_sphere and isotropy_check: a float pair is projected
+    # by _project and checked for isotropy by verify._isotropy_fd
     pair = SurfacePair(hf2.m, 1.0, hf2)
     for call in (branch_analysis, project_to_sphere, isotropy_check):
         with pytest.raises(ExactPathRequired):
