@@ -39,14 +39,24 @@ import numpy as np
 
 from .errors import PotentialFormatError, WillmoreError
 from .frames import integrate_frame
-from .potentials import builtin_potential, load_potential, to_nilpotent
-from .iwasawa import gram_axis_derivatives, solve_iwasawa_float
-from .surfaces import SurfacePair, induced_metric, reference_lift_eval
+from .potentials import (
+    MAX_EXPONENT_DIGITS,
+    builtin_potential,
+    exponent_too_long,
+    load_potential,
+    to_nilpotent,
+)
+from .iwasawa import solve_iwasawa_float
+from .surfaces import SurfacePair, induced_metric, metric_columns, reference_lift_eval
 from .verify import run_suite
 
 
 def _parse_real(text: str) -> float:
-    """The float of a rational like 3/2 or 1e-3; a usage error past the float range."""
+    """The float of a rational like 3/2 or 1e-3; a usage error past the float
+    range or past the exponents potentials.exponent_too_long allows."""
+    if exponent_too_long(text):
+        raise argparse.ArgumentTypeError(
+            "the decimal exponent of a rational may have at most %d digits" % MAX_EXPONENT_DIGITS)
     try:
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError):
@@ -157,12 +167,13 @@ def _cartesian_faces(n: int):
 
 
 # Vertices per stacked evaluation: each block factorizes its vertices in one
-# call, and the block size bounds the memory that call takes.  On the bench
-# mesh (1,025 vertices, 2 vCPUs) blocks of 64, 128, 256 and 512 read median
-# wall_ref 79.5, 67.7, 62.7 and 59.5 and peak RSS 38.1, 38.6, 38.9 and
-# 39.4 MB; from 256 on, the RSS reaches that of the 9-sample stencil mesh at
-# 64.  Each sample of a stack has the bits of a stack of one, so the output
-# does not depend on the block size.
+# call, and the block size bounds the memory that call takes, about 4 KB per
+# vertex at its peak.  On the bench mesh (1,025 vertices, 2 vCPUs), with each
+# block's float work done once for both lifts, blocks of 128 and 256 read
+# median wall_ref 50.7 and 46.0 and peak RSS 38.45 and 38.83 MB (4 runs
+# each); 128 keeps the RSS that the mesh read with its per-lift work
+# (38.45 MB).  Each sample of a stack has the bits of a stack of one, so the
+# output does not depend on the block size.
 _BLOCK = 128
 
 
@@ -247,8 +258,9 @@ def _evaluate_block(pair, metric_y, metric_yhat, pts):
     error class.
 
     One stacked factorization of the block's vertices, solved here, feeds
-    both lifts and both conformal factors, and the lifts and the Gram data's
-    derivatives are computed once for both factors.  A vertex is singular when its own
+    both lifts and both conformal factors: its middle blocks give the lifts
+    and, bound and differentiated once for both lifts (metric_columns), the
+    column each factor differentiates.  A vertex is singular when its own
     sample fails for either lift: a check of the witness, the imaginary
     drift of SurfacePair.values, or a vanishing first coordinate of y or
     yhat (induced_metric).  Its error is the first of those in the order
@@ -257,10 +269,10 @@ def _evaluate_block(pair, metric_y, metric_yhat, pts):
     z = np.array(pts, dtype=complex)
     w = solve_iwasawa_float(pair.hf, z)
     values = pair.values(w)
-    derivatives = gram_axis_derivatives(pair.hf, w)
+    columns = metric_columns(pair, w)
     Y, Yhat, errors = values
-    my, errors_y = metric_y(z, w, values, derivatives)
-    myh, errors_yhat = metric_yhat(z, w, values, derivatives)
+    my, errors_y = metric_y(z, w, values, columns)
+    myh, errors_yhat = metric_yhat(z, w, values, columns)
     vals = np.concatenate([Y, Yhat, Y[:, 1:] / Y[:, :1], Yhat[:, 1:] / Yhat[:, :1],
                            my[:, None], myh[:, None]], axis=1)
     first = [next((e for e in trio if e is not None), None)
@@ -270,33 +282,36 @@ def _evaluate_block(pair, metric_y, metric_yhat, pts):
     return vals, singular, [type(e).__name__ for e in first if e is not None]
 
 
+# A comparison row as json.dump writes it at indent=2 inside comparison.json:
+# floats by their repr, as json spells finite ones.
+_ROW = "    [\n      %r,\n      %r,\n      %r,\n      %r\n    ]"
+
+
 def _compare_block(ref, block, vals, singular, d):
     """The closed-form comparison of a block's vertices: for each
     non-singular vertex where ref (a reference_lift_eval evaluator, called
-    one vertex at a time) is defined, its projective distances [dy, dyhat]
-    (_proj_distance) and its per_vertex row as json.dump writes it at
-    indent=2 inside comparison.json."""
-    compared, refs = [], []
-    for k in np.flatnonzero(~singular).tolist():
-        try:
-            refs.append(ref(block[k]))
-        except WillmoreError:
-            continue
-        compared.append(k)
+    once on the stack of them) is defined, its projective distances [dy,
+    dyhat] (_proj_distance) and its per_vertex row as json.dump writes it at
+    indent=2 inside comparison.json, inf and NaN spelled Infinity and NaN."""
+    keep = np.flatnonzero(~singular)
+    Yr, Yhr, skipped = ref(np.array(block, dtype=complex)[keep])
+    compared = keep[~skipped]
     lifts = vals[compared, :2 * d].reshape(len(compared), 2, d)
-    dist = _proj_distance(lifts, np.array(refs).reshape(lifts.shape)).tolist()
-    # json.dumps spells floats as json.dump does, NaN and Infinity included,
-    # and no float's text holds ", ".
-    rows = ["    [\n      %s\n    ]" % json.dumps([block[k].real, block[k].imag, dy, dyh])[1:-1]
-            .replace(", ", ",\n      ") for k, (dy, dyh) in zip(compared, dist)]
+    dist = _proj_distance(lifts, np.stack([Yr, Yhr], axis=1)[~skipped]).tolist()
+    # No finite float's repr holds "inf" or "nan".
+    rows = [(_ROW % (block[k].real, block[k].imag, dy, dyh))
+            .replace("inf", "Infinity").replace("nan", "NaN")
+            for k, (dy, dyh) in zip(compared.tolist(), dist)]
     return dist, rows
 
 
 def _write_mesh_csv(path, pair, pts, ref=None):
-    """Write mesh.csv; returns its value columns (as _evaluate_block gives
-    them), the singular mask, the singular vertices per error class, and,
-    given ref, the distances and per_vertex rows of _compare_block for all
-    blocks in vertex order (None without ref).
+    """Write mesh.csv; returns its value columns as _evaluate_block gives
+    them, one array per block in vertex order (joined only by the OBJ
+    export, so an example's run never holds a copy of them all), the
+    singular mask, the singular vertices per error class, and, given ref,
+    the distances and per_vertex rows of _compare_block for all blocks in
+    vertex order (None without ref).
 
     The blocks are dealt into interleaved shares, one per worker, with
     workers = min(usable CPUs, blocks): this process computes share 0 and a
@@ -323,7 +338,8 @@ def _write_mesh_csv(path, pair, pts, ref=None):
         for start in starts:
             block = pts[start:start + _BLOCK]
             vals, singular, reasons = _evaluate_block(pair, metric_y, metric_yhat, block)
-            rows = "".join("%s,%d\n" % (repr([z.real, z.imag, *row])[1:-1].replace(", ", ","), flag)
+            # No float's repr holds a space.
+            rows = "".join("%s,%d\n" % (str([z.real, z.imag, *row])[1:-1].replace(" ", ""), flag)
                            for z, row, flag in zip(block, vals.tolist(), singular.tolist()))
             out.append((start, vals, singular, reasons, rows,
                         None if ref is None else _compare_block(ref, block, vals, singular, d)))
@@ -338,7 +354,7 @@ def _write_mesh_csv(path, pair, pts, ref=None):
         fh.writelines(b[4] for b in blocks)
     compared = None if ref is None else tuple([x for b in blocks for x in b[5][k]]
                                               for k in (0, 1))
-    return (np.concatenate([b[1] for b in blocks]), np.concatenate([b[2] for b in blocks]),
+    return ([b[1] for b in blocks], np.concatenate([b[2] for b in blocks]),
             Counter(name for b in blocks for name in b[3]), compared)
 
 
@@ -430,7 +446,7 @@ def cmd_synth(args) -> int:
         faces = (_polar_faces(args.grid_n) if args.grid == "polar"
                  else _cartesian_faces(args.grid_n))
         obj_path = os.path.join(args.out, "mesh.obj")
-        _write_mesh_obj(obj_path, pair, pts, vals, singular, faces)
+        _write_mesh_obj(obj_path, pair, pts, np.concatenate(vals), singular, faces)
         print("wrote %s" % obj_path)
     return 0
 

@@ -40,9 +40,10 @@ pairing exactly and the Hermitian condition l1bar^t l1 = a as a theorem
 l1 and l4 live outside the rational-function field (square roots), so the
 exact witness is global but the float witness is numeric.  It is solved
 over a stack of samples at once, every block carrying a leading sample
-axis, and keeps f(z) and g(z) for the lifts and for L_z; a sample that
-fails a check drops out of the stack with its error recorded.  The float
-entry points take 1-D arrays of samples only.  The full extended frame is
+axis, and keeps f(z), g(z) and the frame's middle blocks for the lifts,
+their metrics and L_z; a sample that fails a check drops out of the stack
+with its error recorded.  The float entry points take 1-D arrays of
+samples only.  The full extended frame is
 built over the stack: a LoopMatrix of complex arrays, checked against the
 holomorphic side, F L tau(W)^-1 = H, by BLAS products of loop coefficients,
 matrix by matrix, so each sample holds the bits of a stack of one.  When
@@ -91,13 +92,15 @@ class IwasawaWitness:
     that u# = U / det is solved on.
     A float witness is solved over a 1-D array of N samples and holds stacks
     over the samples that passed every check: v, l0, l1, l4, z, residuals,
-    fv and gv, with index giving their positions in the input and errors the
-    error each of the N samples failed with (None where it passed).
+    fv, gv and middle, the (top, mid, bot) blocks of _middle_blocks(fv, gv,
+    u), with index giving their positions in the input and errors the error
+    each of the N samples failed with (None where it passed).
     """
 
     def __init__(self, m, rho, rho_inv, u, usharp, q, v=None, det_rho=None,
                  usharp_frac=None, q_is_identity=None, l0=None, l1=None, l4=None,
-                 z=None, residuals=None, fv=None, gv=None, index=None, errors=None):
+                 z=None, residuals=None, fv=None, gv=None, middle=None, index=None,
+                 errors=None):
         self.m = m
         self.rho = rho
         self.rho_inv = rho_inv
@@ -113,9 +116,11 @@ class IwasawaWitness:
         self.l4 = l4
         self.z = z
         self.residuals = residuals or {}
-        # Float witnesses keep f(z) and g(z) for the frame, lifts and L_z.
+        # Float witnesses keep f(z) and g(z) for the frame, lifts and L_z,
+        # and the frame's middle blocks for the frame, lifts and metrics.
         self.fv = fv
         self.gv = gv
+        self.middle = middle
         self.index = index
         self.errors = errors
 
@@ -387,12 +392,13 @@ def solve_iwasawa_float(hf: HolomorphicFrame, z) -> IwasawaWitness:
               "triangular factor mismatch %.3e against block a" % residuals["a-factor"][k]))
 
     ok = ~failed
-    usharp = usharp[ok]
+    usharp, fv, gv = usharp[ok], fv[ok], gv[ok]
+    u = sharp(usharp)
     return IwasawaWitness(
-        m, rho[ok], rho_inv[ok], sharp(usharp), usharp, q[ok], v=v[ok],
+        m, rho[ok], rho_inv[ok], u, usharp, q[ok], v=v[ok],
         l0=l0[ok], l1=l1[ok], l4=_ct(Lc[ok]), z=z[ok],
-        residuals={k: r[ok] for k, r in residuals.items()}, fv=fv[ok], gv=gv[ok],
-        index=np.flatnonzero(ok), errors=errors,
+        residuals={k: r[ok] for k, r in residuals.items()}, fv=fv, gv=gv,
+        middle=_middle_blocks(fv, gv, u), index=np.flatnonzero(ok), errors=errors,
     )
 
 
@@ -429,9 +435,9 @@ def _middle_blocks_d(f, g, ubar, fd, gd, dubar):
 
 def middle_columns_float(w: IwasawaWitness):
     """The frame's middle two columns at a float witness: (top, mid, bot) of
-    _middle_blocks times l0^-1, stacked over the samples of the witness."""
+    its middle blocks times l0^-1, stacked over the samples of the witness."""
     l0inv = np.linalg.inv(w.l0)
-    return tuple(b @ l0inv for b in _middle_blocks(w.fv, w.gv, w.u))
+    return tuple(b @ l0inv for b in w.middle)
 
 
 def _assemble_float(hf: HolomorphicFrame, w: IwasawaWitness) -> ExtendedFrame:

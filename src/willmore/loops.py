@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LambdaZero
-from .scalars import BiPoly, GaussianRational, RationalFn, RF_ZERO, RF_ONE, _cleared, _gr
+from .scalars import BiPoly, ExactPoint, GaussianRational, RationalFn, RF_ZERO, RF_ONE, _cleared, _gr
 
 
 def exact_matrix(rows) -> np.ndarray:
@@ -144,15 +144,26 @@ def _bind(arr, z) -> np.ndarray:
     """Exact entries evaluated at z, or at each z of a 1-D array (a stack):
     computed exactly, rounded once.
 
-    Each sample is made a GaussianRational once, and every entry's evaluate
-    takes that exact point, the value it would coerce the float z to.  Zero
-    entries are left as 0j, which is what evaluating them returns.
+    Each sample is made an ExactPoint once, its power tables as long as the
+    highest degree among the entries, and every entry's evaluate takes that
+    point, so the tables serve all of them.  Zero entries are left as 0j,
+    which is what evaluating them returns.
     """
     if arr.dtype != object:
         return arr
-    points = [GaussianRational.coerce(zk) for zk in np.ravel(z).tolist()]
+    degree = max([_degree(x) for x in arr.flat], default=0)
+    points = [ExactPoint(zk, degree) for zk in np.ravel(z).tolist()]
     return np.array([[x.evaluate(zk) if x else 0j for x in arr.flat] for zk in points],
                     dtype=complex).reshape(np.shape(z) + arr.shape)
+
+
+def _degree(x) -> int:
+    """The highest power of z or zbar in an exact entry."""
+    if isinstance(x, RationalFn):
+        return max(*x.num.degrees(), *x.den.degrees())
+    if isinstance(x, BiPoly):
+        return max(x.degrees())
+    return 0
 
 
 def _gr_parts(M):

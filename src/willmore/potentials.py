@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -264,8 +265,26 @@ def _poly_to_pairs(p: BiPoly):
         out.append(_coeff_to_pair(c) if c is not None else ["0", "0"])
     return out
 
+# Fraction(text) builds 10**|e| for a decimal exponent e before anything can
+# reject the value: 0.2 s at six digits, 8.9 s at seven (2-vCPU host), and
+# about 36 times longer per further digit.
+MAX_EXPONENT_DIGITS = 6
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def exponent_too_long(text: str) -> bool:
+    """Whether text ends in a decimal exponent of more than
+    MAX_EXPONENT_DIGITS digits, leading zeros and underscores not counted."""
+    exponent = _EXPONENT.search(text)
+    return exponent is not None and len(
+        exponent.group(1).replace("_", "").lstrip("+-").lstrip("0")) > MAX_EXPONENT_DIGITS
+
+
 def _parse_rational(x, where: str) -> Fraction:
     if isinstance(x, str):
+        if exponent_too_long(x):
+            raise PotentialFormatError("rational in %s has a decimal exponent of more than"
+                                       " %d digits" % (where, MAX_EXPONENT_DIGITS))
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:

@@ -56,6 +56,47 @@ def _cmul_np(x, y) -> np.ndarray:
     return out
 
 
+class PyComplexArray:
+    """Complex arrays whose arithmetic rounds as CPython's complex scalars
+    do, element by element: a product is (ac - bd, ad + bc) (_cmul), a
+    float or float array x takes part as x + 0j (its real and imag), and
+    z**p for an int p >= 1 is binary powering from 1 + 0j.  Products of
+    floats commute, so x * z is z * x."""
+
+    __slots__ = ("real", "imag")
+    __array_ufunc__ = None  # an ndarray operand defers to the reflected method
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    def __mul__(self, other):
+        return PyComplexArray(*_cmul((self.real, self.imag), (other.real, other.imag)))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return PyComplexArray(self.real + other.real, self.imag + other.imag)
+
+    def __sub__(self, other):
+        return PyComplexArray(self.real - other.real, self.imag - other.imag)
+
+    def __neg__(self):
+        return PyComplexArray(-self.real, -self.imag)
+
+    def __pow__(self, p: int):
+        out, x = PyComplexArray(1.0, 0.0), self
+        while p:
+            if p & 1:
+                out = out * x
+            p >>= 1
+            if p:
+                x = x * x
+        return out
+
+    def conjugate(self) -> "PyComplexArray":
+        return PyComplexArray(self.real, -self.imag)
+
+
 def as_samples(z) -> np.ndarray:
     """z as a 1-D complex array of sample points; anything else raises ValueError."""
     z = np.asarray(z, dtype=complex)
@@ -309,6 +350,22 @@ def _numerator_powers(x: "GaussianRational", n: int):
     return out
 
 
+class ExactPoint:
+    """A float or exact point z made a GaussianRational once, with the
+    _numerator_powers of z and of conj(z) up to degree: every polynomial of
+    degree at most degree in z and in zbar is evaluated at z from these
+    tables, over den (BiPoly._numerator), so several entries share them."""
+
+    __slots__ = ("zp", "bp", "den")
+
+    def __init__(self, z, degree: int):
+        z = GaussianRational.coerce(z)
+        self.zp = _numerator_powers(z, degree)
+        # (a - b i)^k is the conjugate of (a + b i)^k.
+        self.bp = [(r, -i) for r, i in self.zp]
+        self.den = z._d ** (2 * degree)
+
+
 _zbar_exponent = itemgetter(1)
 
 
@@ -536,12 +593,19 @@ class BiPoly:
         """Exact value with z and zbar bound independently."""
         z = GaussianRational.coerce(z)
         zbar = GaussianRational.coerce(zbar)
-        # Over the common denominator d z._d^A zbar._d^B, (A, B) = degrees,
-        # each term is an integer product, and one _gr normalizes the sum.
         A, B = self.degrees()
+        return _gr(*self._numerator(_numerator_powers(z, A), _numerator_powers(zbar, B),
+                                    z._d ** A * zbar._d ** B))
+
+    def _numerator(self, zp, bp, den):
+        """(re, im, d): the value at the point whose _numerator_powers of z
+        and zbar are zp and bp, over den, as a Gaussian-integer numerator
+        over d, not normalized.
+
+        Over the common denominator of the coefficients times den each term
+        is an integer product; the caller normalizes or rounds the sum once.
+        """
         d, xs, ys = _cleared(self.terms.values())
-        zp = _numerator_powers(z, A)
-        bp = _numerator_powers(zbar, B)
         tr = ti = 0
         for (a, b), x, y in zip(self.terms, xs, ys):
             zr, zi = zp[a]
@@ -549,16 +613,23 @@ class BiPoly:
             pr, pi = x * zr - y * zi, x * zi + y * zr
             tr += pr * br - pi * bi
             ti += pr * bi + pi * br
-        return _gr(tr, ti, d * z._d ** A * zbar._d ** B)
+        return tr, ti, d * den
 
     def evaluate_exact(self, z) -> GaussianRational:
         """Exact value at a physical point: zbar bound to conj(z)."""
         z = GaussianRational.coerce(z)
         return self.evaluate_at(z, z.conjugate())
 
-    def evaluate(self, z: complex) -> complex:
-        """Bind zbar = conj(z), compute exactly, round once."""
-        return self.evaluate_exact(GaussianRational.coerce(z)).to_complex()
+    def evaluate(self, z) -> complex:
+        """The value at z, zbar bound to conj(z), computed exactly and
+        rounded once from its unnormalized numerator: each part is an
+        integer ratio, and int / int rounds correctly, so the value is that
+        of evaluate_exact rounded.  z is a number or an ExactPoint whose
+        degree covers the polynomial's."""
+        if not isinstance(z, ExactPoint):
+            z = ExactPoint(z, max(self.degrees()))
+        tr, ti, d = self._numerator(z.zp, z.bp, z.den)
+        return complex(_to_float(tr, d), _to_float(ti, d))
 
     def evaluate_float(self, z) -> np.ndarray:
         """Floating evaluation over a 1-D array of z, one complex per sample.
@@ -910,11 +981,27 @@ class RationalFn:
         z = GaussianRational.coerce(z)
         return self.evaluate_at(z, z.conjugate())
 
-    def evaluate(self, z: complex) -> complex:
-        """Exact value at z rounded once: over denominator 1, the numerator's."""
+    def evaluate(self, z) -> complex:
+        """Exact value at z rounded once, as BiPoly.evaluate rounds: the
+        quotient of the unnormalized numerators of num and den, with the
+        denominator floor of evaluate_at.  z is a number or an ExactPoint
+        whose degree covers those of num and den."""
         if self.den == BP_ONE:
             return self.num.evaluate(z)
-        return self.evaluate_exact(GaussianRational.coerce(z)).to_complex()
+        if not isinstance(z, ExactPoint):
+            z = ExactPoint(z, max(*self.num.degrees(), *self.den.degrees()))
+        dr, di, dd = self.den._numerator(z.zp, z.bp, z.den)
+        n2 = dr * dr + di * di
+        # abs(dv) of evaluate_at: a Fraction's float is its integer ratio.
+        size = math.sqrt(n2 / (dd * dd))
+        if n2 == 0 or size < DENOMINATOR_FLOOR:
+            raise DenominatorVanishes(
+                "denominator %.3e below floor %.1e" % (size, DENOMINATOR_FLOOR))
+        nr, ni, nd = self.num._numerator(z.zp, z.bp, z.den)
+        # (nr + ni i) / nd over (dr + di i) / dd
+        q = nd * n2
+        return complex(_to_float((nr * dr + ni * di) * dd, q),
+                       _to_float((ni * dr - nr * di) * dd, q))
 
     def __repr__(self):
         if self.den == BP_ONE:

@@ -35,8 +35,8 @@ from .iwasawa import (
     ExtendedFrame,
     IwasawaWitness,
     _eval_mat,
-    _middle_blocks,
     _middle_blocks_d,
+    gram_axis_derivatives,
     gram_float,
     middle_columns_float,
 )
@@ -48,8 +48,10 @@ from .scalars import (
     GR_ONE,
     GaussianRational,
     RF_I,
+    PyComplexArray,
     RationalFn,
     _cmul_np,
+    as_samples,
 )
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
@@ -248,21 +250,18 @@ def induced_metric(pair: SurfacePair, which: str = "Y"):
 
     Exact pairs return it as a rational function (formal derivatives),
     computed once per pair and lift and kept in pair.metrics.  Float pairs
-    return an evaluator metric(z, w, values, derivatives) for the caller's
-    float witness w = solve_iwasawa_float(pair.hf, z), values =
-    pair.values(w) and derivatives = gram_axis_derivatives(pair.hf, w), so
-    that the lifts and both factors share them; z names the samples in
-    errors.  It returns (factors, errors): errors as values gives them, with
-    a vanishing first coordinate of this lift (_project) added, and the
-    factor NaN wherever an error is set.  So a sample fails only where it
-    fails itself.
+    return an evaluator metric(z, w, values, columns) for the caller's float
+    witness w = solve_iwasawa_float(pair.hf, z), values = pair.values(w) and
+    columns = metric_columns(pair, w), so that the lifts and both factors
+    share them; z names the samples in errors.  It returns (factors,
+    errors): errors as values gives them, with a vanishing first coordinate
+    of this lift (_project) added, and the factor NaN wherever an error is
+    set.  So a sample fails only where it fails itself.
 
     The factor is a closed form at the sample itself.  The honest lift is a
-    scalar multiple of P, the lam-bound column of _middle_blocks before the
-    l0^-1 factor, so y = P[1:] / P[0].  Each real direction D differentiates
-    those blocks by the product rule (gram_axis_derivatives,
-    _middle_blocks_d), y_D follows by the quotient rule, and for the real y,
-    |y_z|^2 = (|y_x|^2 + |y_y|^2) / 4.
+    scalar multiple of P, its column of metric_columns, so y = P[1:] / P[0].
+    Along each real direction D, y_D follows from P and P_D by the quotient
+    rule, and for the real y, |y_z|^2 = (|y_x|^2 + |y_y|^2) / 4.
     """
     idx = _lift_index(which)
     if pair.Y is not None:
@@ -274,27 +273,40 @@ def induced_metric(pair: SurfacePair, which: str = "Y"):
             pair.metrics[idx] = acc
         return pair.metrics[idx]
 
-    lam = pair.lam
-
-    def column(blocks):
-        return np.stack(_bind_columns(blocks, lam, 1.0 / lam, pair.m,
-                                      lambda x: _cmul_np(-1j, x))[idx], axis=-1)
-
-    def metric(z, w, values, derivatives):
+    def metric(z, w, values, columns):
         errors = _project(values[idx], values[2], z)[1]
-        P = column(_middle_blocks(w.fv, w.gv, w.u))
-        ubar = w.u.conj()
-        grad = []
+        P, dPs = columns[idx]
         # A sample whose P[0] vanishes has its error from _project already.
         with np.errstate(divide="ignore", invalid="ignore"):
-            for fd, gd, _, dus in derivatives:
-                dP = column(_middle_blocks_d(w.fv, w.gv, ubar, fd, gd, sharp(dus).conj()))
-                grad.append(((dP[:, 1:] * P[:, :1] - P[:, 1:] * dP[:, :1])
-                             / (P[:, :1] * P[:, :1])).real)
+            grad = [((dP[:, 1:] * P[:, :1] - P[:, 1:] * dP[:, :1])
+                     / (P[:, :1] * P[:, :1])).real for dP in dPs]
         factors = np.sum(grad[0] ** 2 + grad[1] ** 2, axis=-1) / 4
         return _scatter(factors, w.index, errors), errors
 
     return metric
+
+
+def metric_columns(pair: SurfacePair, w: IwasawaWitness):
+    """What the float metric evaluators of both lifts differentiate, at the
+    samples of w, a float witness of pair.hf: for Y and then Yhat, (P, dPs).
+
+    P is the lift's column of the witness's middle blocks (the frame's
+    middle columns before the l0^-1 factor) bound at pair.lam, and dPs its
+    derivative along each real direction of gram_axis_derivatives, the
+    blocks differentiated by the product rule (_middle_blocks_d).  Each
+    stack of blocks is bound once for both lifts.
+    """
+    lam = pair.lam
+
+    def columns(blocks):
+        return [np.stack(c, axis=-1) for c in _bind_columns(
+            blocks, lam, 1.0 / lam, pair.m, lambda x: _cmul_np(-1j, x))]
+
+    ubar = w.u.conj()
+    P = columns(w.middle)
+    dP = [columns(_middle_blocks_d(w.fv, w.gv, ubar, fd, gd, sharp(dus).conj()))
+          for fd, gd, _, dus in gram_axis_derivatives(pair.hf, w)]
+    return [(P[k], [d[k] for d in dP]) for k in (0, 1)]
 
 
 # -- total isotropy --------------------------------------------------------------
@@ -560,75 +572,99 @@ def reference_lift_exact(example_id: int, lam) -> dict:
 
 
 def reference_lift_eval(example_id: int, lam: complex):
-    """Float evaluator z -> (Y, Yhat) for the shipped closed forms.
+    """Float evaluator of the shipped closed forms, the honest homogeneous
+    lifts away from the degeneracy curve: the sqrt(2)/(2 sigma) scale and
+    the printed signs are included.
 
-    Includes the sqrt(2)/(2 sigma) scale and the printed signs, so the values
-    are the honest homogeneous lifts away from the degeneracy curve.
+    At one complex z, at(z) returns (Y, Yhat) and raises SingularLocus where
+    |sigma| < 1e-12.  At a 1-D array of z it returns (Y, Yhat, singular), a
+    row per z and singular where the one-point call raises, with NaN rows
+    there.  Either way each row has the bits that the closed form gives in
+    Python's complex and float arithmetic at its z: the stack is evaluated
+    as PyComplexArray, and r2**k by Python's float power.
     """
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-12:
         raise ValueError("reference data needs |lambda| = 1")
+    if example_id not in (1, 2):
+        raise ValueError("no shipped example with id %r" % (example_id,))
     li = 1.0 / lam
+    I = PyComplexArray(0.0, 1.0)
 
-    def at(z):
-        z = complex(z)
+    def fpow(x, k):
+        return np.array([v ** k for v in x.tolist()])
+
+    def stack(z):
+        z = PyComplexArray(z.real, z.imag)
         zb = z.conjugate()
         r2 = (z * zb).real
 
-        def d(p):
-            return li * z**p - lam * zb**p
-
-        def s(p):
-            return li * z**p + lam * zb**p
+        # d[p] = lam^-1 z^p - lam zbar^p and s[p] = lam^-1 z^p + lam zbar^p
+        terms = {p: (li * z**p, lam * zb**p) for p in (1, 2)}
+        d = {p: a - b for p, (a, b) in terms.items()}
+        s = {p: a + b for p, (a, b) in terms.items()}
 
         if example_id == 1:
-            sigma = 1 - r2**2 / 4 - 2 * r2**3 / 9
-            Y = np.array([
-                -1 - r2 - r2**2 / 4 - r2**3 / 9,
-                1 - r2 + r2**2 / 4 + r2**3 / 9,
-                1j * (r2 / 2) * d(1),
-                -(r2 / 2) * s(1),
-                -1j * d(1),
-                s(1),
-                1j * (r2 / 3) * d(2),
-                -(r2 / 3) * s(2),
-            ])
-            Yhat = np.array([
-                1 + r2 + 5 * r2**2 / 4 + 4 * r2**3 / 9 + r2**4 / 36,
-                1 - r2 - 3 * r2**2 / 4 + 4 * r2**3 / 9 - r2**4 / 36,
-                -1j * d(1) * (1 + r2**3 / 9),
-                s(1) * (1 + r2**3 / 9),
-                1j * (r2 / 2) * d(1) * (1 + 4 * r2 / 3),
-                -(r2 / 2) * s(1) * (1 + 4 * r2 / 3),
-                -1j * d(2) * (1 - r2**2 / 12),
-                s(2) * (1 - r2**2 / 12),
-            ])
+            p2, p3, p4 = (fpow(r2, k) for k in (2, 3, 4))
+            sigma = 1 - p2 / 4 - 2 * p3 / 9
+            Y = (
+                -1 - r2 - p2 / 4 - p3 / 9,
+                1 - r2 + p2 / 4 + p3 / 9,
+                I * (r2 / 2) * d[1],
+                -(r2 / 2) * s[1],
+                -I * d[1],
+                s[1],
+                I * (r2 / 3) * d[2],
+                -(r2 / 3) * s[2],
+            )
+            Yhat = (
+                1 + r2 + 5 * p2 / 4 + 4 * p3 / 9 + p4 / 36,
+                1 - r2 - 3 * p2 / 4 + 4 * p3 / 9 - p4 / 36,
+                -I * d[1] * (1 + p3 / 9),
+                s[1] * (1 + p3 / 9),
+                I * (r2 / 2) * d[1] * (1 + 4 * r2 / 3),
+                -(r2 / 2) * s[1] * (1 + 4 * r2 / 3),
+                -I * d[2] * (1 - p2 / 12),
+                s[2] * (1 - p2 / 12),
+            )
             sy, sh = -1.0, 1.0
-        elif example_id == 2:
-            sigma = 1 - r2**2 / 4
-            Y = np.array([
-                (1 + r2 / 2) ** 2,
-                -((1 - r2 / 2) ** 2),
-                1j * d(1),
-                -s(1),
-                -1j * (r2 / 2) * d(1),
-                (r2 / 2) * s(1),
-            ])
-            Yhat = np.array([
-                (1 + r2 / 2) ** 2,
-                (1 - r2 / 2) ** 2,
-                1j * (r2 / 2) * d(1),
-                -(r2 / 2) * s(1),
-                -1j * d(1),
-                s(1),
-            ])
-            sy, sh = 1.0, 1.0
         else:
-            raise ValueError("no shipped example with id %r" % (example_id,))
-        if abs(sigma) < 1e-12:
-            raise SingularLocus("reference lift undefined at r^2=%.6f" % r2)
-        scale = SQRT2_OVER_2 / sigma
-        return (sy * scale * Y).real, (sh * scale * Yhat).real
+            sigma = 1 - fpow(r2, 2) / 4
+            Y = (
+                fpow(1 + r2 / 2, 2),
+                -fpow(1 - r2 / 2, 2),
+                I * d[1],
+                -s[1],
+                -I * (r2 / 2) * d[1],
+                (r2 / 2) * s[1],
+            )
+            Yhat = (
+                fpow(1 + r2 / 2, 2),
+                fpow(1 - r2 / 2, 2),
+                I * (r2 / 2) * d[1],
+                -(r2 / 2) * s[1],
+                -I * d[1],
+                s[1],
+            )
+            sy, sh = 1.0, 1.0
+        singular = np.abs(sigma) < 1e-12
+        scale = SQRT2_OVER_2 / np.where(singular, np.nan, sigma)
+        return real_rows(sy * scale, Y), real_rows(sh * scale, Yhat), r2, singular
+
+    def real_rows(k, comps):
+        # the real part of (k + 0j) * c, which is k * c for a real c
+        return np.stack([(k * c).real for c in comps], axis=-1)
+
+    def at(z):
+        # Python's float arithmetic overflows to inf without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.ndim(z):
+                Y, Yhat, _, singular = stack(as_samples(z))
+                return Y, Yhat, singular
+            Y, Yhat, r2, singular = stack(np.array([complex(z)]))
+        if singular[0]:
+            raise SingularLocus("reference lift undefined at r^2=%.6f" % r2[0])
+        return Y[0], Yhat[0]
 
     return at
 

@@ -10,14 +10,9 @@ import numpy as np
 import pytest
 
 from willmore.frames import integrate_frame
-from willmore.iwasawa import (
-    assemble_frame,
-    gram_axis_derivatives,
-    solve_iwasawa_exact,
-    solve_iwasawa_float,
-)
+from willmore.iwasawa import assemble_frame, solve_iwasawa_exact, solve_iwasawa_float
 from willmore.potentials import builtin_potential, to_nilpotent
-from willmore.surfaces import extract_pair, induced_metric
+from willmore.surfaces import extract_pair, induced_metric, metric_columns
 from willmore.verify import _fd_offsets
 
 
@@ -30,8 +25,7 @@ def float_metric(pair, which, z):
     """The float conformal factor of one lift at a 1-D array of z:
     (factors, errors)."""
     w = solve_iwasawa_float(pair.hf, z)
-    return induced_metric(pair, which)(
-        z, w, pair.values(w), gram_axis_derivatives(pair.hf, w))
+    return induced_metric(pair, which)(z, w, pair.values(w), metric_columns(pair, w))
 
 
 def isotropy_lifts(pair, samples):

@@ -167,6 +167,41 @@ def test_lambda_with_a_zero_denominator_exits_2(text, tmp_path, capsys):
     assert "argument --lambda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,text,rational", [
+    ("--radius", "1e999999999", "1e999999999"),
+    ("--radius", "1e-1000000", "1e-1000000"),
+    ("--lambda", "cis:1E+10000000", "1E+10000000"),
+    ("--lambda", "1+1e-1_000_000i", "1e-1_000_000"),
+])
+def test_a_long_decimal_exponent_is_refused_before_it_is_expanded(flag, text, rational,
+                                                                  tmp_path, capsys):
+    # Fraction would build 10**|exponent| first: seconds at seven digits,
+    # hours at nine
+    import time
+
+    from willmore.cli import _parse_real
+
+    started = time.perf_counter()
+    with pytest.raises(argparse.ArgumentTypeError, match="at most 6 digits"):
+        _parse_real(rational)
+    with pytest.raises(SystemExit) as exc:
+        _run("example", "--id", "1", flag, text, "--out", str(tmp_path))
+    assert time.perf_counter() - started < 1.0
+    assert exc.value.code == 2
+    assert "argument %s" % flag in capsys.readouterr().err
+
+
+def test_exponents_of_up_to_six_digits_keep_their_values():
+    from fractions import Fraction
+
+    from willmore.cli import _parse_real
+
+    for text in ("1e-3", "2.5E+0_1", "1e0000000001", "-3e-0000007", "1e-999999", "7/2"):
+        assert _parse_real(text) == float(Fraction(text)), text
+    with pytest.raises(argparse.ArgumentTypeError, match="too large"):
+        _parse_real("1e999999")
+
+
 def test_lambda_flag_accepts_exact_unit_values():
     assert _parse_lambda("1") == 1 + 0j
     assert _parse_lambda("i") == 1j
@@ -301,6 +336,61 @@ def test_example_factorizes_each_vertex_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "solve_iwasawa_float", counted, raising=False)
     assert _run("example", "--id", "1", "--grid-n", "8", "--out", str(tmp_path)) == 0
     assert sum(samples) == 1 + 8 * 8
+
+
+def test_each_mesh_block_builds_its_metric_blocks_once(tmp_path, monkeypatch):
+    # 65 vertices in blocks of 16: each of the 5 blocks builds the frame's
+    # middle blocks once and their derivative once per real direction, for
+    # both lifts, and still calls each lift's metric evaluator once
+    from willmore import cli, iwasawa, surfaces
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "_BLOCK", 16)
+    calls = {"blocks": 0, "derivatives": 0, "Y": 0, "Yhat": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for module in (iwasawa, surfaces):
+        if hasattr(module, "_middle_blocks"):
+            monkeypatch.setattr(module, "_middle_blocks",
+                                counted("blocks", module._middle_blocks))
+        monkeypatch.setattr(module, "_middle_blocks_d",
+                            counted("derivatives", module._middle_blocks_d), raising=False)
+    metric = cli.induced_metric
+    monkeypatch.setattr(cli, "induced_metric",
+                        lambda pair, which: counted(which, metric(pair, which)))
+    assert _run("example", "--id", "1", "--grid-n", "8", "--out", str(tmp_path)) == 0
+    assert calls == {"blocks": 5, "derivatives": 2 * 5, "Y": 5, "Yhat": 5}
+
+
+def test_comparison_rows_are_the_json_text_of_their_numbers():
+    # finite, infinite (a zero lift row) and NaN distances, each row spelled
+    # as json.dumps spells its four numbers, NaN and Infinity included
+    import numpy as np
+
+    from willmore.cli import _compare_block
+
+    block = [0.25 - 0.5j, -1e-300 + 3e10j, 1.0, 2.0j, 0.1 + 0.2j]
+    d = 2
+    vals = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 1.0, 1.0], [np.nan, 1.0, 1.0, 1.0],
+                     [1.0, 1.0, 1.0, 1.0], [5.0, 6.0, 7.0, 8.0]])
+    singular = np.array([False, False, False, True, False])
+
+    def ref(z):
+        rows = np.array([[1.0, 2.5], [1.0, 1.0], [1.0, 1.0], [2.0, 0.0]])[:len(z)]
+        return rows, rows[:, ::-1], np.array([False, False, False, True])[:len(z)]
+
+    dist, rows = _compare_block(ref, block, vals, singular, d)
+    assert len(rows) == len(dist) == 3
+    assert np.isfinite(dist[0]).all() and np.isinf(dist[1][0]) and np.isnan(dist[2][0])
+    for k, row, (dy, dyh) in zip((0, 1, 2), rows, dist):
+        z = block[k]
+        want = json.dumps({"per_vertex": [[z.real, z.imag, dy, dyh]]}, indent=2)
+        assert want.splitlines()[2:8] == row.splitlines()
 
 
 @pytest.mark.parametrize("offset,stencil_flagged", [(0.0, 0), (2.8e-4, 3)])

@@ -79,6 +79,22 @@ def test_parse_rejects_malformed_documents():
     assert pot.h[0].terms[(0, 0)] == GaussianRational(3, Fraction(1, 2))
 
 
+def test_a_long_decimal_exponent_is_a_format_error(tmp_path):
+    # Fraction would build 10**|exponent| first: seconds at seven digits,
+    # hours at nine; up to six digits (leading zeros aside) parse as before
+    import time
+
+    one = [[["1", "0"]]]
+    started = time.perf_counter()
+    for text in ("1e999999999", "-2.5E-10000000", "1e+1_000_000"):
+        with pytest.raises(PotentialFormatError, match="exponent"):
+            parse_potential({"m": 1, "h": [[[text, "0"]]], "hhat": one})
+    assert time.perf_counter() - started < 1.0
+    for text in ("1e0000000003", "-25e-1_0", "1e99999"):
+        pot = parse_potential({"m": 1, "h": [[["0", text]]], "hhat": one})
+        assert pot.h[0].terms[(0, 0)] == GaussianRational(0, Fraction(text)), text
+
+
 def test_load_reports_line_and_column(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"m": 1,\n  "h": [,]\n}\n')

@@ -576,6 +576,40 @@ def test_rationalfn_denominator_vanishing_guard():
         f.evaluate(0.0)
 
 
+def test_float_evaluation_rounds_the_exact_value_once(pair2):
+    # evaluate rounds from unnormalized numerators and _bind shares one power
+    # table per point; both must give the normalized exact value rounded, bit
+    # for bit, signed zeros included, and the same errors
+    from willmore.errors import DenominatorVanishes
+    from willmore.frames import integrate_frame
+    from willmore.loops import _bind
+    from willmore.potentials import builtin_potential, to_nilpotent
+    from willmore.surfaces import induced_metric
+
+    H = integrate_frame(to_nilpotent(builtin_potential(1))).H_loop()
+    entries = [x for c in H.coeffs.values() for x in c.flat if x]
+    assert any(isinstance(x, RationalFn) and x.den != BP_ONE for x in entries)
+    entries.append(induced_metric(pair2, "Yhat"))
+    zs = [0j, complex(-0.0, 0.0), 0.3 - 0.7j, -1.25 + 0.5j, 1e-3j, 0.7, 1e-200 + 1e200j]
+    bits = lambda v: np.array(v, dtype=complex, ndmin=1).view(np.uint64)
+    for x in entries:
+        for z in zs:
+            try:
+                want = x.evaluate_exact(z).to_complex()
+            except (DenominatorVanishes, OverflowError) as e:
+                with pytest.raises(type(e), match=str(e)):
+                    x.evaluate(z)
+                continue
+            assert np.array_equal(bits(x.evaluate(z)), bits(want)), (x, z)
+    for c in H.coeffs.values():
+        got = _bind(c, np.array(zs[:6]))
+        want = [[x.evaluate_exact(z).to_complex() if x else 0j for x in c.flat] for z in zs[:6]]
+        assert np.array_equal(got.reshape(len(want), -1).view(np.uint64), bits(want))
+    f = RationalFn(BiPoly.var_z()) / RationalFn(BiPoly.var_zbar() + GaussianRational(Fraction(1, 10**13)))
+    with pytest.raises(DenominatorVanishes, match="1.000e-13 below floor"):
+        f.evaluate(0.0)
+
+
 def test_rationalfn_conjugate_evaluates_to_conjugate():
     rz = RationalFn(BiPoly.var_z())
     f = (rz * rz + 1) / (RationalFn(BiPoly.var_zbar()) + 2)

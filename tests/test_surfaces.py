@@ -349,6 +349,103 @@ def test_reference_eval_raises_on_the_degenerate_circle():
         ref(complex(2 ** 0.5, 0.0))
 
 
+def _reference_lift_in_python(example_id, lam, z):
+    """The closed forms of reference_lift_eval at one z in Python's complex
+    arithmetic, as the one-point evaluator computed them before it took
+    stacks: (Y, Yhat), or None where |sigma| < 1e-12."""
+    lam = complex(lam)
+    li = 1.0 / lam
+    z = complex(z)
+    zb = z.conjugate()
+    r2 = (z * zb).real
+
+    def d(p):
+        return li * z**p - lam * zb**p
+
+    def s(p):
+        return li * z**p + lam * zb**p
+
+    if example_id == 1:
+        sigma = 1 - r2**2 / 4 - 2 * r2**3 / 9
+        Y = np.array([
+            -1 - r2 - r2**2 / 4 - r2**3 / 9,
+            1 - r2 + r2**2 / 4 + r2**3 / 9,
+            1j * (r2 / 2) * d(1),
+            -(r2 / 2) * s(1),
+            -1j * d(1),
+            s(1),
+            1j * (r2 / 3) * d(2),
+            -(r2 / 3) * s(2),
+        ])
+        Yhat = np.array([
+            1 + r2 + 5 * r2**2 / 4 + 4 * r2**3 / 9 + r2**4 / 36,
+            1 - r2 - 3 * r2**2 / 4 + 4 * r2**3 / 9 - r2**4 / 36,
+            -1j * d(1) * (1 + r2**3 / 9),
+            s(1) * (1 + r2**3 / 9),
+            1j * (r2 / 2) * d(1) * (1 + 4 * r2 / 3),
+            -(r2 / 2) * s(1) * (1 + 4 * r2 / 3),
+            -1j * d(2) * (1 - r2**2 / 12),
+            s(2) * (1 - r2**2 / 12),
+        ])
+        sy, sh = -1.0, 1.0
+    else:
+        sigma = 1 - r2**2 / 4
+        Y = np.array([
+            (1 + r2 / 2) ** 2,
+            -((1 - r2 / 2) ** 2),
+            1j * d(1),
+            -s(1),
+            -1j * (r2 / 2) * d(1),
+            (r2 / 2) * s(1),
+        ])
+        Yhat = np.array([
+            (1 + r2 / 2) ** 2,
+            (1 - r2 / 2) ** 2,
+            1j * (r2 / 2) * d(1),
+            -(r2 / 2) * s(1),
+            -1j * d(1),
+            s(1),
+        ])
+        sy, sh = 1.0, 1.0
+    if abs(sigma) < 1e-12:
+        return None
+    scale = (2.0 ** 0.5 / 2.0) / sigma
+    return (sy * scale * Y).real, (sh * scale * Yhat).real
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_stacked_reference_lift_is_bitwise_the_per_vertex_one(example):
+    # z = 0, a ring on the degeneracy circle (|sigma| < 1e-12 there), rings
+    # inside and outside it, and scattered points; signed zeros compared too
+    r0 = reference_singular_radius(example)
+    rng = np.random.default_rng(example)
+    zs = np.concatenate([
+        [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 0.5, -0.5j],
+        [r * np.exp(2j * np.pi * k / 16) for r in (r0, 0.5 * r0, 1.5 * r0) for k in range(16)],
+        rng.uniform(-2.0, 2.0, 40) + 1j * rng.uniform(-2.0, 2.0, 40),
+    ])
+    bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
+    for lam in (1.0, 1j, -1.0, np.exp(0.8j * np.pi), np.exp(3j * np.pi / 7), np.exp(-0.3j)):
+        ref = reference_lift_eval(example, lam)
+        Y, Yhat, singular = ref(zs)
+        assert Y.shape == Yhat.shape == (len(zs), 2 * (4 - example) + 2)
+        assert singular.dtype == bool and 0 < singular.sum() < len(zs)
+        assert np.isnan(Y[singular]).all() and np.isnan(Yhat[singular]).all()
+        for k, z in enumerate(zs.tolist()):
+            want = _reference_lift_in_python(example, lam, z)
+            if want is None:
+                assert singular[k], (lam, z)
+                with pytest.raises(SingularLocus):
+                    ref(z)
+                continue
+            assert not singular[k], (lam, z)
+            for got in ((Y[k], Yhat[k]), ref(z)):
+                assert np.array_equal(bits(got[0]), bits(want[0])), (lam, z)
+                assert np.array_equal(bits(got[1]), bits(want[1])), (lam, z)
+    with pytest.raises(ValueError):
+        reference_lift_eval(example, 1.0)(zs.reshape(2, -1))
+
+
 def test_associated_family_members_stay_null(hf2):
     for lam in (1.0, 1j, np.exp(0.25j * np.pi)):
         pair = SurfacePair(hf2.m, lam, hf2)
