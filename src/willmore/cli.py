@@ -72,6 +72,13 @@ def _radius(text: str) -> float:
     return r
 
 
+def _tolerance(text: str) -> float:
+    t = _parse_real(text)
+    if t < 0:
+        raise argparse.ArgumentTypeError("tolerance must be non-negative")
+    return t
+
+
 def _at_least(minimum: int):
     """argparse type of the ints no smaller than minimum."""
     def count(text: str) -> int:
@@ -104,10 +111,10 @@ def _parse_complex(s: str) -> complex:
         return -1j
     if s.endswith("i"):
         body = s[:-1]
-        # Split a+bi at the sign of the imaginary part (never inside p/q
-        # and never the leading sign).
+        # Split a+bi at the sign of the imaginary part (never inside p/q,
+        # never in a decimal exponent and never the leading sign).
         for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "+-/":
+            if body[k] in "+-" and body[k - 1] not in "+-/eE":
                 re = _parse_real(body[:k])
                 imtext = body[k:]
                 im = 1.0 if imtext == "+" else (
@@ -508,9 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--samples", type=_at_least(0), default=40)
     pv.add_argument("--radius", type=_radius, default=0.9)
     pv.add_argument("--seed", type=int, default=7)
-    pv.add_argument("--tol", type=float, default=None,
+    pv.add_argument("--tol", type=_tolerance, default=None,
                     help="override the algebraic tolerance")
-    pv.add_argument("--tol-fd", type=float, default=None,
+    pv.add_argument("--tol-fd", type=_tolerance, default=None,
                     help="override the finite-difference tolerance")
     pv.add_argument("--report", default=None, help="write the JSON report here")
     pv.set_defaults(fn=cmd_verify)

@@ -29,7 +29,8 @@ class ResidualTooLarge(WillmoreError):
 
 
 class StepSizeTooCoarse(WillmoreError):
-    """ODE step-doubling disagreement exceeded tolerance."""
+    """A step-refined estimate did not settle within its tolerance: the
+    frame ODE's step doubling, or verify's isotropy step refinement."""
 
 
 class ExactPathRequired(WillmoreError):

@@ -12,8 +12,11 @@ the orthonormal change of basis pair into a single 1/2, so
     iso_P_inv(B) = (1/2) M P1 B P1^t Mbar^t
 
 are inverse to each other without ever leaving the rational field.
-iso_P_indexwise re-derives the same map entry by entry from the closed-form
-recombination of row/column pairs and serves as an independent oracle.
+iso_P_indexwise re-derives the same map entry by entry and serves as an
+independent oracle: each index J of the block-graded model recombines two
+indices of the paired basis with two weights rho_J, by a table of four row
+rules (J <= m, J = m+1, J = m+2, J >= m+3), and entry (J, K) is
+(1/2) sum A[r, c] rho_J(r) conj(rho_K(c)).
 
 Every constant is stored once, as a GaussianRational array.  An exact loop
 is multiplied by that array itself, so its entries keep their ring: a
@@ -168,160 +171,45 @@ class GroupContext:
     def iso_P_indexwise(self, A: LoopMatrix) -> LoopMatrix:
         """Entry-by-entry recombination oracle for iso_P, on an exact loop.
 
-        Each entry of the result is a closed-form combination of four
-        entries of A with the GaussianRational weights 1, i and 1/2, so the
-        result stays in the ring of A's entries.  It acts on all loop powers
-        at once and never mixes them, so they can be a batch axis of
-        constant matrices.  It shares no code with iso_left/iso_right.
+        Index J of the block-graded model (1-indexed) recombines two
+        indices r1, r2 of the paired basis with weights rho_J(r1), rho_J(r2):
+
+            J <= m      2J+1, 2J+2                    1, -i
+            J = m+1     1, 2                         -i, -i
+            J = m+2     1, 2                          i, -i
+            J >= m+3    2(2m+3-J)+1, 2(2m+3-J)+2     -1, -i
+
+        and entry (J, K) is (1/2) sum A[r, c] rho_J(r) conj(rho_K(c)) over
+        the four pairs, column outer, row inner.  The weights are
+        GaussianRational, so the result stays in the ring of A's entries.
+        It acts on all loop powers at once and never mixes them, so they
+        can be a batch axis of constant matrices.  It shares no code with
+        iso_left/iso_right and reads no other constant of the context.
         """
         if (A.rows, A.cols) != (self.dim, self.dim) or A.exact is False:
             raise ValueError("iso_P_indexwise expects an exact %dx%d loop"
                              % (self.dim, self.dim))
         m = self.m
-        one, ii, half = GR_ONE, GR_I, GR_HALF
-        mone, nii = -one, -ii
+        # The table above, 0-indexed, each weight i**e stored as its exponent
+        # e, so that rho_J(r) conj(rho_K(c)) = i**(e - f) is looked up.
+        i_pow = (GR_ONE, GR_I, -GR_ONE, -GR_I)
+        rules = ([((2 * j, 0), (2 * j + 1, 3)) for j in range(1, m + 1)]
+                 + [((0, 3), (1, 3)), ((0, 1), (1, 3))]
+                 + [((2 * j, 2), (2 * j + 1, 3)) for j in range(m, 0, -1)])
         powers = list(A.coeffs)
         stack = np.array([A.coeffs[k] for k in powers], dtype=object).reshape(
             len(powers), self.dim, self.dim)
 
-        def a(j, k):
-            # 1-indexed accessor into A: the entry at every power.
-            return stack[:, j - 1, k - 1]
-
-        def lc(*pairs):
-            # Linear combination sum(s * c) scaled by 1/2.
-            acc = None
-            for c, s in pairs:
-                t = s * c
-                acc = t if acc is None else acc + t
-            return acc * half
-
         rows = []
-        for j in range(1, m + 1):
+        for (r1, e1), (r2, e2) in rules:
             row = []
-            for k in range(1, m + 1):
-                row.append(
-                    lc(
-                        (one, a(2 * j + 1, 2 * k + 1)),
-                        (nii, a(2 * j + 2, 2 * k + 1)),
-                        (ii, a(2 * j + 1, 2 * k + 2)),
-                        (one, a(2 * j + 2, 2 * k + 2)),
-                    )
-                )
-            row.append(
-                lc(
-                    (ii, a(2 * j + 1, 1)),
-                    (one, a(2 * j + 2, 1)),
-                    (ii, a(2 * j + 1, 2)),
-                    (one, a(2 * j + 2, 2)),
-                )
-            )
-            row.append(
-                lc(
-                    (nii, a(2 * j + 1, 1)),
-                    (mone, a(2 * j + 2, 1)),
-                    (ii, a(2 * j + 1, 2)),
-                    (one, a(2 * j + 2, 2)),
-                )
-            )
-            for k in range(m + 3, 2 * m + 3):
-                kh = 2 * m + 3 - k
-                row.append(
-                    lc(
-                        (mone, a(2 * j + 1, 2 * kh + 1)),
-                        (ii, a(2 * j + 2, 2 * kh + 1)),
-                        (ii, a(2 * j + 1, 2 * kh + 2)),
-                        (one, a(2 * j + 2, 2 * kh + 2)),
-                    )
-                )
-            rows.append(row)
-
-        row = []
-        for k in range(1, m + 1):
-            row.append(
-                lc(
-                    (nii, a(1, 2 * k + 1)),
-                    (nii, a(2, 2 * k + 1)),
-                    (one, a(1, 2 * k + 2)),
-                    (one, a(2, 2 * k + 2)),
-                )
-            )
-        row.append(lc((one, a(1, 1)), (one, a(2, 1)), (one, a(1, 2)), (one, a(2, 2))))
-        row.append(lc((mone, a(1, 1)), (mone, a(2, 1)), (one, a(1, 2)), (one, a(2, 2))))
-        for k in range(m + 3, 2 * m + 3):
-            kh = 2 * m + 3 - k
-            row.append(
-                lc(
-                    (ii, a(1, 2 * kh + 1)),
-                    (ii, a(2, 2 * kh + 1)),
-                    (one, a(1, 2 * kh + 2)),
-                    (one, a(2, 2 * kh + 2)),
-                )
-            )
-        rows.append(row)
-
-        row = []
-        for k in range(1, m + 1):
-            row.append(
-                lc(
-                    (ii, a(1, 2 * k + 1)),
-                    (nii, a(2, 2 * k + 1)),
-                    (mone, a(1, 2 * k + 2)),
-                    (one, a(2, 2 * k + 2)),
-                )
-            )
-        row.append(lc((mone, a(1, 1)), (one, a(2, 1)), (mone, a(1, 2)), (one, a(2, 2))))
-        row.append(lc((one, a(1, 1)), (mone, a(2, 1)), (mone, a(1, 2)), (one, a(2, 2))))
-        for k in range(m + 3, 2 * m + 3):
-            kh = 2 * m + 3 - k
-            row.append(
-                lc(
-                    (nii, a(1, 2 * kh + 1)),
-                    (ii, a(2, 2 * kh + 1)),
-                    (mone, a(1, 2 * kh + 2)),
-                    (one, a(2, 2 * kh + 2)),
-                )
-            )
-        rows.append(row)
-
-        for j in range(m + 3, 2 * m + 3):
-            jh = 2 * m + 3 - j
-            row = []
-            for k in range(1, m + 1):
-                row.append(
-                    lc(
-                        (mone, a(2 * jh + 1, 2 * k + 1)),
-                        (nii, a(2 * jh + 2, 2 * k + 1)),
-                        (nii, a(2 * jh + 1, 2 * k + 2)),
-                        (one, a(2 * jh + 2, 2 * k + 2)),
-                    )
-                )
-            row.append(
-                lc(
-                    (nii, a(2 * jh + 1, 1)),
-                    (one, a(2 * jh + 2, 1)),
-                    (nii, a(2 * jh + 1, 2)),
-                    (one, a(2 * jh + 2, 2)),
-                )
-            )
-            row.append(
-                lc(
-                    (ii, a(2 * jh + 1, 1)),
-                    (mone, a(2 * jh + 2, 1)),
-                    (nii, a(2 * jh + 1, 2)),
-                    (one, a(2 * jh + 2, 2)),
-                )
-            )
-            for k in range(m + 3, 2 * m + 3):
-                kh = 2 * m + 3 - k
-                row.append(
-                    lc(
-                        (one, a(2 * jh + 1, 2 * kh + 1)),
-                        (ii, a(2 * jh + 2, 2 * kh + 1)),
-                        (nii, a(2 * jh + 1, 2 * kh + 2)),
-                        (one, a(2 * jh + 2, 2 * kh + 2)),
-                    )
-                )
+            for (c1, f1), (c2, f2) in rules:
+                # Summed left to right, column outer and row inner: an exact
+                # sum's term order follows the order of its terms.
+                row.append((stack[:, r1, c1] * i_pow[(e1 - f1) % 4]
+                            + stack[:, r2, c1] * i_pow[(e2 - f1) % 4]
+                            + stack[:, r1, c2] * i_pow[(e1 - f2) % 4]
+                            + stack[:, r2, c2] * i_pow[(e2 - f2) % 4]) * GR_HALF)
             rows.append(row)
 
         entries = np.moveaxis(np.array(rows, dtype=object), -1, 0)

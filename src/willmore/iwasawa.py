@@ -251,11 +251,11 @@ def _eval_mat(mat, z) -> np.ndarray:
     """A matrix of BiPoly over a 1-D array of N samples, shape (N, rows, cols).
 
     The stack is C-contiguous, so each sample's matrix has the strides of a
-    stack of one and every product of it rounds the same way.  An infinite
-    coefficient times a zero power is NaN without a warning; the Gram checks
-    fail such samples.
+    stack of one and every product of it rounds the same way.  Far from the
+    origin a power of z overflows, and an infinite coefficient times a zero
+    power is NaN; neither warns, and the Gram checks fail such samples.
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         vals = np.array([[p.evaluate_float(z) for p in row] for row in mat], dtype=complex)
     return np.ascontiguousarray(np.moveaxis(vals, -1, 0))
 

@@ -155,6 +155,8 @@ def _normalize_plan(plan) -> dict:
         raise ValueError("plan samples, fd_samples and oracle_matrices must be non-negative")
     if not 0 < cfg["radius"] < math.inf:
         raise ValueError("plan radius must be a positive finite number")
+    if not all(0 <= cfg[k] < math.inf for k in ("tol_algebraic", "tol_fd")):
+        raise ValueError("plan tolerances must be non-negative finite numbers")
     return cfg
 
 
@@ -684,7 +686,7 @@ def run_suite(pot, plan=None) -> VerificationReport:
             "samples": 0 if failed and name not in stack else count,
             "max_residual": residual,
             "tolerance": tol,
-            "passed": residual <= tol,
+            "passed": not failed and residual <= tol,
         }
         if failed:
             entry["error"] = "%s: %s" % (type(value).__name__, value)

@@ -215,6 +215,10 @@ def test_lambda_flag_accepts_exact_unit_values():
         _parse_lambda("2")
     with pytest.raises(argparse.ArgumentTypeError):
         _parse_lambda("1/2+1/2i")
+    # a+bi is never split at the sign of a decimal exponent
+    assert _parse_lambda("0.6-8e-1i") == complex(0.6, -0.8)
+    assert _parse_lambda("6e-1+8E-1i") == complex(0.6, 0.8)
+    assert _parse_lambda("1e-0i") == 1j
 
 
 def test_rational_radius_flag(tmp_path):
@@ -239,6 +243,23 @@ def test_radius_flag_rejects_zero_and_overflow(command, text, tmp_path, capsys):
     assert "argument --radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--tol", "--tol-fd"])
+@pytest.mark.parametrize("text", ["inf", "nan", "-1e-6"])
+def test_tolerance_flags_take_finite_non_negative_rationals(flag, text, tmp_path, capsys):
+    # an infinite tolerance would pass a check that raised, and NaN is not JSON
+    with pytest.raises(SystemExit) as exc:
+        _run("verify", "--potential", str(tmp_path / "p.json"), "--samples", "0",
+             "%s=%s" % (flag, text))
+    assert exc.value.code == 2
+    assert "argument %s" % flag in capsys.readouterr().err
+
+
+def test_tolerance_flags_take_rationals():
+    args = build_parser().parse_args(["verify", "--potential", "p.json",
+                                      "--tol", "1/10", "--tol-fd", "0"])
+    assert (args.tol, args.tol_fd) == (0.1, 0.0)
+
+
 def test_parser_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
@@ -261,7 +282,6 @@ def test_singular_vertices_flagged_not_fatal(tmp_path):
     assert rep["max_projective_distance"] < 1e-9
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_vertices_flagged_not_fatal(tmp_path, capsys):
     # from |z| ~ 1e52 the example-1 Gram matrix is not finite: the ring
     # vertices fail one by one, the centre does not
@@ -604,15 +624,24 @@ def test_stacked_projective_distance_is_bitwise_the_per_row_one():
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_far_out_vertices_fail_without_runtime_warnings(tmp_path):
+def test_far_out_vertices_fail_without_runtime_warnings(tmp_path, capsys):
     # The Gram matrix overflows from |z| ~ 1e52; those vertices fail with
     # SingularLocus and no arithmetic runs on their overflowed values.
+    # Farther out the powers of z overflow as f and g are evaluated.
     # comparison.json is the file as written before that arithmetic was
     # skipped; mesh.csv has the closed-form factors, 2.0 at z = 0.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert _run("example", "--id", "1", "--grid-n", "2", "--radius", "1e60",
                     "--out", str(tmp_path)) == 0
+        for example_id, radius in (("1", "1e200"), ("2", "1e150"), ("1", "1e300"),
+                                   ("2", "1e300")):
+            assert _run("example", "--id", example_id, "--grid-n", "2", "--radius", radius,
+                        "--out", str(tmp_path / (example_id + "-" + radius))) == 0
+            assert "4 singular: SingularLocus 4" in capsys.readouterr().out
+        save_potential(builtin_potential(1), tmp_path / "p.json")
+        assert _run("verify", "--potential", str(tmp_path / "p.json"), "--radius", "1e200",
+                    "--report", str(tmp_path / "report.json")) == 1
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("mesh.csv", "comparison.json")}

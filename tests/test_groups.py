@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from willmore.groups import get_context
+from willmore.groups import GroupContext, get_context
 from willmore.loops import LoopMatrix, exact_map
 from willmore.scalars import BiPoly, GaussianRational, RationalFn
 
@@ -69,7 +69,7 @@ def test_context_constants_are_cached():
     assert get_context(2) is not get_context(3)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_iso_P_matches_indexwise_oracle(m):
     # two independently derived forms of the same conjugation must agree
     # exactly, entry for entry, on random exact inputs
@@ -81,6 +81,18 @@ def test_iso_P_matches_indexwise_oracle(m):
         via_conj = ctx.iso_P(A)
         via_index = ctx.iso_P_indexwise(A)
         assert (via_conj - via_index).is_zero()
+
+
+def test_indexwise_oracle_reads_no_other_constant():
+    # The oracle is independent of the change of basis it checks: with M,
+    # P1 and the two sides of iso_P gone from its context, it gives the
+    # same loop.
+    ctx = GroupContext(3)
+    A = _rand_loop(random.Random(11), ctx.dim)
+    want = ctx.iso_P(A)
+    for name in ("M", "P1", "iso_left", "iso_right"):
+        setattr(ctx, name, None)
+    assert ctx.iso_P_indexwise(A) == want
 
 
 @pytest.mark.parametrize("m", [2, 3])

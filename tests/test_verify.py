@@ -70,7 +70,9 @@ def test_report_bytes_are_deterministic():
 def test_plan_rejects_unknown_keys():
     for plan in ({"sample": 3}, {"samples": -3}, {"fd_samples": -1}, {"oracle_matrices": -1},
                  {"radius": 0}, {"radius": float("nan")}, {"radius": float("inf")},
-                 {"radius": -0.9}, {"lambdas": ((1.0, 0.0),)}):
+                 {"radius": -0.9}, {"lambdas": ((1.0, 0.0),)},
+                 {"tol_algebraic": float("nan")}, {"tol_fd": float("inf")},
+                 {"tol_fd": -1e-6}, {"tol_algebraic": -0.5}):
         with pytest.raises(ValueError):
             run_suite(builtin_potential(2), plan)
     # so is a potential in any form but NormalizedPotential
@@ -161,6 +163,18 @@ def test_a_check_that_raises_is_reported(monkeypatch):
     assert list(failed) == ["iso-oracle"]
     assert failed["iso-oracle"]["error"] == "ValueError: oracle unavailable"
     assert failed["iso-oracle"]["max_residual"] == float("inf")
+
+
+def test_a_check_that_raised_never_passes(monkeypatch):
+    # Plans refuse an infinite tolerance; under one all the same, a check
+    # that raised (residual inf) fails.
+    normalize = willmore.verify._normalize_plan
+    monkeypatch.setattr(willmore.verify, "_normalize_plan",
+                        lambda plan: dict(normalize(plan), tol_fd=float("inf")))
+    rep = run_suite(builtin_potential(1), {"samples": 0, "fd_samples": 0})
+    entry = {c["name"]: c for c in rep.checks}["isotropy-order-m"]
+    assert entry["error"] == "ValueError: float isotropy check needs sample points"
+    assert entry["tolerance"] == float("inf") and not entry["passed"] and not rep.passed
 
 
 def test_run_suite_factorizes_in_few_stacked_calls(monkeypatch):
