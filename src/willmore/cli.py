@@ -20,7 +20,8 @@ Subcommands:
 
 Numeric flags accept exact rational syntax "p/q" where meaningful, and
 lambda accepts "1", "i", "a+bi" with rational parts, or "cis:p/q" for
-exp(i pi p/q).
+exp(i pi p/q).  A value that starts with "-" may follow its flag as the
+next word ("--lambda -i") or be joined to it ("--lambda=-i").
 """
 
 from __future__ import annotations
@@ -490,8 +491,30 @@ def _add_mesh_flags(p):
     p.add_argument("--out", required=True, help="output directory")
 
 
+# Flags whose value may start with "-".  argparse reads such a value as an
+# option unless it is a plain negative decimal like -1 or -0.5, so "-i",
+# "-0.6+0.8i" and "-1e-6" would be refused as missing values.
+_SIGNED_FLAGS = frozenset(("--lambda", "--radius", "--tol", "--tol-fd"))
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads "--lambda -i" as "--lambda=-i": a
+    _SIGNED_FLAGS flag followed by a word that starts with one "-" is joined
+    to it.  A word that starts with "--" is never a value."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        k = 0
+        while k < len(args) - 1:
+            value = args[k + 1]
+            if args[k] in _SIGNED_FLAGS and value.startswith("-") and not value.startswith("--"):
+                args[k:k + 2] = ["%s=%s" % (args[k], value)]
+            k += 1
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="willmore",
         description="Synthesize totally isotropic Willmore spheres and their "
                     "adjoint transforms from loop-group potentials.",
@@ -514,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--potential", required=True)
     pv.add_argument("--samples", type=_at_least(0), default=40)
     pv.add_argument("--radius", type=_radius, default=0.9)
-    pv.add_argument("--seed", type=int, default=7)
+    pv.add_argument("--seed", type=_at_least(0), default=7)
     pv.add_argument("--tol", type=_tolerance, default=None,
                     help="override the algebraic tolerance")
     pv.add_argument("--tol-fd", type=_tolerance, default=None,

@@ -6,10 +6,11 @@ read-only array of dtype=object whose entries are exact scalars:
 GaussianRational, BiPoly or RationalFn.  numpy applies +, -, * and @ to
 such entries one by one, and object @ sums each entry's products left to
 right, so an exact product keeps the association written in the source.
-The one exception is a LoopMatrix product of two GaussianRational
-coefficients: it multiplies their integer numerators over a common
-denominator and normalizes each entry once, which gives the same canonical
-values.
+A LoopMatrix product of exact coefficients gives the entries object @
+gives, by a shorter route: two GaussianRational coefficients multiply their
+integer numerators over a common denominator and normalize each entry once,
+which gives the same canonical values, and any other pair multiplies only
+its pairs of nonzero entries (_object_product).
 The rings combine through Python's reflected operators: a GaussianRational
 times a BiPoly is a BiPoly, a BiPoly times a RationalFn a RationalFn.  So a
 constant or polynomial matrix stays in its own ring, and only a product
@@ -45,7 +46,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LambdaZero
-from .scalars import BiPoly, ExactPoint, GaussianRational, RationalFn, RF_ZERO, RF_ONE, _cleared, _gr
+from .scalars import (BP_ZERO, GR_ZERO, RF_ONE, RF_ZERO, BiPoly, ExactPoint, GaussianRational,
+                      RationalFn, _cleared, _gr)
 
 
 def exact_matrix(rows) -> np.ndarray:
@@ -144,17 +146,23 @@ def _bind(arr, z) -> np.ndarray:
     """Exact entries evaluated at z, or at each z of a 1-D array (a stack):
     computed exactly, rounded once.
 
-    Each sample is made an ExactPoint once, its power tables as long as the
-    highest degree among the entries, and every entry's evaluate takes that
-    point, so the tables serve all of them.  Zero entries are left as 0j,
-    which is what evaluating them returns.
+    The nonzero entries are found once.  Each sample is made an ExactPoint
+    once, its power tables as long as the highest degree among them, and
+    every nonzero entry's evaluate takes that point, so the tables serve all
+    of them; zero entries stay 0j, which is what evaluating them returns.
     """
     if arr.dtype != object:
         return arr
-    degree = max([_degree(x) for x in arr.flat], default=0)
-    points = [ExactPoint(zk, degree) for zk in np.ravel(z).tolist()]
-    return np.array([[x.evaluate(zk) if x else 0j for x in arr.flat] for zk in points],
-                    dtype=complex).reshape(np.shape(z) + arr.shape)
+    flat = arr.ravel()
+    where = [k for k, x in enumerate(flat) if x]
+    entries = flat[where].tolist()
+    degree = max(map(_degree, entries), default=0)
+    zs = np.ravel(z).tolist()
+    out = np.zeros((len(zs), arr.size), dtype=complex)
+    for row, zk in zip(out, zs):
+        point = ExactPoint(zk, degree)
+        row[where] = [x.evaluate(point) for x in entries]
+    return out.reshape(np.shape(z) + arr.shape)
 
 
 def _degree(x) -> int:
@@ -190,6 +198,49 @@ def _gr_product(A, B) -> np.ndarray:
 def _gr_matmul(A, B) -> np.ndarray:
     """A @ B for GaussianRational matrices, as _gr_product."""
     return _gr_product(_gr_parts(A), _gr_parts(B))
+
+
+# The rings of exact scalars in the order in which they absorb each other: a
+# product or sum lies in the larger ring of its operands.
+_RING = {GaussianRational: 0, BiPoly: 1, RationalFn: 2}
+_RING_ZERO = (GR_ZERO, BP_ZERO, RF_ZERO)
+
+
+def _object_product(A, B) -> np.ndarray:
+    """A @ B for exact matrices, entry for entry what numpy's object @ gives,
+    from the pairs of nonzero entries only.
+
+    numpy's @ starts each entry at its first product and adds the others
+    left to right.  A zero product in a ring no larger than the sum's
+    changes nothing: it leaves a GaussianRational canonical, a BiPoly's
+    terms in their order and a RationalFn as it is, and a nonzero product
+    added to such a zero is that product.  So an entry whose nonzero
+    products all lie in the largest ring among all its products is their
+    sum in increasing inner index, or the zero of that ring if there are
+    none.  An entry with a nonzero product in a smaller ring, which a zero
+    product in the larger ring would promote, is summed over every inner
+    index, as @ sums it.
+    """
+    rows, cols = A.tolist(), B.T.tolist()
+    row_rings = [[_RING[type(x)] for x in row] for row in rows]
+    col_rings = [[_RING[type(x)] for x in col] for col in cols]
+    row_support = [[k for k, x in enumerate(row) if x] for row in rows]
+    col_nonzero = [[bool(x) for x in col] for col in cols]
+    out = np.empty((len(rows), len(cols)), dtype=object)
+    for i, (row, ra, support) in enumerate(zip(rows, row_rings, row_support)):
+        for j, (col, rb, nonzero) in enumerate(zip(cols, col_rings, col_nonzero)):
+            ring = max(max(ra), max(rb))
+            ks = [k for k in support if nonzero[k]]
+            if any(ra[k] < ring and rb[k] < ring for k in ks):
+                ks = range(len(row))
+            if not ks:
+                out[i, j] = _RING_ZERO[ring]
+                continue
+            total = row[ks[0]] * col[ks[0]]
+            for k in ks[1:]:
+                total = total + row[k] * col[k]
+            out[i, j] = total
+    return out
 
 
 class LoopMatrix:
@@ -267,7 +318,12 @@ class LoopMatrix:
             for k2, m2 in other.coeffs.items():
                 k = k1 + k2
                 p1, p2 = left[k1], right[k2]
-                prod = _gr_product(p1, p2) if p1 and p2 else m1 @ m2
+                if p1 and p2:
+                    prod = _gr_product(p1, p2)
+                elif m1.dtype == object:
+                    prod = _object_product(m1, m2)
+                else:
+                    prod = m1 @ m2
                 out[k] = out[k] + prod if k in out else prod
         return self._with(out, cols=other.cols)
 

@@ -384,6 +384,8 @@ def _gram_det_float(hf: HolomorphicFrame, z) -> np.ndarray:
 
 
 SCAN_GRID_N = 512
+# Bisection levels that degeneracy_scan evaluates in one stacked derivative.
+SCAN_LEVELS = 5
 
 
 def degeneracy_scan(hf: HolomorphicFrame, theta: float = 0.0, r_range=(1e-3, 2.5)) -> list:
@@ -393,7 +395,12 @@ def degeneracy_scan(hf: HolomorphicFrame, theta: float = 0.0, r_range=(1e-3, 2.5
     the singular set, so its radial derivative changes sign there; each sign
     change is bisected to a bracket below 1e-10 and kept when the determinant
     is numerically zero at the located radius.  All brackets are bisected
-    together, one stacked derivative per halving, each as if it were alone.
+    together, SCAN_LEVELS levels per stack: one stacked derivative takes
+    every midpoint those levels could reach, each formed as the bisection
+    forms it, and each bracket then takes its halvings from those values, as
+    if it were bisected alone, stopping where it falls below 1e-11.  Each
+    sample of a stack has the bits of a stack of one, so the radii do not
+    depend on the number of levels.
     """
     direction = complex(math.cos(theta), math.sin(theta))
     r0, r1 = float(r_range[0]), float(r_range[1])
@@ -420,10 +427,26 @@ def degeneracy_scan(hf: HolomorphicFrame, theta: float = 0.0, r_range=(1e-3, 2.5
     i = np.flatnonzero(~(low > 1e-2 * scale) & (dsig[:-1] < 0.0) & (dsig[1:] >= 0.0))
     a, b = rs[i], rs[i + 1]
     while (moving := b - a > 1e-11).any():
-        mdl = 0.5 * (a[moving] + b[moving])
-        below = dsigma(mdl) < 0.0
-        a[moving] = np.where(below, mdl, a[moving])
-        b[moving] = np.where(below, b[moving], mdl)
+        lo, hi = a[moving], b[moving]
+        # Every midpoint of the next SCAN_LEVELS halvings: level l holds 2^l
+        # rows of them, and the halves of node n are n (a = mid) and n + 2^l
+        # (b = mid).
+        mids, los, his = [], lo[None], hi[None]
+        for _ in range(SCAN_LEVELS):
+            mdl = 0.5 * (los + his)
+            mids.append(mdl)
+            los, his = np.concatenate([mdl, los]), np.concatenate([his, mdl])
+        mids = np.concatenate(mids)
+        below = (dsigma(mids.ravel()) < 0.0).reshape(mids.shape)
+        node, at = np.zeros(len(lo), dtype=int), np.arange(len(lo))
+        for level in range(SCAN_LEVELS):
+            row = 2 ** level - 1 + node
+            mdl, go = mids[row, at], below[row, at]
+            still = hi - lo > 1e-11
+            lo = np.where(still & go, mdl, lo)
+            hi = np.where(still & ~go, mdl, hi)
+            node = node + 2 ** level * ~go
+        a[moving], b[moving] = lo, hi
     root = 0.5 * (a + b)
     return root[sigma(root) <= 1e-8 * scale].tolist() if len(root) else []
 

@@ -151,6 +151,9 @@ def _normalize_plan(plan) -> dict:
         if unknown:
             raise ValueError("unknown plan keys: %s" % ", ".join(sorted(unknown)))
         cfg.update(plan)
+    seed = cfg["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError("plan seed must be a non-negative int, got %r" % (seed,))
     if min(cfg["samples"], cfg["fd_samples"], cfg["oracle_matrices"]) < 0:
         raise ValueError("plan samples, fd_samples and oracle_matrices must be non-negative")
     if not 0 < cfg["radius"] < math.inf:

@@ -254,6 +254,38 @@ def test_tolerance_flags_take_finite_non_negative_rationals(flag, text, tmp_path
     assert "argument %s" % flag in capsys.readouterr().err
 
 
+def test_a_value_that_starts_with_a_minus_may_follow_its_flag(tmp_path, capsys):
+    # argparse reads "-i" or "-1e-6" as an option unless it is joined to its flag
+    for text in ("-i", "-0.6+0.8i"):
+        spaced, joined = tmp_path / ("spaced" + text), tmp_path / ("joined" + text)
+        assert _run("example", "--id", "1", "--grid-n", "2", "--lambda", text,
+                    "--out", str(spaced)) == 0
+        assert _run("example", "--id", "1", "--grid-n", "2", "--lambda=" + text,
+                    "--out", str(joined)) == 0
+        for name in ("mesh.csv", "comparison.json"):
+            assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+    for flag in ("--tol", "--tol-fd"):
+        with pytest.raises(SystemExit) as exc:
+            _run("verify", "--potential", str(tmp_path / "p.json"), flag, "-1e-6")
+        assert exc.value.code == 2
+        assert "argument %s: tolerance must be non-negative" % flag in capsys.readouterr().err
+    args = build_parser().parse_args(["example", "--id", "1", "--lambda", "-i", "--out", "d"])
+    assert args.lam == -1j and args.out == "d"
+    # a word that starts with "--" is the next flag, not a value
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["example", "--id", "1", "--lambda", "--out", "d"])
+    assert "argument --lambda: expected one argument" in capsys.readouterr().err
+
+
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    save_potential(builtin_potential(1), path)
+    with pytest.raises(SystemExit) as exc:
+        _run("verify", "--potential", str(path), "--seed", "-1")
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+
+
 def test_tolerance_flags_take_rationals():
     args = build_parser().parse_args(["verify", "--potential", "p.json",
                                       "--tol", "1/10", "--tol-fd", "0"])

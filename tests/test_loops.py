@@ -70,6 +70,98 @@ def test_gaussian_rational_matmul_matches_object_matmul(pair):
             assert type(x) is GaussianRational and (x._a, x._b, x._d) == (y._a, y._b, y._d)
 
 
+def _same_exact(x, y) -> bool:
+    """One ring, one value and, for a polynomial, one term order."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, GaussianRational):
+        return (x._a, x._b, x._d) == (y._a, y._b, y._d)
+    if isinstance(x, BiPoly):
+        return list(x.terms.items()) == list(y.terms.items())
+    return _same_exact(x.num, y.num) and _same_exact(x.den, y.den)
+
+
+def _sparse_operand(rng, rows, cols, rings):
+    """A rows x cols exact matrix, each entry from one of rings, about half
+    of them zero, with an all-zero row or column now and then."""
+    z, zb = BiPoly.var_z(), BiPoly.var_zbar()
+
+    def gr():
+        return GaussianRational(Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))),
+                                Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))))
+
+    def poly():
+        # several terms, in a random order, so a sum shows its term order
+        monos = [BiPoly.const(1), z, zb, z * zb, z * z, zb * zb * z]
+        return sum((monos[k] * gr() for k in rng.permutation(len(monos))[:3]), BiPoly())
+
+    make = {GaussianRational: gr, BiPoly: poly,
+            RationalFn: lambda: RationalFn(poly(), z * gr() + 1)}
+    zero = {GaussianRational: GaussianRational(0), BiPoly: BiPoly(), RationalFn: RationalFn(0)}
+    entries = []
+    for _ in range(rows * cols):
+        ring = rings[rng.integers(len(rings))]
+        entries.append(zero[ring] if rng.random() < 0.5 else make[ring]())
+    mat = np.array(entries, dtype=object).reshape(rows, cols)
+    if rng.random() < 0.3:
+        mat[rng.integers(rows)] = zero[rings[0]]
+    if rng.random() < 0.3:
+        mat[:, rng.integers(cols)] = zero[rings[-1]]
+    return mat
+
+
+_MIXED = (GaussianRational, BiPoly, RationalFn)
+
+
+@pytest.mark.parametrize("seed,left,right", [
+    (1, (RationalFn,), (RationalFn,)),
+    (2, (BiPoly,), (BiPoly,)),
+    (3, (GaussianRational,), (BiPoly,)),
+    (4, (BiPoly,), (GaussianRational,)),
+    (5, (RationalFn,), (BiPoly,)),
+    (6, _MIXED, _MIXED),
+], ids=["rf-rf", "bp-bp", "gr-bp", "bp-gr", "rf-bp", "mixed"])
+def test_sparse_exact_matmul_is_the_object_matmul(seed, left, right):
+    # Only pairs of nonzero entries are multiplied, yet every entry has the
+    # value, the ring and the term order that numpy's object @ gives it,
+    # an entry with no nonzero pair included.  In mixed matrices a zero
+    # product in a larger ring promotes a sum, which is formed as @ forms it.
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        r, k, c = (int(n) for n in rng.integers(1, 6, size=3))
+        a = {p: _sparse_operand(rng, r, k, left) for p in (-1, 0)}
+        b = {p: _sparse_operand(rng, k, c, right) for p in (0, 2)}
+        want = {}
+        for pa, ma in a.items():
+            for pb, mb in b.items():
+                prod = ma @ mb
+                want[pa + pb] = want[pa + pb] + prod if pa + pb in want else prod
+        got = LoopMatrix(r, k, a) @ LoopMatrix(k, c, b)
+        kept = {p: m for p, m in want.items() if any(x for x in m.flat)}
+        assert sorted(got.coeffs) == sorted(kept)
+        for p, m in kept.items():
+            assert got.coeffs[p].shape == (r, c)
+            for x, y in zip(got.coeffs[p].flat, m.flat):
+                assert _same_exact(x, y), (p, x, y)
+
+
+def test_binding_an_empty_stack_or_a_zero_coefficient():
+    from willmore.loops import _bind
+
+    z = RationalFn(BiPoly.var_z())
+    exact = np.array([[z, RationalFn(0)], [z * z + 1, z * 3]], dtype=object)
+    empty = _bind(exact, np.zeros(0, dtype=complex))
+    assert empty.shape == (0, 2, 2) and empty.dtype == complex
+    zeros = np.array([[RationalFn(0), BiPoly()], [GaussianRational(0), RationalFn(0)]],
+                     dtype=object)
+    zs = np.array([0.3 - 0.2j, 0.5j])
+    for at, shape in ((zs, (2, 2, 2)), (0.3 - 0.2j, (2, 2))):
+        got = _bind(zeros, at)
+        assert got.shape == shape and got.dtype == complex
+        assert np.array_equal(got.view(np.uint64), np.zeros(shape, complex).view(np.uint64))
+    assert _bind(zeros, np.zeros(0, dtype=complex)).shape == (0, 2, 2)
+
+
 @given(loop_matrices(), loop_matrices(), loop_matrices())
 @settings(deadline=None, max_examples=30)
 def test_loop_ring_axioms(A, B, C):

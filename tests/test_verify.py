@@ -75,6 +75,10 @@ def test_plan_rejects_unknown_keys():
                  {"tol_fd": -1e-6}, {"tol_algebraic": -0.5}):
         with pytest.raises(ValueError):
             run_suite(builtin_potential(2), plan)
+    # a seed is refused before the sample draw would take it
+    for seed in (-3, 1.0, True, None, np.int64(3)):
+        with pytest.raises(ValueError, match="plan seed must be a non-negative int"):
+            run_suite(builtin_potential(2), {"seed": seed})
     # so is a potential in any form but NormalizedPotential
     with pytest.raises(TypeError):
         run_suite(builtin_potential(2).to_dict(), SMALL_PLAN)
@@ -403,6 +407,57 @@ def test_scan_draw_and_witness_pins_with_two_brackets_and_rejected_samples():
     one = NormalizedPotential(1, [BiPoly.var_z()], [BiPoly.const(GaussianRational(0, 1))])
     w = solve_iwasawa_exact(hf(one))
     assert (w.rho @ w.rho_inv)[0, 0] == 1
+
+
+def _scan_one_level(hf, theta):
+    """degeneracy_scan as it bisected before it looked ahead: one stacked
+    derivative per halving of the moving brackets."""
+    import math
+
+    from willmore.surfaces import SCAN_GRID_N, _gram_det_float
+
+    direction = complex(math.cos(theta), math.sin(theta))
+
+    def sigma(r):
+        return _gram_det_float(hf, r * direction)
+
+    fd = 1e-6
+
+    def dsigma(r):
+        s = sigma(np.concatenate([r + fd, np.maximum(r - fd, 0.0)]))
+        return (s[:len(r)] - s[len(r):]) / (2 * fd)
+
+    rs = np.linspace(1e-3, 2.5, SCAN_GRID_N)
+    sig = sigma(rs)
+    dsig = dsigma(rs)
+    scale = max(1.0, float(sig.max()))
+    low = np.where(sig[1:] < sig[:-1], sig[1:], sig[:-1])
+    i = np.flatnonzero(~(low > 1e-2 * scale) & (dsig[:-1] < 0.0) & (dsig[1:] >= 0.0))
+    a, b = rs[i], rs[i + 1]
+    while (moving := b - a > 1e-11).any():
+        mdl = 0.5 * (a[moving] + b[moving])
+        below = dsigma(mdl) < 0.0
+        a[moving] = np.where(below, mdl, a[moving])
+        b[moving] = np.where(below, b[moving], mdl)
+    root = 0.5 * (a + b)
+    return root[sigma(root) <= 1e-8 * scale].tolist() if len(root) else []
+
+
+def test_look_ahead_scan_finds_the_radii_of_one_level_bisection(monkeypatch):
+    # Several halvings per stacked derivative, every radius bit for bit.
+    pots = [builtin_potential(1), builtin_potential(2)] + _random_potentials(20)
+    for k, pot in enumerate(pots):
+        hf = integrate_frame(to_nilpotent(pot))
+        for theta in (0.0, 0.2732, 1.2876, 1.7):
+            assert degeneracy_scan(hf, theta) == _scan_one_level(hf, theta), (k, theta)
+    calls = []
+    gram_det = willmore.surfaces._gram_det_float
+    monkeypatch.setattr(willmore.surfaces, "_gram_det_float",
+                        lambda hf, z: calls.append(len(z)) or gram_det(hf, z))
+    assert len(degeneracy_scan(integrate_frame(to_nilpotent(pots[0])))) == 1
+    # the grid, its derivative, six stacks of five halvings and the check
+    # of the root, against 32 calls at one halving per stack
+    assert len(calls) <= 10, calls
 
 
 def test_oracle_draws_its_matrices_as_per_entry_scalar_draws(monkeypatch):
