@@ -499,16 +499,18 @@ _SIGNED_FLAGS = frozenset(("--lambda", "--radius", "--tol", "--tol-fd"))
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads "--lambda -i" as "--lambda=-i": a
-    _SIGNED_FLAGS flag followed by a word that starts with one "-" is joined
-    to it.  A word that starts with "--" is never a value."""
+    _SIGNED_FLAGS flag, or an abbreviation of one, followed by a word that
+    starts with one "-" is joined to it.  A word that starts with "--" is
+    never a value."""
 
     def parse_known_args(self, args=None, namespace=None):
         args = list(sys.argv[1:] if args is None else args)
         k = 0
         while k < len(args) - 1:
-            value = args[k + 1]
-            if args[k] in _SIGNED_FLAGS and value.startswith("-") and not value.startswith("--"):
-                args[k:k + 2] = ["%s=%s" % (args[k], value)]
+            flag, value = args[k], args[k + 1]
+            if (len(flag) > 2 and any(f.startswith(flag) for f in _SIGNED_FLAGS)
+                    and value.startswith("-") and not value.startswith("--")):
+                args[k:k + 2] = ["%s=%s" % (flag, value)]
             k += 1
         return super().parse_known_args(args, namespace)
 

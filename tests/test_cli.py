@@ -269,8 +269,9 @@ def test_a_value_that_starts_with_a_minus_may_follow_its_flag(tmp_path, capsys):
             _run("verify", "--potential", str(tmp_path / "p.json"), flag, "-1e-6")
         assert exc.value.code == 2
         assert "argument %s: tolerance must be non-negative" % flag in capsys.readouterr().err
-    args = build_parser().parse_args(["example", "--id", "1", "--lambda", "-i", "--out", "d"])
-    assert args.lam == -1j and args.out == "d"
+    for flag in ("--lambda", "--lam"):
+        args = build_parser().parse_args(["example", "--id", "1", flag, "-i", "--out", "d"])
+        assert args.lam == -1j and args.out == "d"
     # a word that starts with "--" is the next flag, not a value
     with pytest.raises(SystemExit):
         build_parser().parse_args(["example", "--id", "1", "--lambda", "--out", "d"])
