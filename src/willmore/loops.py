@@ -304,6 +304,10 @@ class LoopMatrix:
         return self + (-other)
 
     def __matmul__(self, other):
+        """The loop product, coefficient by coefficient.  Exact coefficients
+        give the entries numpy's object @ gives: two GaussianRational ones
+        through _gr_product, any other pair through _object_product, which
+        multiplies only pairs of nonzero entries."""
         _same_kind(self.exact, other.exact, "LoopMatrix operands")
         if self.cols != other.rows:
             raise ValueError(
