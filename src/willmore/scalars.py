@@ -493,6 +493,13 @@ class BiPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        # An exact scalar only; a RationalFn divisor is its __rtruediv__'s.
+        c = GaussianRational._try(other)
+        if c is None:
+            return NotImplemented
+        return self * (GR_ONE / c)
+
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a BiPoly")
@@ -1011,4 +1018,3 @@ class RationalFn:
 
 RF_ZERO = RationalFn(BP_ZERO)
 RF_ONE = RationalFn(BP_ONE)
-RF_I = RationalFn(BiPoly.const(GR_I))

@@ -43,11 +43,10 @@ from .iwasawa import (
 from .loops import sharp
 from .scalars import (
     BP_ONE,
-    DENOMINATOR_FLOOR,
     BiPoly,
+    GR_I,
     GR_ONE,
     GaussianRational,
-    RF_I,
     PyComplexArray,
     RationalFn,
     _cmul_np,
@@ -55,15 +54,6 @@ from .scalars import (
 )
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
-
-
-def _rf_float(rf: RationalFn, z) -> np.ndarray:
-    """rf over a 1-D array of z; SingularLocus at its first tiny denominator."""
-    dv = rf.den.evaluate_float(z)
-    for k in np.flatnonzero(np.abs(dv) < DENOMINATOR_FLOOR)[:1]:
-        raise SingularLocus("rational component denominator %.3e at z=%r"
-                            % (abs(dv[k]), complex(z[k])))
-    return rf.num.evaluate_float(z) / dv
 
 
 def _combine(col, m, times_minus_i):
@@ -321,8 +311,7 @@ def _cofactor_times(num: BiPoly, den: BiPoly, dens) -> BiPoly:
     return num
 
 
-def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
-                   samples=()) -> dict:
+def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None) -> dict:
     """Pairings of z-derivative pairs of an exact pair's lift, up to max_order.
 
     All of them must vanish: the z-derivative flag of the lift is isotropic,
@@ -331,9 +320,9 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
     The components are put over their common denominator D, the product of
     their distinct denominators, and differentiated by the quotient rule, so
     each pairing is a polynomial over a power of D and no gcd is taken.  A
-    pairing that is the zero polynomial reports 0; any other reports its
-    largest modulus at the samples, or inf without them.  A float pair
-    raises ExactPathRequired; verify checks its lifts by finite differences.
+    pairing that is the zero polynomial reports 0 and any other inf.  A
+    float pair raises ExactPathRequired; verify checks its lifts by finite
+    differences.
     """
     comps = (pair.Y, pair.Yhat)[_lift_index(which)]
     if comps is None:
@@ -360,14 +349,7 @@ def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None,
     worst = 0.0
     for j in range(1, max_order + 1):
         for l in range(j, max_order + 1):
-            p = mink_pair_rf(derivs[j], derivs[l])
-            if p.is_zero():
-                res = 0.0
-            elif samples:
-                p = RationalFn(p, D ** (j + l + 2))
-                res = float(np.abs(_rf_float(p, np.asarray(samples))).max())
-            else:
-                res = float("inf")
+            res = 0.0 if mink_pair_rf(derivs[j], derivs[l]).is_zero() else float("inf")
             pairs["(%d,%d)" % (j, l)] = res
             worst = max(worst, res)
     return {"which": which, "max_order": max_order, "pairs": pairs, "max_residual": worst}
@@ -520,84 +502,86 @@ def _r2poly(coeffs) -> BiPoly:
                    if Fraction(c) != 0})
 
 
+def _closed_forms(example_id: int, r2, d, s, I, power):
+    """The printed lifts Y and Yhat of a shipped example and its degeneracy
+    polynomial sigma in r^2 = z zbar: the one copy of these formulas.
+
+    Returns (Y, Yhat, sigma, (sign_y, sign_yhat)), Y and Yhat without the
+    sqrt(2)/(2 sigma) scale and the signs that make the honest lifts
+    future-pointing.  The operands are in the caller's arithmetic: r2 is
+    z zbar, d[p] and s[p] (p = 1, 2) are lam^-1 z^p - lam zbar^p and
+    lam^-1 z^p + lam zbar^p, I is the imaginary unit and power(x, k) is x^k.
+    """
+    if example_id == 1:
+        p2, p3, p4 = (power(r2, k) for k in (2, 3, 4))
+        sigma = 1 - p2 / 4 - 2 * p3 / 9
+        Y = (
+            -1 - r2 - p2 / 4 - p3 / 9,
+            1 - r2 + p2 / 4 + p3 / 9,
+            I * (r2 / 2) * d[1],
+            -(r2 / 2) * s[1],
+            -I * d[1],
+            s[1],
+            I * (r2 / 3) * d[2],
+            -(r2 / 3) * s[2],
+        )
+        Yhat = (
+            1 + r2 + 5 * p2 / 4 + 4 * p3 / 9 + p4 / 36,
+            1 - r2 - 3 * p2 / 4 + 4 * p3 / 9 - p4 / 36,
+            -I * d[1] * (1 + p3 / 9),
+            s[1] * (1 + p3 / 9),
+            I * (r2 / 2) * d[1] * (1 + 4 * r2 / 3),
+            -(r2 / 2) * s[1] * (1 + 4 * r2 / 3),
+            -I * d[2] * (1 - p2 / 12),
+            s[2] * (1 - p2 / 12),
+        )
+        return Y, Yhat, sigma, (-1.0, 1.0)
+    if example_id == 2:
+        sigma = 1 - power(r2, 2) / 4
+        Y = (
+            power(1 + r2 / 2, 2),
+            -power(1 - r2 / 2, 2),
+            I * d[1],
+            -s[1],
+            -I * (r2 / 2) * d[1],
+            (r2 / 2) * s[1],
+        )
+        Yhat = (
+            power(1 + r2 / 2, 2),
+            power(1 - r2 / 2, 2),
+            I * (r2 / 2) * d[1],
+            -(r2 / 2) * s[1],
+            -I * d[1],
+            s[1],
+        )
+        return Y, Yhat, sigma, (1.0, 1.0)
+    raise ValueError("no shipped example with id %r" % (example_id,))
+
+
 def reference_lift_exact(example_id: int, lam) -> dict:
     """Closed-form homogeneous lifts of the two shipped examples, exact.
 
-    Returns dict with keys m, Y, Yhat (tuples of rational functions, scale
-    sqrt(2)/(2 sigma) omitted and signs included), sigma (the degeneracy
-    polynomial in r^2), for an exact unit-circle lambda.
+    Returns dict with keys m, Y, Yhat (tuples of rational functions: the
+    formulas of _closed_forms in BiPoly arithmetic, without the
+    sqrt(2)/(2 sigma) scale and the signs that reference_lift_eval applies)
+    and sigma (the degeneracy polynomial in r^2, a BiPoly), for an exact
+    unit-circle lambda.
     """
     lam = GaussianRational.coerce(lam)
     if lam.abs_squared() != 1:
         raise ValueError("reference data needs |lambda| = 1")
     li = GR_ONE / lam
-
-    def zc(p):
-        # lam^-1 z^p - lam zbar^p and lam^-1 z^p + lam zbar^p
-        zp = RationalFn(BiPoly({(p, 0): GR_ONE}))
-        bp = RationalFn(BiPoly({(0, p): GR_ONE}))
-        a = RationalFn.const(li) * zp
-        b = RationalFn.const(lam) * bp
-        return a - b, a + b
-
-    def rp(coeffs):
-        return RationalFn(_r2poly(coeffs))
-
-    i_rf = RF_I
-    if example_id == 1:
-        d1, s1 = zc(1)
-        d2, s2 = zc(2)
-        r2 = rp([0, 1])
-        Y = (
-            rp([-1, -1, Fraction(-1, 4), Fraction(-1, 9)]),
-            rp([1, -1, Fraction(1, 4), Fraction(1, 9)]),
-            i_rf * rp([0, Fraction(1, 2)]) * d1,
-            rp([0, Fraction(-1, 2)]) * s1,
-            -(i_rf * d1),
-            s1,
-            i_rf * rp([0, Fraction(1, 3)]) * d2,
-            rp([0, Fraction(-1, 3)]) * s2,
-        )
-        Yhat = (
-            rp([1, 1, Fraction(5, 4), Fraction(4, 9), Fraction(1, 36)]),
-            rp([1, -1, Fraction(-3, 4), Fraction(4, 9), Fraction(-1, 36)]),
-            -(i_rf * d1) * rp([1, 0, 0, Fraction(1, 9)]),
-            s1 * rp([1, 0, 0, Fraction(1, 9)]),
-            i_rf * rp([0, Fraction(1, 2)]) * d1 * rp([1, Fraction(4, 3)]),
-            rp([0, Fraction(-1, 2)]) * s1 * rp([1, Fraction(4, 3)]),
-            -(i_rf * d2) * rp([1, 0, Fraction(-1, 12)]),
-            s2 * rp([1, 0, Fraction(-1, 12)]),
-        )
-        sigma = _r2poly([1, 0, Fraction(-1, 4), Fraction(-2, 9)])
-        return {"m": 3, "Y": Y, "Yhat": Yhat, "sigma": sigma}
-    if example_id == 2:
-        d1, s1 = zc(1)
-        half = Fraction(1, 2)
-        Y = (
-            rp([1, 1, Fraction(1, 4)]),
-            rp([-1, 1, Fraction(-1, 4)]),
-            i_rf * d1,
-            -s1,
-            -(i_rf * rp([0, half]) * d1),
-            rp([0, half]) * s1,
-        )
-        Yhat = (
-            rp([1, 1, Fraction(1, 4)]),
-            rp([1, -1, Fraction(1, 4)]),
-            i_rf * rp([0, half]) * d1,
-            rp([0, -half]) * s1,
-            -(i_rf * d1),
-            s1,
-        )
-        sigma = _r2poly([1, 0, Fraction(-1, 4)])
-        return {"m": 2, "Y": Y, "Yhat": Yhat, "sigma": sigma}
-    raise ValueError("no shipped example with id %r" % (example_id,))
+    d = {p: BiPoly({(p, 0): li, (0, p): -lam}) for p in (1, 2)}
+    s = {p: BiPoly({(p, 0): li, (0, p): lam}) for p in (1, 2)}
+    Y, Yhat, sigma, _ = _closed_forms(example_id, BiPoly({(1, 1): GR_ONE}), d, s, GR_I, pow)
+    return {"m": len(Y) // 2 - 1, "Y": tuple(RationalFn(c) for c in Y),
+            "Yhat": tuple(RationalFn(c) for c in Yhat), "sigma": sigma}
 
 
 def reference_lift_eval(example_id: int, lam: complex):
     """Float evaluator of the shipped closed forms, the honest homogeneous
-    lifts away from the degeneracy curve: the sqrt(2)/(2 sigma) scale and
-    the printed signs are included.
+    lifts away from the degeneracy curve: the formulas of _closed_forms with
+    the sqrt(2)/(2 sigma) scale and their signs applied.
 
     At one complex z, at(z) returns (Y, Yhat) and raises SingularLocus where
     |sigma| < 1e-12.  At a 1-D array of z it returns (Y, Yhat, singular), a
@@ -621,55 +605,10 @@ def reference_lift_eval(example_id: int, lam: complex):
         z = PyComplexArray(z.real, z.imag)
         zb = z.conjugate()
         r2 = (z * zb).real
-
-        # d[p] = lam^-1 z^p - lam zbar^p and s[p] = lam^-1 z^p + lam zbar^p
         terms = {p: (li * z**p, lam * zb**p) for p in (1, 2)}
         d = {p: a - b for p, (a, b) in terms.items()}
         s = {p: a + b for p, (a, b) in terms.items()}
-
-        if example_id == 1:
-            p2, p3, p4 = (fpow(r2, k) for k in (2, 3, 4))
-            sigma = 1 - p2 / 4 - 2 * p3 / 9
-            Y = (
-                -1 - r2 - p2 / 4 - p3 / 9,
-                1 - r2 + p2 / 4 + p3 / 9,
-                I * (r2 / 2) * d[1],
-                -(r2 / 2) * s[1],
-                -I * d[1],
-                s[1],
-                I * (r2 / 3) * d[2],
-                -(r2 / 3) * s[2],
-            )
-            Yhat = (
-                1 + r2 + 5 * p2 / 4 + 4 * p3 / 9 + p4 / 36,
-                1 - r2 - 3 * p2 / 4 + 4 * p3 / 9 - p4 / 36,
-                -I * d[1] * (1 + p3 / 9),
-                s[1] * (1 + p3 / 9),
-                I * (r2 / 2) * d[1] * (1 + 4 * r2 / 3),
-                -(r2 / 2) * s[1] * (1 + 4 * r2 / 3),
-                -I * d[2] * (1 - p2 / 12),
-                s[2] * (1 - p2 / 12),
-            )
-            sy, sh = -1.0, 1.0
-        else:
-            sigma = 1 - fpow(r2, 2) / 4
-            Y = (
-                fpow(1 + r2 / 2, 2),
-                -fpow(1 - r2 / 2, 2),
-                I * d[1],
-                -s[1],
-                -I * (r2 / 2) * d[1],
-                (r2 / 2) * s[1],
-            )
-            Yhat = (
-                fpow(1 + r2 / 2, 2),
-                fpow(1 - r2 / 2, 2),
-                I * (r2 / 2) * d[1],
-                -(r2 / 2) * s[1],
-                -I * d[1],
-                s[1],
-            )
-            sy, sh = 1.0, 1.0
+        Y, Yhat, sigma, (sy, sh) = _closed_forms(example_id, r2, d, s, I, fpow)
         singular = np.abs(sigma) < 1e-12
         scale = SQRT2_OVER_2 / np.where(singular, np.nan, sigma)
         return real_rows(sy * scale, Y), real_rows(sh * scale, Yhat), r2, singular

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import time
 
 import numpy as np
@@ -151,11 +152,17 @@ def _normalize_plan(plan) -> dict:
         if unknown:
             raise ValueError("unknown plan keys: %s" % ", ".join(sorted(unknown)))
         cfg.update(plan)
-    seed = cfg["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError("plan seed must be a non-negative int, got %r" % (seed,))
-    if min(cfg["samples"], cfg["fd_samples"], cfg["oracle_matrices"]) < 0:
-        raise ValueError("plan samples, fd_samples and oracle_matrices must be non-negative")
+    for key in ("seed", "samples", "fd_samples", "oracle_matrices"):
+        n = cfg[key]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError("plan %s must be a non-negative int, got %r" % (key, n))
+    for key in ("radius", "tol_algebraic", "tol_fd"):
+        x = cfg[key]
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError("plan %s must be a real number, got %r" % (key, x))
+        # A Python int is kept, so the report shows it as given.
+        if not isinstance(x, int):
+            cfg[key] = float(x)
     if not 0 < cfg["radius"] < math.inf:
         raise ValueError("plan radius must be a positive finite number")
     if not all(0 <= cfg[k] < math.inf for k in ("tol_algebraic", "tol_fd")):

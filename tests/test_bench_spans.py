@@ -55,3 +55,42 @@ def test_verify_runs_through_the_timed_kernels(monkeypatch):
         monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
     run_suite(builtin_potential(1), {"samples": 3, "fd_samples": 1, "oracle_matrices": 2})
     assert all(calls.values()), calls
+
+
+_ALL_PATHS = r"""
+import json, os, sys
+from tracer import SPANS, Tracer
+
+tracer = Tracer()
+tracer.install()
+import workloads
+
+failed = {}
+for i, name in enumerate(workloads.WORKLOADS):
+    workdir = os.path.join(sys.argv[1], str(i))
+    os.mkdir(workdir)
+    setup = workloads.Setup()
+    inputs = workloads.make_inputs(name, 7, reduced=True)
+    out = workloads.OPERATIONS[name](setup, inputs, workdir)
+    failed[name] = workloads.CHECKS[name](setup, inputs, workdir, out)["failed"]
+calls = {span[0]: tracer.stats.get(span[0], [0])[0] for span in SPANS}
+print(json.dumps({"calls": calls, "stale": tracer.stale_bindings(), "failed": failed}))
+"""
+
+
+def test_every_span_fires_on_the_three_paths(tmp_path):
+    # Each workload at its reduced size, traced as the benchmark traces it:
+    # a span that no path calls any more would leave its metric silent.
+    import json
+    import subprocess
+    import sys
+
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "perfbench"), os.path.join(root, "src")]))
+    done = subprocess.run([sys.executable, "-c", _ALL_PATHS, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert [name for name, calls in got["calls"].items() if not calls] == []
+    assert got["stale"] == []
+    assert got["failed"] == {"mesh-ex1": 0, "verify-ex1": 0, "exact-ex1": 0}

@@ -425,6 +425,24 @@ def test_bipoly_degrees_and_leading_coefficient():
     assert BP_ONE.leading_coefficient() == GaussianRational(1)
 
 
+def test_bipoly_divides_by_an_exact_scalar_only():
+    # p / 9 is p times 1/9, term for term in p's order; a RationalFn divisor
+    # still gives the RationalFn quotient, and a BiPoly one is refused
+    p = BiPoly({(2, 1): GaussianRational(3, -2), (0, 0): 1, (1, 1): Fraction(1, 2)})
+    ninth = p * GaussianRational(Fraction(1, 9))
+    assert list((p / 9).terms.items()) == list(ninth.terms.items())
+    assert list((p / GaussianRational(9)).terms.items()) == list(ninth.terms.items())
+    assert p / GaussianRational(0, 2) == p * GaussianRational(0, Fraction(-1, 2))
+    r = RationalFn(BiPoly.var_z() + 1, BiPoly.var_zbar())
+    got = p / r
+    assert isinstance(got, RationalFn)
+    assert got == RationalFn(p * BiPoly.var_zbar(), BiPoly.var_z() + 1)
+    with pytest.raises(TypeError):
+        p / BiPoly.var_z()
+    with pytest.raises(ZeroDivisionError):
+        p / 0
+
+
 # -- rational functions ------------------------------------------------------
 
 

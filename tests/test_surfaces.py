@@ -12,11 +12,10 @@ from willmore.errors import ExactPathRequired, SingularLocus
 from willmore.frames import integrate_frame
 from willmore.iwasawa import solve_iwasawa_exact, solve_iwasawa_float
 from willmore.potentials import builtin_potential, to_nilpotent
-from willmore.scalars import GR_I, BiPoly, RationalFn
+from willmore.scalars import GR_I, BiPoly, GaussianRational, RationalFn
 from willmore.surfaces import (
     SurfacePair,
     _gram_det_float,
-    _rf_float,
     branch_analysis,
     degeneracy_scan,
     extract_pair,
@@ -89,20 +88,16 @@ def test_exact_total_isotropy(which_pair, request):
 
 
 def test_exact_isotropy_reports_a_nonzero_pairing(pair1):
-    # z added to one component breaks <Y_z, Y_z> = 0; the residual is the
-    # pairing's value at the samples, as d_dz on the unreduced components
-    # gives it
+    # z added to one component breaks <Y_z, Y_z> = 0, and a pairing that is
+    # not the zero polynomial reads inf
     Y = list(pair1.Y)
     Y[2] = Y[2] + RationalFn(BiPoly.var_z())
     bent = SurfacePair(pair1.m, pair1.lam, pair1.hf, Y=tuple(Y), Yhat=pair1.Yhat)
-    samples = (0.3 + 0.2j, -0.5 + 0.4j, 0.7j)
     dY = [c.d_dz() for c in Y]
-    want = max(abs(_rf_float(mink_pair_rf(dY, dY), np.array([z]))[0]) for z in samples)
-    got = isotropy_check(bent, "Y", max_order=1, samples=samples)
-    assert got["max_residual"] > 0
-    assert abs(got["pairs"]["(1,1)"] - want) <= 1e-9 * want
-    assert got["max_residual"] == got["pairs"]["(1,1)"]
-    assert isotropy_check(bent, "Y", max_order=1)["max_residual"] == float("inf")
+    assert not mink_pair_rf(dY, dY).is_zero()
+    got = isotropy_check(bent, "Y", max_order=1)
+    assert got["pairs"] == {"(1,1)": float("inf")}
+    assert got["max_residual"] == float("inf")
 
 
 def _per_sample_isotropy_pairs(pair, which, samples, step):
@@ -301,7 +296,7 @@ def test_stacked_gram_determinant_is_bitwise_the_scalar_one(hf1):
 @pytest.mark.parametrize("call", [
     project_to_sphere,
     induced_metric,
-    lambda pair, which: isotropy_check(pair, which, samples=(0.3 + 0.2j,)),
+    isotropy_check,
 ], ids=["project_to_sphere", "induced_metric", "isotropy_check"])
 def test_float_pair_rejects_an_unknown_lift_name(hf2, call):
     # an exact pair raises in the same words
@@ -411,6 +406,32 @@ def _reference_lift_in_python(example_id, lam, z):
         return None
     scale = (2.0 ** 0.5 / 2.0) / sigma
     return (sy * scale * Y).real, (sh * scale * Yhat).real
+
+
+@pytest.mark.parametrize("example,signs", [(1, (-1.0, 1.0)), (2, (1.0, 1.0))])
+def test_float_reference_is_the_scaled_exact_one(example, signs):
+    # Each row of the float closed form is its sign times (sqrt(2)/2)/sigma(z)
+    # times the exact components at z, inside and outside the degeneracy
+    # circle, with lam exact on the exact side and rounded on the float one.
+    r0 = reference_singular_radius(example)
+    zs = [0.3 + 0.2j] + [r * np.exp(1j * t) for r in (0.6 * r0, 1.5 * r0)
+                         for t in (0.0, 1.1, 2.5, 4.0)]
+    for lam in (GaussianRational(1), GaussianRational(-1), GR_I,
+                GaussianRational(Fraction(3, 5), Fraction(4, 5))):
+        exact = reference_lift_exact(example, lam)
+        Y, Yhat, singular = reference_lift_eval(example, lam.to_complex())(np.array(zs))
+        assert not singular.any()
+        for k, z in enumerate(zs):
+            zq = GaussianRational.from_complex(complex(z))
+            sigma = exact["sigma"].evaluate_exact(zq).to_complex()
+            assert abs(sigma) >= 0.1, (example, z)
+            for row, comps, sign in ((Y[k], exact["Y"], signs[0]),
+                                     (Yhat[k], exact["Yhat"], signs[1])):
+                want = np.array([sign * (2 ** 0.5 / 2) / sigma
+                                 * c.evaluate_exact(zq).to_complex() for c in comps])
+                size = np.abs(row).max()
+                assert np.abs(want.imag).max() <= 1e-13 * size, (example, lam, z)
+                assert np.abs(row - want.real).max() <= 1e-13 * size, (example, lam, z)
 
 
 @pytest.mark.parametrize("example", [1, 2])

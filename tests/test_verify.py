@@ -75,6 +75,16 @@ def test_plan_rejects_unknown_keys():
                  {"tol_fd": -1e-6}, {"tol_algebraic": -0.5}):
         with pytest.raises(ValueError):
             run_suite(builtin_potential(2), plan)
+    # a value of the wrong type is refused by its key, before it is used
+    for key, plan in (("samples", {"samples": 2.5}),
+                      ("samples", {"samples": True, "fd_samples": 1}),
+                      ("samples", {"samples": np.int64(3)}),
+                      ("fd_samples", {"fd_samples": 1.5}),
+                      ("oracle_matrices", {"oracle_matrices": 2.5}),
+                      ("radius", {"radius": "0.9"}), ("radius", {"radius": True}),
+                      ("tol_fd", {"tol_fd": None}), ("tol_algebraic", {"tol_algebraic": 1j})):
+        with pytest.raises(ValueError, match="plan %s must be" % key):
+            run_suite(builtin_potential(2), plan)
     # a seed is refused before the sample draw would take it
     for seed in (-3, 1.0, True, None, np.int64(3)):
         with pytest.raises(ValueError, match="plan seed must be a non-negative int"):
@@ -82,6 +92,14 @@ def test_plan_rejects_unknown_keys():
     # so is a potential in any form but NormalizedPotential
     with pytest.raises(TypeError):
         run_suite(builtin_potential(2).to_dict(), SMALL_PLAN)
+
+
+def test_plan_reals_are_reported_as_the_floats_they_equal(report2):
+    # a Fraction or numpy tolerance runs and serializes as its float
+    want = report2.to_json(include_timing=False)
+    for tols in ({"tol_fd": Fraction(1, 10**6)}, {"tol_algebraic": np.float64(1e-10)}):
+        got = run_suite(builtin_potential(2), dict(SMALL_PLAN, **tols))
+        assert got.to_json(include_timing=False) == want
 
 
 def test_default_plan_documented_keys():
