@@ -27,6 +27,10 @@ is expressible and the isotropy check has something real to catch.
 NormalizedPotential is both the potential and its file form, override
 included; the shipped examples are their files data/example<id>.json, which
 builtin_potential reads.
+
+wu_normalized_potential integrates every framing, constant or not, with one
+RK4 step-doubling loop (_FRAMING_START, _FRAMING_MAX_STEPS, _FRAMING_TOL);
+a constant framing with a large |z| ||delta0|| can exhaust its steps.
 """
 
 from __future__ import annotations
@@ -143,24 +147,15 @@ def rank_and_classify(pot: NormalizedPotential):
     the dual-pair tag and full rank to generic.
     """
     h, hh = pot.h, pot.hhat
-    all_zero = all(p.is_zero() for p in h) and all(p.is_zero() for p in hh)
-    if all_zero:
-        rank = 0
-    else:
-        # Rank of the 2 x 2m B1hat equals the rank of the 2 x m matrix (h; hhat):
-        # the paired columns (c, ic) are scalar multiples.  Use exact minors.
-        rank = 1
-        for j in range(pot.m):
-            for k in range(pot.m):
-                minor = h[j] * hh[k] - h[k] * hh[j]
-                if not minor.is_zero():
-                    rank = 2
-                    break
-            if rank == 2:
-                break
-    rows_equal = all((a - b).is_zero() for a, b in zip(h, hh))
     row1_zero = all(p.is_zero() for p in h)
     row2_zero = all(p.is_zero() for p in hh)
+    # Rank of the 2 x 2m B1hat equals the rank of the 2 x m matrix (h; hhat):
+    # the paired columns (c, ic) are scalar multiples.  Use exact minors; the
+    # minor of (j, j) vanishes and that of (k, j) negates that of (j, k).
+    rank = 0 if row1_zero and row2_zero else 1 + any(
+        not (h[j] * hh[k] - h[k] * hh[j]).is_zero()
+        for j in range(pot.m) for k in range(j + 1, pot.m))
+    rows_equal = all((a - b).is_zero() for a, b in zip(h, hh))
     if rows_equal:
         tag = "euclidean-minimal"
     elif row1_zero:
@@ -176,43 +171,39 @@ def rank_and_classify(pot: NormalizedPotential):
 
 # -- Wu-style potential from a harmonic-map framing ---------------------------
 
+_FRAMING_START = 64
+_FRAMING_MAX_STEPS = 1 << 15
+_FRAMING_TOL = 1e-12
 
-def wu_normalized_potential(delta0, delta1, z_samples, steps=None,
-                            tol: float = 1e-12):
+
+def wu_normalized_potential(delta0, delta1, z_samples):
     """eta(z) = F0(z) delta1 F0(z)^-1 with F0' = F0 delta0, F0(0) = I.
 
-    delta0 may be None/zero (then eta == delta1 everywhere), a constant
-    matrix (closed form via the matrix exponential), or a callable z -> matrix
-    integrated by RK4 along the segment [0, z] with step doubling.  Returns
-    the loop-power -1 coefficient of eta at each sample as numpy arrays.
+    delta0 may be None or zero (then eta == delta1 everywhere), a constant
+    matrix, or a callable z -> matrix; a constant is integrated as the
+    callable that returns it.  Every framing takes one RK4 loop along the
+    segment [0, z]: runs of _FRAMING_START steps, then twice as many, until
+    two agree to _FRAMING_TOL of max(1, max|F0|).  A run past
+    _FRAMING_MAX_STEPS steps raises StepSizeTooCoarse, which a constant
+    framing with a large |z| ||delta0|| can reach.  Returns the loop-power
+    -1 coefficient of eta at each sample as numpy arrays; z = 0 gives delta1.
     """
     d1 = np.asarray(delta1, dtype=complex)
-    n = d1.shape[0]
-    if delta0 is None:
+    if delta0 is None or (not callable(delta0) and not np.any(delta0)):
         return [d1.copy() for _ in z_samples]
     if not callable(delta0):
         d0 = np.asarray(delta0, dtype=complex)
-        if not d0.any():
-            return [d1.copy() for _ in z_samples]
-        from scipy.linalg import expm
-
-        out = []
-        for z in z_samples:
-            F0 = expm(z * d0)
-            out.append(F0 @ d1 @ np.linalg.inv(F0))
-        return out
+        delta0 = lambda t: d0
 
     def integrate(z, nsteps):
-        F = np.eye(n, dtype=complex)
+        F = np.eye(len(d1), dtype=complex)
         hstep = z / nsteps
-        t = 0j
-        for _ in range(nsteps):
+        for t in (hstep * np.arange(nsteps)).tolist():
             k1 = F @ delta0(t)
             k2 = (F + 0.5 * hstep * k1) @ delta0(t + 0.5 * hstep)
             k3 = (F + 0.5 * hstep * k2) @ delta0(t + 0.5 * hstep)
             k4 = (F + hstep * k3) @ delta0(t + hstep)
             F = F + (hstep / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += hstep
         return F
 
     out = []
@@ -220,31 +211,15 @@ def wu_normalized_potential(delta0, delta1, z_samples, steps=None,
         if z == 0:
             out.append(d1.copy())
             continue
-        if steps is not None:
-            coarse = integrate(z, steps)
-            fine = integrate(z, 2 * steps)
-            scale = max(1.0, float(abs(fine).max()))
-            if float(abs(fine - coarse).max()) > tol * scale:
-                raise StepSizeTooCoarse(
-                    "step doubling disagrees at z=%r with %d steps" % (z, steps)
-                )
-            F0 = fine
+        coarse, nsteps = integrate(z, _FRAMING_START), 2 * _FRAMING_START
+        while nsteps <= _FRAMING_MAX_STEPS:
+            F0 = integrate(z, nsteps)
+            if abs(F0 - coarse).max() <= _FRAMING_TOL * max(1.0, abs(F0).max()):
+                break
+            coarse, nsteps = F0, 2 * nsteps
         else:
-            nsteps = 64
-            F0 = None
-            coarse = integrate(z, nsteps)
-            while nsteps <= 1 << 14:
-                fine = integrate(z, 2 * nsteps)
-                scale = max(1.0, float(abs(fine).max()))
-                if float(abs(fine - coarse).max()) <= tol * scale:
-                    F0 = fine
-                    break
-                coarse = fine
-                nsteps *= 2
-            if F0 is None:
-                raise StepSizeTooCoarse(
-                    "no convergence at z=%r within %d steps" % (z, nsteps)
-                )
+            raise StepSizeTooCoarse("no convergence at z=%r within %d steps"
+                                    % (z, _FRAMING_MAX_STEPS))
         out.append(F0 @ d1 @ np.linalg.inv(F0))
     return out
 
@@ -286,18 +261,24 @@ def _parse_rational(x, where: str) -> Fraction:
             raise PotentialFormatError("rational in %s has a decimal exponent of more than"
                                        " %d digits" % (where, MAX_EXPONENT_DIGITS))
         try:
-            return Fraction(x)
+            value = Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
             raise PotentialFormatError("bad rational %r in %s: %s" % (x, where, e))
-    if isinstance(x, bool):
+    elif isinstance(x, bool):
         raise PotentialFormatError("boolean is not a number in %s" % where)
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise PotentialFormatError("non-finite number %r in %s" % (x, where))
-        return Fraction(x)
-    raise PotentialFormatError("expected rational string or number in %s" % where)
+    elif isinstance(x, float) and not math.isfinite(x):
+        raise PotentialFormatError("non-finite number %r in %s" % (x, where))
+    elif isinstance(x, (int, float)):
+        value = Fraction(x)
+    else:
+        raise PotentialFormatError("expected rational string or number in %s" % where)
+    # to_dict writes the value back as str(Fraction), which refuses a numerator
+    # or denominator past Python's int-string digit limit.
+    try:
+        str(value)
+    except ValueError as e:
+        raise PotentialFormatError("rational in %s cannot be written back: %s" % (where, e))
+    return value
 
 
 def _parse_poly(entry, where: str) -> BiPoly:
@@ -352,11 +333,12 @@ def parse_potential(data) -> NormalizedPotential:
 
 def load_potential(path) -> NormalizedPotential:
     with open(path, "r") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise PotentialFormatError(e.msg, line=e.lineno, column=e.colno)
+        try:
+            data = json.loads(fh.read())
+        except json.JSONDecodeError as e:
+            raise PotentialFormatError(e.msg, line=e.lineno, column=e.colno)
+        except ValueError as e:  # undecodable text, or an integer past the digit limit
+            raise PotentialFormatError("unreadable potential file: %s" % e)
     return parse_potential(data)
 
 

@@ -156,16 +156,21 @@ def _normalize_plan(plan) -> dict:
         n = cfg[key]
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError("plan %s must be a non-negative int, got %r" % (key, n))
+    real = {}
     for key in ("radius", "tol_algebraic", "tol_fd"):
         x = cfg[key]
         if isinstance(x, bool) or not isinstance(x, numbers.Real):
             raise ValueError("plan %s must be a real number, got %r" % (key, x))
+        try:
+            real[key] = float(x)
+        except OverflowError:
+            raise ValueError("plan %s must be within the float range" % key) from None
         # A Python int is kept, so the report shows it as given.
         if not isinstance(x, int):
-            cfg[key] = float(x)
-    if not 0 < cfg["radius"] < math.inf:
+            cfg[key] = real[key]
+    if not 0 < real["radius"] < math.inf:
         raise ValueError("plan radius must be a positive finite number")
-    if not all(0 <= cfg[k] < math.inf for k in ("tol_algebraic", "tol_fd")):
+    if not all(0 <= real[k] < math.inf for k in ("tol_algebraic", "tol_fd")):
         raise ValueError("plan tolerances must be non-negative finite numbers")
     return cfg
 

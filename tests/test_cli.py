@@ -4,11 +4,16 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import willmore
 from willmore.cli import _parse_lambda, build_parser, main
 from willmore.potentials import (
     NormalizedPotential,
@@ -128,6 +133,21 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         nonfinite.write_text('{"m": 1, "h": [[[%s, 0]]], "hhat": [[["1", "0"]]]}' % value)
         assert _run("verify", "--potential", str(nonfinite)) == 2
         assert "non-finite number" in capsys.readouterr().err
+    # text that is not UTF-8, an integer past Python's int-string digit
+    # limit, and a rational that cannot be written back as decimal text
+    unreadable = tmp_path / "unreadable.json"
+    unreadable.write_bytes(b'\xff\xfe{"m": 1}')
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"m": 1, "h": [[[%s, 0]]], "hhat": [[["1", "0"]]]}' % ("1" * 5000))
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"m": 1, "h": [[["1e4400", "0"]]], "hhat": [[["1", "0"]]]}')
+    for path in (unreadable, long_int, huge):
+        assert _run("verify", "--potential", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+    assert _run("synth", "--potential", str(huge), "--grid-n", "2",
+                "--out", str(tmp_path / "h")) == 2
+    assert "cannot be written back" in capsys.readouterr().err
     # negative sample counts and empty grids are refused by argparse
     for argv in (("verify", "--potential", str(broken), "--samples", "-3"),
                  ("example", "--id", "1", "--grid-n", "0", "--out", str(tmp_path / "g"))):
@@ -682,3 +702,32 @@ def test_far_out_vertices_fail_without_runtime_warnings(tmp_path, capsys):
         "mesh.csv": "56adcd808923eff7f9d690199d0a8ba42155d3e8aa0582920b9ff170c95e933a",
         "comparison.json": "91302673779a52358dddc9d6dc3cc2eed3d02a5ca28bf623b8d25af996ec426c",
     }
+
+
+_WITHOUT_SCIPY = r"""
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import numpy as np
+from willmore.cli import main
+from willmore.potentials import builtin_potential, rank_and_classify, save_potential
+from willmore.potentials import wu_normalized_potential
+
+out = sys.argv[1]
+save_potential(builtin_potential(2), out + "/p.json")
+assert main(["example", "--id", "2", "--grid-n", "4", "--out", out + "/ex2"]) == 0
+assert main(["verify", "--potential", out + "/p.json", "--samples", "3"]) == 0
+assert rank_and_classify(builtin_potential(2)) == (2, "generic")
+d1 = np.zeros((4, 4), dtype=complex)
+d1[0, 2] = 1
+eta = wu_normalized_potential(np.arange(16.0).reshape(4, 4) / 40, d1, [0.5j])[0]
+assert np.isfinite(eta).all() and not np.array_equal(eta, d1)
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency; scipy is for tests only
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(willmore.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -81,7 +81,7 @@ def test_parse_rejects_malformed_documents():
 
 def test_a_long_decimal_exponent_is_a_format_error(tmp_path):
     # Fraction would build 10**|exponent| first: seconds at seven digits,
-    # hours at nine; up to six digits (leading zeros aside) parse as before
+    # hours at nine; up to six digits (leading zeros aside) pass this guard
     import time
 
     one = [[["1", "0"]]]
@@ -90,9 +90,12 @@ def test_a_long_decimal_exponent_is_a_format_error(tmp_path):
         with pytest.raises(PotentialFormatError, match="exponent"):
             parse_potential({"m": 1, "h": [[[text, "0"]]], "hhat": one})
     assert time.perf_counter() - started < 1.0
-    for text in ("1e0000000003", "-25e-1_0", "1e99999"):
+    for text in ("1e0000000003", "-25e-1_0", "0e99999"):
         pot = parse_potential({"m": 1, "h": [[["0", text]]], "hhat": one})
-        assert pot.h[0].terms[(0, 0)] == GaussianRational(0, Fraction(text)), text
+        assert pot.to_dict()["h"] == [[["0", str(Fraction(text))]]], text
+    # but 10**99999 has more digits than Python writes back as decimal text
+    with pytest.raises(PotentialFormatError, match="cannot be written back"):
+        parse_potential({"m": 1, "h": [[["0", "1e99999"]]], "hhat": one})
 
 
 def test_load_reports_line_and_column(tmp_path):
@@ -213,26 +216,27 @@ def test_wu_constant_framing_matches_matrix_exponential():
 
 
 def test_wu_callable_framing_agrees_with_constant_closed_form():
-    # feeding the constant as a callable exercises the RK4 path; step
-    # doubling must land on the same answer as the exponential
+    # a constant and the callable returning it take the same RK4 loop, so
+    # they agree bit for bit; step doubling lands on the exponential
     d1 = _nilpotent_sample()
     rng = np.random.default_rng(11)
     d0 = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) * 0.2
     samples = [0.6 - 0.3j, -0.9j, 0j]
-    # steps=None doubles until it converges; an explicit steps is checked
-    # once against twice as many
-    for steps in (None, 256):
-        got = wu_normalized_potential(lambda z: d0, d1, samples, steps=steps)
-        for z, g in zip(samples, got):
-            F0 = expm(z * d0)
-            want = F0 @ d1 @ np.linalg.inv(F0)
-            assert np.abs(g - want).max() < 1e-9
+    got = wu_normalized_potential(lambda z: d0, d1, samples)
+    for z, g, c in zip(samples, got, wu_normalized_potential(d0, d1, samples)):
+        assert np.array_equal(g, c)
+        F0 = expm(z * d0)
+        want = F0 @ d1 @ np.linalg.inv(F0)
+        assert np.abs(g - want).max() < 1e-9
 
 
-def test_wu_step_doubling_guard_fires():
+def test_wu_step_doubling_guard_fires(monkeypatch):
+    import willmore.potentials
     from willmore.errors import StepSizeTooCoarse
 
+    # a cap of 128 steps allows one comparison, 64 against 128 steps
+    monkeypatch.setattr(willmore.potentials, "_FRAMING_MAX_STEPS", 128)
     d1 = _nilpotent_sample()
     wild = lambda z: np.diag([20.0 * np.sin(47 * z.real)] * 4).astype(complex)
-    with pytest.raises(StepSizeTooCoarse):
-        wu_normalized_potential(wild, d1, [2.0 + 0j], steps=2)
+    with pytest.raises(StepSizeTooCoarse, match="within 128 steps"):
+        wu_normalized_potential(wild, d1, [2.0 + 0j])

@@ -82,7 +82,10 @@ def test_plan_rejects_unknown_keys():
                       ("fd_samples", {"fd_samples": 1.5}),
                       ("oracle_matrices", {"oracle_matrices": 2.5}),
                       ("radius", {"radius": "0.9"}), ("radius", {"radius": True}),
-                      ("tol_fd", {"tol_fd": None}), ("tol_algebraic", {"tol_algebraic": 1j})):
+                      ("tol_fd", {"tol_fd": None}), ("tol_algebraic", {"tol_algebraic": 1j}),
+                      # reals past the float range
+                      ("tol_fd", {"tol_fd": Fraction(10**400)}), ("radius", {"radius": 10**400}),
+                      ("tol_algebraic", {"tol_algebraic": 10**400})):
         with pytest.raises(ValueError, match="plan %s must be" % key):
             run_suite(builtin_potential(2), plan)
     # a seed is refused before the sample draw would take it
