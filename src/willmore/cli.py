@@ -378,8 +378,6 @@ def _singular_summary(reasons: Counter) -> str:
 def _write_mesh_obj(path, pair, pts, vals, singular, faces):
     """Lossy visualization export: stereographic S^4 -> R^4, drop the last
     coordinate.  Only the y surface is exported and only for m = 2."""
-    if pair.m != 2:
-        raise WillmoreError("OBJ export needs m = 2 (a surface in S^4)")
     ok = [False] * len(pts)
     d = 2 * pair.m + 2
     with open(path, "w") as fh:
@@ -449,6 +447,8 @@ def cmd_example(args) -> int:
 
 def cmd_synth(args) -> int:
     doc = load_potential(args.potential)
+    if args.format == "obj" and doc.m != 2:
+        raise WillmoreError("OBJ export needs m = 2 (a surface in S^4)")
     pair, pts, vals, singular, _ = _cmd_mesh_common(args, doc)
     if args.format == "obj":
         faces = (_polar_faces(args.grid_n) if args.grid == "polar"

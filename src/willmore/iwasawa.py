@@ -12,8 +12,12 @@ with 1B kept as a residual:
     1A: a = I - u q J2 ubar^t - v rho vbar^t
     1B: u q - v rho u#bar^t J2 = f        (residual)
 
-The exact witness solves 1F in polynomials: rho and det rho are polynomial,
-and rho^-1 = adj(rho) / det.  The blocks it goes on to solve are polynomial
+The exact witness reads 1F, 1E and the first term of 1C off one Gram matrix
+G = Bbar^t Sigma B over the basis B = [K | l0 | l1] (block rows m, 2, m),
+K = [I; f^t Jm; g], l_k = [0; e_k; -f J2 e_k], Sigma = diag(I, J2, I):
+rho = G[:m, :m], E = G[m:, :m] and G[m:, m:] J2 = I + J2 fbar^t f, with
+Sigma, Jm and J2 applied by indexing.  rho and det rho are polynomial, and
+rho^-1 = adj(rho) / det.  The blocks it goes on to solve are polynomial
 numerators over a denominator known in advance, det = det rho or
 D2 = det conj(det), so no gcd is needed:
 
@@ -38,13 +42,14 @@ pairing exactly and the Hermitian condition l1bar^t l1 = a as a theorem
 (checked, not assumed).
 
 l1 and l4 live outside the rational-function field (square roots), so the
-exact witness is global but the float witness is numeric.  It is solved
-over a stack of samples at once, every block carrying a leading sample
-axis, and keeps f(z), g(z) and the frame's middle blocks for the lifts,
-their metrics and L_z; a sample that fails a check drops out of the stack
-with its error recorded.  The float entry points take 1-D arrays of
-samples only.  The full extended frame is
-built over the stack: a LoopMatrix of complex arrays, checked against the
+exact witness is global but the float witness is numeric.  It keeps the
+block formulas above, not the Gram, because its bits are pinned and the
+Gram's products round differently.  It is solved over a stack of samples at
+once, every block carrying a leading sample axis, and keeps f(z), g(z) and
+the frame's middle blocks for the lifts, their metrics and L_z; a sample
+that fails a check drops out of the stack with its error recorded.  The
+float entry points take 1-D arrays of samples only.  The full extended frame
+is built over the stack: a LoopMatrix of complex arrays, checked against the
 holomorphic side, F L tau(W)^-1 = H, by BLAS products of loop coefficients,
 matrix by matrix, so each sample holds the bits of a stack of one.  When
 q == I2 identically the frame's middle two columns are rational, and the
@@ -188,6 +193,15 @@ def _adjugate_small(A):
     return out
 
 
+def _gram_exact(hf: HolomorphicFrame) -> np.ndarray:
+    """The BiPoly Gram matrix G = Bbar^t Sigma B of the module docstring;
+    Sigma swaps rows m and m+1 of the basis B = [K | l0 | l1]."""
+    m, f = hf.m, hf.f
+    eye = exact_identity(m + 2, BP_ONE, BP_ZERO)
+    basis = np.block([[eye[:m]], [sharp(f)[::-1], eye[m:, m:]], [hf.g, -f[:, ::-1]]])
+    return np.conjugate(basis).T @ basis[np.r_[:m, m + 1, m, m + 2:2 * m + 2]]
+
+
 def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
     """Global rational-function witness: no square root taken, no gcd called.
 
@@ -197,53 +211,36 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
     det rho, and q over D2.
     """
     m = hf.m
-    ctx = get_context(m)
-    Jm, J2 = ctx.Jm, ctx.J2
-    f = hf.f
-    g = hf.g
-    fbar = np.conjugate(f)
-    gbar = np.conjugate(g)
-
-    # 1F
-    gram = (Jm @ fbar) @ (J2 @ (f.T @ Jm))
-    rho_poly = exact_identity(m, BP_ONE, BP_ZERO) + (gram + gbar.T @ g)
+    gram = _gram_exact(hf)
+    rho_poly, E = gram[:m, :m], gram[m:, :m]  # 1F, and 1E: u# rho = E
     det = _det_small(rho_poly)
     adj = _adjugate_small(rho_poly)
-    det_rf = RationalFn(det)
 
     def over(mat, den):
         return exact_map(mat, lambda p: RationalFn(p, den))
 
-    rho_inv = over(adj, det)
-    rho = exact_map(rho_poly, RationalFn.coerce)
-
-    # 1E on the numerator: u# = U / det.
-    j2fh = J2 @ fbar.T
-    E = sharp(f) - j2fh @ g
-    U = E @ adj
-    usharp = over(U, det)
-    u = sharp(usharp)
-    # q over D2 = det conj(det).
-    D2 = det * det.conjugate()
-
     def times(mat, p):
         return exact_map(mat, lambda x: x * p)
 
+    # 1E on the numerator, u# = U / det, and q over D2 = det conj(det).
+    U = E @ adj
+    usharp = over(U, det)
+    D2 = det * det.conjugate()
     # 1C on Q = det Q1: U rho = det E, as adj(rho) rho = det I, and
-    # conj(det) = det, as rho is Hermitian.
-    Ubar_t_J2 = np.conjugate(U).T @ J2
-    Q1 = times(exact_identity(2, BP_ONE, BP_ZERO) + j2fh @ f, det) - E @ Ubar_t_J2
+    # conj(det) = det, as rho is Hermitian.  X[:, ::-1] is X J2.
+    Ubar_t_J2 = np.conjugate(U).T[:, ::-1]
+    Q1 = times(gram[m:, m:][:, ::-1], det) - E @ Ubar_t_J2
     Q = times(Q1, det)
 
     # 1B, cleared of det D2 and then divided by det, must vanish identically.
-    resid = (sharp(U) @ Q1 - times(g @ Ubar_t_J2, det)) - times(f, D2)
+    resid = (sharp(U) @ Q1 - times(hf.g @ Ubar_t_J2, det)) - times(hf.f, D2)
     if not all(x.is_zero() for x in resid.flat):
         raise ResidualTooLarge("closure equation 1B fails as a rational identity")
 
-    q_is_identity = exact_equal(Q, exact_identity(2, D2, BP_ZERO))
     return IwasawaWitness(
-        m, rho, rho_inv, u, usharp, over(Q, D2), det_rho=det_rf, usharp_frac=(U, det),
-        q_is_identity=q_is_identity,
+        m, exact_map(rho_poly, RationalFn.coerce), over(adj, det), sharp(usharp), usharp,
+        over(Q, D2), det_rho=RationalFn(det), usharp_frac=(U, det),
+        q_is_identity=exact_equal(Q, exact_identity(2, D2, BP_ZERO)),
     )
 
 

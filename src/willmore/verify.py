@@ -91,6 +91,9 @@ CHECK_NAMES = (
 _FD_CHECKS = frozenset(
     ("mc-lambda-affinity", "mc-flatness", "conformality", "isotropy-order-m")
 )
+# Exact identities, which pass only when they hold identically (residual 0.0).
+_EXACT_CHECKS = ("potential-isotropy", "nilpotent-embed", "frame-ode",
+                 "frame-unipotent", "iso-oracle")
 
 # Checks of the float factorization, by residual key, and of the frame
 # assembled from it.
@@ -607,9 +610,9 @@ def run_suite(pot, plan=None) -> VerificationReport:
 
     potential-isotropy checks pot.b1hat(), its b1hat override if it has one;
     every other check reads only h and hhat, through eta_loop and
-    to_nilpotent.  The report's potential_digest is pot.digest().  The four
-    exact identities (potential-isotropy, nilpotent-embed, frame-ode and
-    frame-unipotent) are each _exact_size of one residual loop.
+    to_nilpotent.  The report's potential_digest is pot.digest().  The exact
+    identities (_EXACT_CHECKS) pass only at residual 0.0, whatever their
+    tolerance, and four of them are each _exact_size of one residual loop.
 
     Each check, or each group of checks computed together, gives its
     residual or the exception it failed with, and one loop turns those into
@@ -701,7 +704,7 @@ def run_suite(pot, plan=None) -> VerificationReport:
             "samples": 0 if failed and name not in stack else count,
             "max_residual": residual,
             "tolerance": tol,
-            "passed": not failed and residual <= tol,
+            "passed": not failed and residual <= (0.0 if name in _EXACT_CHECKS else tol),
         }
         if failed:
             entry["error"] = "%s: %s" % (type(value).__name__, value)

@@ -15,7 +15,9 @@ from willmore.errors import ResidualTooLarge, SingularLocus
 from willmore.iwasawa import (
     _block_diag,
     _cholesky_stack,
+    _det_small,
     _eval_mat,
+    _gram_exact,
     assemble_frame,
     check_refactor,
     gauge_z_derivative,
@@ -110,18 +112,54 @@ def test_exact_intermediates_keep_their_representation(hf1, hf2, frame1, frame2,
 
 
 def test_exact_witness_of_a_random_potential_keeps_its_representation():
-    # criterion 6's fourth random draw (m = 2, q != I2): rho, u#, q and det rho,
-    # whose num/den text follows the term order of every exact product on a
-    # potential other than the two shipped examples
+    # criterion 6's random draws 3 (m = 2) and 16 (m = 3), both with q != I2:
+    # rho, u#, q and det rho, whose num/den text follows the term order of
+    # every exact product on a potential other than the two shipped examples
     from test_acceptance import _random_potentials
 
-    w = solve_iwasawa_exact(integrate_frame(to_nilpotent(_random_potentials(20)[3])))
-    assert w.q_is_identity is False
-    digest = hashlib.sha256()
-    for part in (w.rho, w.usharp, w.q, w.det_rho):
-        digest.update(_sorted_text(part).encode())
-    assert digest.hexdigest() == (
-        "7f3bf2b5de02f7fae73ce22596170ba1b52a8e218e486c107b9378fcbe28e48a")
+    pots = _random_potentials(20)
+    for index, pin in (
+        (3, "7f3bf2b5de02f7fae73ce22596170ba1b52a8e218e486c107b9378fcbe28e48a"),
+        (16, "1c8b850b47982229e7ad4bfa2e760d80f6640f8ab124f456abad92a0394ace8d"),
+    ):
+        w = solve_iwasawa_exact(integrate_frame(to_nilpotent(pots[index])))
+        assert w.q_is_identity is False
+        digest = hashlib.sha256()
+        for part in (w.rho, w.usharp, w.q, w.det_rho):
+            digest.update(_sorted_text(part).encode())
+        assert digest.hexdigest() == pin, index
+
+
+@pytest.mark.parametrize("source", ["example-1", "example-2", 3, 8])
+def test_exact_gram_blocks_and_bordered_minors(source):
+    # G = Bbar^t Sigma B over B = [K | l0 | l1]: its blocks are rho, E and
+    # J2 + J2 fbar^t f J2, and its bordered minors G_ij (the rows of K and
+    # l_i, the columns of K and l_j) carry the tau function, det G01 = c^2
+    from test_acceptance import _random_potentials
+
+    pot = (builtin_potential(int(source[-1])) if isinstance(source, str)
+           else _random_potentials(20)[source])
+    hf = integrate_frame(to_nilpotent(pot))
+    m, J2 = hf.m, get_context(hf.m).J2
+    gram = _gram_exact(hf)
+    w = solve_iwasawa_exact(hf)
+    one, zero = BiPoly.const(1), BiPoly.zero()
+    assert exact_equal(gram, np.conjugate(gram).T)
+    assert exact_equal(exact_map(gram[:m, :m], RationalFn.coerce), w.rho)
+    j2fh = J2 @ np.conjugate(hf.f).T
+    assert exact_equal(gram[m:, m:] @ J2, exact_identity(2, one, zero) + j2fh @ hf.f)
+    # f and g vanish at 0, so rho restricted to zbar = 0 is I
+    free = exact_map(gram[:m, :m], lambda p: BiPoly(
+        {key: c for key, c in p.terms.items() if key[1] == 0}))
+    assert exact_equal(free, exact_identity(m, one, zero))
+
+    def minor(i, j):
+        return _det_small(gram[np.ix_(np.r_[:m, m + i], np.r_[:m, m + j])])
+
+    assert minor(0, 0).is_zero() and minor(1, 1).is_zero()
+    c2 = minor(0, 1)
+    assert RationalFn(c2 * c2.conjugate()) == w.det_rho * w.det_rho
+    assert c2.terms[(0, 0)] == GaussianRational(1)
 
 
 def test_exact_witness_blocks_sit_over_their_known_denominators(frame1, frame2):

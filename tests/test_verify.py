@@ -123,16 +123,27 @@ def test_corrupted_pairing_fails_only_the_isotropy_check():
 
 
 def test_b1hat_isotropy_is_not_passed_by_a_zero_at_the_probe():
-    # B1hat B1hat^t is not identically zero, but it vanishes at the probe of
-    # a plan with no samples, (1 + i)/3: the check must read inf and fail.
+    # B1hat B1hat^t is not identically zero, so the check must fail, with its
+    # size at the probe as the residual.  It vanishes at the probe of a plan
+    # with no samples, (1 + i)/3, when the offset is that float's Gaussian
+    # rational, and is tiny but not zero there with the exact (1 + i)/3; a
+    # tolerance above its size at sample 0 passes no exact identity either.
     pot = builtin_potential(2)
-    rows = [list(r) for r in pot.b1hat()]
-    rows[0][0] = rows[0][0] + (BiPoly.var_z() - GaussianRational.from_complex(complex(1, 1) / 3))
-    doc = NormalizedPotential(pot.m, pot.h, pot.hhat, tuple(tuple(r) for r in rows))
-    rep = run_suite(doc, {"samples": 0, "fd_samples": 0})
-    entry = {c["name"]: c for c in rep.checks}["potential-isotropy"]
-    assert not entry["passed"] and entry["max_residual"] == float("inf"), entry
-    assert "error" not in entry, entry
+    third = GaussianRational(Fraction(1, 3), Fraction(1, 3))
+    no_samples = {"samples": 0, "fd_samples": 0}
+    for offset, plan, residual in (
+        (GaussianRational.from_complex(complex(1, 1) / 3), no_samples, float("inf")),
+        (third, no_samples, 2.6168207644729584e-17),
+        (third, {"samples": 5, "tol_algebraic": 1}, 0.5497534414410142),
+    ):
+        rows = [list(r) for r in pot.b1hat()]
+        rows[0][0] = rows[0][0] + (BiPoly.var_z() - offset)
+        doc = NormalizedPotential(pot.m, pot.h, pot.hhat, tuple(tuple(r) for r in rows))
+        rep = run_suite(doc, plan)
+        entry = {c["name"]: c for c in rep.checks}["potential-isotropy"]
+        assert not entry["passed"] and entry["max_residual"] == residual, entry
+        assert "error" not in entry, entry
+        assert not rep.passed
 
 
 def test_singular_radii_are_reported_and_avoided():
