@@ -541,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--radius", type=_radius, default=0.9)
     pv.add_argument("--seed", type=_at_least(0), default=7)
     pv.add_argument("--tol", type=_tolerance, default=None,
-                    help="override the algebraic tolerance")
+                    help="override the algebraic tolerance (exact identities pass only at 0)")
     pv.add_argument("--tol-fd", type=_tolerance, default=None,
                     help="override the finite-difference tolerance")
     pv.add_argument("--report", default=None, help="write the JSON report here")

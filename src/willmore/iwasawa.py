@@ -12,14 +12,13 @@ with 1B kept as a residual:
     1A: a = I - u q J2 ubar^t - v rho vbar^t
     1B: u q - v rho u#bar^t J2 = f        (residual)
 
-The exact witness reads 1F, 1E and the first term of 1C off one Gram matrix
-G = Bbar^t Sigma B over the basis B = [K | l0 | l1] (block rows m, 2, m),
-K = [I; f^t Jm; g], l_k = [0; e_k; -f J2 e_k], Sigma = diag(I, J2, I):
-rho = G[:m, :m], E = G[m:, :m] and G[m:, m:] J2 = I + J2 fbar^t f, with
-Sigma, Jm and J2 applied by indexing.  rho and det rho are polynomial, and
-rho^-1 = adj(rho) / det.  The blocks it goes on to solve are polynomial
-numerators over a denominator known in advance, det = det rho or
-D2 = det conj(det), so no gcd is needed:
+The exact witness reads rho (1F), E (1E) and the first term of 1C off one
+polynomial Gram matrix G = Bbar^t Sigma B, Sigma = diag(I, J2, I), over the
+basis B = [K | l0 | l1], K = [I; f^t Jm; g], l_k = [0; e_k; -f J2 e_k]
+(block rows m, 2, m), all applied by indexing: rho = G[:m, :m],
+E = G[m:, :m], G[m:, m:] J2 = I + J2 fbar^t f.  With rho^-1 = adj(rho) / det
+the blocks it goes on to solve are polynomial numerators over a denominator
+known in advance, det = det rho or D2 = det conj(det), so no gcd is needed:
 
     u# = U / det,   U = E adj(rho),   E = f# - J2 fbar^t g
     q  = Q / D2,    Q = det Q1,       Q1 = det (I + J2 fbar^t f) - E Ubar^t J2
@@ -68,6 +67,7 @@ from .frames import HolomorphicFrame
 from .groups import get_context
 from .loops import (
     LoopMatrix,
+    _object_product,
     exact_equal,
     exact_identity,
     exact_map,
@@ -194,12 +194,13 @@ def _adjugate_small(A):
 
 
 def _gram_exact(hf: HolomorphicFrame) -> np.ndarray:
-    """The BiPoly Gram matrix G = Bbar^t Sigma B of the module docstring;
-    Sigma swaps rows m and m+1 of the basis B = [K | l0 | l1]."""
+    """The BiPoly Gram matrix G = Bbar^t Sigma B of the module docstring, by a
+    product that skips the zeros of B; Sigma swaps rows m and m+1 of B."""
     m, f = hf.m, hf.f
     eye = exact_identity(m + 2, BP_ONE, BP_ZERO)
     basis = np.block([[eye[:m]], [sharp(f)[::-1], eye[m:, m:]], [hf.g, -f[:, ::-1]]])
-    return np.conjugate(basis).T @ basis[np.r_[:m, m + 1, m, m + 2:2 * m + 2]]
+    sigma = np.r_[:m, m + 1, m, m + 2:2 * m + 2]
+    return _object_product(np.conjugate(basis).T, basis[sigma])
 
 
 def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
@@ -222,10 +223,9 @@ def solve_iwasawa_exact(hf: HolomorphicFrame) -> IwasawaWitness:
     def times(mat, p):
         return exact_map(mat, lambda x: x * p)
 
-    # 1E on the numerator, u# = U / det, and q over D2 = det conj(det).
-    U = E @ adj
+    U = E @ adj  # 1E on the numerator: u# = U / det
     usharp = over(U, det)
-    D2 = det * det.conjugate()
+    D2 = det * det.conjugate()  # q's denominator
     # 1C on Q = det Q1: U rho = det E, as adj(rho) rho = det I, and
     # conj(det) = det, as rho is Hermitian.  X[:, ::-1] is X J2.
     Ubar_t_J2 = np.conjugate(U).T[:, ::-1]
