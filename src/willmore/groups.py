@@ -16,7 +16,10 @@ iso_P_indexwise re-derives the same map entry by entry and serves as an
 independent oracle: each index J of the block-graded model recombines two
 indices of the paired basis with two weights rho_J, by a table of four row
 rules (J <= m, J = m+1, J = m+2, J >= m+3), and entry (J, K) is
-(1/2) sum A[r, c] rho_J(r) conj(rho_K(c)).
+(1/2) sum A[r, c] rho_J(r) conj(rho_K(c)).  On a GaussianRational loop it
+works on the integer numerators of all its powers at once, where a weight
+i**e only swaps and negates their real and imaginary parts; a loop of any
+other ring is recombined entry by entry.
 
 Every constant is stored once, as a GaussianRational array.  An exact loop
 is multiplied by that array itself, so its entries keep their ring: a
@@ -30,7 +33,8 @@ import functools
 
 import numpy as np
 
-from .loops import LoopMatrix, exact_equal, exact_identity, exact_matrix, exact_zeros
+from .loops import (LoopMatrix, _exact_ints, _gr_array, _gr_parts, _numerator_bound,
+                    exact_equal, exact_identity, exact_matrix, exact_zeros)
 from .scalars import GR_HALF, GR_I, GR_ONE, GR_ZERO, GaussianRational
 
 _MEMBERSHIP_TOL = 1e-10
@@ -184,7 +188,13 @@ class GroupContext:
         GaussianRational, so the result stays in the ring of A's entries.
         It acts on all loop powers at once and never mixes them, so they
         can be a batch axis of constant matrices.  It shares no code with
-        iso_left/iso_right and reads no other constant of the context.
+        iso_left/iso_right, reads no other constant of the context and
+        multiplies no matrices.
+
+        A loop whose entries are all GaussianRational is recombined on its
+        integer numerators over one denominator (_indexwise_gr), each entry
+        normalized once; a loop with BiPoly or RationalFn entries is
+        recombined entry by entry, its sums in the order above.
         """
         if (A.rows, A.cols) != (self.dim, self.dim) or A.exact is False:
             raise ValueError("iso_P_indexwise expects an exact %dx%d loop"
@@ -192,14 +202,18 @@ class GroupContext:
         m = self.m
         # The table above, 0-indexed, each weight i**e stored as its exponent
         # e, so that rho_J(r) conj(rho_K(c)) = i**(e - f) is looked up.
-        i_pow = (GR_ONE, GR_I, -GR_ONE, -GR_I)
         rules = ([((2 * j, 0), (2 * j + 1, 3)) for j in range(1, m + 1)]
                  + [((0, 3), (1, 3)), ((0, 1), (1, 3))]
                  + [((2 * j, 2), (2 * j + 1, 3)) for j in range(m, 0, -1)])
         powers = list(A.coeffs)
         stack = np.array([A.coeffs[k] for k in powers], dtype=object).reshape(
             len(powers), self.dim, self.dim)
+        parts = _gr_parts(stack)
+        if parts:
+            entries = _indexwise_gr(parts, np.array(rules))
+            return LoopMatrix(self.dim, self.dim, dict(zip(powers, entries)))
 
+        i_pow = (GR_ONE, GR_I, -GR_ONE, -GR_I)
         rows = []
         for (r1, e1), (r2, e2) in rules:
             row = []
@@ -245,6 +259,30 @@ class GroupContext:
             val = residual.evaluate(None, lam)
             worst = max(worst, float(abs(val).max()) if val.size else 0.0)
         return {"which": which, "max_residual": worst, "passed": worst <= _MEMBERSHIP_TOL}
+
+
+def _indexwise_gr(parts, rules) -> np.ndarray:
+    """The index-wise table applied to a GaussianRational stack's _gr_parts
+    (d, re, im): each of the four terms of an entry gathers the numerators
+    at its pair of indices and turns them by i**(e - f), which swaps and
+    negates re and im; the sum is normalized once per entry, over 2d."""
+    d, re, im = parts
+    # An entry sums four numerators turned by i**e, none larger than the
+    # largest of re and im.
+    re, im = _exact_ints((re, im), 4 * _numerator_bound(re, im))
+    index, power = rules[..., 0], rules[..., 1]
+    # i**e = cos_e + sin_e i
+    cos, sin = np.array([1, 0, -1, 0]), np.array([0, 1, 0, -1])
+    total_re = total_im = 0
+    for a in (0, 1):
+        for b in (0, 1):
+            rows, cols = index[:, a, None], index[None, :, b]
+            x, y = re[:, rows, cols], im[:, rows, cols]
+            e = (power[:, a, None] - power[None, :, b]) % 4
+            c, s = cos[e], sin[e]
+            total_re = total_re + c * x - s * y
+            total_im = total_im + s * x + c * y
+    return _gr_array(total_re, total_im, 2 * d)
 
 
 @functools.lru_cache(maxsize=None)

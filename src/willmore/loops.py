@@ -8,9 +8,11 @@ such entries one by one, and object @ sums each entry's products left to
 right, so an exact product keeps the association written in the source.
 A LoopMatrix product of exact coefficients gives the entries object @
 gives, by a shorter route: two GaussianRational coefficients multiply their
-integer numerators over a common denominator and normalize each entry once,
-which gives the same canonical values, and any other pair multiplies only
-its pairs of nonzero entries (_object_product).
+integer numerators over a common denominator, as int64 where that cannot
+overflow, and normalize each entry once, which gives the same canonical
+values (_gr_product; a single GaussianRational coefficient meets every
+power of a GaussianRational loop in one stacked product), and any other
+pair multiplies only its pairs of nonzero entries (_object_product).
 The rings combine through Python's reflected operators: a GaussianRational
 times a BiPoly is a BiPoly, a BiPoly times a RationalFn a RationalFn.  So a
 constant or polynomial matrix stays in its own ring, and only a product
@@ -42,6 +44,8 @@ float loop supports it entrywise.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
@@ -174,29 +178,68 @@ def _degree(x) -> int:
     return 0
 
 
+# numpy's int64 arithmetic wraps past 2**63 - 1 without a warning.
+_INT64_LIMIT = 1 << 63
+
+
 def _gr_parts(M):
-    """(d, re, im): a GaussianRational matrix as integer object arrays
-    re + im*i over d, the lcm of its entries' denominators; None for any
-    other coefficient."""
-    if M.dtype != object or not all(type(x) is GaussianRational for x in M.flat):
+    """(d, re, im): a GaussianRational matrix, or stack of them, as integer
+    arrays re + im*i over d, the lcm of its entries' denominators; None for
+    any other coefficient.  The arrays are int64 when every numerator fits
+    in it, else Python-int object arrays."""
+    if M.dtype != object or not set(map(type, M.flat)) <= {GaussianRational}:
         return None
     d, xs, ys = _cleared(list(M.flat))
-    return d, *(np.array(v, dtype=object).reshape(M.shape) for v in (xs, ys))
+    fits = max(map(abs, xs + ys), default=0) < _INT64_LIMIT
+    return d, *(np.array(v, dtype=np.int64 if fits else object).reshape(M.shape)
+                for v in (xs, ys))
+
+
+def _numerator_bound(*nums) -> int:
+    """The largest magnitude among integer arrays."""
+    return max(int(np.abs(x).max(initial=0)) for x in nums)
+
+
+def _exact_ints(nums, reach):
+    """The integer arrays nums as they are if all are int64 and reach, the
+    largest magnitude a computation on them can take, is below 2**63; else
+    as Python-int object arrays.  numpy's int64 wraps past 2**63 - 1 without
+    a warning, so reach, taken from the arrays' own values, is what keeps an
+    int64 computation exact."""
+    if reach < _INT64_LIMIT and all(x.dtype == np.int64 for x in nums):
+        return nums
+    return [x.astype(object) for x in nums]
+
+
+def _gr_array(re, im, d) -> np.ndarray:
+    """The GaussianRationals (re + im*i)/d of two integer arrays, one _gr
+    per entry, as a read-only object array of their shape."""
+    out = np.array(list(map(_gr, re.ravel().tolist(), im.ravel().tolist(), repeat(d))),
+                   dtype=object).reshape(re.shape)
+    out.setflags(write=False)
+    return out
 
 
 def _gr_product(A, B) -> np.ndarray:
-    """The GaussianRational matrix product of two _gr_parts: the four
-    integer products of their numerators over d_A d_B, and one _gr per
-    entry."""
+    """The GaussianRational matrix product of two _gr_parts, matrices or
+    stacks whose leading axes broadcast as they do under @: the four integer
+    products of their numerators over d_A d_B, and one _gr per entry.
+
+    Each entry of Ar @ Br - Ai @ Bi or Ar @ Bi + Ai @ Br sums 2k products,
+    k the inner dimension, none larger than max|A| max|B|, each max taken
+    over an operand's real and imaginary numerators.  So when
+    2 k max|A| max|B| < 2**63 the numerators multiply as int64; since
+    numpy's int64 wraps silently on overflow, that bound, taken from the
+    operands' own numerators on every call, is what keeps the fast path
+    exact.  Past it they multiply as Python ints (_exact_ints)."""
     (dA, Ar, Ai), (dB, Br, Bi) = A, B
-    d = dA * dB
-    re, im = Ar @ Br - Ai @ Bi, Ar @ Bi + Ai @ Br
-    return np.array([_gr(r, i, d) for r, i in zip(re.flat, im.flat)],
-                    dtype=object).reshape(re.shape)
+    reach = 2 * Ar.shape[-1] * _numerator_bound(Ar, Ai) * _numerator_bound(Br, Bi)
+    Ar, Ai, Br, Bi = _exact_ints((Ar, Ai, Br, Bi), reach)
+    return _gr_array(Ar @ Br - Ai @ Bi, Ar @ Bi + Ai @ Br, dA * dB)
 
 
 def _gr_matmul(A, B) -> np.ndarray:
-    """A @ B for GaussianRational matrices, as _gr_product."""
+    """A @ B for GaussianRational matrices or stacks, as _gr_product."""
     return _gr_product(_gr_parts(A), _gr_parts(B))
 
 
@@ -307,13 +350,25 @@ class LoopMatrix:
         """The loop product, coefficient by coefficient.  Exact coefficients
         give the entries numpy's object @ gives: two GaussianRational ones
         through _gr_product, any other pair through _object_product, which
-        multiplies only pairs of nonzero entries."""
+        multiplies only pairs of nonzero entries.
+
+        When both loops are GaussianRational and one of them has a single
+        coefficient, as a group constant does, every power of the other is
+        multiplied by it in one stacked _gr_product: no two of the products
+        share a power, so none is summed."""
         _same_kind(self.exact, other.exact, "LoopMatrix operands")
         if self.cols != other.rows:
             raise ValueError(
                 "LoopMatrix matmul mismatch: %dx%d @ %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
+        if self.exact and other.exact and min(len(self.coeffs), len(other.coeffs)) == 1:
+            left = _gr_parts(np.stack(list(self.coeffs.values())))
+            right = left and _gr_parts(np.stack(list(other.coeffs.values())))
+            if right:
+                powers = [k1 + k2 for k1 in self.coeffs for k2 in other.coeffs]
+                return self._with(dict(zip(powers, _gr_product(left, right))),
+                                  cols=other.cols)
         # clear each GaussianRational coefficient once, for every power it meets
         left = {k: _gr_parts(m) for k, m in self.coeffs.items()}
         right = {k: _gr_parts(m) for k, m in other.coeffs.items()}

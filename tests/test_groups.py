@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import willmore.loops
 from willmore.groups import GroupContext, get_context
 from willmore.loops import LoopMatrix, exact_map
 from willmore.scalars import BiPoly, GaussianRational, RationalFn
@@ -33,6 +34,38 @@ def _rand_loop(rng, d):
             for _ in range(d)
         ]
     return LoopMatrix(d, d, coeffs)
+
+
+# Entries whose cleared numerators pass 2**62: 2**61 + 1 among Gaussian
+# integers is held by int64, but its sums and products are not; (10**20 + 1)/3
+# + i/7 is not held by int64 at all.
+_BIG_ENTRIES = (GaussianRational(2 ** 61 + 1),
+                GaussianRational(Fraction(10 ** 20 + 1, 3), Fraction(1, 7)))
+
+
+def _big_gr_loop(rng, d, big):
+    """A GaussianRational loop at powers -1, 0 and 1 of small entries over
+    the denominators of big, with big in its leading 2 x 2 block, which
+    index-wise entry (m, m) adds with one weight, and now and then
+    elsewhere."""
+    def entry(i, j):
+        if max(i, j) < 2 or rng.random() < 0.1:
+            return big
+        return GaussianRational(Fraction(rng.randint(-3, 3), big._d),
+                                Fraction(rng.randint(-3, 3), big._d))
+
+    return LoopMatrix(d, d, {k: [[entry(i, j) for j in range(d)] for i in range(d)]
+                             for k in (-1, 0, 1)})
+
+
+def _object_matmul(A, B):
+    """A @ B for exact loops by numpy's object @, power by power."""
+    out = {}
+    for k1, m1 in A.coeffs.items():
+        for k2, m2 in B.coeffs.items():
+            prod = m1 @ m2
+            out[k1 + k2] = out[k1 + k2] + prod if k1 + k2 in out else prod
+    return LoopMatrix(A.rows, B.cols, out)
 
 
 def _rings(L):
@@ -81,18 +114,41 @@ def test_iso_P_matches_indexwise_oracle(m):
         via_conj = ctx.iso_P(A)
         via_index = ctx.iso_P_indexwise(A)
         assert (via_conj - via_index).is_zero()
+    # Numerators past int64's range: both forms equal numpy's object @.
+    left, right = (LoopMatrix.from_constant(c) for c in (ctx.iso_left, ctx.iso_right))
+    for big in _BIG_ENTRIES:
+        A = _big_gr_loop(rng, d, big)
+        want = _object_matmul(_object_matmul(left, A), right)
+        assert ctx.iso_P(A) == want
+        assert ctx.iso_P_indexwise(A) == want
 
 
-def test_indexwise_oracle_reads_no_other_constant():
+def test_indexwise_oracle_reads_no_other_constant(monkeypatch):
     # The oracle is independent of the change of basis it checks: with M,
-    # P1 and the two sides of iso_P gone from its context, it gives the
-    # same loop.
+    # P1 and the two sides of iso_P gone from its context, and no matrix
+    # product to call, it gives the same loop, on loops of each ring.
     ctx = GroupContext(3)
-    A = _rand_loop(random.Random(11), ctx.dim)
-    want = ctx.iso_P(A)
+    rng = random.Random(11)
+    d = ctx.dim
+    z = BiPoly.var_z()
+    inputs = [_rand_loop(rng, d),
+             LoopMatrix(d, d, {k: [[_rand_gr(rng) for _ in range(d)] for _ in range(d)]
+                               for k in (-1, 0, 1)}),
+             LoopMatrix(d, d, {k: [[z * _rand_gr(rng) + _rand_gr(rng) for _ in range(d)]
+                                   for _ in range(d)] for k in (0, 1)})]
+    wants = [ctx.iso_P(A) for A in inputs]
     for name in ("M", "P1", "iso_left", "iso_right"):
         setattr(ctx, name, None)
-    assert ctx.iso_P_indexwise(A) == want
+
+    def no_product(*args):
+        raise AssertionError("the oracle multiplied matrices")
+
+    monkeypatch.setattr(willmore.loops, "_gr_product", no_product)
+    monkeypatch.setattr(LoopMatrix, "__matmul__", no_product)
+    for A, want in zip(inputs, wants):
+        got = ctx.iso_P_indexwise(A)
+        assert _rings(got) == _rings(A)
+        assert got == want
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -106,6 +162,13 @@ def test_iso_P_is_a_homomorphism(m):
         lhs = ctx.iso_P(A @ B)
         rhs = ctx.iso_P(A) @ ctx.iso_P(B)
         assert (lhs - rhs).is_zero()
+    # Numerators past int64's range: every product equals numpy's object @.
+    for big in _BIG_ENTRIES:
+        A, B = _big_gr_loop(rng, d, big), _big_gr_loop(rng, d, big)
+        AB = A @ B
+        assert AB == _object_matmul(A, B)
+        PA, PB = ctx.iso_P(A), ctx.iso_P(B)
+        assert ctx.iso_P(AB) == PA @ PB == _object_matmul(PA, PB)
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from willmore.loops import LoopMatrix, exact_map, unipotent_inverse
 from willmore.scalars import BiPoly, GaussianRational, RationalFn
@@ -50,7 +50,23 @@ def gr_loop_pairs(draw):
     return (r, k, loop(r, k)), (k, c, loop(k, c))
 
 
+def _big_pair(big):
+    """A one-power loop times a two-power loop, big among small entries over
+    its denominators: the stacked constant product."""
+    def small(a, b):
+        return GaussianRational(Fraction(a, big._d), Fraction(b, big._d))
+
+    a = {0: [[big, small(1, 0)], [small(0, -2), big], [small(3, 1), small(0, 0)]]}
+    b = {-1: [[big, small(2, 1)], [small(-1, 3), big]],
+         1: [[small(0, 1), big], [big, small(-3, 0)]]}
+    return (3, 2, a), (2, 2, b)
+
+
+# Cleared numerators past 2**62: 2**61 + 1 among Gaussian integers is held by
+# int64, but its products are not; (10**20 + 1)/3 + i/7 is not held by int64.
 @given(gr_loop_pairs())
+@example(_big_pair(GaussianRational(2 ** 61 + 1)))
+@example(_big_pair(GaussianRational(Fraction(10 ** 20 + 1, 3), Fraction(1, 7))))
 @settings(deadline=None, max_examples=15)
 def test_gaussian_rational_matmul_matches_object_matmul(pair):
     (r, k, a), (_, c, b) = pair

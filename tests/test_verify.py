@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import willmore.iwasawa
+import willmore.loops
 import willmore.surfaces
 import willmore.verify
 from test_acceptance import _random_potentials
 from willmore.cli import main
 from willmore.frames import HolomorphicFrame, integrate_frame
-from willmore.groups import GroupContext
+from willmore.groups import GroupContext, get_context
 from willmore.iwasawa import solve_iwasawa_exact
 from willmore.loops import LoopMatrix, exact_zeros
 from willmore.potentials import NormalizedPotential, builtin_potential, to_nilpotent
@@ -551,6 +552,21 @@ def test_oracle_checks_the_homomorphism_of_the_last_pair(monkeypatch):
     ctx = GroupContext(3)
     assert _iso_oracle(ctx, {"seed": 8, "oracle_matrices": 3}, 0.5) == 0.0
     assert _iso_oracle(ctx, {"seed": 8, "oracle_matrices": 4}, 0.5) > 0.0
+
+
+def test_oracle_makes_as_many_kernel_calls_for_any_matrix_count(monkeypatch):
+    # Every product of the oracle is stacked over its matrices: iso_P's two
+    # sides on A and on the pair products, B A, and P(B) P(A).
+    calls = []
+    product = willmore.loops._gr_product
+    monkeypatch.setattr(willmore.loops, "_gr_product",
+                        lambda A, B: calls.append(1) or product(A, B))
+    counts = {}
+    for n in (5, 25):
+        calls.clear()
+        assert _iso_oracle(get_context(3), {"seed": 7, "oracle_matrices": n}, 0.5) == 0.0
+        counts[n] = len(calls)
+    assert counts[5] == counts[25] <= 6, counts
 
 
 @pytest.mark.parametrize("count", [0, 1, 5])
