@@ -16,15 +16,16 @@ iso_P_indexwise re-derives the same map entry by entry and serves as an
 independent oracle: each index J of the block-graded model recombines two
 indices of the paired basis with two weights rho_J, by a table of four row
 rules (J <= m, J = m+1, J = m+2, J >= m+3), and entry (J, K) is
-(1/2) sum A[r, c] rho_J(r) conj(rho_K(c)).  On a GaussianRational loop it
-works on the integer numerators of all its powers at once, where a weight
-i**e only swaps and negates their real and imaginary parts; a loop of any
-other ring is recombined entry by entry.
+(1/2) sum A[r, c] rho_J(r) conj(rho_K(c)).  It gathers the four terms of
+every entry, over all loop powers at once, in any ring; on a
+GaussianRational loop it gathers integer numerators, where a weight i**e
+only swaps and negates their real and imaginary parts.
 
-Every constant is stored once, as a GaussianRational array.  An exact loop
-is multiplied by that array itself, so its entries keep their ring: a
-constant loop stays GaussianRational, a polynomial one BiPoly.  A float
-loop uses the constant's complex copy from np().
+Every constant is stored once, as a GaussianRational array.  A conjugation
+left A right by two constants (_sandwich) multiplies an exact loop by those
+arrays themselves, so its entries keep their ring: a constant loop stays
+GaussianRational, a polynomial one BiPoly.  A float loop uses the
+constants' complex copies from np().
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ import functools
 
 import numpy as np
 
-from .loops import (LoopMatrix, _exact_ints, _gr_array, _gr_parts, _numerator_bound,
-                    exact_equal, exact_identity, exact_matrix, exact_zeros)
+from .loops import (LoopMatrix, _exact_ints, _gr_array, _gr_matmul, _gr_parts,
+                    _numerator_bound, _object_product, exact_equal, exact_identity,
+                    exact_matrix, exact_zeros)
 from .scalars import GR_HALF, GR_I, GR_ONE, GR_ZERO, GaussianRational
 
 _MEMBERSHIP_TOL = 1e-10
@@ -147,12 +149,21 @@ class GroupContext:
             self._arrays[name] = cached
         return cached
 
-    def _like(self, name: str, F: LoopMatrix) -> LoopMatrix:
-        """A stored constant as a power-0 loop of F's kind: for an exact F the
-        GaussianRational array itself, so products keep the ring of F's
-        entries."""
-        return LoopMatrix.from_constant(self.np(name) if F.exact is False
-                                        else getattr(self, name))
+    def _sandwich(self, left: str, A: LoopMatrix, right: str) -> LoopMatrix:
+        """left A right for two stored constants, power by power: for a
+        float A, np(left) @ c @ np(right); for a GaussianRational A, one
+        numerator chain over the stack of all its powers, each entry reduced
+        once (_gr_matmul); for any other exact A, two object products."""
+        if A.exact is False:
+            L, R = self.np(left), self.np(right)
+            return A._with({k: L @ c @ R for k, c in A.coeffs.items()})
+        if not A.coeffs:
+            return A._with({})
+        L, R = getattr(self, left), getattr(self, right)
+        out = _gr_matmul(L, np.stack(list(A.coeffs.values())), R)
+        if out is None:
+            out = [_object_product(_object_product(L, c), R) for c in A.coeffs.values()]
+        return A._with(dict(zip(A.coeffs, out)))
 
     # -- the isometry -------------------------------------------------------
 
@@ -160,13 +171,13 @@ class GroupContext:
         """Push a matrix in the paired basis into the block-graded model."""
         if (A.rows, A.cols) != (self.dim, self.dim):
             raise ValueError("iso_P expects a %dx%d matrix" % (self.dim, self.dim))
-        return self._like("iso_left", A) @ A @ self._like("iso_right", A)
+        return self._sandwich("iso_left", A, "iso_right")
 
     def iso_P_inv(self, B: LoopMatrix) -> LoopMatrix:
         if (B.rows, B.cols) != (self.dim, self.dim):
             raise ValueError("iso_P_inv expects a %dx%d matrix" % (self.dim, self.dim))
         # Inverse conjugation: swap the two sides.
-        return self._like("iso_right", B) @ B @ self._like("iso_left", B)
+        return self._sandwich("iso_right", B, "iso_left")
 
     def iso_P_inv_np(self, B):
         """iso_P_inv on a plain numpy matrix (no loop powers)."""
@@ -191,10 +202,13 @@ class GroupContext:
         iso_left/iso_right, reads no other constant of the context and
         multiplies no matrices.
 
-        A loop whose entries are all GaussianRational is recombined on its
-        integer numerators over one denominator (_indexwise_gr), each entry
-        normalized once; a loop with BiPoly or RationalFn entries is
-        recombined entry by entry, its sums in the order above.
+        Each of the four terms of an entry is one gather over the stack of
+        all powers (_indexwise_terms).  A loop whose entries are all
+        GaussianRational is gathered on its integer numerators over one
+        denominator (_indexwise_gr), each entry normalized once; a loop
+        with BiPoly or RationalFn entries is gathered as it is, each term
+        turned by its GaussianRational weight and the four summed in the
+        order above.
         """
         if (A.rows, A.cols) != (self.dim, self.dim) or A.exact is False:
             raise ValueError("iso_P_indexwise expects an exact %dx%d loop"
@@ -202,39 +216,29 @@ class GroupContext:
         m = self.m
         # The table above, 0-indexed, each weight i**e stored as its exponent
         # e, so that rho_J(r) conj(rho_K(c)) = i**(e - f) is looked up.
-        rules = ([((2 * j, 0), (2 * j + 1, 3)) for j in range(1, m + 1)]
-                 + [((0, 3), (1, 3)), ((0, 1), (1, 3))]
-                 + [((2 * j, 2), (2 * j + 1, 3)) for j in range(m, 0, -1)])
+        rules = np.array([((2 * j, 0), (2 * j + 1, 3)) for j in range(1, m + 1)]
+                         + [((0, 3), (1, 3)), ((0, 1), (1, 3))]
+                         + [((2 * j, 2), (2 * j + 1, 3)) for j in range(m, 0, -1)])
         powers = list(A.coeffs)
         stack = np.array([A.coeffs[k] for k in powers], dtype=object).reshape(
             len(powers), self.dim, self.dim)
         parts = _gr_parts(stack)
         if parts:
-            entries = _indexwise_gr(parts, np.array(rules))
-            return LoopMatrix(self.dim, self.dim, dict(zip(powers, entries)))
-
-        i_pow = (GR_ONE, GR_I, -GR_ONE, -GR_I)
-        rows = []
-        for (r1, e1), (r2, e2) in rules:
-            row = []
-            for (c1, f1), (c2, f2) in rules:
-                # Summed left to right, column outer and row inner: an exact
-                # sum's term order follows the order of its terms.
-                row.append((stack[:, r1, c1] * i_pow[(e1 - f1) % 4]
-                            + stack[:, r2, c1] * i_pow[(e2 - f1) % 4]
-                            + stack[:, r1, c2] * i_pow[(e1 - f2) % 4]
-                            + stack[:, r2, c2] * i_pow[(e2 - f2) % 4]) * GR_HALF)
-            rows.append(row)
-
-        entries = np.moveaxis(np.array(rows, dtype=object), -1, 0)
+            entries = _indexwise_gr(parts, rules)
+        else:
+            i_pow = np.array([GR_ONE, GR_I, -GR_ONE, -GR_I], dtype=object)
+            t0, t1, t2, t3 = (stack[:, rows, cols] * i_pow[e]
+                              for rows, cols, e in _indexwise_terms(rules))
+            # Summed left to right: an exact sum's term order follows the
+            # order of its terms.
+            entries = (t0 + t1 + t2 + t3) * GR_HALF
         return LoopMatrix(self.dim, self.dim, dict(zip(powers, entries)))
 
     # -- conjugations and membership -----------------------------------------
 
     def tau(self, F: LoopMatrix) -> LoopMatrix:
         """Reality involution: S0 bar(F) S0."""
-        S0 = self._like("S0", F)
-        return S0 @ F.bar() @ S0
+        return self._sandwich("S0", F.bar(), "S0")
 
     def check_membership(self, F: LoopMatrix, which: str) -> dict:
         """Report how well a float F, a constant or a stack over samples,
@@ -245,13 +249,12 @@ class GroupContext:
         if F.exact is not False:
             raise ValueError("check_membership needs a float loop")
         if which == "G(2m+2,C)":
-            J = self._like("J", F)
+            J = LoopMatrix.from_constant(self.np("J"))
             residual = F.transpose() @ J @ F - J
         elif which == "real-form-via-tau":
             residual = self.tau(F) - F
         elif which == "twisted-via-D0":
-            D0 = self._like("D0", F)
-            residual = F.negate_lambda() - D0 @ F @ D0
+            residual = F.negate_lambda() - self._sandwich("D0", F, "D0")
         else:
             raise ValueError("unknown membership relation %r" % which)
         worst = 0.0
@@ -259,6 +262,17 @@ class GroupContext:
             val = residual.evaluate(None, lam)
             worst = max(worst, float(abs(val).max()) if val.size else 0.0)
         return {"which": which, "max_residual": worst, "passed": worst <= _MEMBERSHIP_TOL}
+
+
+def _indexwise_terms(rules):
+    """The four terms of every index-wise entry, column outer and row inner:
+    for each, the row and column indices to gather, broadcasting to the
+    entries' shape, and the exponent e of the weight i**e that turns it."""
+    index, power = rules[..., 0], rules[..., 1]
+    for b in (0, 1):
+        for a in (0, 1):
+            yield (index[:, a, None], index[None, :, b],
+                   (power[:, a, None] - power[None, :, b]) % 4)
 
 
 def _indexwise_gr(parts, rules) -> np.ndarray:
@@ -270,18 +284,14 @@ def _indexwise_gr(parts, rules) -> np.ndarray:
     # An entry sums four numerators turned by i**e, none larger than the
     # largest of re and im.
     re, im = _exact_ints((re, im), 4 * _numerator_bound(re, im))
-    index, power = rules[..., 0], rules[..., 1]
     # i**e = cos_e + sin_e i
     cos, sin = np.array([1, 0, -1, 0]), np.array([0, 1, 0, -1])
     total_re = total_im = 0
-    for a in (0, 1):
-        for b in (0, 1):
-            rows, cols = index[:, a, None], index[None, :, b]
-            x, y = re[:, rows, cols], im[:, rows, cols]
-            e = (power[:, a, None] - power[None, :, b]) % 4
-            c, s = cos[e], sin[e]
-            total_re = total_re + c * x - s * y
-            total_im = total_im + s * x + c * y
+    for rows, cols, e in _indexwise_terms(rules):
+        x, y = re[:, rows, cols], im[:, rows, cols]
+        c, s = cos[e], sin[e]
+        total_re = total_re + c * x - s * y
+        total_im = total_im + s * x + c * y
     return _gr_array(total_re, total_im, 2 * d)
 
 

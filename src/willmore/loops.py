@@ -7,12 +7,12 @@ GaussianRational, BiPoly or RationalFn.  numpy applies +, -, * and @ to
 such entries one by one, and object @ sums each entry's products left to
 right, so an exact product keeps the association written in the source.
 A LoopMatrix product of exact coefficients gives the entries object @
-gives, by a shorter route: two GaussianRational coefficients multiply their
-integer numerators over a common denominator, as int64 where that cannot
-overflow, and normalize each entry once, which gives the same canonical
-values (_gr_product; a single GaussianRational coefficient meets every
-power of a GaussianRational loop in one stacked product), and any other
-pair multiplies only its pairs of nonzero entries (_object_product).
+gives, by a shorter route: it multiplies only the pairs of nonzero entries
+(_object_product).  A chain of GaussianRational matrices or stacks
+multiplies their integer numerators over a common denominator, as int64
+where that cannot overflow, and normalizes each entry once, at the end,
+which gives the same canonical values (_gr_matmul); the group constants'
+conjugations and the isometry oracle use it.
 The rings combine through Python's reflected operators: a GaussianRational
 times a BiPoly is a BiPoly, a BiPoly times a RationalFn a RationalFn.  So a
 constant or polynomial matrix stays in its own ring, and only a product
@@ -45,6 +45,7 @@ float loop supports it entrywise.
 
 from __future__ import annotations
 
+import functools
 from itertools import repeat
 
 import numpy as np
@@ -220,10 +221,10 @@ def _gr_array(re, im, d) -> np.ndarray:
     return out
 
 
-def _gr_product(A, B) -> np.ndarray:
+def _gr_product(A, B):
     """The GaussianRational matrix product of two _gr_parts, matrices or
-    stacks whose leading axes broadcast as they do under @: the four integer
-    products of their numerators over d_A d_B, and one _gr per entry.
+    stacks whose leading axes broadcast as they do under @, as _gr_parts
+    too: (d_A d_B, Ar Br - Ai Bi, Ar Bi + Ai Br), not reduced.
 
     Each entry of Ar @ Br - Ai @ Bi or Ar @ Bi + Ai @ Br sums 2k products,
     k the inner dimension, none larger than max|A| max|B|, each max taken
@@ -235,12 +236,19 @@ def _gr_product(A, B) -> np.ndarray:
     (dA, Ar, Ai), (dB, Br, Bi) = A, B
     reach = 2 * Ar.shape[-1] * _numerator_bound(Ar, Ai) * _numerator_bound(Br, Bi)
     Ar, Ai, Br, Bi = _exact_ints((Ar, Ai, Br, Bi), reach)
-    return _gr_array(Ar @ Br - Ai @ Bi, Ar @ Bi + Ai @ Br, dA * dB)
+    return dA * dB, Ar @ Br - Ai @ Bi, Ar @ Bi + Ai @ Br
 
 
-def _gr_matmul(A, B) -> np.ndarray:
-    """A @ B for GaussianRational matrices or stacks, as _gr_product."""
-    return _gr_product(_gr_parts(A), _gr_parts(B))
+def _gr_matmul(*mats):
+    """The product of GaussianRational matrices or stacks, left to right,
+    as numpy's object @ gives it: their numerators multiply through
+    _gr_product, and each entry is reduced once, at the end.  None if an
+    operand has an entry of another ring."""
+    parts = [_gr_parts(M) for M in mats]
+    if not all(parts):
+        return None
+    d, re, im = functools.reduce(_gr_product, parts)
+    return _gr_array(re, im, d)
 
 
 # The rings of exact scalars in the order in which they absorb each other: a
@@ -348,41 +356,19 @@ class LoopMatrix:
 
     def __matmul__(self, other):
         """The loop product, coefficient by coefficient.  Exact coefficients
-        give the entries numpy's object @ gives: two GaussianRational ones
-        through _gr_product, any other pair through _object_product, which
-        multiplies only pairs of nonzero entries.
-
-        When both loops are GaussianRational and one of them has a single
-        coefficient, as a group constant does, every power of the other is
-        multiplied by it in one stacked _gr_product: no two of the products
-        share a power, so none is summed."""
+        give the entries numpy's object @ gives, through _object_product,
+        which multiplies only pairs of nonzero entries."""
         _same_kind(self.exact, other.exact, "LoopMatrix operands")
         if self.cols != other.rows:
             raise ValueError(
                 "LoopMatrix matmul mismatch: %dx%d @ %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        if self.exact and other.exact and min(len(self.coeffs), len(other.coeffs)) == 1:
-            left = _gr_parts(np.stack(list(self.coeffs.values())))
-            right = left and _gr_parts(np.stack(list(other.coeffs.values())))
-            if right:
-                powers = [k1 + k2 for k1 in self.coeffs for k2 in other.coeffs]
-                return self._with(dict(zip(powers, _gr_product(left, right))),
-                                  cols=other.cols)
-        # clear each GaussianRational coefficient once, for every power it meets
-        left = {k: _gr_parts(m) for k, m in self.coeffs.items()}
-        right = {k: _gr_parts(m) for k, m in other.coeffs.items()}
         out = {}
         for k1, m1 in self.coeffs.items():
             for k2, m2 in other.coeffs.items():
                 k = k1 + k2
-                p1, p2 = left[k1], right[k2]
-                if p1 and p2:
-                    prod = _gr_product(p1, p2)
-                elif m1.dtype == object:
-                    prod = _object_product(m1, m2)
-                else:
-                    prod = m1 @ m2
+                prod = _object_product(m1, m2) if m1.dtype == object else m1 @ m2
                 out[k] = out[k] + prod if k in out else prod
         return self._with(out, cols=other.cols)
 

@@ -180,10 +180,37 @@ def test_iso_P_inverse_round_trip(m):
     assert (ctx.iso_P(ctx.iso_P_inv(A)) - A).is_zero()
 
 
+def test_iso_P_reduces_each_entry_once(monkeypatch):
+    # Both sides of the isometry multiply the numerators of every power in
+    # one chain, and each entry of the result is reduced once at its end:
+    # one _gr per entry, not one per entry and side.
+    ctx = get_context(3)
+    rng = random.Random(25)
+    d = ctx.dim
+    A = LoopMatrix(d, d, {k: [[_rand_gr(rng) for _ in range(d)] for _ in range(d)]
+                          for k in range(-12, 13)})
+    want = ctx.iso_P(A)
+    calls = []
+    reduce = willmore.loops._gr
+    monkeypatch.setattr(willmore.loops, "_gr",
+                        lambda *args: calls.append(1) or reduce(*args))
+    assert ctx.iso_P(A) == want
+    assert len(want.coeffs) == 25
+    assert len(calls) == 25 * d * d
+
+
 def test_iso_P_shape_guard():
     ctx = get_context(2)
+    d = ctx.dim
     with pytest.raises(ValueError):
         ctx.iso_P(LoopMatrix.identity(3))
+    with pytest.raises(ValueError):
+        ctx.iso_P_inv(LoopMatrix.identity(3))
+    with pytest.raises(ValueError):
+        ctx.iso_P_indexwise(LoopMatrix.identity(3))
+    # the oracle checks exact loops only
+    with pytest.raises(ValueError):
+        ctx.iso_P_indexwise(LoopMatrix.from_constant(np.eye(d)))
 
 
 def test_tau_is_involutive():
@@ -191,6 +218,13 @@ def test_tau_is_involutive():
     rng = random.Random(42)
     F = _rand_loop(rng, ctx.dim)
     assert (ctx.tau(ctx.tau(F)) - F).is_zero()
+    # a float loop stacked over two samples: S0 permutes entries, so tau
+    # twice gives F back bit for bit
+    gen = np.random.default_rng(42)
+    shape = (2, ctx.dim, ctx.dim)
+    G = LoopMatrix(ctx.dim, ctx.dim, {k: gen.normal(size=shape) + 1j * gen.normal(size=shape)
+                                      for k in (-1, 0, 2)})
+    assert ctx.tau(ctx.tau(G)) == G
 
 
 def test_membership_reports_identity():
