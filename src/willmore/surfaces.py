@@ -11,10 +11,10 @@ coordinates where the pairing is diag(-1, 1, ..., 1) on R^{1,2m+1}.
 
 Exact pairs store the homogeneous components as rational functions without
 the common sqrt(2)/2 factor; every quadratic check carries the rational
-factor 1/2 instead, and projections cancel it entirely.  The exact columns
-also sit in the rational gauge (a shared unit scalar away from the honest
-frame columns), which no projective, quadratic, or derivative-flag check
-can see.
+factor 1/2 instead, and projections and conformal factors cancel it.  The
+exact columns also sit in the rational gauge (a shared unit scalar away from
+the honest frame columns), which no projective, quadratic, or
+derivative-flag check can see.
 """
 
 from __future__ import annotations
@@ -79,6 +79,16 @@ def mink_pair_rf(xs, ys) -> RationalFn:
     return acc
 
 
+def _common_numerators(comps):
+    """(P, D) with comps = P / D, D the product of their distinct denominators."""
+    dens = list(dict.fromkeys(c.den for c in comps if c.den != BP_ONE))
+    D, P = BP_ONE, [c.num for c in comps]
+    for den in dens:
+        D = D * den
+        P = [p if c.den == den else p * den for p, c in zip(P, comps)]
+    return P, D
+
+
 def mink_pair_np(x: np.ndarray, y: np.ndarray):
     """Bilinear pairing of signature (1, 2m+1) of two complex vectors, or of
     each row of two stacks (last axis).
@@ -97,8 +107,9 @@ class SurfacePair:
     2m+2 RationalFn in R^{1,2m+1} coordinates (stored scale: true lift =
     (sqrt(2)/2) * stored, pairings carry factor 1/2), each a polynomial read
     off the exact frame's middle blocks at an exact unit lam, over det rho,
-    and reduced by its num/den gcd; induced_metric keeps its conformal
-    factors in metrics, by lift.
+    and reduced by its num/den gcd.  Each lift is null, so its conformal
+    factor is <P_z, P_zbar> / P[0]^2 in its numerators P over their common
+    denominator; induced_metric keeps it in metrics, by lift.
     Float pair (Y is None), SurfacePair(hf.m, lam, hf) for lam on the unit
     circle: its lifts are read off the middle columns of the frame at the
     samples of a float witness of hf that the caller solved.
@@ -238,15 +249,20 @@ def _project(vals, errors, z):
 def induced_metric(pair: SurfacePair, which: str = "Y"):
     """Conformal factor |y_z|^2 of the projected surface.
 
-    Exact pairs return it as a rational function (formal derivatives),
-    computed once per pair and lift and kept in pair.metrics.  Float pairs
-    return an evaluator metric(z, w, values, columns) for the caller's float
-    witness w = solve_iwasawa_float(pair.hf, z), values = pair.values(w) and
-    columns = metric_columns(pair, w), so that the lifts and both factors
-    share them; z names the samples in errors.  It returns (factors,
-    errors): errors as values gives them, with a vanishing first coordinate
-    of this lift (_project) added, and the factor NaN wherever an error is
-    set.  So a sample fails only where it fails itself.
+    Exact pairs return it as a rational function, kept in pair.metrics by
+    lift.  Over their common denominator the components are P / D, and a
+    null lift has <P, P> = 0 as a polynomial in independent z and zbar, so
+    <P, P_z> = <P, P_zbar> = 0 and |y_z|^2 = <Y_z, Y_zbar> / Y[0]^2 =
+    <P_z, P_zbar> / P[0]^2.  As the identity needs nullity, a lift that is
+    not null raises ResidualTooLarge; a zero P[0], FirstCoordinateVanishes.
+    Float pairs return an evaluator metric(z, w, values, columns) for the
+    caller's float witness w = solve_iwasawa_float(pair.hf, z),
+    values = pair.values(w) and columns = metric_columns(pair, w), so that
+    the lifts and both factors share them; z names the samples in errors.
+    It returns (factors, errors): errors as values gives them, with a
+    vanishing first coordinate of this lift (_project) added, and the
+    factor NaN wherever an error is set.  So a sample fails only where it
+    fails itself.
 
     The factor is a closed form at the sample itself.  The honest lift is a
     scalar multiple of P, its column of metric_columns, so y = P[1:] / P[0].
@@ -256,11 +272,13 @@ def induced_metric(pair: SurfacePair, which: str = "Y"):
     idx = _lift_index(which)
     if pair.Y is not None:
         if idx not in pair.metrics:
-            acc = None
-            for c in project_to_sphere(pair, which):
-                term = c.d_dz() * c.d_dzbar()
-                acc = term if acc is None else acc + term
-            pair.metrics[idx] = acc
+            P = _common_numerators((pair.Y, pair.Yhat)[idx])[0]
+            if P[0].is_zero():
+                raise FirstCoordinateVanishes("lift has identically zero first coordinate")
+            if not mink_pair_rf(P, P).is_zero():
+                raise ResidualTooLarge("lift is not null: <P, P> is not the zero polynomial")
+            pair.metrics[idx] = RationalFn(mink_pair_rf(
+                [p.d_dz() for p in P], [p.d_dzbar() for p in P]), P[0] * P[0])
         return pair.metrics[idx]
 
     def metric(z, w, values, columns):
@@ -302,57 +320,39 @@ def metric_columns(pair: SurfacePair, w: IwasawaWitness):
 # -- total isotropy --------------------------------------------------------------
 
 
-def _cofactor_times(num: BiPoly, den: BiPoly, dens) -> BiPoly:
-    """num times every denominator in dens other than den: the numerator of
-    num / den over the product of dens."""
-    for other in dens:
-        if other != den:
-            num = num * other
-    return num
-
-
 def isotropy_check(pair: SurfacePair, which: str = "Y", max_order: int = None) -> dict:
     """Pairings of z-derivative pairs of an exact pair's lift, up to max_order.
 
     All of them must vanish: the z-derivative flag of the lift is isotropic,
     a property insensitive to the stored gauge and scale.
 
-    The components are put over their common denominator D, the product of
-    their distinct denominators, and differentiated by the quotient rule, so
-    each pairing is a polynomial over a power of D and no gcd is taken.  A
-    pairing that is the zero polynomial reports 0 and any other inf.  A
-    float pair raises ExactPathRequired; verify checks its lifts by finite
-    differences.
+    The components are put over their common denominator D
+    (_common_numerators) and differentiated by the quotient rule, so each
+    pairing is a polynomial over a power of D.  A pairing that is the zero
+    polynomial reports 0 and any other inf.  A float pair raises
+    ExactPathRequired; verify checks its lifts by finite differences.
     """
     comps = (pair.Y, pair.Yhat)[_lift_index(which)]
     if comps is None:
         raise ExactPathRequired("isotropy_check reads exact pairs only")
     if max_order is None:
         max_order = pair.m
-    pairs = {}
 
     # Over the common denominator D the lift is P / D, and by the quotient
     # rule d^j/dz^j (P / D) = Q_j / D^(j+1) with
     # Q_(j+1) = dQ_j D - (j+1) Q_j dD, so <d^j Y, d^l Y> vanishes exactly
     # when the polynomial <Q_j, Q_l> does.
-    dens = []
-    for c in comps:
-        if c.den != BP_ONE and c.den not in dens:
-            dens.append(c.den)
-    D = BP_ONE
-    for den in dens:
-        D = D * den
-    derivs = [[_cofactor_times(c.num, c.den, dens) for c in comps]]
-    dD = D.d_dz()
+    P, D = _common_numerators(comps)
+    derivs, dD = [P], D.d_dz()
     for j in range(max_order):
         derivs.append([q.d_dz() * D - q * dD * (j + 1) for q in derivs[-1]])
-    worst = 0.0
+    pairs = {}
     for j in range(1, max_order + 1):
         for l in range(j, max_order + 1):
-            res = 0.0 if mink_pair_rf(derivs[j], derivs[l]).is_zero() else float("inf")
-            pairs["(%d,%d)" % (j, l)] = res
-            worst = max(worst, res)
-    return {"which": which, "max_order": max_order, "pairs": pairs, "max_residual": worst}
+            zero = mink_pair_rf(derivs[j], derivs[l]).is_zero()
+            pairs["(%d,%d)" % (j, l)] = 0.0 if zero else float("inf")
+    return {"which": which, "max_order": max_order, "pairs": pairs,
+            "max_residual": max(pairs.values(), default=0.0)}
 
 
 # -- degeneracy locus -------------------------------------------------------------

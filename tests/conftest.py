@@ -12,7 +12,7 @@ import pytest
 from willmore.frames import integrate_frame
 from willmore.iwasawa import assemble_frame, solve_iwasawa_exact, solve_iwasawa_float
 from willmore.potentials import builtin_potential, to_nilpotent
-from willmore.surfaces import extract_pair, induced_metric, metric_columns
+from willmore.surfaces import extract_pair, induced_metric, metric_columns, project_to_sphere
 from willmore.verify import _fd_offsets
 
 
@@ -26,6 +26,18 @@ def float_metric(pair, which, z):
     (factors, errors)."""
     w = solve_iwasawa_float(pair.hf, z)
     return induced_metric(pair, which)(z, w, pair.values(w), metric_columns(pair, w))
+
+
+def quotient_rule_metric(pair, which):
+    """The exact conformal factor of one lift as the sum over its projected
+    components c of c_z c_zbar, each derivative by the quotient rule: the
+    formula induced_metric used before it read the lift's numerators, kept
+    as an oracle, whose unreduced num/den text the metric pins hash."""
+    acc = None
+    for c in project_to_sphere(pair, which):
+        term = c.d_dz() * c.d_dzbar()
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def isotropy_lifts(pair, samples):

@@ -352,7 +352,7 @@ def _exact_factors(example_id, pair2):
     """The exact conformal factors of y and yhat: the printed ones, and for
     example 2's yhat, which has none printed, the exact pair's, reduced: it
     has the exact value of the unreduced quotient, which evaluate rounds
-    once, and takes a fraction of its time to evaluate."""
+    once, and takes about half its time to evaluate."""
     from willmore.surfaces import induced_metric, reference_metric
 
     if example_id == 1:

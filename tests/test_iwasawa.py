@@ -37,7 +37,7 @@ from willmore.surfaces import (
     reference_singular_radius,
 )
 
-from conftest import float_values
+from conftest import float_values, quotient_rule_metric
 
 
 def _r2_poly(coeffs):
@@ -90,7 +90,9 @@ def test_exact_intermediates_keep_their_representation(hf1, hf2, frame1, frame2,
     # example-1 metrics at lambda = 1.  The first digest is the text the
     # tuple-matrix code computed, with u# rebuilt by its rational chain; the
     # witness's own u#, its numerator over det rho, must equal that u# and
-    # is pinned by the second digest.
+    # is pinned by the second digest.  Both hash the metrics as the quotient
+    # rule formed them (quotient_rule_metric), which induced_metric's
+    # factors must equal; the third digest pins induced_metric's own text.
     old, new = hashlib.sha256(), hashlib.sha256()
     for hf, frame in ((hf1, frame1), (hf2, frame2)):
         w = frame.witness
@@ -101,14 +103,21 @@ def test_exact_intermediates_keep_their_representation(hf1, hf2, frame1, frame2,
         for digest, usharp in ((old, chain), (new, w.usharp)):
             for part in (w.rho, usharp, w.det_rho):
                 digest.update(_sorted_text(part).encode())
+    metrics = hashlib.sha256()
     for which in ("Y", "Yhat"):
-        text = _sorted_text(induced_metric(pair1, which)).encode()
+        oracle = quotient_rule_metric(pair1, which)
+        metric = induced_metric(pair1, which)
+        assert metric == oracle, which
+        text = _sorted_text(oracle).encode()
         old.update(text)
         new.update(text)
+        metrics.update(_sorted_text(metric).encode())
     assert old.hexdigest() == (
         "2ad8b3fcbc56bb7faf3f4696fa7819d67460fe494949abb38254f100f3129d24")
     assert new.hexdigest() == (
         "9a49af25cdb5b5f1bfe404b8a44647c9823a2d6ba525bef2ebd0ab0966d42ecb")
+    assert metrics.hexdigest() == (
+        "c8fbad7d2753690f9d6ceb594132d7de3d2c034245b748f733e7a0ace5f9de1d")
 
 
 def test_exact_witness_of_a_random_potential_keeps_its_representation():

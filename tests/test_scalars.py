@@ -16,6 +16,8 @@ from willmore.scalars import (
     RationalFn,
 )
 
+from conftest import quotient_rule_metric
+
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
@@ -602,12 +604,15 @@ def test_float_evaluation_rounds_the_exact_value_once(pair2):
     from willmore.frames import integrate_frame
     from willmore.loops import _bind
     from willmore.potentials import builtin_potential, to_nilpotent
-    from willmore.surfaces import induced_metric
 
     H = integrate_frame(to_nilpotent(builtin_potential(1))).H_loop()
     entries = [x for c in H.coeffs.values() for x in c.flat if x]
     assert any(isinstance(x, RationalFn) and x.den != BP_ONE for x in entries)
-    entries.append(induced_metric(pair2, "Yhat"))
+    # example 2's yhat factor as the quotient rule forms it, (54, 54)/(56, 56):
+    # the large numerators of an unreduced quotient
+    big = quotient_rule_metric(pair2, "Yhat")
+    assert (big.num.degrees(), big.den.degrees()) == ((54, 54), (56, 56))
+    entries.append(big)
     zs = [0j, complex(-0.0, 0.0), 0.3 - 0.7j, -1.25 + 0.5j, 1e-3j, 0.7, 1e-200 + 1e200j]
     bits = lambda v: np.array(v, dtype=complex, ndmin=1).view(np.uint64)
     for x in entries:

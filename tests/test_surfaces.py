@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from willmore.errors import ExactPathRequired, SingularLocus
+from willmore.errors import (
+    ExactPathRequired,
+    FirstCoordinateVanishes,
+    ResidualTooLarge,
+    SingularLocus,
+)
 from willmore.frames import integrate_frame
 from willmore.iwasawa import solve_iwasawa_exact, solve_iwasawa_float
 from willmore.potentials import builtin_potential, to_nilpotent
@@ -32,7 +37,7 @@ from willmore.surfaces import (
 )
 from willmore.verify import _fd_offsets, _fd_z_derivative, _isotropy_fd
 
-from conftest import float_metric, float_values, isotropy_lifts
+from conftest import float_metric, float_values, isotropy_lifts, quotient_rule_metric
 
 RF_ZERO = RationalFn(BiPoly.zero())
 
@@ -181,7 +186,8 @@ def test_metric_identities_exact(pair1, pair2):
 
 def test_exact_metric_is_computed_once_per_pair_and_lift(pair1, monkeypatch):
     # the pair keeps each conformal factor, so branch_analysis reuses the
-    # metrics computed before it instead of projecting the lifts again
+    # metrics computed before it instead of reading the lifts' numerators
+    # again
     import willmore.surfaces as surfaces
 
     metric_y = induced_metric(pair1, "Y")
@@ -189,15 +195,62 @@ def test_exact_metric_is_computed_once_per_pair_and_lift(pair1, monkeypatch):
     assert induced_metric(pair1, "y") is metric_y
     induced_metric(pair1, "Yhat")
     calls = []
+    common_numerators = surfaces._common_numerators
 
-    def counted(pair, which="Y"):
-        calls.append(which)
-        return project_to_sphere(pair, which)
+    def counted(comps):
+        calls.append(len(comps))
+        return common_numerators(comps)
 
-    monkeypatch.setattr(surfaces, "project_to_sphere", counted)
+    monkeypatch.setattr(surfaces, "_common_numerators", counted)
     rep = branch_analysis(pair1)
     assert calls == []
     assert rep["y_limit"] == 0 and rep["yhat_limit"] == 32
+
+
+@pytest.mark.parametrize("example_id,lam", [(1, 1), (1, -1), (1, GR_I), (2, 1)],
+                         ids=["ex1-1", "ex1-minus1", "ex1-i", "ex2-1"])
+def test_exact_metric_from_numerators_equals_the_quotient_rule(example_id, lam, request):
+    # <P_z, P_zbar> / P[0]^2 equals the sum of c_z c_zbar over the projected
+    # components, and the printed factor where there is one, in far fewer
+    # terms; the branch limits read off it stay 0/32 and 8/8
+    pair = extract_pair(request.getfixturevalue("frame%d" % example_id), lam)
+    degrees = {(1, "Y"): ((3, 3), (6, 6))}
+    for which in ("Y", "Yhat"):
+        metric = induced_metric(pair, which)
+        assert metric == quotient_rule_metric(pair, which), which
+        if (example_id, which) != (2, "Yhat"):
+            assert metric == reference_metric(example_id, which), which
+        want = degrees.get((example_id, which), ((6, 6), (8, 8)))
+        assert (metric.num.degrees(), metric.den.degrees()) == want, which
+    rep = branch_analysis(pair)
+    assert (rep["y_limit"], rep["yhat_limit"]) == {1: (0, 32), 2: (8, 8)}[example_id]
+
+
+def _with_lift(pair, which, comps):
+    """A copy of an exact pair with one lift replaced."""
+    Y, Yhat = (comps, pair.Yhat) if which == "Y" else (pair.Y, comps)
+    return SurfacePair(pair.m, pair.lam, pair.hf, Y=tuple(Y), Yhat=tuple(Yhat))
+
+
+@pytest.mark.parametrize("which", ["Y", "Yhat"])
+def test_exact_metric_refuses_a_lift_that_is_not_null(pair1, which):
+    # z added to one component, as in the isotropy test above, breaks
+    # <P, P> = 0, without which <P_z, P_zbar> / P[0]^2 is not |y_z|^2
+    comps = list((pair1.Y, pair1.Yhat)[("Y", "Yhat").index(which)])
+    comps[2] = comps[2] + RationalFn(BiPoly.var_z())
+    bent = _with_lift(pair1, which, comps)
+    with pytest.raises(ResidualTooLarge, match="not null"):
+        induced_metric(bent, which)
+    assert bent.metrics == {}
+
+
+@pytest.mark.parametrize("which", ["Y", "Yhat"])
+def test_exact_metric_refuses_a_zero_first_coordinate(pair1, which):
+    comps = (pair1.Y, pair1.Yhat)[("Y", "Yhat").index(which)]
+    zeroed = _with_lift(pair1, which, (RF_ZERO,) + comps[1:])
+    with pytest.raises(FirstCoordinateVanishes):
+        induced_metric(zeroed, which)
+    assert zeroed.metrics == {}
 
 
 def test_metric_float_value_at_origin(hf1, hf2):
